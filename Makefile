@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race smoke diff lint-dispatch lint-fastpath lint-metrics check bench bench-json bench-exec bench-diff bench-append bench-trend sizeaudit bundle
+.PHONY: all build vet test race smoke diff lint-dispatch lint-fastpath lint-metrics check bench bench-json bench-exec bench-diff bench-append bench-trend bundle
 
 all: check
 
@@ -50,7 +50,7 @@ lint-dispatch:
 # identifier appearing in predecode.go means someone put per-step work
 # back on the hot path (see DESIGN.md, "Observability").
 lint-fastpath:
-	@found=$$(grep -nE 'Record|TraceFetch|TraceExec|TraceStep|Heat|sampleRec|sampleObs|stats\.|ObserveValue|ObserveEpoch|epochSpan' \
+	@found=$$(grep -nE 'Record|TraceFetch|TraceStep|sampleRec|sampleObs|stats\.|ObserveValue|ObserveEpoch|epochSpan' \
 		internal/machine/predecode.go || true); \
 	if [ -n "$$found" ]; then \
 		echo "$$found"; \
@@ -142,13 +142,9 @@ bench-trend:
 	$(GO) run ./cmd/cctrend -text $(LEDGER)
 	@echo wrote trend.html
 
-# Byte-provenance table (stdout) plus per-benchmark JSON/CSV/folded
-# audit files under audits/.
-sizeaudit:
-	$(GO) run ./cmd/experiments -run sizeaudit -sizeaudit audits
-
-# Run bundles: one flight-recorder directory per benchmark (nibble
-# options) plus a whole-run experiments/ bundle, under bundles/. Render
-# one with `go run ./cmd/ccreport bundles/<bench>.nibble`.
+# Run bundles: one flight-recorder directory per benchmark and registered
+# codec (stats, profiles, byte-provenance audit.json/audit.csv) plus a
+# whole-run experiments/ bundle, under bundles/. Render one with
+# `go run ./cmd/ccreport bundles/<bench>.nibble`.
 bundle:
 	$(GO) run ./cmd/experiments -run table1 -bundle bundles

@@ -5,18 +5,16 @@
 //
 //	ccrun prog.ppx
 //	ccrun -steps 1e8 -cache 1024 prog.ppz
-//	ccrun -cache 1024 -profile run.json prog.ppz   # JSON execution profile
-//	ccrun -guestprof prog.ppz                      # per-function cycle table
-//	ccrun -guestprof -folded out.folded prog.ppz   # flamegraph input
-//	ccrun -sampledprof prog.ppz                    # fast-path sampled profile
-//	ccrun -sizeaudit prog.ppz                      # static byte-provenance audit
-//	ccrun -bundle out.bundle prog.ppz              # everything, as one run bundle
+//	ccrun -trace 20 prog.ppz                       # disassemble the first 20 steps
+//	ccrun -bundle out.bundle prog.ppz              # stats, profiles and audit as one run bundle
+//	ccrun -sampledprof -bundle out.bundle prog.ppz # same, profiled on the fast path
+//
+// Render a bundle with ccreport.
 package main
 
 import (
 	"flag"
 	"fmt"
-	"io"
 	"os"
 	"strings"
 
@@ -29,26 +27,38 @@ import (
 	"repro/internal/obs"
 	"repro/internal/ppc"
 	"repro/internal/sizeaudit"
-	"repro/internal/stats"
 )
+
+// missCurveInterval is the bundle's cache miss-curve sampling interval,
+// in line accesses.
+const missCurveInterval = 4096
 
 func main() {
 	maxSteps := flag.Int64("steps", 200_000_000, "step budget")
 	cacheSize := flag.Int("cache", 0, "simulate an I-cache of this many bytes (direct-mapped, 32B lines)")
 	trace := flag.Int("trace", 0, "print the first N executed instructions to stderr")
-	profile := flag.String("profile", "", "write a JSON execution profile (hot dictionary entries, expansion histogram, cache miss curve) to this path; \"-\" means stdout")
-	sample := flag.Int64("sample", 4096, "with -profile and -cache, record a cache miss-curve point every N line accesses")
-	guestProf := flag.Bool("guestprof", false, "attribute cycles to guest functions (exact, symbolized); prints a top-20 table to stderr and adds a \"guest\" section to -profile output")
-	sampledProf := flag.Bool("sampledprof", false, "attribute cycles to guest functions by epoch-sampling the fused fast path (flat-only, no slowdown); prints the fast-path summary and top table to stderr and fills the \"guest\" section of -profile output")
-	sizeAudit := flag.Bool("sizeaudit", false, "for .ppz inputs: print the image's byte-provenance audit to stderr and add a \"size\" section to -profile output")
-	folded := flag.String("folded", "", "with -guestprof, write folded call stacks (flamegraph input) to this path; \"-\" means stdout")
-	topN := flag.Int("top", 20, "with -guestprof, rows in the per-function table (0 = all)")
-	bundleDir := flag.String("bundle", "", "write a run bundle (stats, execution profile, guest profile, size audit) to this directory; one flag capturing what -profile/-guestprof/-folded/-sizeaudit produce piecemeal")
+	sampledProf := flag.Bool("sampledprof", false, "with -bundle, profile the guest by epoch-sampling the fused fast path (flat-only, no slowdown) instead of the exact call-tree profiler")
+	bundleDir := flag.String("bundle", "", "write a run bundle (stats, execution profile, guest profile, size audit) to this directory")
 	flag.Parse()
 
 	if flag.NArg() != 1 {
 		fmt.Fprintln(os.Stderr, "usage: ccrun [flags] prog.{ppx,ppz}")
 		os.Exit(2)
+	}
+	wantBundle := *bundleDir != ""
+	if *sampledProf {
+		// The sampled profiler is the fast path observed from epoch
+		// boundaries; hooks that force the instrumented Step path defeat
+		// its point, so the combinations are rejected rather than silently
+		// measured slow.
+		switch {
+		case !wantBundle:
+			fatal(fmt.Errorf("-sampledprof selects the bundle's profiler; it needs -bundle"))
+		case *cacheSize > 0:
+			fatal(fmt.Errorf("-sampledprof cannot run with -cache (cache simulation needs the per-fetch hook)"))
+		case *trace > 0:
+			fatal(fmt.Errorf("-sampledprof cannot run with -trace (tracing needs the per-step hook)"))
+		}
 	}
 	path := flag.Arg(0)
 	f, err := os.Open(path)
@@ -62,23 +72,6 @@ func main() {
 	var sym *guestprof.SymTab
 	var sa *sizeaudit.Audit
 	id := obs.Identity{Bench: benchName(path)}
-	wantBundle := *bundleDir != ""
-	wantGuest := *guestProf || *folded != "" || (wantBundle && !*sampledProf)
-	if *sampledProf {
-		// The sampled profiler is the fast path observed from epoch
-		// boundaries; hooks that force the instrumented Step path defeat
-		// its point, so the combinations are rejected rather than silently
-		// measured slow.
-		switch {
-		case *guestProf || *folded != "":
-			fatal(fmt.Errorf("-sampledprof and -guestprof are mutually exclusive (exact profiling runs the instrumented path)"))
-		case *cacheSize > 0:
-			fatal(fmt.Errorf("-sampledprof cannot run with -cache (cache simulation needs the per-fetch hook)"))
-		case *trace > 0:
-			fatal(fmt.Errorf("-sampledprof cannot run with -trace (tracing needs the per-exec hook)"))
-		}
-	}
-	wantSym := wantGuest || *sampledProf
 	switch {
 	case strings.HasSuffix(path, ".ppz"):
 		// The frame's method byte selects the codec; no scheme flag needed.
@@ -94,42 +87,29 @@ func main() {
 		if img != nil && img.Name != "" {
 			id.Bench = img.Name
 		}
-		if *sizeAudit || wantBundle {
-			// The audit reconstructs from the image's serialized sideband
-			// (the dictionary images' marks), so no recompression is needed.
-			// A bundle simply omits the section when the image carries no
-			// marks; the explicit flag keeps its hard error.
-			aud, ok := oi.(codec.Auditable)
-			if !ok && *sizeAudit {
-				fatal(fmt.Errorf("-sizeaudit: %T images carry no marks audit; use ccomp -audit on the source .ppx", oi))
-			}
-			if ok {
-				if sa, err = aud.SizeAudit(); err != nil {
-					fatal(err)
-				}
-			}
-		}
 		ex, ok := oi.(codec.Executable)
 		if !ok {
 			fatal(fmt.Errorf("image codec cannot execute (%T is a size comparator)", oi))
 		}
-		cpu, err = ex.NewMachine()
-		if err != nil {
+		if cpu, err = ex.NewMachine(); err != nil {
 			fatal(err)
 		}
-		if wantSym {
-			// Compressed runs symbolize through the image's address map, so
-			// cycles land on the original program's function names.
-			if img == nil {
-				if wantBundle && !*guestProf && *folded == "" {
-					// Bundles degrade gracefully: no address map, no guest
-					// section.
-					wantSym, wantGuest = false, false
-				} else {
-					fatal(fmt.Errorf("guest profiling needs a dictionary image; %T carries no address map", oi))
+		if wantBundle {
+			// The audit reconstructs from the image's serialized sideband
+			// (the dictionary images' marks), so no recompression is needed;
+			// images without marks simply omit the section.
+			if aud, ok := oi.(codec.Auditable); ok {
+				if sa, err = aud.SizeAudit(); err != nil {
+					fatal(err)
 				}
-			} else if sym, err = img.GuestSymTab(); err != nil {
-				fatal(err)
+			}
+			// Compressed runs symbolize through the image's address map, so
+			// cycles land on the original program's function names. Images
+			// without one get no guest section.
+			if img != nil {
+				if sym, err = img.GuestSymTab(); err != nil {
+					fatal(err)
+				}
 			}
 		}
 	default:
@@ -137,47 +117,31 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		if *sizeAudit {
-			fatal(fmt.Errorf("-sizeaudit needs a compressed .ppz image; %s is uncompressed", path))
-		}
 		id.Codec = "native"
 		if p.Name != "" {
 			id.Bench = p.Name
 		}
-		cpu, err = machine.NewForProgram(p)
-		if err != nil {
+		if cpu, err = machine.NewForProgram(p); err != nil {
 			fatal(err)
 		}
-		if wantSym {
+		if wantBundle {
 			sym = guestprof.NewProgramSymTab(p)
 		}
 	}
 
 	var col *obs.Collector
+	var sp *guestprof.SampledProfiler
 	if wantBundle {
 		col = obs.NewCollector(id)
-	}
-
-	var rec *stats.Recorder
-	var sp *guestprof.SampledProfiler
-	wantProfile := *profile != "" || wantBundle
-	if *sampledProf {
-		// One recorder serves both sampling and -profile; unlike cpu.Record
-		// it is not a hook, so the run stays on the fused fast path.
-		rec = col.Recorder()
-		if rec == nil {
-			rec = stats.New()
-		}
-		sp = guestprof.NewSampled(sym)
-		cpu.EnableEpochSampling(rec, sp)
-	} else if wantProfile {
-		rec = col.Recorder()
-		if rec == nil {
-			rec = stats.New()
-		}
-		cpu.Record = rec
-		if img != nil {
-			cpu.EnableHeat(len(img.Entries))
+		if *sampledProf {
+			if sym == nil {
+				fatal(fmt.Errorf("-sampledprof needs a dictionary image; %s carries no address map", path))
+			}
+			// Sampling is not a hook, so the run stays on the fused fast path.
+			sp = guestprof.NewSampled(sym)
+			cpu.EnableEpochSampling(col.Recorder(), sp)
+		} else {
+			cpu.Record = col.Recorder()
 		}
 	}
 
@@ -189,30 +153,30 @@ func main() {
 			fatal(err)
 		}
 		cpu.TraceFetch = ic.Access
-		if wantProfile {
-			smp, err = cache.NewSampler(ic, *sample)
-			if err != nil {
+		if wantBundle {
+			if smp, err = cache.NewSampler(ic, missCurveInterval); err != nil {
 				fatal(err)
 			}
 			cpu.TraceFetch = smp.Access
 		}
 	}
 
-	var gp *guestprof.Profiler
-	if wantGuest {
-		gp = guestprof.New(sym)
-		gp.ObserveCache(ic)
-		gp.Attach(cpu)
-	}
-
+	// The trace hook goes in before the profiler attaches, which chains
+	// onto it.
 	if *trace > 0 {
 		left := *trace
-		cpu.TraceExec = func(cia uint32, word uint32) {
+		cpu.TraceStep = func(si machine.StepInfo) {
 			if left > 0 {
-				fmt.Fprintf(os.Stderr, "  %08x: %s\n", cia, ppc.Disassemble(word))
+				fmt.Fprintf(os.Stderr, "  %08x: %s\n", si.CIA, ppc.Disassemble(si.Word))
 				left--
 			}
 		}
+	}
+	var gp *guestprof.Profiler
+	if sym != nil && sp == nil {
+		gp = guestprof.New(sym)
+		gp.ObserveCache(ic)
+		gp.Attach(cpu)
 	}
 
 	status, err := cpu.Run(*maxSteps)
@@ -237,73 +201,37 @@ func main() {
 		fmt.Fprintf(os.Stderr, "icache: %d accesses, %d misses (%.2f%%)\n",
 			ic.Stats.Accesses, ic.Stats.Misses, 100*ic.Stats.MissRate())
 	}
-
-	if sa != nil && *sizeAudit {
-		fmt.Fprintln(os.Stderr)
-		if err := sa.WriteTable(os.Stderr); err != nil {
-			fatal(err)
-		}
+	if col == nil {
+		return
 	}
 
-	var guest *guestprof.Profile
-	var foldedText string
-	if gp != nil {
-		guest = gp.Profile(id.Bench)
+	var heat []int64
+	switch {
+	case gp != nil:
 		var sb strings.Builder
 		if err := gp.WriteFolded(&sb); err != nil {
 			fatal(err)
 		}
-		foldedText = sb.String()
-		if *guestProf {
-			fmt.Fprintln(os.Stderr)
-			if err := guest.WriteTop(os.Stderr, *topN); err != nil {
-				fatal(err)
-			}
-		}
-		if *folded != "" {
-			if err := obs.WriteTextFile(*folded, func(w io.Writer) error { return gp.WriteFolded(w) }); err != nil {
-				fatal(err)
-			}
-		}
+		col.SetGuest(gp.Profile(id.Bench), sb.String())
+		heat = gp.Heat()
+	case sp != nil:
+		col.SetGuest(sp.Profile(id.Bench), "")
+		heat = sp.Heat()
 	}
-	if sp != nil {
-		guest = sp.Profile(id.Bench)
-		fmt.Fprintln(os.Stderr)
-		if err := guest.WriteTop(os.Stderr, *topN); err != nil {
-			fatal(err)
-		}
-		// The reconstructed heat map feeds the profile's hot-entry section
-		// exactly as the slow path's heat hook would have; assigning it
-		// after Run keeps the run itself unhooked.
-		cpu.Heat = sp.Heat()
+	var curve []cache.SamplePoint
+	if smp != nil {
+		curve = smp.Points
 	}
-
-	if wantProfile {
-		var curve []cache.SamplePoint
-		if smp != nil {
-			curve = smp.Points
-		}
-		prof := core.CollectRunProfile(img, cpu, rec.Snapshot(), ic, curve)
-		if prof.Name == "" {
-			prof.Name = id.Bench
-		}
-		prof.Guest = guest
-		prof.Size = sa
-		if *profile != "" {
-			if err := obs.WriteJSONFile(*profile, prof); err != nil {
-				fatal(err)
-			}
-		}
-		col.SetProfile(prof)
-		col.SetGuest(guest, foldedText)
-		col.SetAudit(sa)
+	prof := core.CollectRunProfile(img, heat, cpu, col.Recorder().Snapshot(), ic, curve)
+	if prof.Name == "" {
+		prof.Name = id.Bench
 	}
+	col.SetProfile(prof)
+	col.SetAudit(sa)
 	if err := col.Write(*bundleDir); err != nil {
 		fatal(err)
 	}
-	if wantBundle {
-		fmt.Fprintf(os.Stderr, "bundle: %s\n", *bundleDir)
-	}
+	fmt.Fprintf(os.Stderr, "bundle: %s\n", *bundleDir)
 }
 
 // benchName strips the directory and the .ppx/.ppz extension: the default

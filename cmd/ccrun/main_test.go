@@ -1,15 +1,17 @@
 package main
 
 import (
-	"encoding/json"
 	"os"
 	"os/exec"
 	"path/filepath"
 	"reflect"
+	"regexp"
+	"strings"
 	"testing"
 
 	"repro/internal/codeword"
 	"repro/internal/core"
+	"repro/internal/guestprof"
 	"repro/internal/objfile"
 	"repro/internal/obs"
 	"repro/internal/synth"
@@ -52,76 +54,98 @@ func writeImage(t *testing.T, dir, bench string) string {
 	return path
 }
 
-// TestBundleMatchesLegacyFlags is the acceptance check for the -bundle
-// flag: a bundle's stats, profile, guest, and audit sections must be equal
-// to what the legacy per-flag outputs (-profile, -folded, -sizeaudit)
-// produce for the same run.
-func TestBundleMatchesLegacyFlags(t *testing.T) {
+// TestTraceLines pins -trace: exactly N disassembled lines, one per
+// executed instruction, ahead of the run summary.
+func TestTraceLines(t *testing.T) {
+	bin := buildCCRun(t)
+	ppz := writeImage(t, t.TempDir(), "compress")
+	cmd := exec.Command(bin, "-trace", "5", ppz)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	if err := cmd.Run(); err != nil {
+		t.Fatalf("ccrun -trace: %v\n%s", err, stderr.String())
+	}
+	traced := regexp.MustCompile(`(?m)^  [0-9a-f]{8}: \S`).FindAllString(stderr.String(), -1)
+	if len(traced) != 5 {
+		t.Errorf("-trace 5 printed %d instruction lines:\n%s", len(traced), stderr.String())
+	}
+}
+
+// TestSampledBundleMatchesExact runs the same image into an exact bundle
+// and a -sampledprof bundle. The run never leaves the fast path, so the
+// sampled profiler sees every step: the heat map and the flat per-function
+// counts must agree exactly.
+func TestSampledBundleMatchesExact(t *testing.T) {
 	bin := buildCCRun(t)
 	dir := t.TempDir()
 	ppz := writeImage(t, dir, "compress")
+	open := func(name string, args ...string) *obs.Bundle {
+		t.Helper()
+		bdir := filepath.Join(dir, name)
+		args = append(args, "-bundle", bdir, ppz)
+		if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+			t.Fatalf("ccrun %v: %v\n%s", args, err, out)
+		}
+		b, err := obs.Open(bdir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Profile == nil || b.Guest == nil {
+			t.Fatalf("ccrun %v: bundle lacks profile or guest section", args)
+		}
+		return b
+	}
+	exact, sampled := open("exact"), open("sampled", "-sampledprof")
+	if exact.Identity.Bench != "compress" || exact.Identity.Codec != "nibble" || exact.Identity.Method != 2 {
+		t.Errorf("bundle identity = %+v", exact.Identity)
+	}
+	if exact.GuestFolded == "" || sampled.GuestFolded != "" {
+		t.Errorf("folded stacks: exact %d bytes, sampled %d bytes; want exact only",
+			len(exact.GuestFolded), len(sampled.GuestFolded))
+	}
+	if cov := sampled.Profile.Fastpath.Coverage; cov != 1 {
+		t.Fatalf("sampled run coverage %v, want 1", cov)
+	}
+	if len(exact.Profile.HotEntries) == 0 {
+		t.Fatal("exact bundle has no hot entries")
+	}
+	if !reflect.DeepEqual(sampled.Profile.HotEntries, exact.Profile.HotEntries) {
+		t.Errorf("hot_entries differ:\n sampled %+v\n   exact %+v", sampled.Profile.HotEntries, exact.Profile.HotEntries)
+	}
+	flat := func(p *guestprof.Profile) map[string]guestprof.Counts {
+		m := map[string]guestprof.Counts{}
+		for _, f := range p.Funcs {
+			if f.Flat != (guestprof.Counts{}) {
+				m[f.Name] = f.Flat
+			}
+		}
+		return m
+	}
+	if got, want := flat(sampled.Guest), flat(exact.Guest); !reflect.DeepEqual(got, want) {
+		t.Errorf("flat guest counts differ:\n sampled %+v\n   exact %+v", got, want)
+	}
+}
 
-	legacyProf := filepath.Join(dir, "legacy.json")
-	legacyFolded := filepath.Join(dir, "legacy.folded")
-	legacy := exec.Command(bin, "-profile", legacyProf, "-guestprof", "-folded", legacyFolded, "-sizeaudit", ppz)
-	if out, err := legacy.CombinedOutput(); err != nil {
-		t.Fatalf("legacy run: %v\n%s", err, out)
+// TestSampledProfRejects pins the combinations -sampledprof refuses: the
+// hooks that would force the instrumented path, and running without a
+// bundle to fill.
+func TestSampledProfRejects(t *testing.T) {
+	bin := buildCCRun(t)
+	dir := t.TempDir()
+	ppz := writeImage(t, dir, "compress")
+	bdir := filepath.Join(dir, "bundle")
+	for _, args := range [][]string{
+		{"-sampledprof", "-cache", "1024", "-bundle", bdir},
+		{"-sampledprof", "-trace", "3", "-bundle", bdir},
+		{"-sampledprof"},
+	} {
+		out, err := exec.Command(bin, append(args, ppz)...).CombinedOutput()
+		if err == nil {
+			t.Errorf("ccrun %v succeeded, want a non-zero exit:\n%s", args, out)
+		}
 	}
-
-	bundleDir := filepath.Join(dir, "bundle")
-	bundled := exec.Command(bin, "-bundle", bundleDir, ppz)
-	if out, err := bundled.CombinedOutput(); err != nil {
-		t.Fatalf("bundle run: %v\n%s", err, out)
-	}
-
-	b, err := obs.Open(bundleDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.Identity.Bench != "compress" || b.Identity.Codec != "nibble" || b.Identity.Method != 2 {
-		t.Errorf("bundle identity = %+v", b.Identity)
-	}
-
-	// The legacy -profile file embeds the guest profile and size audit as
-	// sections of the run profile; the bundle stores them as sections of
-	// their own. Equality is per component.
-	data, err := os.ReadFile(legacyProf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var want core.RunProfile
-	if err := json.Unmarshal(data, &want); err != nil {
-		t.Fatalf("legacy profile JSON: %v", err)
-	}
-	if !reflect.DeepEqual(b.Guest, want.Guest) {
-		t.Errorf("bundle guest profile differs from legacy -profile guest section:\n got %+v\nwant %+v", b.Guest, want.Guest)
-	}
-	if !reflect.DeepEqual(b.Audit, want.Size) {
-		t.Errorf("bundle audit differs from legacy -profile size section")
-	}
-	want.Guest, want.Size = nil, nil
-	if b.Profile == nil {
-		t.Fatal("bundle has no profile section")
-	}
-	if !reflect.DeepEqual(*b.Profile, want) {
-		t.Errorf("bundle profile differs from legacy -profile output:\n got %+v\nwant %+v", *b.Profile, want)
-	}
-
-	folded, err := os.ReadFile(legacyFolded)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if b.GuestFolded != string(folded) {
-		t.Errorf("bundle folded stacks differ from legacy -folded output:\n got %q\nwant %q", b.GuestFolded, folded)
-	}
-
-	// The stats snapshot is what CollectRunProfile consumed; the same run
-	// must yield the same counters either way.
-	if b.Stats == nil {
-		t.Fatal("bundle has no stats section")
-	}
-	if got := b.Stats.Counters["machine.steps"]; got != want.Steps {
-		t.Errorf("bundle stats machine.steps = %d, profile says %d", got, want.Steps)
+	if _, err := os.Stat(bdir); !os.IsNotExist(err) {
+		t.Errorf("a rejected run wrote %s", bdir)
 	}
 }
 

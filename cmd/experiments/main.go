@@ -9,10 +9,8 @@
 //	experiments -json            # machine-readable report with per-phase stats
 //	experiments -timeout 2m      # cancel the run after a deadline
 //	experiments -list            # list experiment ids
-//	experiments -trace out.json  # write a Chrome trace-event file of the run
 //	experiments -pprof :6060     # serve net/http/pprof, live counters, /metrics
-//	experiments -guestprof dir/  # paired native/compressed guest profiles per benchmark
-//	experiments -sizeaudit dir/  # per-encoding byte-provenance audits per benchmark
+//	experiments -bundle dir/     # run bundles: the whole run plus every bench × codec
 //
 // Output is deterministic at every -parallel setting. The process exits
 // non-zero if any experiment fails.
@@ -33,11 +31,9 @@ import (
 	"time"
 
 	"repro/internal/bench"
-	"repro/internal/codeword"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // jsonExperiment is one experiment in the -json report.
@@ -68,11 +64,8 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "bound on concurrently executing work (runners and their rows); 1 = sequential")
 	timeout := flag.Duration("timeout", 0, "cancel the run after this duration (0 = no deadline)")
 	showStats := flag.Bool("stats", false, "print each experiment's counter/phase summary after its table")
-	traceOut := flag.String("trace", "", "write a Chrome trace-event JSON file of the run (open in chrome://tracing or Perfetto)")
 	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and the live stats snapshot (expvar \"stats\") on this address, e.g. :6060")
-	guestDir := flag.String("guestprof", "", "write paired native/compressed guest profiles (JSON + folded flamegraph stacks) for every benchmark into this directory")
-	auditDir := flag.String("sizeaudit", "", "write per-encoding byte-provenance audits (JSON + CSV + folded) for every benchmark into this directory")
-	bundleDir := flag.String("bundle", "", "write run bundles into this directory: one per benchmark under the paper's nibble options (<bench>.nibble/) plus experiments/ holding the whole run's stats and trace; one flag capturing what -trace/-guestprof/-sizeaudit produce piecemeal")
+	bundleDir := flag.String("bundle", "", "write run bundles into this directory: experiments/ holding the whole run's stats and trace, plus one <bench>.<codec>/ per benchmark and registered codec (dictionary codecs under the paper's entry-length bound)")
 	flag.Parse()
 
 	if *list {
@@ -117,8 +110,8 @@ func main() {
 			}
 		}()
 	}
-	// With -bundle, the collector owns the run's tracer, so -trace becomes
-	// a shim exporting the same spans the bundle captures.
+	// With -bundle, the collector owns the run's tracer; the spans land in
+	// the experiments/ bundle.
 	var col *obs.Collector
 	if *bundleDir != "" {
 		col = obs.NewCollector(obs.Identity{
@@ -126,15 +119,11 @@ func main() {
 			Timestamp: time.Now().UTC().Format(time.RFC3339),
 		})
 	}
-	tracer := col.Tracer()
-	if tracer == nil && *traceOut != "" {
-		tracer = trace.New()
-	}
 	corpus := bench.NewCorpus()
 	engine := bench.NewEngine(corpus, bench.EngineOptions{
 		Parallel:  *parallel,
 		Recorder:  totals,
-		Tracer:    tracer,
+		Tracer:    col.Tracer(),
 		Collector: col,
 	})
 	t0 := time.Now()
@@ -145,37 +134,12 @@ func main() {
 			fmt.Fprintf(os.Stderr, "experiments: run bundle: %v\n", err)
 			os.Exit(1)
 		}
-		opt := core.Options{Scheme: codeword.Nibble, MaxEntryLen: 4}
 		ts := time.Now().UTC().Format(time.RFC3339)
-		if err := bench.WriteBundles(corpus, *bundleDir, opt, []string{"nibble"}, ts); err != nil {
+		if err := bench.WriteBundles(corpus, *bundleDir, core.Options{MaxEntryLen: 4}, ts); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: bundles: %v\n", err)
 			os.Exit(1)
 		}
 		fmt.Fprintf(os.Stderr, "experiments: wrote run bundles to %s\n", *bundleDir)
-	}
-	if *guestDir != "" && runErr == nil {
-		// The corpus is already warm from the run, so profiling only pays
-		// for the executions themselves.
-		opt := core.Options{Scheme: codeword.Nibble, MaxEntryLen: 4}
-		if err := bench.WriteGuestProfiles(corpus, *guestDir, opt); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: guest profiles: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "experiments: wrote guest profile pairs to %s\n", *guestDir)
-	}
-	if *auditDir != "" && runErr == nil {
-		if err := bench.WriteSizeAudits(corpus, *auditDir); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: size audits: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "experiments: wrote size audits to %s\n", *auditDir)
-	}
-	if *traceOut != "" {
-		if err := obs.WriteTextFile(*traceOut, tracer.WriteChrome); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: writing trace %s: %v\n", *traceOut, err)
-			os.Exit(1)
-		}
-		fmt.Fprintf(os.Stderr, "experiments: wrote %d spans to %s\n", tracer.Len(), *traceOut)
 	}
 	if results == nil { // id resolution failed before anything ran
 		fmt.Fprintf(os.Stderr, "experiments: %v; use -list\n", runErr)

@@ -94,9 +94,6 @@ func CollectBundle(c *Corpus, name, enc string, opt core.Options) (*obs.Bundle, 
 
 	rec := col.Recorder()
 	cpu.Record = rec
-	if img != nil {
-		cpu.EnableHeat(len(img.Entries))
-	}
 	gp := guestprof.New(sym)
 	gp.Attach(cpu)
 	if _, err := cpu.Run(bundleStepBudget); err != nil {
@@ -104,7 +101,7 @@ func CollectBundle(c *Corpus, name, enc string, opt core.Options) (*obs.Bundle, 
 	}
 	cpu.FlushEpoch()
 
-	prof := core.CollectRunProfile(img, cpu, rec.Snapshot(), nil, nil)
+	prof := core.CollectRunProfile(img, gp.Heat(), cpu, rec.Snapshot(), nil, nil)
 	if prof.Name == "" {
 		prof.Name = name
 	}
@@ -118,14 +115,11 @@ func CollectBundle(c *Corpus, name, enc string, opt core.Options) (*obs.Bundle, 
 	return col.Bundle()
 }
 
-// WriteBundles collects and writes one bundle per (benchmark, codec) pair
-// into dir/<bench>.<codec>/. A nil or empty encs selects every registered
-// codec. The timestamp is stamped verbatim into each bundle's identity;
-// pass "" for reproducible output.
-func WriteBundles(c *Corpus, dir string, opt core.Options, encs []string, timestamp string) error {
-	if len(encs) == 0 {
-		encs = AuditEncodings
-	}
+// WriteBundles collects and writes one bundle per (benchmark, registered
+// codec) pair into dir/<bench>.<codec>/. The timestamp is stamped verbatim
+// into each bundle's identity; pass "" for reproducible output.
+func WriteBundles(c *Corpus, dir string, opt core.Options, timestamp string) error {
+	encs := AuditEncodings
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return err
 	}

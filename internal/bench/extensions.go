@@ -541,19 +541,14 @@ func ExtDictPlacement(c *Corpus) (*Table, error) {
 	return t, nil
 }
 
-// CycleModel is the simple timing model of Ext. F: one cycle per executed
-// instruction, a decode penalty per dictionary-expanded instruction
-// (variable-length decoding), and a fixed miss penalty per I-cache miss.
-type CycleModel struct {
-	DecodePenalty int64 // cycles per expanded instruction
-	MissPenalty   int64 // cycles per I-cache miss
-}
-
 // ExtCycles estimates end-to-end execution cycles for original vs
-// compressed images under the cycle model, showing when compression wins
-// on *performance*, not just size (the Chen97b argument from §1).
+// compressed images under pipeline's timing model with no branch penalty
+// (one cycle per instruction, one per dictionary-expanded instruction,
+// twenty per I-cache miss), showing when compression wins on
+// *performance*, not just size (the Chen97b argument from §1).
 func ExtCycles(c *Corpus) (*Table, error) {
-	model := CycleModel{DecodePenalty: 1, MissPenalty: 20}
+	cfg := pipeline.DefaultConfig(20)
+	cfg.BranchPenalty = 0
 	t := &Table{
 		ID:    "cycles",
 		Title: "Cycle model: 1 cycle/insn + 1 cycle/expansion + 20 cycles/miss (1KB I-cache)",
@@ -573,23 +568,13 @@ func ExtCycles(c *Corpus) (*Table, error) {
 			return nil, err
 		}
 		cyclesOf := func(mk func() (*machineCPU, error)) (int64, error) {
-			ic, err := cache.New(cache.Config{SizeBytes: 1024, LineBytes: 32, Assoc: 1})
-			if err != nil {
-				return 0, err
-			}
 			cpu, err := mk()
 			if err != nil {
 				return 0, err
 			}
 			cpu.Record = c.Recorder()
-			cpu.TraceFetch = ic.Access
-			if _, err := cpu.Run(200_000_000); err != nil {
-				return 0, err
-			}
-			ic.Report(c.Recorder())
-			return cpu.Stats.Steps +
-				model.DecodePenalty*cpu.Stats.Expanded +
-				model.MissPenalty*ic.Stats.Misses, nil
+			r, err := pipeline.Measure(cpu, cfg, 200_000_000)
+			return r.Cycles, err
 		}
 		co, err := cyclesOf(func() (*machineCPU, error) { return newNative(p) })
 		if err != nil {

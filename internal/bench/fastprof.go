@@ -19,12 +19,13 @@ func init() {
 	})
 }
 
-// SampledRun is one epoch-sampled execution: the flat profile
-// reconstructed from drained slot traffic, the machine's fast-path
+// SampledRun is one epoch-sampled execution: the flat profile and heat
+// map reconstructed from drained slot traffic, the machine's fast-path
 // telemetry, and the recorder snapshot carrying the machine.fastpath.*
 // counters and epoch-length histogram.
 type SampledRun struct {
 	Profile *guestprof.Profile
+	Heat    []int64
 	Fast    machine.FastStats
 	Steps   int64
 	Stats   stats.Snapshot
@@ -50,6 +51,7 @@ func sampledRun(c *Corpus, mk func() (*machineCPU, error), sym *guestprof.SymTab
 	}
 	return SampledRun{
 		Profile: sp.Profile(name),
+		Heat:    sp.Heat(),
 		Fast:    cpu.Fast,
 		Steps:   cpu.Stats.Steps,
 		Stats:   rec.Snapshot(),

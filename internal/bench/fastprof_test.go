@@ -13,9 +13,9 @@ import (
 // every benchmark: cycle totals are conserved (sampled total == fast-path
 // steps), coverage is essentially complete (the acceptance floor is 0.99;
 // these runs never leave the fused loop), and at full coverage the
-// reconstructed flat profile equals the exact Step-path profiler's flat
-// profile counter for counter — attribution by slot address is exact, not
-// approximate.
+// reconstructed flat profile and per-rank heat map equal the exact
+// Step-path profiler's, counter for counter — attribution by slot address
+// is exact, not approximate.
 func TestSampledProfilerAccuracy(t *testing.T) {
 	opt := core.Options{Scheme: codeword.Nibble, MaxEntryLen: 4}
 	for _, name := range sharedCorpus.Names() {
@@ -46,6 +46,7 @@ func TestSampledProfilerAccuracy(t *testing.T) {
 		}
 		if uncovered == 0 {
 			compareFlat(t, name, exact.Profile, sampled.Profile)
+			compareHeat(t, name, exact.Heat, sampled.Heat)
 		} else {
 			topOverlap(t, name, exact.Profile, sampled.Profile)
 		}
@@ -127,6 +128,29 @@ func compareFlat(t *testing.T, name string, exact, sampled *guestprof.Profile) {
 	}
 	for extra := range sm {
 		t.Errorf("%s: sampled profile invented function %s", name, extra)
+	}
+}
+
+// compareHeat requires the two heat maps to agree rank for rank (a rank
+// past the end of either map counts zero there).
+func compareHeat(t *testing.T, name string, exact, sampled []int64) {
+	t.Helper()
+	var total int64
+	for r := 0; r < max(len(exact), len(sampled)); r++ {
+		var e, s int64
+		if r < len(exact) {
+			e = exact[r]
+		}
+		if r < len(sampled) {
+			s = sampled[r]
+		}
+		if e != s {
+			t.Errorf("%s: heat[%d]: sampled %d, exact %d", name, r, s, e)
+		}
+		total += e
+	}
+	if total == 0 {
+		t.Errorf("%s: exact heat map is empty", name)
 	}
 }
 

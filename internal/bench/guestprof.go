@@ -2,15 +2,10 @@ package bench
 
 import (
 	"fmt"
-	"io"
-	"os"
-	"path/filepath"
-	"strings"
 
 	"repro/internal/codeword"
 	"repro/internal/core"
 	"repro/internal/guestprof"
-	"repro/internal/obs"
 )
 
 func init() {
@@ -20,10 +15,10 @@ func init() {
 }
 
 // GuestRun is one profiled execution: the aggregated per-function profile
-// plus the folded call stacks for flamegraph tooling.
+// plus the dictionary-entry heat map (index = rank).
 type GuestRun struct {
 	Profile *guestprof.Profile
-	Folded  string
+	Heat    []int64
 }
 
 // ProfilePair is a benchmark's paired native and compressed guest
@@ -49,11 +44,7 @@ func profiledRun(mk func() (*machineCPU, error), sym *guestprof.SymTab, name str
 	if _, err := cpu.Run(200_000_000); err != nil {
 		return GuestRun{}, err
 	}
-	var sb strings.Builder
-	if err := gp.WriteFolded(&sb); err != nil {
-		return GuestRun{}, err
-	}
-	return GuestRun{Profile: gp.Profile(name), Folded: sb.String()}, nil
+	return GuestRun{Profile: gp.Profile(name), Heat: gp.Heat()}, nil
 }
 
 // GuestProfilePair profiles one benchmark natively and under the given
@@ -126,37 +117,4 @@ func ExtGuestProf(c *Corpus) (*Table, error) {
 		return nil, err
 	}
 	return t, nil
-}
-
-// WriteGuestProfiles writes every benchmark's paired profiles into dir:
-// <bench>.native.json / <bench>.native.folded for the uncompressed run and
-// <bench>.ppz.json / <bench>.ppz.folded for the compressed one. The folded
-// files feed flamegraph tooling directly.
-func WriteGuestProfiles(c *Corpus, dir string, opt core.Options) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	names := c.Names()
-	return c.each(len(names), func(i int) error {
-		pair, err := GuestProfilePair(c, names[i], opt)
-		if err != nil {
-			return err
-		}
-		for _, side := range []struct {
-			tag string
-			run GuestRun
-		}{{"native", pair.Native}, {"ppz", pair.Compressed}} {
-			base := filepath.Join(dir, pair.Bench+"."+side.tag)
-			if err := obs.WriteJSONFile(base+".json", side.run.Profile); err != nil {
-				return err
-			}
-			if err := obs.WriteTextFile(base+".folded", func(w io.Writer) error {
-				_, err := io.WriteString(w, side.run.Folded)
-				return err
-			}); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
 }

@@ -2,12 +2,9 @@ package bench
 
 import (
 	"fmt"
-	"os"
-	"path/filepath"
 
 	"repro/internal/codec"
 	"repro/internal/core"
-	"repro/internal/obs"
 	"repro/internal/sizeaudit"
 )
 
@@ -91,43 +88,4 @@ func ExtSizeAudit(c *Corpus) (*Table, error) {
 		t.AddRow(row...)
 	}
 	return t, nil
-}
-
-// WriteSizeAudits writes every benchmark's audits into dir: for each
-// encoding, <bench>.<encoding>.json (the full per-function attribution),
-// .csv (per-function per-class bit counts) and .folded (flamegraph input),
-// plus <bench>.native.json as the diff baseline.
-func WriteSizeAudits(c *Corpus, dir string) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
-	}
-	names := c.Names()
-	encs := AuditEncodings
-	return c.each(len(names)*len(encs), func(k int) error {
-		name, enc := names[k/len(encs)], encs[k%len(encs)]
-		a, err := AuditFor(c, name, enc)
-		if err != nil {
-			return err
-		}
-		base := filepath.Join(dir, name+"."+enc)
-		if err := obs.WriteJSONFile(base+".json", a); err != nil {
-			return err
-		}
-		if err := obs.WriteTextFile(base+".csv", a.WriteCSV); err != nil {
-			return err
-		}
-		if err := obs.WriteTextFile(base+".folded", a.WriteFolded); err != nil {
-			return err
-		}
-		if enc != encs[0] {
-			return nil
-		}
-		// First encoding slot also writes the benchmark's native audit, the
-		// baseline side for diffing any of the compressed audits.
-		p, err := c.Program(name)
-		if err != nil {
-			return err
-		}
-		return obs.WriteJSONFile(filepath.Join(dir, name+".native.json"), sizeaudit.AuditProgram(p))
-	})
 }

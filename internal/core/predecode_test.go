@@ -157,7 +157,7 @@ func TestMidItemJumpParity(t *testing.T) {
 			t.Fatal(err)
 		}
 		if hook {
-			cpu.TraceExec = func(uint32, uint32) {}
+			cpu.TraceStep = func(machine.StepInfo) {}
 		}
 		if err := cpu.Frontend().SetPC(mid); err != nil {
 			t.Fatalf("mid-item SetPC rejected: %v", err)
@@ -210,7 +210,7 @@ func TestPredecodeUnavailable(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	mcpu.TraceExec = func(uint32, uint32) {}
+	mcpu.TraceStep = func(machine.StepInfo) {}
 	mfe := mcpu.Frontend().(machine.PredecodedFrontend)
 	parked := false
 	for k := int64(1); k <= 5000; k++ {
@@ -227,7 +227,7 @@ func TestPredecodeUnavailable(t *testing.T) {
 	}
 	// Run-level visibility: detach the hook, and the resumed Run is
 	// refused the table — counted, not silent.
-	mcpu.TraceExec = nil
+	mcpu.TraceStep = nil
 	if _, err := mcpu.Run(200_000_000); err != nil {
 		t.Fatal(err)
 	}

@@ -4,10 +4,8 @@ import (
 	"sort"
 
 	"repro/internal/cache"
-	"repro/internal/guestprof"
 	"repro/internal/machine"
 	"repro/internal/ppc"
-	"repro/internal/sizeaudit"
 	"repro/internal/stats"
 )
 
@@ -44,11 +42,11 @@ type FastPathProfile struct {
 	Bails     map[string]int64 `json:"bails,omitempty"`      // exits/refusals by reason
 }
 
-// RunProfile is the per-run execution profile behind ccrun -profile: the
-// machine's counters, fast-path coverage and bail accounting, the
-// dictionary-entry heat map (hottest first), the expansion-length
-// histogram and, when a cache was simulated, its miss curve. All fields
-// are JSON-serializable.
+// RunProfile is the per-run execution profile a run bundle stores as
+// profile.json: the machine's counters, fast-path coverage and bail
+// accounting, the dictionary-entry heat map (hottest first), the
+// expansion-length histogram and, when a cache was simulated, its miss
+// curve. All fields are JSON-serializable.
 type RunProfile struct {
 	Name          string           `json:"name"`
 	Steps         int64            `json:"steps"`
@@ -59,14 +57,6 @@ type RunProfile struct {
 	HotEntries    []EntryHeat      `json:"hot_entries,omitempty"`
 	ExpansionHist *stats.Histogram `json:"expansion_hist,omitempty"`
 	Cache         *CacheProfile    `json:"cache,omitempty"`
-
-	// Guest is the symbolized per-function guest profile, present when a
-	// guestprof.Profiler was attached to the run (ccrun -guestprof).
-	Guest *guestprof.Profile `json:"guest,omitempty"`
-
-	// Size is the static byte-provenance audit of the image being run,
-	// present when requested (ccrun -sizeaudit) and the image carries marks.
-	Size *sizeaudit.Audit `json:"size,omitempty"`
 }
 
 // HotEntriesTotal sums the heat map's expansion counts.
@@ -78,12 +68,14 @@ func (p RunProfile) HotEntriesTotal() int64 {
 	return n
 }
 
-// CollectRunProfile assembles a RunProfile after cpu.Run completed. img
-// may be nil (uncompressed run: no heat map or expansion histogram), as
-// may ic and curve (no cache section) — the profile simply omits those
-// sections. snap should be the snapshot of the recorder attached as
-// cpu.Record; its machine.expansion_len histogram becomes ExpansionHist.
-func CollectRunProfile(img *Image, cpu *machine.CPU, snap stats.Snapshot, ic *cache.Cache, curve []cache.SamplePoint) RunProfile {
+// CollectRunProfile assembles a RunProfile after cpu.Run completed. heat
+// is the per-rank expansion count of img's dictionary entries, as a guest
+// profiler's Heat method returns it (exact or sampled). img may be nil
+// (uncompressed run: no heat map or expansion histogram), as may ic and
+// curve (no cache section) — the profile simply omits those sections.
+// snap should be the snapshot of the run's recorder; its
+// machine.expansion_len histogram becomes ExpansionHist.
+func CollectRunProfile(img *Image, heat []int64, cpu *machine.CPU, snap stats.Snapshot, ic *cache.Cache, curve []cache.SamplePoint) RunProfile {
 	p := RunProfile{
 		Steps:        cpu.Stats.Steps,
 		Expanded:     cpu.Stats.Expanded,
@@ -105,8 +97,8 @@ func CollectRunProfile(img *Image, cpu *machine.CPU, snap stats.Snapshot, ic *ca
 		p.Name = img.Name
 		for rank, e := range img.Entries {
 			var n int64
-			if rank < len(cpu.Heat) {
-				n = cpu.Heat[rank]
+			if rank < len(heat) {
+				n = heat[rank]
 			}
 			if n == 0 {
 				continue

@@ -6,13 +6,15 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/codeword"
+	"repro/internal/guestprof"
 	"repro/internal/stats"
 	"repro/internal/synth"
 )
 
 // TestCollectRunProfile compresses and runs a synthetic benchmark with
-// full instrumentation attached and checks the profile carries a
-// non-empty heat map, expansion histogram and cache miss curve.
+// full instrumentation attached (the exact guest profiler supplying the
+// heat map) and checks the profile carries a non-empty heat map,
+// expansion histogram and cache miss curve.
 func TestCollectRunProfile(t *testing.T) {
 	p, err := synth.Generate("compress")
 	if err != nil {
@@ -29,9 +31,14 @@ func TestCollectRunProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	sym, err := img.GuestSymTab()
+	if err != nil {
+		t.Fatal(err)
+	}
 	rec := stats.New()
 	cpu.Record = rec
-	cpu.EnableHeat(len(img.Entries))
+	gp := guestprof.New(sym)
+	gp.Attach(cpu)
 	ic, err := cache.New(cache.Config{SizeBytes: 1024, LineBytes: 32, Assoc: 2})
 	if err != nil {
 		t.Fatal(err)
@@ -45,7 +52,7 @@ func TestCollectRunProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	prof := CollectRunProfile(img, cpu, rec.Snapshot(), ic, smp.Points)
+	prof := CollectRunProfile(img, gp.Heat(), cpu, rec.Snapshot(), ic, smp.Points)
 	if prof.Name != img.Name {
 		t.Fatalf("Name = %q, want %q", prof.Name, img.Name)
 	}
@@ -116,17 +123,17 @@ func TestCollectRunProfileNilSections(t *testing.T) {
 	if _, err := cpu.Run(10_000_000); err != nil {
 		t.Fatal(err)
 	}
-	prof := CollectRunProfile(nil, cpu, stats.Snapshot{}, nil, nil)
+	prof := CollectRunProfile(nil, nil, cpu, stats.Snapshot{}, nil, nil)
 	if prof.Steps == 0 {
 		t.Fatal("machine counters not collected")
 	}
 	if prof.HotEntries != nil || prof.ExpansionHist != nil || prof.Cache != nil {
 		t.Fatal("optional sections present without their inputs")
 	}
-	// With an image but no heat map enabled, entries all count zero and
-	// the heat map stays empty rather than listing cold entries.
-	prof = CollectRunProfile(img, cpu, stats.Snapshot{}, nil, nil)
+	// With an image but no heat counts, entries all count zero and the
+	// heat map stays empty rather than listing cold entries.
+	prof = CollectRunProfile(img, nil, cpu, stats.Snapshot{}, nil, nil)
 	if len(prof.HotEntries) != 0 {
-		t.Fatalf("heat map has %d entries without EnableHeat", len(prof.HotEntries))
+		t.Fatalf("heat map has %d entries without heat counts", len(prof.HotEntries))
 	}
 }

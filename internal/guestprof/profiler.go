@@ -58,13 +58,14 @@ type frame struct {
 
 // Profiler attributes execution to guest functions. Create with New,
 // connect with Attach (and ObserveCache when an I-cache is simulated),
-// run the machine, then export with Profile, WriteTop or WriteFolded.
+// run the machine, then export with Profile, WriteFolded or Heat.
 // A Profiler is single-run state: profile one CPU per Profiler.
 type Profiler struct {
 	sym   *SymTab
 	cache *cache.Cache
 	root  *node
 	stack []frame
+	heat  []int64 // dictionary-entry expansions begun, by rank
 
 	lastMisses int64
 }
@@ -123,6 +124,7 @@ func (p *Profiler) Step(si machine.StepInfo) {
 	n.c.FetchBytes += int64(si.MemBytes) + int64(si.MemBytes2)
 	if si.EntryLen > 0 {
 		n.c.Expansions++
+		p.heat = countHeat(p.heat, si.EntryRank, 1)
 	}
 	if si.MemBytes == 0 {
 		n.c.Expanded++
@@ -150,6 +152,20 @@ func (p *Profiler) Step(si machine.StepInfo) {
 			}
 		}
 	}
+}
+
+// Heat returns the dictionary-entry heat map (index = rank): how many
+// codeword fetches began expanding each entry.
+func (p *Profiler) Heat() []int64 { return p.heat }
+
+// countHeat adds n expansions of the entry at rank to heat, growing the
+// map to cover the rank.
+func countHeat(heat []int64, rank int, n int64) []int64 {
+	if rank >= len(heat) {
+		heat = append(heat, make([]int64, rank+1-len(heat))...)
+	}
+	heat[rank] += n
+	return heat
 }
 
 // Depth reports the current live stack depth (excluding the root frame),

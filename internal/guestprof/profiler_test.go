@@ -100,7 +100,7 @@ main;mid;leaf 4
 	}
 }
 
-func TestTopTableAndCumulative(t *testing.T) {
+func TestCumulativeCounts(t *testing.T) {
 	p := buildCallers(t)
 	cpu, prof := profiledRun(t, p)
 	pr := prof.Profile("callers")
@@ -123,19 +123,13 @@ func TestTopTableAndCumulative(t *testing.T) {
 	if mid.Cum.Cycles != mid.Flat.Cycles+4 { // leaf's 4 cycles nest under mid
 		t.Errorf("mid cum %d, want flat %d + 4", mid.Cum.Cycles, mid.Flat.Cycles)
 	}
-
-	var sb strings.Builder
-	if err := pr.WriteTop(&sb, 2); err != nil {
-		t.Fatalf("WriteTop: %v", err)
+	// Hottest-first: mid (16 flat) before main (5) before leaf (4).
+	var order []string
+	for _, f := range pr.Funcs {
+		order = append(order, f.Name)
 	}
-	out := sb.String()
-	for _, want := range []string{"flat%", "mid", "TOTAL", "100.0%"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("top table missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "leaf") {
-		t.Errorf("top 2 table should not include leaf:\n%s", out)
+	if strings.Join(order, ",") != "mid,main,leaf" {
+		t.Errorf("function order %v, want hottest-first mid,main,leaf", order)
 	}
 }
 
@@ -256,6 +250,17 @@ func TestConservationAllBenchmarks(t *testing.T) {
 			}
 			if cpr.Total.Cycles != ccpu.Stats.Steps {
 				t.Errorf("compressed: total %d != steps %d", cpr.Total.Cycles, ccpu.Stats.Steps)
+			}
+			// The heat map counts every expansion the profile attributes.
+			var heat int64
+			for _, n := range cprof.Heat() {
+				heat += n
+			}
+			if heat != cpr.Total.Expansions || heat == 0 {
+				t.Errorf("compressed: heat map sums %d, profile counts %d expansions", heat, cpr.Total.Expansions)
+			}
+			if len(nprof.Heat()) != 0 {
+				t.Errorf("native: heat map %v, want empty", nprof.Heat())
 			}
 
 			// Symbolization: the compressed profile must name the same

@@ -102,13 +102,19 @@ func (p *Profiler) Profile(name string) *Profile {
 			Cum:  cum[i],
 		})
 	}
+	prof.sortHottest()
+	return prof
+}
+
+// sortHottest orders the functions hottest-first by flat cycles, ties by
+// name — the order both profilers report in.
+func (prof *Profile) sortHottest() {
 	sort.SliceStable(prof.Funcs, func(a, b int) bool {
 		if prof.Funcs[a].Flat.Cycles != prof.Funcs[b].Flat.Cycles {
 			return prof.Funcs[a].Flat.Cycles > prof.Funcs[b].Flat.Cycles
 		}
 		return prof.Funcs[a].Name < prof.Funcs[b].Name
 	})
-	return prof
 }
 
 // WriteFolded emits the call tree as folded stacks — one line per distinct
@@ -136,62 +142,6 @@ func (p *Profiler) WriteFolded(w io.Writer) error {
 	sort.Strings(lines)
 	for _, ln := range lines {
 		if _, err := fmt.Fprintln(w, ln); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteTop renders the hottest n functions (by flat cycles) as an aligned
-// text table with flat/cumulative cycle shares and the expansion and
-// memory-traffic columns.
-func (prof *Profile) WriteTop(w io.Writer, n int) error {
-	if n <= 0 || n > len(prof.Funcs) {
-		n = len(prof.Funcs)
-	}
-	total := prof.Total.Cycles
-	pctOf := func(v int64) string {
-		if total == 0 {
-			return "-"
-		}
-		return fmt.Sprintf("%.1f%%", 100*float64(v)/float64(total))
-	}
-	rows := [][]string{{"flat", "flat%", "cum", "cum%", "fetch-bytes", "expansions", "misses", "function"}}
-	for _, f := range prof.Funcs[:n] {
-		rows = append(rows, []string{
-			fmt.Sprint(f.Flat.Cycles), pctOf(f.Flat.Cycles),
-			fmt.Sprint(f.Cum.Cycles), pctOf(f.Cum.Cycles),
-			fmt.Sprint(f.Flat.FetchBytes), fmt.Sprint(f.Flat.Expansions),
-			fmt.Sprint(f.Flat.CacheMisses), f.Name,
-		})
-	}
-	rows = append(rows, []string{
-		fmt.Sprint(prof.Total.Cycles), "100.0%", fmt.Sprint(prof.Total.Cycles), "100.0%",
-		fmt.Sprint(prof.Total.FetchBytes), fmt.Sprint(prof.Total.Expansions),
-		fmt.Sprint(prof.Total.CacheMisses), "TOTAL",
-	})
-	width := make([]int, len(rows[0]))
-	for _, r := range rows {
-		for i, cell := range r {
-			if len(cell) > width[i] {
-				width[i] = len(cell)
-			}
-		}
-	}
-	for _, r := range rows {
-		var sb strings.Builder
-		for i, cell := range r {
-			if i > 0 {
-				sb.WriteString("  ")
-			}
-			if i == len(r)-1 { // function name: left-aligned, unpadded
-				sb.WriteString(cell)
-				continue
-			}
-			sb.WriteString(strings.Repeat(" ", width[i]-len(cell)))
-			sb.WriteString(cell)
-		}
-		if _, err := fmt.Fprintln(w, sb.String()); err != nil {
 			return err
 		}
 	}

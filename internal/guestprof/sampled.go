@@ -1,10 +1,6 @@
 package guestprof
 
-import (
-	"sort"
-
-	"repro/internal/machine"
-)
+import "repro/internal/machine"
 
 // SampledProfiler reconstructs a flat per-function guest profile from the
 // fast path's drained per-slot traffic (machine.EnableEpochSampling),
@@ -72,10 +68,7 @@ func (p *SampledProfiler) ObserveEpoch(pd *machine.Predecode, tr []machine.SlotT
 		c.Expanded += int64(t.Steps - t.Fetches)
 		if s.Rank >= 0 {
 			c.Expansions += int64(t.Fetches)
-			if n := int(s.Rank) + 1; n > len(p.heat) {
-				p.heat = append(p.heat, make([]int64, n-len(p.heat))...)
-			}
-			p.heat[s.Rank] += int64(t.Fetches)
+			p.heat = countHeat(p.heat, int(s.Rank), int64(t.Fetches))
 		}
 	}
 }
@@ -93,16 +86,11 @@ func (p *SampledProfiler) Profile(name string) *Profile {
 		prof.Funcs = append(prof.Funcs, FuncProfile{Name: p.sym.Name(i - 1), Flat: c, Cum: c})
 		prof.Total.add(c)
 	}
-	sort.SliceStable(prof.Funcs, func(a, b int) bool {
-		if prof.Funcs[a].Flat.Cycles != prof.Funcs[b].Flat.Cycles {
-			return prof.Funcs[a].Flat.Cycles > prof.Funcs[b].Flat.Cycles
-		}
-		return prof.Funcs[a].Name < prof.Funcs[b].Name
-	})
+	prof.sortHottest()
 	return prof
 }
 
 // Heat returns the reconstructed dictionary-entry heat map (index = rank):
-// for the covered steps, exactly what the machine's heat hook would have
-// counted on the instrumented path.
+// for the covered steps, exactly what the exact Profiler's Heat counts on
+// the instrumented path.
 func (p *SampledProfiler) Heat() []int64 { return p.heat }

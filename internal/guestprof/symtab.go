@@ -7,9 +7,10 @@
 // per-function cycle totals sum to the machine's step count, in both
 // native and compressed runs; a compressed run symbolizes through the
 // image's compressed↔native address map, so both profiles name the same
-// functions and diff directly. Exporters: a text top-N table, folded
-// stacks for standard flamegraph tooling, and a JSON profile that merges
-// into core.RunProfile.
+// functions and diff directly. The profiler also counts the per-rank
+// dictionary-entry heat map behind a run profile's hot entries. Exporters:
+// folded stacks for standard flamegraph tooling and a JSON profile, both
+// stored as run-bundle sections.
 package guestprof
 
 import (

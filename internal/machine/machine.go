@@ -58,10 +58,6 @@ type CPU struct {
 	// (for cache simulation).
 	TraceFetch func(addr uint32, nbytes int)
 
-	// TraceExec, when non-nil, receives every executed instruction with
-	// its fetch address (PC space of the active frontend).
-	TraceExec func(cia uint32, word uint32)
-
 	// TraceStep, when non-nil, receives every executed instruction after
 	// its architectural effects: the FetchInfo plus the control transfer
 	// the instruction performed (the guest profiler's hook). It fires once
@@ -75,11 +71,6 @@ type CPU struct {
 	// machine.expansion_len histogram: the entry length of every codeword
 	// expansion the frontend begins.
 	Record *stats.Recorder
-
-	// Heat, when non-nil (enable with EnableHeat), accumulates the
-	// dictionary-entry heat map: Heat[rank] counts the codeword fetches
-	// that began expanding that entry.
-	Heat []int64
 
 	Stats Stats
 
@@ -202,8 +193,7 @@ func (c *CPU) SnapshotReset() error {
 // Reset rewinds the machine to its SnapshotReset state: registers, memory,
 // PC, accumulated output, exit state, Stats, and Fast all return to their
 // post-construction values, reusing every allocation. Hooks (TraceFetch,
-// TraceExec, TraceStep, Record, Heat) and epoch-sampling sinks are left
-// attached.
+// TraceStep, Record) and epoch-sampling sinks are left attached.
 func (c *CPU) Reset() error {
 	if c.snap == nil {
 		return fmt.Errorf("machine: Reset without a prior SnapshotReset")
@@ -228,11 +218,6 @@ func (c *CPU) Reset() error {
 	return c.fe.Reset(c.snap.pc)
 }
 
-// EnableHeat allocates the dictionary-entry heat map for a dictionary of
-// the given size; fetches attributed to an entry rank beyond it are
-// dropped.
-func (c *CPU) EnableHeat(entries int) { c.Heat = make([]int64, entries) }
-
 // Output returns everything the program printed through syscalls.
 func (c *CPU) Output() []byte { return c.out.Bytes() }
 
@@ -246,7 +231,7 @@ func (c *CPU) Exited() (bool, int32) { return c.exited, c.status }
 // the exit status. Exceeding the budget or any architectural fault is an
 // error.
 //
-// When every hook (TraceFetch/TraceExec/TraceStep/Record/Heat) is nil and
+// When every hook (TraceFetch/TraceStep/Record) is nil and
 // the frontend supplies a predecode table, Run drives the fused
 // fetch+execute fast loop; attaching any hook transparently selects the
 // instrumented Step path, so observability features see every event.
@@ -267,8 +252,7 @@ func (c *CPU) Run(maxSteps int64) (int32, error) {
 		fastBefore, stepsBefore := c.Fast, c.Stats.Steps
 		defer func() { c.exportFastpath(rec, fastBefore, stepsBefore) }()
 	}
-	if c.TraceFetch == nil && c.TraceExec == nil && c.TraceStep == nil &&
-		c.Record == nil && c.Heat == nil {
+	if c.TraceFetch == nil && c.TraceStep == nil && c.Record == nil {
 		if fe, ok := c.fe.(PredecodedFrontend); ok {
 			if pd := fe.Predecode(); pd != nil {
 				st, done, err := c.runFast(fe, pd, maxSteps)
@@ -336,16 +320,8 @@ func (c *CPU) Step() error {
 	if fi.MemBytes2 > 0 {
 		c.traceAccess(fi.MemAddr2, fi.MemBytes2)
 	}
-	if fi.EntryLen > 0 {
-		if c.Heat != nil && fi.EntryRank < len(c.Heat) {
-			c.Heat[fi.EntryRank]++
-		}
-		if c.Record != nil {
-			c.Record.ObserveValue("machine.expansion_len", int64(fi.EntryLen))
-		}
-	}
-	if c.TraceExec != nil {
-		c.TraceExec(fi.CIA, fi.Word)
+	if fi.EntryLen > 0 && c.Record != nil {
+		c.Record.ObserveValue("machine.expansion_len", int64(fi.EntryLen))
 	}
 	c.branch = takenBranch{}
 	i := ppc.Decode(fi.Word)

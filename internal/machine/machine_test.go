@@ -387,7 +387,10 @@ func TestStatsAndTrace(t *testing.T) {
 	}
 }
 
-func TestTraceExec(t *testing.T) {
+// TestTraceStepSequence pins the CIA/Word sequence TraceStep delivers on
+// straight-line code: one delivery per step, in fetch order, each carrying
+// the executed instruction's address and encoding.
+func TestTraceStepSequence(t *testing.T) {
 	b := program.NewBuilder("trace")
 	f := b.Func("main")
 	f.Emit(ppc.Li(3, 1))
@@ -401,11 +404,10 @@ func TestTraceExec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var words []uint32
-	var addrs []uint32
-	cpu.TraceExec = func(cia uint32, w uint32) {
-		addrs = append(addrs, cia)
-		words = append(words, w)
+	var words, addrs []uint32
+	cpu.TraceStep = func(si StepInfo) {
+		addrs = append(addrs, si.CIA)
+		words = append(words, si.Word)
 	}
 	if _, err := cpu.Run(100); err != nil {
 		t.Fatal(err)
@@ -413,13 +415,16 @@ func TestTraceExec(t *testing.T) {
 	if int64(len(words)) != cpu.Stats.Steps {
 		t.Fatalf("traced %d of %d steps", len(words), cpu.Stats.Steps)
 	}
-	if words[0] != ppc.Li(3, 1) || addrs[0] != p.EntryAddr() {
-		t.Fatalf("first trace entry %08x at %#x", words[0], addrs[0])
-	}
-	for i := 1; i < len(addrs); i++ {
-		if addrs[i] != addrs[i-1]+4 {
-			t.Fatalf("trace addresses not sequential at %d", i)
+	for i, w := range words {
+		if want := p.Text[p.Entry+i]; w != want {
+			t.Errorf("step %d: word %08x, want %08x", i, w, want)
 		}
+		if want := p.EntryAddr() + uint32(4*i); addrs[i] != want {
+			t.Errorf("step %d: CIA %#x, want %#x", i, addrs[i], want)
+		}
+	}
+	if words[0] != ppc.Li(3, 1) || words[1] != ppc.Addi(3, 3, 1) {
+		t.Fatalf("first trace entries %08x %08x", words[0], words[1])
 	}
 }
 

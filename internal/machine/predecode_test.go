@@ -168,7 +168,7 @@ func TestFastSlowErrorParity(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		slow.TraceExec = func(uint32, uint32) {}
+		slow.TraceStep = func(StepInfo) {}
 		_, ferr := fast.Run(100)
 		_, serr := slow.Run(100)
 		if ferr == nil || serr == nil {
@@ -260,7 +260,7 @@ func TestFastPathSelfModifyingText(t *testing.T) {
 			t.Fatal(err)
 		}
 		if hook {
-			cpu.TraceExec = func(uint32, uint32) {}
+			cpu.TraceStep = func(StepInfo) {}
 		}
 		status, err := cpu.Run(100)
 		if err != nil {

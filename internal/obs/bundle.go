@@ -1,13 +1,13 @@
 // Package obs is the run-bundle layer: one versioned, self-describing
 // artifact per run that captures everything the system knows about it —
 // identity, the stats snapshot with histograms, the Chrome trace, the
-// execution profile, the symbolized guest profile (flat table + folded
-// stacks) and the byte-provenance size audit — written atomically as a
-// directory with a checksummed manifest, re-loadable with schema
+// execution profile, the symbolized guest profile (per-function counts +
+// folded stacks) and the byte-provenance size audit — written atomically
+// as a directory with a checksummed manifest, re-loadable with schema
 // validation, diffable pairwise (Diff) and renderable as a standalone
 // HTML or text report (cmd/ccreport). The Collector is the one sink the
-// tools thread a run's telemetry through; the legacy per-artifact flags
-// (-trace, -profile, -guestprof, -sizeaudit) are thin shims over it.
+// tools thread a run's telemetry through, and a bundle is the only
+// artifact they write.
 package obs
 
 import (
@@ -309,25 +309,8 @@ func (b *Bundle) loadSection(name string, data []byte) error {
 	return nil
 }
 
-// WriteJSONFile writes v as indented JSON to path; "-" selects stdout.
-// It is the shared sink behind every tool's legacy JSON-artifact flag.
-func WriteJSONFile(path string, v any) error {
-	data, err := marshalJSON(v)
-	if err != nil {
-		return err
-	}
-	return writeFileOrStdout(path, func(w io.Writer) error {
-		_, err := w.Write(data)
-		return err
-	})
-}
-
 // WriteTextFile streams render's output to path; "-" selects stdout.
 func WriteTextFile(path string, render func(io.Writer) error) error {
-	return writeFileOrStdout(path, render)
-}
-
-func writeFileOrStdout(path string, render func(io.Writer) error) error {
 	if path == "-" {
 		return render(os.Stdout)
 	}

@@ -57,21 +57,11 @@ func (c *Collector) Tracer() *trace.Tracer {
 	return c.tracer
 }
 
-// SetProfile stores the run's execution profile. A Guest or Size artifact
-// still embedded in the profile (the legacy -profile document carries
-// both) is split out into its own bundle section, so no artifact is
-// stored twice.
+// SetProfile stores the run's execution profile.
 func (c *Collector) SetProfile(p core.RunProfile) {
 	if c == nil {
 		return
 	}
-	if p.Guest != nil && c.guest == nil {
-		c.guest = p.Guest
-	}
-	if p.Size != nil && c.audit == nil {
-		c.audit = p.Size
-	}
-	p.Guest, p.Size = nil, nil
 	if len(p.Fastpath.Bails) == 0 {
 		p.Fastpath.Bails = nil
 	}

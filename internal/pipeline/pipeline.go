@@ -56,7 +56,8 @@ func (r Report) CPI() float64 {
 }
 
 // Measure runs the CPU to completion under the model. The CPU must be
-// freshly constructed (its fetch trace is consumed here).
+// freshly constructed (its fetch trace is consumed here). The cache's
+// counters go to cpu.Record, when one is attached.
 func Measure(cpu *machine.CPU, cfg Config, maxSteps int64) (Report, error) {
 	ic, err := cache.New(cfg.ICache)
 	if err != nil {
@@ -66,6 +67,7 @@ func Measure(cpu *machine.CPU, cfg Config, maxSteps int64) (Report, error) {
 	if _, err := cpu.Run(maxSteps); err != nil {
 		return Report{}, fmt.Errorf("pipeline: %w", err)
 	}
+	ic.Report(cpu.Record)
 	r := Report{
 		Steps:         cpu.Stats.Steps,
 		TakenBranches: cpu.Stats.TakenBranches,

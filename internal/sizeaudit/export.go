@@ -4,7 +4,6 @@ import (
 	"encoding/csv"
 	"fmt"
 	"io"
-	"sort"
 	"strconv"
 	"strings"
 )
@@ -121,28 +120,4 @@ func (a *Audit) WriteCSV(w io.Writer) error {
 	}
 	cw.Flush()
 	return cw.Error()
-}
-
-// WriteFolded emits the audit as folded stacks — one line per non-empty
-// (function, class) pair, "name;function;class bits" — the input format of
-// standard flamegraph tooling (the same shape guestprof.WriteFolded uses
-// for cycles, with bits as the count so values stay integral). Lines sort
-// lexicographically for deterministic output.
-func (a *Audit) WriteFolded(w io.Writer) error {
-	var lines []string
-	for _, f := range a.Funcs {
-		for _, c := range Classes() {
-			if f.Bits[c] == 0 {
-				continue
-			}
-			lines = append(lines, fmt.Sprintf("%s;%s;%s %d", a.Name, f.Name, c, f.Bits[c]))
-		}
-	}
-	sort.Strings(lines)
-	for _, ln := range lines {
-		if _, err := fmt.Fprintln(w, ln); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -219,17 +219,6 @@ func TestExporters(t *testing.T) {
 	if !strings.HasPrefix(lines[0], "name,encoding,function,codeword_bits") {
 		t.Fatalf("csv header: %s", lines[0])
 	}
-
-	var fold strings.Builder
-	if err := a.WriteFolded(&fold); err != nil {
-		t.Fatal(err)
-	}
-	for _, want := range []string{"bench;alpha;codeword 13", "bench;beta;raw 35",
-		"bench;" + DictRow + ";dictionary 32"} {
-		if !strings.Contains(fold.String(), want) {
-			t.Fatalf("folded missing %q:\n%s", want, fold.String())
-		}
-	}
 }
 
 func TestBytesStrExact(t *testing.T) {
