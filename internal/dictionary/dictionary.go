@@ -11,12 +11,12 @@
 // rescanning every candidate.
 //
 // Two interchangeable implementations of the greedy policy live here. The
-// default (index.go) interns candidates behind a rolling 64-bit hash and
-// maintains an occurrence index so selections invalidate only the
-// candidates they actually touch; the reference implementation (below)
-// is the direct transcription of the paper's algorithm, kept as the
-// differential oracle — both must produce byte-identical results on every
-// input (enforced by differential and fuzz tests).
+// default (index.go) enumerates candidates with one radix sort of start
+// positions and maintains an occurrence index so selections invalidate
+// only the candidates they actually touch; the reference implementation
+// (below) is the direct transcription of the paper's algorithm, kept as
+// the differential oracle — both must produce byte-identical results on
+// every input (enforced by differential and fuzz tests).
 package dictionary
 
 import (
@@ -67,12 +67,11 @@ type Config struct {
 	// savings), dict.entries (entries selected), and — from the indexed
 	// builder — dict.invalidations (occurrences killed by coverage),
 	// dict.dirty_skips (heap pops served from an exact cached use count,
-	// no occurrence rescan) and dict.hash_collisions (distinct sequences
-	// sharing a 64-bit enumeration hash). It also receives the
-	// dict.selection_bits histogram: the savings (in bits) of each
-	// selected entry at the moment of its selection — the paper's
-	// usage-vs-size distribution. Counter values are implementation
-	// observability; only the Result is contractual.
+	// no occurrence rescan). It also receives the dict.selection_bits
+	// histogram: the savings (in bits) of each selected entry at the
+	// moment of its selection — the paper's usage-vs-size distribution.
+	// Counter values are implementation observability; only the Result
+	// is contractual.
 	Stats *stats.Recorder
 
 	// Trace, when non-nil, is the parent span under which the build emits
@@ -81,11 +80,6 @@ type Config struct {
 	// the rewritten item sequence). Like Stats, it never affects the
 	// Result.
 	Trace *trace.Span
-
-	// degradeHash, set only by tests, collapses the indexed builder's
-	// candidate hash to its low byte so the collision chain is exercised
-	// constantly. It must never change the produced Result.
-	degradeHash bool
 }
 
 // Strategy is the dictionary-entry selection policy.
@@ -94,7 +88,7 @@ type Strategy uint8
 // Selection policies.
 const (
 	// Greedy re-evaluates savings after every selection (the paper's
-	// algorithm, §3.1.1). Implemented by the indexed builder: hash-keyed
+	// algorithm, §3.1.1). Implemented by the indexed builder: sort-based
 	// enumeration, incremental invalidation through an occurrence index,
 	// and a dirty-bit lazy heap. Byte-identical to GreedyReference.
 	Greedy Strategy = iota
@@ -287,6 +281,11 @@ func newCoverEntry(n int) []int {
 // assembleItems builds the rewritten item sequence from the coverage
 // vectors; shared by every builder so they can only differ in selection.
 func assembleItems(text []uint32, covered []bool, coverEntry []int, res *Result) {
+	items := len(text) - res.CoveredInsns
+	for _, e := range res.Entries {
+		items += e.Uses
+	}
+	res.Items = make([]Item, 0, items)
 	for i := range text {
 		if e := coverEntry[i]; e >= 0 {
 			res.Items = append(res.Items, Item{IsCodeword: true, Entry: e, OrigIdx: i})

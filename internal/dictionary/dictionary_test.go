@@ -2,6 +2,7 @@ package dictionary
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -75,6 +76,31 @@ func TestSingleRepeatedInstruction(t *testing.T) {
 	}
 	if r.CoveredInsns != 10 {
 		t.Fatalf("covered %d", r.CoveredInsns)
+	}
+}
+
+// TestEntriesOwnWords checks that every builder's entries keep their words
+// when the caller reuses the text afterwards.
+func TestEntriesOwnWords(t *testing.T) {
+	text := []uint32{ppc.Addi(3, 3, 1), ppc.Addi(4, 4, 2), ppc.Addi(3, 3, 1), ppc.Addi(4, 4, 2),
+		ppc.Addi(3, 3, 1), ppc.Addi(4, 4, 2), ppc.Addi(3, 3, 1), ppc.Addi(4, 4, 2)}
+	comp, lead := open(len(text))
+	for _, strat := range []Strategy{Greedy, GreedyReference, StaticOrder} {
+		own := append([]uint32(nil), text...)
+		r := build(t, own, Config{
+			MaxEntryLen: 2, CodewordBits: fixedCost(8), EntryOverheadBits: 16,
+			Compressible: comp, Leader: lead, Strategy: strat,
+		})
+		if len(r.Entries) == 0 {
+			t.Fatalf("strategy %d: no entries", strat)
+		}
+		want := append([]uint32(nil), r.Entries[0].Words...)
+		for i := range own {
+			own[i] = 0
+		}
+		if got := r.Entries[0].Words; !reflect.DeepEqual(got, want) {
+			t.Errorf("strategy %d: entry words %x changed to %x with the text", strat, want, got)
+		}
 	}
 }
 

@@ -2,15 +2,11 @@ package dictionary
 
 // Fuzz differential: random texts, compressibility masks and leader masks
 // are fed to the indexed and reference greedy builders, which must agree
-// exactly — including when the candidate hash is deliberately degraded to
-// a single byte so the collision chain carries essentially all lookups.
-// The seed corpus runs on every plain `go test`.
+// exactly. The seed corpus runs on every plain `go test`.
 
 import (
 	"reflect"
 	"testing"
-
-	"repro/internal/stats"
 )
 
 // fuzzVocab is a small instruction vocabulary so short fuzz inputs still
@@ -89,6 +85,13 @@ func FuzzBuildDifferential(f *testing.F) {
 	f.Add([]byte{1, 2, 1, 2, 1, 2, 1, 2, 1, 2}, uint8(2))
 	f.Add([]byte{7, 7, 0x9f, 7, 7, 0xe1, 7, 7, 7, 0x18, 7, 7}, uint8(8))
 	f.Add([]byte{3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3, 1, 4, 1, 5, 9, 2, 6}, uint8(3))
+	// Enumeration edge cases: one distinct word, all-distinct words, an
+	// all-incompressible text, a one-word text, and leaders on every word.
+	f.Add([]byte{5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5, 5}, uint8(7))
+	f.Add([]byte{0, 1, 2, 3, 4, 5, 6, 7}, uint8(7))
+	f.Add([]byte{0x18, 0x19, 0x1a, 0x18, 0x19, 0x1a}, uint8(3))
+	f.Add([]byte{2}, uint8(7))
+	f.Add([]byte{0xe1, 0xe2, 0xe1, 0xe2, 0xe1, 0xe2, 0xe1, 0xe2}, uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, maxLenRaw uint8) {
 		text, comp, lead := fuzzInput(data)
 		if len(text) == 0 {
@@ -107,62 +110,5 @@ func FuzzBuildDifferential(f *testing.F) {
 		cfg.Strategy = Greedy
 		got := mustBuild(t, text, cfg)
 		assertSameResult(t, "indexed vs reference", got, want)
-
-		// Degraded hash: every bucket collides, output must not move.
-		cfg.degradeHash = true
-		rec := stats.New()
-		cfg.Stats = rec
-		degraded := mustBuild(t, text, cfg)
-		assertSameResult(t, "degraded hash", degraded, want)
-		if _, ok := rec.Snapshot().Counters["dict.hash_collisions"]; !ok {
-			t.Error("dict.hash_collisions not recorded")
-		}
 	})
-}
-
-// TestDegradedHashCollisions pins the collision path deterministically:
-// with the hash collapsed to one byte and far more than 256 distinct
-// sequences, chains must both collide heavily and resolve correctly.
-func TestDegradedHashCollisions(t *testing.T) {
-	var text []uint32
-	for i := 0; i < 600; i++ {
-		text = append(text, 0x38600000|uint32(i), 0x38600000|uint32(i)) // each word appears twice in a row
-	}
-	n := len(text)
-	comp := make([]bool, n)
-	lead := make([]bool, n)
-	for i := range comp {
-		comp[i] = true
-	}
-	lead[0] = true
-	cfg := Config{
-		MaxEntries:        0,
-		MaxEntryLen:       3,
-		CodewordBits:      func(int) int { return 8 },
-		EntryOverheadBits: 16,
-		Compressible:      comp,
-		Leader:            lead,
-	}
-	cfg.Strategy = GreedyReference
-	want := mustBuild(t, text, cfg)
-
-	cfg.Strategy = Greedy
-	cfg.degradeHash = true
-	rec := stats.New()
-	cfg.Stats = rec
-	got := mustBuild(t, text, cfg)
-	assertSameResult(t, "degraded hash", got, want)
-	if c := rec.Snapshot().Counter("dict.hash_collisions"); c == 0 {
-		t.Error("degraded hash produced no collisions — the chain path was not exercised")
-	}
-
-	// And the real hash on the same input should collide rarely or never.
-	cfg.degradeHash = false
-	rec2 := stats.New()
-	cfg.Stats = rec2
-	got2 := mustBuild(t, text, cfg)
-	assertSameResult(t, "real hash", got2, want)
-	if c := rec2.Snapshot().Counter("dict.hash_collisions"); c > 4 {
-		t.Errorf("real 64-bit hash collided %d times on a toy input", c)
-	}
 }

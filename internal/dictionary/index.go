@@ -4,11 +4,16 @@
 //
 // Three mechanisms replace the reference builder's hot spots:
 //
-//  1. Enumeration interns candidates behind a rolling 64-bit FNV-1a hash
-//     of the big-endian instruction words — no per-(position,length)
-//     string key is ever allocated. Hash buckets chain and compare the
-//     actual words, so a 64-bit collision can never merge two distinct
-//     sequences (dict.hash_collisions counts them).
+//  1. Enumeration is one stable sort, not a table of keys. Every
+//     compressible start position is ordered word-lexicographically by the
+//     longest in-block sequence it begins, using one LSD counting-sort pass
+//     per sequence offset over 1-based word ranks (rank 0 means "sequence
+//     ended", so a prefix sorts before its extensions). Adjacent sorted
+//     starts share exactly the candidates up to their longest common
+//     prefix, so a single walk of the sorted starts meets each distinct
+//     sequence once — already in the reference's serial order, its
+//     big-endian byte-key sort. Nothing is hashed, interned or compared
+//     pairwise, and every array is allocated at its exact size.
 //
 //  2. A start-position → occurrences inverted index makes invalidation
 //     exact: the moment a selection covers a word range, every candidate
@@ -29,9 +34,8 @@
 // upper bounds (uses only shrink, CodewordBits is non-decreasing in rank),
 // so a popped candidate whose exact value matches its cached key is the
 // true maximum of the round, with ties broken by the same deterministic
-// serial order (word-lexicographic, identical to the reference's
-// big-endian byte-key sort). Both builders must produce byte-identical
-// Results on every input; differential and fuzz tests enforce it.
+// serial order. Both builders must produce byte-identical Results on every
+// input; differential and fuzz tests enforce it.
 package dictionary
 
 import (
@@ -39,78 +43,42 @@ import (
 	"math"
 )
 
-// FNV-1a 64-bit parameters.
-const (
-	fnvOffset64 uint64 = 14695981039346656037
-	fnvPrime64  uint64 = 1099511628211
-)
-
-// rollHash folds one big-endian instruction word into the rolling
-// candidate hash — byte-for-byte the FNV-1a hash of the reference
-// builder's string key, with zero allocation.
-func rollHash(h uint64, w uint32) uint64 {
-	h = (h ^ uint64(w>>24)) * fnvPrime64
-	h = (h ^ uint64(w>>16&0xff)) * fnvPrime64
-	h = (h ^ uint64(w>>8&0xff)) * fnvPrime64
-	h = (h ^ uint64(w&0xff)) * fnvPrime64
-	return h
-}
-
-// icand is one interned candidate of the indexed builder.
+// icand is one candidate of the indexed builder.
 type icand struct {
-	words  []uint32
-	k      int32
-	serial int32   // deterministic tie-break rank (word-lexicographic)
 	pos    []int32 // sorted occurrence starts; -1 tombstones dead ones
-	from   int32   // scans start here: index of the first live occurrence
-	live   int32   // occurrences not yet tombstoned
-	uses   int32   // cached greedy non-overlap count; exact while !dirty
-	val    int     // heap key: savings computed from uses at a past rank
-	dirty  bool    // an occurrence died since uses was computed
-	dead   bool    // worthless, fully covered, or already selected
-	next   *icand  // hash-bucket collision chain
+	at     int32   // first occurrence: the words are text[at : at+k]
+	k      int32
+	serial int32 // deterministic tie-break rank (word-lexicographic)
+	from   int32 // scans start here: index of the first live occurrence
+	live   int32 // occurrences not yet tombstoned
+	uses   int32 // cached greedy non-overlap count; exact while !dirty
+	val    int   // heap key: savings computed from uses at a past rank
+	dirty  bool  // an occurrence died since uses was computed
+	dead   bool  // worthless, fully covered, or already selected
 }
 
-// occRef locates one occurrence inside its candidate's position list.
+// occRef locates one occurrence: entry idx of cands[c].pos.
 type occRef struct {
-	c   *icand
-	idx int32
+	c, idx int32
 }
 
 // index is the enumeration result plus the inverted occurrence index.
 type index struct {
-	cands  []*icand // creation order during enumeration, then re-sorted to serial order
-	occ    []occRef // occurrence refs grouped by start position
+	text   []uint32
+	cands  []icand  // serial order: cands[s].serial == s
+	occ    []occRef // the occurrence of length k at p is occ[occOff[p]+k-1]
 	occOff []int32  // start position → occ[occOff[p]:occOff[p+1]]
 	maxLen int
 
 	invalidations int64
-	collisions    int64
-
-	// Allocation arenas. Candidates are numerous and tiny, so each gets
-	// carved out of a fixed-capacity chunk instead of its own heap object:
-	// the icand record itself, its interned words, and an initial
-	// posArenaCap-slot occurrence list (longer lists spill to the heap via
-	// ordinary append). Chunks are never grown in place — when one fills, a
-	// fresh chunk is started — so pointers and sub-slices handed out earlier
-	// stay valid for the life of the build.
-	candSlab  []icand
-	wordArena []uint32
-	posArena  []int32
 }
-
-const (
-	candSlabCap  = 1024
-	wordArenaCap = 4096
-	posArenaCap  = 4 // initial pos capacity per candidate
-)
 
 // buildIndexed runs the indexed greedy algorithm. Output is byte-identical
 // to buildReference.
 func buildIndexed(text []uint32, cfg Config, maxEntries int) *Result {
 	n := len(text)
-	if n >= math.MaxInt32 {
-		// Occurrence starts are int32; nothing real comes within two
+	if int64(n)*int64(min(cfg.MaxEntryLen, n)) >= math.MaxInt32 {
+		// Occurrence slots are int32; nothing real comes within two
 		// orders of magnitude of this.
 		return buildReference(text, cfg, maxEntries)
 	}
@@ -118,7 +86,6 @@ func buildIndexed(text []uint32, cfg Config, maxEntries int) *Result {
 	ix := newIndex(text, cfg)
 	spE.SetInt("candidates", int64(len(ix.cands))).End()
 	cfg.Stats.Add("dict.candidates", int64(len(ix.cands)))
-	cfg.Stats.Add("dict.hash_collisions", ix.collisions)
 
 	covered := make([]bool, n)
 	coverEntry := newCoverEntry(n)
@@ -128,7 +95,8 @@ func buildIndexed(text []uint32, cfg Config, maxEntries int) *Result {
 	rank := 0
 	var pops, reevals, dirtySkips int64
 	h := make(icandHeap, 0, len(ix.cands))
-	for _, c := range ix.cands {
+	for i := range ix.cands {
+		c := &ix.cands[i]
 		c.uses = initialUses(c)
 		c.val = savings(int(c.uses), int(c.k), cfg, rank)
 		if c.val > 0 {
@@ -170,103 +138,149 @@ func buildIndexed(text []uint32, cfg Config, maxEntries int) *Result {
 	cfg.Stats.Add("dict.entries", int64(rank))
 	spS.SetInt("entries", int64(rank)).End()
 	spC := cfg.Trace.Child("dict.commit")
+	ownWords(res)
 	assembleItems(text, covered, coverEntry, res)
 	spC.End()
 	return res
 }
 
 // newIndex enumerates every compressible in-block sequence of length
-// 1..MaxEntryLen, interning candidates by rolling hash, and records the
-// inverted start-position index used for incremental invalidation.
+// 1..MaxEntryLen, in serial order, and records the inverted
+// start-position index used for incremental invalidation.
 func newIndex(text []uint32, cfg Config) *index {
 	n := len(text)
-	ix := &index{
-		maxLen: cfg.MaxEntryLen,
-		occ:    make([]occRef, 0, 2*n),
-		occOff: make([]int32, n+1),
-	}
-	hashMask := ^uint64(0)
-	if cfg.degradeHash {
-		hashMask = 0xff
-	}
-	byHash := make(map[uint64]*icand, n)
-	for i := 0; i < n; i++ {
-		ix.occOff[i] = int32(len(ix.occ))
-		if !cfg.Compressible[i] {
+	maxLen := int32(min(cfg.MaxEntryLen, n))
+
+	// span[p] is the number of candidates starting at p: the run of
+	// compressible words from p that crosses no leader, capped at maxLen.
+	span := make([]int32, n)
+	m, maxSpan := 0, int32(0)
+	for p := n - 1; p >= 0; p-- {
+		if !cfg.Compressible[p] {
 			continue
 		}
-		h := fnvOffset64
-		for k := 1; k <= ix.maxLen && i+k <= n; k++ {
-			j := i + k - 1
-			if !cfg.Compressible[j] {
-				break
-			}
-			if k > 1 && cfg.Leader[j] {
-				break // would span into the next basic block
-			}
-			h = rollHash(h, text[j])
-			c := ix.intern(byHash, h&hashMask, text[i:i+k])
-			c.pos = append(c.pos, int32(i))
-			ix.occ = append(ix.occ, occRef{c: c, idx: int32(len(c.pos) - 1)})
+		s := int32(1)
+		if p+1 < n && !cfg.Leader[p+1] {
+			s += span[p+1]
+		}
+		span[p] = min(s, maxLen)
+		maxSpan = max(maxSpan, span[p])
+		m++
+	}
+	ix := &index{text: text, maxLen: cfg.MaxEntryLen, occOff: make([]int32, n+1)}
+	starts := make([]int32, 0, m)
+	for p := 0; p < n; p++ {
+		ix.occOff[p+1] = ix.occOff[p] + span[p]
+		if span[p] > 0 {
+			starts = append(starts, int32(p))
 		}
 	}
-	ix.occOff[n] = int32(len(ix.occ))
-	for _, c := range ix.cands {
-		c.live = int32(len(c.pos))
+
+	// Rank the distinct compressible words 1.. in ascending order: sort
+	// the starts by their word a byte at a time, then number the runs.
+	buf := make([]int32, m)
+	key := make([]int32, m)
+	cnt := make([]int32, 256)
+	for shift := 0; shift < 32; shift += 8 {
+		for t, p := range starts {
+			key[t] = int32(text[p] >> shift & 0xff)
+		}
+		countingSort(buf, starts, key, cnt)
+		starts, buf = buf, starts
 	}
-	// Deterministic serials matching the reference builder exactly: a
-	// word-lexicographic compare (shorter prefix first) orders candidates
-	// identically to sorting their big-endian byte keys.
-	sortCandsByWords(ix.cands)
-	for s, c := range ix.cands {
-		c.serial = int32(s)
+	rank := make([]int32, n)
+	var ranks int32
+	for t, p := range starts {
+		if t == 0 || text[p] != text[starts[t-1]] {
+			ranks++
+		}
+		rank[p] = ranks
+	}
+
+	// Order the starts word-lexicographically by their longest sequence,
+	// least significant offset first.
+	cnt = make([]int32, ranks+1)
+	for j := maxSpan - 1; j >= 0; j-- {
+		for t, p := range starts {
+			key[t] = 0
+			if j < span[p] {
+				key[t] = rank[p+j]
+			}
+		}
+		countingSort(buf, starts, key, cnt)
+		starts, buf = buf, starts
+	}
+
+	// A start shares its predecessor's candidates up to their longest
+	// common prefix; each longer prefix is a new candidate, and meeting
+	// them in this order is the serial order.
+	lcp := key
+	nc := 0
+	for t, b := range starts {
+		l := int32(0)
+		if t > 0 {
+			a := starts[t-1]
+			for lim := min(span[a], span[b]); l < lim && rank[a+l] == rank[b+l]; {
+				l++
+			}
+		}
+		lcp[t] = l
+		nc += int(span[b] - l)
+	}
+	ix.cands = make([]icand, nc)
+	ix.occ = make([]occRef, ix.occOff[n])
+	s := int32(0)
+	for t, b := range starts {
+		o, l := ix.occOff[b], lcp[t]
+		if l > 0 {
+			oa := ix.occOff[starts[t-1]]
+			copy(ix.occ[o:o+l], ix.occ[oa:oa+l])
+		}
+		for k := l + 1; k <= span[b]; k++ {
+			ix.cands[s] = icand{at: b, k: k, serial: s}
+			ix.occ[o+k-1].c = s
+			s++
+		}
+	}
+
+	// Occurrence lists: size each exactly, carve them out of one array,
+	// and fill them in text order so every list ascends.
+	for _, r := range ix.occ {
+		ix.cands[r.c].live++
+	}
+	posAll := make([]int32, len(ix.occ))
+	off := int32(0)
+	for i := range ix.cands {
+		c := &ix.cands[i]
+		c.pos = posAll[off : off : off+c.live]
+		off += c.live
+	}
+	for p := 0; p < n; p++ {
+		for o := ix.occOff[p]; o < ix.occOff[p+1]; o++ {
+			c := &ix.cands[ix.occ[o].c]
+			ix.occ[o].idx = int32(len(c.pos))
+			c.pos = append(c.pos, int32(p))
+		}
 	}
 	return ix
 }
 
-// intern returns the candidate for seq, creating it on first sight.
-// Buckets are keyed by the full 64-bit hash; the chain compare of the
-// actual words makes collisions harmless (merely counted).
-func (ix *index) intern(byHash map[uint64]*icand, h uint64, seq []uint32) *icand {
-	head := byHash[h]
-	for c := head; c != nil; c = c.next {
-		if int(c.k) == len(seq) && equalWords(c.words, seq) {
-			return c
-		}
+// countingSort stably permutes src into dst by key, where key[t] is the
+// key of src[t] and cnt has one slot per possible key.
+func countingSort(dst, src, key, cnt []int32) {
+	clear(cnt)
+	for _, k := range key {
+		cnt[k]++
 	}
-	c := ix.newCand(seq)
-	c.next = head
-	if head != nil {
-		ix.collisions++
+	sum := int32(0)
+	for i, c := range cnt {
+		cnt[i] = sum
+		sum += c
 	}
-	byHash[h] = c
-	ix.cands = append(ix.cands, c)
-	return c
-}
-
-// newCand carves a candidate record, its interned words, and an initial
-// occurrence-list reservation out of the index arenas.
-func (ix *index) newCand(seq []uint32) *icand {
-	if len(ix.candSlab) == cap(ix.candSlab) {
-		ix.candSlab = make([]icand, 0, candSlabCap)
+	for t, k := range key {
+		dst[cnt[k]] = src[t]
+		cnt[k]++
 	}
-	ix.candSlab = append(ix.candSlab, icand{k: int32(len(seq))})
-	c := &ix.candSlab[len(ix.candSlab)-1]
-
-	if cap(ix.wordArena)-len(ix.wordArena) < len(seq) {
-		ix.wordArena = make([]uint32, 0, wordArenaCap)
-	}
-	w := len(ix.wordArena)
-	ix.wordArena = append(ix.wordArena, seq...)
-	c.words = ix.wordArena[w:len(ix.wordArena):len(ix.wordArena)]
-
-	if cap(ix.posArena)-len(ix.posArena) < posArenaCap {
-		ix.posArena = make([]int32, 0, posArenaCap*candSlabCap)
-	}
-	p := len(ix.posArena)
-	c.pos = ix.posArena[p : p : p+posArenaCap]
-	ix.posArena = ix.posArena[:p+posArenaCap]
-	return c
 }
 
 // initialUses is the greedy non-overlap count before anything is covered.
@@ -317,7 +331,8 @@ func rescan(c *icand) {
 
 // commit records c as the entry with the given rank, covering each
 // accepted occurrence and invalidating — through the inverted index —
-// exactly the occurrences that overlap the newly covered words.
+// exactly the occurrences that overlap the newly covered words. The
+// entry's words alias the text until ownWords copies them out.
 func (ix *index) commit(c *icand, rank int, covered []bool, coverEntry []int, res *Result) {
 	uses := 0
 	last := int32(-1)
@@ -332,8 +347,24 @@ func (ix *index) commit(c *icand, rank int, covered []bool, coverEntry []int, re
 		uses++
 		last = p + c.k - 1
 	}
-	res.Entries = append(res.Entries, Entry{Words: c.words, Uses: uses})
+	res.Entries = append(res.Entries, Entry{Words: ix.text[c.at : c.at+c.k], Uses: uses})
 	res.CoveredInsns += uses * k
+}
+
+// ownWords copies every entry's words into one slice owned by the result,
+// so the Result shares no storage with the caller's text.
+func ownWords(res *Result) {
+	total := 0
+	for _, e := range res.Entries {
+		total += len(e.Words)
+	}
+	words := make([]uint32, 0, total)
+	for i := range res.Entries {
+		e := &res.Entries[i]
+		w := len(words)
+		words = append(words, e.Words...)
+		e.Words = words[w:len(words):len(words)]
+	}
 }
 
 // cover marks words p..p+k-1 covered and tombstones every candidate
@@ -350,7 +381,7 @@ func (ix *index) cover(p, k int, covered []bool) {
 	}
 	for j := lo; j < p+k; j++ {
 		for _, r := range ix.occ[ix.occOff[j]:ix.occOff[j+1]] {
-			c := r.c
+			c := &ix.cands[r.c]
 			if c.pos[r.idx] < 0 {
 				continue // already dead
 			}
@@ -364,73 +395,6 @@ func (ix *index) cover(p, k int, covered []bool) {
 				c.dead = true
 			}
 			ix.invalidations++
-		}
-	}
-}
-
-// equalWords reports a == b elementwise.
-func equalWords(a, b []uint32) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// lessWords is the word-lexicographic order (shorter prefix first) —
-// identical to comparing the sequences' big-endian byte strings.
-func lessWords(a, b []uint32) bool {
-	n := len(a)
-	if len(b) < n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return len(a) < len(b)
-}
-
-// sortCandsByWords sorts candidates word-lexicographically. Keys are
-// unique, so any comparison sort yields the same total order; this is a
-// bespoke merge sort to avoid sort.Slice's interface overhead on the
-// builder's one O(m log m) step.
-func sortCandsByWords(cands []*icand) {
-	if len(cands) < 2 {
-		return
-	}
-	buf := make([]*icand, len(cands))
-	mergeSortCands(cands, buf)
-}
-
-func mergeSortCands(s, buf []*icand) {
-	if len(s) < 2 {
-		return
-	}
-	m := len(s) / 2
-	mergeSortCands(s[:m], buf[:m])
-	mergeSortCands(s[m:], buf[m:])
-	copy(buf, s)
-	i, j := 0, m
-	for k := range s {
-		switch {
-		case i >= m:
-			s[k] = buf[j]
-			j++
-		case j >= len(s):
-			s[k] = buf[i]
-			i++
-		case lessWords(buf[j].words, buf[i].words):
-			s[k] = buf[j]
-			j++
-		default:
-			s[k] = buf[i]
-			i++
 		}
 	}
 }

@@ -45,7 +45,7 @@ func New() *Recorder {
 
 // Add increments the named counter by n. Adding zero still materializes
 // the counter key, which instrumented code uses deliberately: a counter
-// that *can* stay at zero (e.g. dict.hash_collisions) is reported as 0
+// that *can* stay at zero (e.g. dict.reevaluations) is reported as 0
 // rather than absent, so snapshots distinguish "nothing happened" from
 // "not instrumented".
 func (r *Recorder) Add(name string, n int64) {
