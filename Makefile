@@ -24,9 +24,10 @@ smoke:
 
 # Differential gate: the indexed greedy builder must be byte-identical to
 # the reference implementation on all eight synth benchmarks, plus the
-# fuzz seed corpus.
+# fuzz seed corpus, and every strategy's capped build must be a prefix of
+# its uncapped build (the invariant the corpus's family cache rests on).
 diff:
-	$(GO) test -run 'MatchesReference|StrategyParity|FuzzBuildDifferential' ./internal/dictionary
+	$(GO) test -run 'MatchesReference|PrefixMatches|StrategyParity|FuzzBuildDifferential' ./internal/dictionary
 
 # The benchmark's own tests: cmd/ccbench is a nested module (it replaces
 # repro with the checkout), so `go test ./...` at the root never reaches

@@ -38,6 +38,7 @@ func newFlight[T any]() *flight[T] { return &flight[T]{done: make(chan struct{})
 type corpusState struct {
 	mu     sync.Mutex
 	progs  map[string]*flight[*program.Program]
+	builds map[imageKey]*flight[*dictionary.Selection] // per family: maxEntries is the scheme maximum
 	images map[imageKey]*flight[*core.Image]
 }
 
@@ -89,6 +90,7 @@ func keyFor(name string, opt core.Options) imageKey {
 func NewCorpus() *Corpus {
 	return &Corpus{state: &corpusState{
 		progs:  map[string]*flight[*program.Program]{},
+		builds: map[imageKey]*flight[*dictionary.Selection]{},
 		images: map[imageKey]*flight[*core.Image]{},
 	}}
 }
@@ -130,9 +132,10 @@ func (c *Corpus) err() error {
 // Names lists the benchmarks in the paper's order.
 func (c *Corpus) Names() []string { return synth.BenchmarkNames() }
 
-// Fork returns a corpus sharing the generated programs but with an empty
-// image cache — benchmarks use it so each timed iteration re-runs the
-// compression being measured while amortizing program generation.
+// Fork returns a corpus sharing the generated programs but with empty
+// build and image caches — benchmarks use it so each timed iteration
+// re-runs the compressions being measured while amortizing program
+// generation.
 func (c *Corpus) Fork() *Corpus {
 	c.state.mu.Lock()
 	defer c.state.mu.Unlock()
@@ -215,18 +218,24 @@ func (c *Corpus) Image(name string, opt core.Options) (*core.Image, error) {
 	return f.val, f.err
 }
 
-// compress is the flight body: generate (or fetch) the program, then run
-// the pipeline with the view's recorder threaded through.
+// compress is the flight body: generate (or fetch) the program, take the
+// first opt.MaxEntries selections of its family's memoized build, and
+// assemble the image, with the view's recorder threaded through.
 func (c *Corpus) compress(name string, opt core.Options) (*core.Image, error) {
 	p, err := c.Program(name)
 	if err != nil {
 		return nil, err
 	}
+	opt = opt.Normalized()
 	opt.Stats = c.rec
 	sp := c.sp.Child("corpus.compress").Set("bench", name).Set("scheme", opt.Scheme.String())
 	opt.Trace = sp
 	stop := c.rec.Time("corpus.compress")
-	img, err := core.Compress(p.Clone(), opt)
+	var img *core.Image
+	sel, err := c.build(name, p, opt)
+	if err == nil {
+		img, err = core.CompressBuilt(p.Clone(), sel.Prefix(p.Text, opt.MaxEntries), opt)
+	}
 	stop()
 	sp.End()
 	c.rec.Add("corpus.compressions", 1)
@@ -234,6 +243,41 @@ func (c *Corpus) compress(name string, opt core.Options) (*core.Image, error) {
 		return nil, fmt.Errorf("bench: compressing %s: %w", name, err)
 	}
 	return img, nil
+}
+
+// build returns the Selection of p's dictionary build for opt's family —
+// the options with MaxEntries at the scheme maximum — building it on first
+// use. Every cap of the family is a prefix of that build (see
+// dictionary.Config.MaxEntries), so a sweep over dictionary sizes builds
+// each family once. The build's phases nest under opt.Trace, the span of
+// the compression that first needed it.
+//
+// Only image flight owners call build, and owners run to completion, so
+// waiting here ignores cancellation: a cancelled view must not latch
+// ctx.Err() into the image cache.
+func (c *Corpus) build(name string, p *program.Program, opt core.Options) (*dictionary.Selection, error) {
+	opt.MaxEntries = opt.Scheme.MaxEntries()
+	key := keyFor(name, opt)
+	st := c.state
+	st.mu.Lock()
+	f, ok := st.builds[key]
+	if ok {
+		st.mu.Unlock()
+		<-f.done
+		return f.val, f.err
+	}
+	f = newFlight[*dictionary.Selection]()
+	st.builds[key] = f
+	st.mu.Unlock()
+
+	res, err := core.Build(p, opt)
+	if err == nil {
+		f.val = res.Selection()
+	}
+	f.err = err
+	c.rec.Add("corpus.builds", 1)
+	close(f.done)
+	return f.val, f.err
 }
 
 // each runs fn(0..n-1) and returns the first error. On an engine-bound

@@ -111,6 +111,11 @@ func TestCorpusConcurrentImage(t *testing.T) {
 	if got := snap.Counter("corpus.generations"); got != int64(len(names)) {
 		t.Errorf("generations = %d, want %d", got, len(names))
 	}
+	// Three families per benchmark (baseline, nibble, one-byte, all at
+	// entries ≤ 4): every cap of a family is a prefix of one build.
+	if got := snap.Counter("corpus.builds"); got != int64(3*len(names)) {
+		t.Errorf("builds = %d, want %d (one per family)", got, 3*len(names))
+	}
 	for w := 1; w < workers; w++ {
 		for i := range images[0] {
 			a, b := images[0][i], images[w][i]
@@ -156,5 +161,51 @@ func TestEachParallelMatchesSequential(t *testing.T) {
 		if v != i*i {
 			t.Fatalf("item %d not executed (got %d)", i, v)
 		}
+	}
+}
+
+// TestCorpusDerivedImagesMatchCompress: every Fig. 5 and Fig. 8 image the
+// corpus derives from its family's one uncapped build must serialize to
+// the same bytes as a direct core.Compress at that cap.
+func TestCorpusDerivedImagesMatchCompress(t *testing.T) {
+	var opts []core.Options
+	for _, n := range fig5Sizes {
+		opt := baselineOpts()
+		opt.MaxEntries = n
+		opts = append(opts, opt)
+	}
+	for _, n := range fig8Sizes {
+		opts = append(opts, core.Options{Scheme: codeword.OneByte, MaxEntries: n, MaxEntryLen: 4})
+	}
+	rec := stats.New()
+	c := NewCorpus().Bound(context.Background(), nil, rec)
+	payload := func(img *core.Image) []byte {
+		var b bytes.Buffer
+		if err := core.WriteImagePayload(&b, img); err != nil {
+			t.Fatal(err)
+		}
+		return b.Bytes()
+	}
+	for _, name := range c.Names() {
+		p, err := c.Program(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, opt := range opts {
+			got, err := c.Image(name, opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want, err := core.Compress(p.Clone(), opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(payload(got), payload(want)) {
+				t.Errorf("%s %v cap %d: derived image differs from a direct compression", name, opt.Scheme, opt.MaxEntries)
+			}
+		}
+	}
+	if got, want := rec.Snapshot().Counter("corpus.builds"), int64(2*len(c.Names())); got != want {
+		t.Errorf("builds = %d, want %d (one per benchmark and scheme)", got, want)
 	}
 }

@@ -170,9 +170,12 @@ func Fig4(c *Corpus) (*Table, error) {
 	return t, nil
 }
 
+// fig5Sizes are Fig. 5's dictionary sizes (baseline codewords).
+var fig5Sizes = []int{16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192}
+
 // Fig5 sweeps the number of codewords.
 func Fig5(c *Corpus) (*Table, error) {
-	sizes := []int{16, 32, 64, 128, 256, 512, 1024, 2048, 4096, 8192}
+	sizes := fig5Sizes
 	t := &Table{
 		ID:    "fig5",
 		Title: "Compression ratio vs number of codewords (baseline scheme, entries ≤ 4)",
@@ -314,6 +317,9 @@ func Fig7(c *Corpus) (*Table, error) {
 	return t, nil
 }
 
+// fig8Sizes are Fig. 8's dictionary sizes (one-byte codewords).
+var fig8Sizes = []int{8, 16, 32}
+
 // Fig8 measures the small-dictionary one-byte-codeword configurations.
 func Fig8(c *Corpus) (*Table, error) {
 	t := &Table{
@@ -327,7 +333,7 @@ func Fig8(c *Corpus) (*Table, error) {
 	err := rowsInOrder(c, t, len(names), func(i int) ([]string, error) {
 		name := names[i]
 		row := []string{name}
-		for j, n := range []int{8, 16, 32} {
+		for j, n := range fig8Sizes {
 			img, err := c.Image(name, core.Options{Scheme: codeword.OneByte, MaxEntries: n, MaxEntryLen: 4})
 			if err != nil {
 				return nil, err
@@ -693,11 +699,11 @@ func paddedSize(p *program.Program, img *core.Image) (int, error) {
 	unitsPerWord := 32 / img.Scheme.UnitBits()
 	cursor := 0
 	for i, m := range img.Marks {
-		size := img.Units - m.Unit
+		size := img.Units - int(m.Unit)
 		if i+1 < len(img.Marks) {
-			size = img.Marks[i+1].Unit - m.Unit
+			size = int(img.Marks[i+1].Unit - m.Unit)
 		}
-		if targets[m.Orig] && cursor%unitsPerWord != 0 {
+		if targets[int(m.Orig)] && cursor%unitsPerWord != 0 {
 			cursor += unitsPerWord - cursor%unitsPerWord
 		}
 		cursor += size

@@ -37,8 +37,8 @@ func (img *Image) AddrMap() (*AddrMap, error) {
 		origWords: img.OriginalBytes / 4,
 	}
 	for i, mk := range img.Marks {
-		m.units[i] = mk.Unit
-		m.origs[i] = mk.Orig
+		m.units[i] = int(mk.Unit)
+		m.origs[i] = int(mk.Orig)
 	}
 	return m, nil
 }

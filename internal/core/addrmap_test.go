@@ -202,10 +202,10 @@ func TestMarksMonotone(t *testing.T) {
 					}
 				}
 				last := img.Marks[len(img.Marks)-1]
-				if last.Unit >= img.Units {
+				if int(last.Unit) >= img.Units {
 					t.Fatalf("%v: last mark at unit %d outside stream of %d", s, last.Unit, img.Units)
 				}
-				if last.Orig >= img.OriginalBytes/4 {
+				if int(last.Orig) >= img.OriginalBytes/4 {
 					t.Fatalf("%v: last mark for word %d outside text of %d words", s, last.Orig, img.OriginalBytes/4)
 				}
 			}

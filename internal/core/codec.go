@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/codec"
 	"repro/internal/codeword"
@@ -122,8 +123,12 @@ func ReadImagePayload(src io.Reader) (*Image, error) {
 	}
 	nmarks := r.Count(int(r.U32()), "mark")
 	for i := 0; i < nmarks && r.Err() == nil; i++ {
-		m := Mark{Unit: int(r.U32()), Orig: int(r.U32()), Kind: MarkKind(r.U8())}
-		img.Marks = append(img.Marks, m)
+		unit, orig, kind := r.U32(), r.U32(), MarkKind(r.U8())
+		if unit > math.MaxInt32 || orig > math.MaxInt32 {
+			r.Fail(fmt.Errorf("core: mark %d at unit %d, word %d: out of range", i, unit, orig))
+			break
+		}
+		img.Marks = append(img.Marks, Mark{Unit: int32(unit), Orig: int32(orig), Kind: kind})
 	}
 	img.OriginalBytes = int(r.U32())
 	img.StreamBytes = int(r.U32())

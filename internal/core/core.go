@@ -111,8 +111,8 @@ func (o Options) Fingerprint() string {
 // sideband metadata for verification and disassembly, not part of the
 // compressed size.
 type Mark struct {
-	Unit int // stream unit offset of the item
-	Orig int // original text word index (sequence start for codewords)
+	Unit int32 // stream unit offset of the item
+	Orig int32 // original text word index (sequence start for codewords)
 
 	// Kind describes the item.
 	Kind MarkKind
@@ -201,7 +201,7 @@ func (img *Image) Ratio() float64 {
 
 // markByUnit finds the mark starting at an absolute unit address.
 func (img *Image) markByUnit(abs uint32) (Mark, bool) {
-	rel := int(abs - img.Base)
+	rel := int32(abs - img.Base)
 	i := sort.Search(len(img.Marks), func(i int) bool { return img.Marks[i].Unit >= rel })
 	if i < len(img.Marks) && img.Marks[i].Unit == rel {
 		return img.Marks[i], true
@@ -262,7 +262,7 @@ func CompressFixed(p *program.Program, entries []dictionary.Entry, opt Options) 
 	for i := range rank.of {
 		rank.of[i] = i
 	}
-	return assemble(p, opt, res, rank)
+	return assemble(p, an, opt, res, rank)
 }
 
 // BuildSharedDictionary runs the greedy builder over the concatenation of
@@ -298,17 +298,35 @@ func BuildSharedDictionary(programs []*program.Program, opt Options) ([]dictiona
 	return rank.entries, nil
 }
 
-// Compress runs the full pipeline.
+// Compress runs the full pipeline: Build, then CompressBuilt on its
+// result, sharing one program analysis between the two halves.
 func Compress(p *program.Program, opt Options) (*Image, error) {
 	opt = opt.Normalized()
-	n := len(p.Text)
+	res, an, err := build(p, opt)
+	if err != nil {
+		return nil, err
+	}
+	return compressBuilt(p, an, res, opt)
+}
+
+// Build runs the front half of Compress: the §3.2.1 analysis (phase
+// core.analyze) and the greedy dictionary build under the normalized
+// options (phase core.build). Its Result, or a dictionary.Selection
+// prefix of a less capped build of the same program and options, is the
+// input of CompressBuilt.
+func Build(p *program.Program, opt Options) (*dictionary.Result, error) {
+	res, _, err := build(p, opt.Normalized())
+	return res, err
+}
+
+func build(p *program.Program, opt Options) (*dictionary.Result, *program.Analysis, error) {
 	stopAnalyze := opt.Stats.Time("core.analyze")
 	spAnalyze := opt.Trace.Child("core.analyze")
 	compressible, an, err := markers(p)
 	spAnalyze.End()
 	stopAnalyze()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 
 	stopBuild := opt.Stats.Time("core.build")
@@ -327,26 +345,36 @@ func Compress(p *program.Program, opt Options) (*Image, error) {
 	spBuild.End()
 	stopBuild()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-
-	// Re-rank entries so the most frequent sequences receive the shortest
-	// codewords (§3.1.3) — by static use count, or by dynamic fetch count
-	// when a profile is supplied; remap item references.
-	if opt.DynProfile != nil && len(opt.DynProfile) != n {
-		return nil, fmt.Errorf("core: profile length %d != text length %d", len(opt.DynProfile), n)
-	}
-	rank := rerank(res, opt.DynProfile)
-	return assemble(p, opt, res, rank)
+	return res, an, nil
 }
 
-// assemble runs the scheme-dependent back half of the pipeline: layout,
-// emission, branch patching, jump-table repatching and accounting.
-func assemble(p *program.Program, opt Options, res *dictionary.Result, rank reranked) (*Image, error) {
+// CompressBuilt runs the back half of Compress on a dictionary build of p
+// under opt: it re-ranks the entries and assembles the image. Compress(p,
+// opt) is exactly CompressBuilt(p, Build(p, opt), opt).
+func CompressBuilt(p *program.Program, res *dictionary.Result, opt Options) (*Image, error) {
 	an, err := program.Analyze(p)
 	if err != nil {
 		return nil, err
 	}
+	return compressBuilt(p, an, res, opt.Normalized())
+}
+
+func compressBuilt(p *program.Program, an *program.Analysis, res *dictionary.Result, opt Options) (*Image, error) {
+	// Re-rank entries so the most frequent sequences receive the shortest
+	// codewords (§3.1.3) — by static use count, or by dynamic fetch count
+	// when a profile is supplied; remap item references.
+	if opt.DynProfile != nil && len(opt.DynProfile) != len(p.Text) {
+		return nil, fmt.Errorf("core: profile length %d != text length %d", len(opt.DynProfile), len(p.Text))
+	}
+	rank := rerank(res, opt.DynProfile)
+	return assemble(p, an, opt, res, rank)
+}
+
+// assemble runs the scheme-dependent back half of the pipeline: layout,
+// emission, branch patching, jump-table repatching and accounting.
+func assemble(p *program.Program, an *program.Analysis, opt Options, res *dictionary.Result, rank reranked) (*Image, error) {
 	img := &Image{
 		Name:           p.Name,
 		Scheme:         opt.Scheme,
@@ -368,7 +396,7 @@ func assemble(p *program.Program, opt Options, res *dictionary.Result, rank rera
 		stopEncode()
 		return nil, err
 	}
-	err = emit(img, p, res.Items, rank.of, lay, opt)
+	err = emit(img, an, res.Items, rank.of, lay, opt)
 	spEncode.End()
 	stopEncode()
 	if err != nil {
@@ -383,7 +411,7 @@ func assemble(p *program.Program, opt Options, res *dictionary.Result, rank rera
 		return nil, err
 	}
 	for i, slot := range img.JumpTableSlots {
-		u, ok := lay.unitOf[jts[i]]
+		u, ok := lay.unitAt(jts[i])
 		if !ok {
 			return nil, fmt.Errorf("core: jump table target word %d is not an item start", jts[i])
 		}
@@ -392,11 +420,11 @@ func assemble(p *program.Program, opt Options, res *dictionary.Result, rank rera
 
 	// Symbols and entry point.
 	for _, s := range p.Symbols {
-		if u, ok := lay.unitOf[s.Word]; ok {
+		if u, ok := lay.unitAt(s.Word); ok {
 			img.Symbols = append(img.Symbols, program.Symbol{Name: s.Name, Word: u})
 		}
 	}
-	eu, ok := lay.unitOf[p.Entry]
+	eu, ok := lay.unitAt(p.Entry)
 	if !ok {
 		return nil, fmt.Errorf("core: entry word %d is not an item start", p.Entry)
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/codeword"
 	"repro/internal/dictionary"
@@ -50,10 +51,19 @@ func canStub(w uint32) bool {
 
 // layoutResult fixes every item's stream position.
 type layoutResult struct {
-	itemUnit []int       // per item: unit offset
-	unitOf   map[int]int // original word index (item start) -> unit offset
-	expanded map[int]bool
+	itemUnit []int  // per item: unit offset
+	unitOf   []int  // per original word: unit offset of the item starting there, -1 if none
+	expanded []bool // per item: far branch rewritten through a stub
 	units    int
+}
+
+// unitAt returns the unit offset of the item starting at an original word
+// index, reporting false when no item starts there.
+func (l *layoutResult) unitAt(word int) (int, bool) {
+	if word < 0 || word >= len(l.unitOf) || l.unitOf[word] < 0 {
+		return 0, false
+	}
+	return l.unitOf[word], true
 }
 
 // layout assigns unit offsets, iterating until every unexpanded branch
@@ -61,14 +71,19 @@ type layoutResult struct {
 // never revoked, so the iteration terminates.
 func layout(p *program.Program, an *program.Analysis, items []dictionary.Item,
 	rankOf []int, scheme codeword.Scheme) (*layoutResult, error) {
-	lay := &layoutResult{expanded: map[int]bool{}}
+	lay := &layoutResult{
+		itemUnit: make([]int, len(items)),
+		unitOf:   make([]int, len(p.Text)),
+		expanded: make([]bool, len(items)),
+	}
+	for i := range lay.unitOf {
+		lay.unitOf[i] = -1
+	}
 	raw := scheme.RawInsnUnits()
 	for pass := 0; ; pass++ {
 		if pass > len(items)+2 {
 			return nil, fmt.Errorf("core: branch layout did not converge")
 		}
-		lay.itemUnit = make([]int, len(items))
-		lay.unitOf = make(map[int]int, len(items))
 		u := 0
 		for ii, it := range items {
 			lay.itemUnit[ii] = u
@@ -82,6 +97,9 @@ func layout(p *program.Program, an *program.Analysis, items []dictionary.Item,
 				u += raw
 			}
 		}
+		if u > math.MaxInt32 {
+			return nil, fmt.Errorf("core: %d stream units overflow the 32-bit marks", u)
+		}
 		lay.units = u
 
 		changed := false
@@ -93,7 +111,7 @@ func layout(p *program.Program, an *program.Analysis, items []dictionary.Item,
 			if !ok {
 				return nil, fmt.Errorf("core: branch at word %d has no analyzed target", it.OrigIdx)
 			}
-			tu, ok := lay.unitOf[target]
+			tu, ok := lay.unitAt(target)
 			if !ok {
 				return nil, fmt.Errorf("core: branch target word %d is not an item start", target)
 			}
@@ -115,11 +133,8 @@ func layout(p *program.Program, an *program.Analysis, items []dictionary.Item,
 
 // emit writes the stream, patching branch fields and expanding stubs, and
 // fills marks, stats and the byte-provenance audit.
-func emit(img *Image, p *program.Program, items []dictionary.Item, rankOf []int, lay *layoutResult, opt Options) error {
-	an, err := program.Analyze(p)
-	if err != nil {
-		return err
-	}
+func emit(img *Image, an *program.Analysis, items []dictionary.Item, rankOf []int, lay *layoutResult, opt Options) error {
+	img.Marks = make([]Mark, 0, len(items)) // one mark per item
 	scheme := img.Scheme
 	w := codeword.NewWriter(scheme)
 	rawBitsPer := scheme.RawInsnUnits() * scheme.UnitBits()
@@ -135,7 +150,7 @@ func emit(img *Image, p *program.Program, items []dictionary.Item, rankOf []int,
 			if err := w.Codeword(rank); err != nil {
 				return err
 			}
-			img.Marks = append(img.Marks, Mark{Unit: lay.itemUnit[ii], Orig: it.OrigIdx, Kind: MarkCodeword})
+			img.Marks = append(img.Marks, Mark{Unit: int32(lay.itemUnit[ii]), Orig: int32(it.OrigIdx), Kind: MarkCodeword})
 			img.Stats.CodewordItems++
 			img.Stats.CodewordBits += scheme.CodewordBits(rank)
 			img.Stats.EscapeBits += scheme.EscapeBits()
@@ -148,7 +163,7 @@ func emit(img *Image, p *program.Program, items []dictionary.Item, rankOf []int,
 				if err := emitStub(w, it.Word, img.Base+uint32(tu), scheme); err != nil {
 					return err
 				}
-				img.Marks = append(img.Marks, Mark{Unit: lay.itemUnit[ii], Orig: it.OrigIdx, Kind: MarkStub})
+				img.Marks = append(img.Marks, Mark{Unit: int32(lay.itemUnit[ii]), Orig: int32(it.OrigIdx), Kind: MarkStub})
 				img.Stats.StubBranches++
 				img.Stats.RawItems += stubLen(it.Word)
 				img.Stats.RawBits += stubLen(it.Word) * rawBitsPer
@@ -164,7 +179,7 @@ func emit(img *Image, p *program.Program, items []dictionary.Item, rankOf []int,
 			if err := w.Raw(nw); err != nil {
 				return err
 			}
-			img.Marks = append(img.Marks, Mark{Unit: lay.itemUnit[ii], Orig: it.OrigIdx, Kind: MarkBranch})
+			img.Marks = append(img.Marks, Mark{Unit: int32(lay.itemUnit[ii]), Orig: int32(it.OrigIdx), Kind: MarkBranch})
 			img.Stats.RawItems++
 			img.Stats.RawBits += rawBitsPer
 			opt.Audit.AtWord(sizeaudit.Raw, it.OrigIdx, int64(rawBitsPer))
@@ -173,7 +188,7 @@ func emit(img *Image, p *program.Program, items []dictionary.Item, rankOf []int,
 			if err := w.Raw(it.Word); err != nil {
 				return err
 			}
-			img.Marks = append(img.Marks, Mark{Unit: lay.itemUnit[ii], Orig: it.OrigIdx, Kind: MarkRaw})
+			img.Marks = append(img.Marks, Mark{Unit: int32(lay.itemUnit[ii]), Orig: int32(it.OrigIdx), Kind: MarkRaw})
 			img.Stats.RawItems++
 			img.Stats.RawBits += rawBitsPer
 			opt.Audit.AtWord(sizeaudit.Raw, it.OrigIdx, int64(rawBitsPer))

@@ -30,11 +30,11 @@ func (img *Image) SizeAudit() (*sizeaudit.Audit, error) {
 	em := sizeaudit.NewEmitter(funcs, uint32(img.OriginalBytes))
 	ub := img.Scheme.UnitBits()
 	for i, m := range img.Marks {
-		end := img.Units
+		unit, end := int(m.Unit), img.Units
 		if i+1 < len(img.Marks) {
-			end = img.Marks[i+1].Unit
+			end = int(img.Marks[i+1].Unit)
 		}
-		if end < m.Unit {
+		if end < unit {
 			return nil, fmt.Errorf("core: image %s: marks not monotone at item %d", img.Name, i)
 		}
 		var cl sizeaudit.Class
@@ -46,7 +46,7 @@ func (img *Image) SizeAudit() (*sizeaudit.Audit, error) {
 		default: // MarkRaw, MarkBranch
 			cl = sizeaudit.Raw
 		}
-		em.AtWord(cl, m.Orig, int64(end-m.Unit)*int64(ub))
+		em.AtWord(cl, int(m.Orig), int64(end-unit)*int64(ub))
 	}
 	em.Global(sizeaudit.Padding, sizeaudit.PadRow, int64(img.StreamBytes*8-img.Units*ub))
 	em.Global(sizeaudit.Dict, sizeaudit.DictRow,

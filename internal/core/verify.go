@@ -60,13 +60,14 @@ func Verify(p *program.Program, img *Image) error {
 	nextOrig := 0
 	nextUnit := 0
 	for mi, m := range img.Marks {
-		if m.Unit != nextUnit {
-			return fmt.Errorf("core: mark %d at unit %d, expected %d (stream not tiled)", mi, m.Unit, nextUnit)
+		unit, word := int(m.Unit), int(m.Orig)
+		if unit != nextUnit {
+			return fmt.Errorf("core: mark %d at unit %d, expected %d (stream not tiled)", mi, unit, nextUnit)
 		}
-		if m.Orig != nextOrig {
-			return fmt.Errorf("core: mark %d covers word %d, expected %d (program order broken)", mi, m.Orig, nextOrig)
+		if word != nextOrig {
+			return fmt.Errorf("core: mark %d covers word %d, expected %d (program order broken)", mi, word, nextOrig)
 		}
-		it, err := rdr.At(m.Unit)
+		it, err := rdr.At(unit)
 		if err != nil {
 			return err
 		}
@@ -81,16 +82,16 @@ func Verify(p *program.Program, img *Image) error {
 			}
 			words := img.Entries[it.Rank].Words
 			for j, w := range words {
-				if p.Text[m.Orig+j] != w {
-					return fmt.Errorf("core: entry %d word %d mismatches original at %d", it.Rank, j, m.Orig+j)
+				if p.Text[word+j] != w {
+					return fmt.Errorf("core: entry %d word %d mismatches original at %d", it.Rank, j, word+j)
 				}
 			}
 			nextOrig += len(words)
 			nextUnit += it.Units
 
 		case MarkRaw:
-			if it.IsCodeword || it.Word != p.Text[m.Orig] {
-				return fmt.Errorf("core: raw word at unit %d differs from original %d", m.Unit, m.Orig)
+			if it.IsCodeword || it.Word != p.Text[word] {
+				return fmt.Errorf("core: raw word at unit %d differs from original %d", unit, word)
 			}
 			nextOrig++
 			nextUnit += it.Units
@@ -99,20 +100,20 @@ func Verify(p *program.Program, img *Image) error {
 			if it.IsCodeword {
 				return fmt.Errorf("core: mark %d: expected branch", mi)
 			}
-			orig := p.Text[m.Orig]
+			orig := p.Text[word]
 			if it.Word&^branchFieldMask(orig) != orig&^branchFieldMask(orig) {
-				return fmt.Errorf("core: branch at %d corrupted outside offset field", m.Orig)
+				return fmt.Errorf("core: branch at %d corrupted outside offset field", word)
 			}
 			field, _, ok := ppc.FieldValue(it.Word)
 			if !ok {
 				return fmt.Errorf("core: branch mark %d does not decode as a relative branch", mi)
 			}
-			tm, ok := img.markByUnit(img.Base + uint32(m.Unit) + uint32(field))
+			tm, ok := img.markByUnit(img.Base + uint32(unit) + uint32(field))
 			if !ok {
-				return fmt.Errorf("core: branch at %d targets unit %d: not an item", m.Orig, m.Unit+int(field))
+				return fmt.Errorf("core: branch at %d targets unit %d: not an item", word, unit+int(field))
 			}
-			if tm.Orig != an.Target[m.Orig] {
-				return fmt.Errorf("core: branch at %d retargeted: word %d instead of %d", m.Orig, tm.Orig, an.Target[m.Orig])
+			if int(tm.Orig) != an.Target[word] {
+				return fmt.Errorf("core: branch at %d retargeted: word %d instead of %d", word, tm.Orig, an.Target[word])
 			}
 			nextOrig++
 			nextUnit += it.Units
@@ -144,14 +145,14 @@ func Verify(p *program.Program, img *Image) error {
 		if !ok {
 			return fmt.Errorf("core: jump table slot %d points at %#x: not an item", slot, v)
 		}
-		if tm.Orig != jts[i] {
+		if int(tm.Orig) != jts[i] {
 			return fmt.Errorf("core: jump table slot %d retargeted: word %d instead of %d", slot, tm.Orig, jts[i])
 		}
 	}
 
 	// Pass 3: entry point.
 	em, ok := img.markByUnit(img.EntryUnit)
-	if !ok || em.Orig != p.Entry {
+	if !ok || int(em.Orig) != p.Entry {
 		return fmt.Errorf("core: entry unit %#x does not map to original entry %d", img.EntryUnit, p.Entry)
 	}
 	return nil
@@ -170,18 +171,19 @@ func branchFieldMask(w uint32) uint32 {
 
 // verifyStub checks the far-branch expansion and returns its stream units.
 func verifyStub(p *program.Program, img *Image, an *program.Analysis, rdr *codeword.Reader, m Mark) (int, error) {
-	orig := p.Text[m.Orig]
-	want := an.Target[m.Orig]
+	unit, word := int(m.Unit), int(m.Orig)
+	orig := p.Text[word]
+	want := an.Target[word]
 	n := stubLen(orig)
 	words := make([]uint32, 0, n)
-	u := m.Unit
+	u := unit
 	for i := 0; i < n; i++ {
 		it, err := rdr.At(u)
 		if err != nil {
 			return 0, err
 		}
 		if it.IsCodeword {
-			return 0, fmt.Errorf("core: stub at unit %d contains a codeword", m.Unit)
+			return 0, fmt.Errorf("core: stub at unit %d contains a codeword", unit)
 		}
 		words = append(words, it.Word)
 		u += it.Units
@@ -191,7 +193,7 @@ func verifyStub(p *program.Program, img *Image, an *program.Analysis, rdr *codew
 		inv := ppc.Decode(words[0])
 		o := ppc.Decode(orig)
 		if inv.Op != ppc.OpBc || inv.BO != o.BO^8 || inv.BI != o.BI {
-			return 0, fmt.Errorf("core: stub at %d has wrong guard", m.Orig)
+			return 0, fmt.Errorf("core: stub at %d has wrong guard", word)
 		}
 		idx = 1
 	}
@@ -200,15 +202,15 @@ func verifyStub(p *program.Program, img *Image, an *program.Analysis, rdr *codew
 	mtctr := ppc.Decode(words[idx+2])
 	last := ppc.Decode(words[idx+3])
 	if lis.Op != ppc.OpAddis || ori.Op != ppc.OpOri || mtctr.Op != ppc.OpMtspr || mtctr.SPR != ppc.SprCTR {
-		return 0, fmt.Errorf("core: stub at %d malformed", m.Orig)
+		return 0, fmt.Errorf("core: stub at %d malformed", word)
 	}
 	addr := uint32(lis.Imm)<<16 | uint32(ori.Imm)
 	tm, ok := img.markByUnit(addr)
-	if !ok || tm.Orig != want {
-		return 0, fmt.Errorf("core: stub at %d targets %#x (word %d), want word %d", m.Orig, addr, tm.Orig, want)
+	if !ok || int(tm.Orig) != want {
+		return 0, fmt.Errorf("core: stub at %d targets %#x (word %d), want word %d", word, addr, tm.Orig, want)
 	}
 	if last.Op != ppc.OpBcctr || last.LK != ppc.Decode(orig).LK {
-		return 0, fmt.Errorf("core: stub at %d has wrong transfer", m.Orig)
+		return 0, fmt.Errorf("core: stub at %d has wrong transfer", word)
 	}
-	return u - m.Unit, nil
+	return u - unit, nil
 }

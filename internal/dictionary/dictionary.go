@@ -33,6 +33,12 @@ import (
 type Config struct {
 	// MaxEntries bounds the number of dictionary entries (the codeword
 	// space). Zero or negative means unlimited.
+	//
+	// The cap only stops the selection loop; it never changes what is
+	// selected before it is reached. A build capped at n is therefore the
+	// first n selections of the uncapped build — same entries, same Uses —
+	// with the codewords of later entries expanded back into their words,
+	// which is what Selection.Prefix computes.
 	MaxEntries int
 
 	// MaxEntryLen bounds instructions per entry (the paper sweeps 1..8).

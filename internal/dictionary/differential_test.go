@@ -241,3 +241,42 @@ func TestCompressStrategyParity(t *testing.T) {
 		}
 	}
 }
+
+// TestPrefixMatchesCappedBuild pins the prefix invariant the corpus's
+// family cache rests on: for every strategy, a build capped at n equals
+// the first n selections of the uncapped build, as reconstructed by
+// Selection.Prefix. The nibble cost schedule makes savings depend on rank,
+// so a cap that changed earlier selections would show here.
+func TestPrefixMatchesCappedBuild(t *testing.T) {
+	strategies := []dictionary.Strategy{dictionary.Greedy, dictionary.GreedyReference, dictionary.StaticOrder}
+	caps := []int{1, 8, 16, 32, 256, 4096, 0}
+	for _, name := range synth.BenchmarkNames() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			text, cfg := benchmarkInput(t, name)
+			cfg.CodewordBits = codeword.Nibble.CodewordBits
+			for _, strategy := range strategies {
+				for _, maxLen := range []int{1, 4, 8} {
+					cfg.Strategy, cfg.MaxEntryLen, cfg.MaxEntries = strategy, maxLen, 0
+					full, err := dictionary.Build(text, cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					sel := full.Selection()
+					for _, n := range caps {
+						cfg.MaxEntries = n
+						want, err := dictionary.Build(text, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						if got := sel.Prefix(text, n); !reflect.DeepEqual(got, want) {
+							t.Fatalf("strategy %d, MaxEntryLen %d, cap %d: prefix of the uncapped build (%d entries, %d items) != capped build (%d entries, %d items)",
+								strategy, maxLen, n, len(got.Entries), len(got.Items), len(want.Entries), len(want.Items))
+						}
+					}
+				}
+			}
+		})
+	}
+}

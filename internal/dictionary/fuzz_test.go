@@ -110,5 +110,12 @@ func FuzzBuildDifferential(f *testing.F) {
 		cfg.Strategy = Greedy
 		got := mustBuild(t, text, cfg)
 		assertSameResult(t, "indexed vs reference", got, want)
+
+		// The prefix invariant at a fuzzed cap: the capped build is the
+		// uncapped build's first selections.
+		cfg.MaxEntries = 0
+		sel := mustBuild(t, text, cfg).Selection()
+		cfg.MaxEntries = int(maxLenRaw)>>3 + 1
+		assertSameResult(t, "prefix vs capped", sel.Prefix(text, cfg.MaxEntries), mustBuild(t, text, cfg))
 	})
 }
