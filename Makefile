@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race smoke diff ccbench-test lint-dispatch lint-fastpath lint-metrics check bench bench-json bench-exec bench-diff bench-append bench-trend bundle
+.PHONY: all build vet test race smoke diff fuzz-short ccbench-test lint-dispatch lint-fastpath lint-metrics check bench bench-json bench-exec bench-diff bench-append bench-trend bundle
 
 all: check
 
@@ -28,6 +28,13 @@ smoke:
 # its uncapped build (the invariant the corpus's family cache rests on).
 diff:
 	$(GO) test -run 'MatchesReference|PrefixMatches|StrategyParity|FuzzBuildDifferential' ./internal/dictionary
+
+# Short coverage-guided fuzz of the two differential oracles: the fused
+# fast path (with its Reset rerun) against the Step path, and the indexed
+# dictionary builder against the reference builder. 20 s each.
+fuzz-short:
+	$(GO) test -run '^$$' -fuzz '^FuzzFastPathDifferential$$' -fuzztime 20s .
+	$(GO) test -run '^$$' -fuzz '^FuzzBuildDifferential$$' -fuzztime 20s ./internal/dictionary
 
 # The benchmark's own tests: cmd/ccbench is a nested module (it replaces
 # repro with the checkout), so `go test ./...` at the root never reaches
@@ -100,16 +107,17 @@ bench:
 # fuel for 95% confidence intervals and the -significant gate.
 BENCH_SAMPLES ?= 5
 bench-json:
-	$(GO) test -run '^$$' -bench '^BenchmarkDictionaryBuild$$|^BenchmarkCompressSweep$$|^BenchmarkNativeExecution$$|^BenchmarkCompressedExecution$$|^BenchmarkSampledExecution$$' -count=$(BENCH_SAMPLES) -benchmem . \
+	$(GO) test -run '^$$' -bench '^BenchmarkDictionaryBuild$$|^BenchmarkCompressSweep$$|^BenchmarkNativeExecution$$|^BenchmarkCompressedExecution$$|^BenchmarkSampledExecution$$|^BenchmarkReset$$' -count=$(BENCH_SAMPLES) -benchmem . \
 		| $(GO) run ./cmd/benchjson > BENCH_dictionary.json
 	@echo wrote BENCH_dictionary.json
 
 # Just the execution-speed pair (native vs compressed through the
-# predecoded engine), recorded as BENCH_exec.json with the derived
-# compressed_vs_native_ratio metric — the quick loop while working on the
-# execution engine, without the multi-minute dictionary sweeps.
+# predecoded engine) plus the sampled run and the Reset layer, recorded as
+# BENCH_exec.json with the derived compressed_vs_native_ratio metric — the
+# quick loop while working on the execution engine, without the
+# multi-minute dictionary sweeps.
 bench-exec:
-	$(GO) test -run '^$$' -bench '^BenchmarkNativeExecution$$|^BenchmarkCompressedExecution$$|^BenchmarkSampledExecution$$' -count=$(BENCH_SAMPLES) -benchmem . \
+	$(GO) test -run '^$$' -bench '^BenchmarkNativeExecution$$|^BenchmarkCompressedExecution$$|^BenchmarkSampledExecution$$|^BenchmarkReset$$' -count=$(BENCH_SAMPLES) -benchmem . \
 		| $(GO) run ./cmd/benchjson > BENCH_exec.json
 	@echo wrote BENCH_exec.json
 

@@ -9,6 +9,7 @@ package codedensity
 import (
 	"sync"
 	"testing"
+	"time"
 
 	"repro/asm"
 	"repro/internal/bench"
@@ -325,6 +326,46 @@ func BenchmarkSampledExecution(b *testing.B) {
 	}
 	b.ReportMetric(float64(steps), "steps/op")
 	b.ReportMetric(float64(cpu.Fast.Steps), "faststeps/op")
+}
+
+// BenchmarkReset is the Reset layer of the serving shape: each iteration
+// runs perl once, untimed, then times the CPU.Reset that follows, so ns/op
+// is the cost of restoring what one request dirtied. B/op and allocs/op
+// cover the whole iteration. The execution benchmarks above time the same
+// Reset together with its Run.
+func BenchmarkReset(b *testing.B) {
+	p := benchProgram(b, "perl")
+	img, err := core.Compress(p.Clone(), Options{Scheme: Nibble})
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, m := range []struct {
+		name  string
+		build func() (*machine.CPU, error)
+	}{
+		{"native", func() (*machine.CPU, error) { return machine.NewForProgram(p) }},
+		{"nibble", func() (*machine.CPU, error) { return core.NewMachine(img) }},
+	} {
+		b.Run(m.name, func(b *testing.B) {
+			cpu, err := m.build()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			var reset time.Duration
+			for i := 0; i < b.N; i++ {
+				if _, err := cpu.Run(200_000_000); err != nil {
+					b.Fatal(err)
+				}
+				start := time.Now()
+				if err := cpu.Reset(); err != nil {
+					b.Fatal(err)
+				}
+				reset += time.Since(start)
+			}
+			b.ReportMetric(float64(reset.Nanoseconds())/float64(b.N), "ns/op")
+		})
+	}
 }
 
 // reportHist reports a recorded histogram's quantiles as custom benchmark

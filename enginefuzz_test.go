@@ -20,7 +20,10 @@ import (
 // A third machine runs the fast path with epoch sampling on and a tiny
 // epoch length, so every fuzz case crosses many epoch boundaries:
 // sampling must not perturb any architectural result, and the drained
-// slot traffic must conserve the fast-path step count exactly.
+// slot traffic must conserve the fast-path step count exactly. Finally
+// each machine is Reset and rerun, and must repeat its first run exactly:
+// dirty-page Reset restores only the pages the run stored to, so a missed
+// page shows up as a rerun that reads a stale byte.
 func FuzzFastPathDifferential(f *testing.F) {
 	f.Add(int64(7), uint16(900))
 	f.Add(int64(42), uint16(2500))
@@ -104,6 +107,11 @@ func comparePaths(t *testing.T, name string, fast, slow, sampled *machine.CPU) {
 	ss, serr := slow.Run(maxSteps)
 	ps, perr := sampled.Run(maxSteps)
 	sampled.FlushEpoch()
+	firsts := []firstRun{
+		{"fast", fast, fs, ferr, bytes.Clone(fast.Output()), fast.Stats},
+		{"slow", slow, ss, serr, bytes.Clone(slow.Output()), slow.Stats},
+		{"sampled", sampled, ps, perr, bytes.Clone(sampled.Output()), sampled.Stats},
+	}
 	if (ferr == nil) != (serr == nil) || (ferr != nil && ferr.Error() != serr.Error()) {
 		t.Fatalf("%s: error divergence: fast %v, slow %v", name, ferr, serr)
 	}
@@ -118,7 +126,10 @@ func comparePaths(t *testing.T, name string, fast, slow, sampled *machine.CPU) {
 			name, obs.steps, sampled.Fast.Steps)
 	}
 	if ferr != nil {
-		return // matching faults; no architectural result to compare
+		// Matching faults: no architectural result to compare, but the
+		// fault must repeat after Reset.
+		checkReruns(t, name, firsts, maxSteps)
+		return
 	}
 	if fs != ss {
 		t.Fatalf("%s: exit status fast %d, slow %d", name, fs, ss)
@@ -137,5 +148,44 @@ func comparePaths(t *testing.T, name string, fast, slow, sampled *machine.CPU) {
 	}
 	if fast.Stats != sampled.Stats {
 		t.Fatalf("%s: sampling perturbed stats:\nfast    %+v\nsampled %+v", name, fast.Stats, sampled.Stats)
+	}
+	checkReruns(t, name, firsts, maxSteps)
+}
+
+// firstRun is one machine's first-run result, kept for the rerun check.
+type firstRun struct {
+	path   string
+	cpu    *machine.CPU
+	status int32
+	err    error
+	out    []byte
+	stats  machine.Stats
+}
+
+// checkReruns Resets and reruns each machine and demands it repeat its
+// first run: error, status, output and Stats. Machines whose frontend
+// cannot report a PC (CCRP) have no Reset snapshot and are skipped.
+func checkReruns(t *testing.T, name string, firsts []firstRun, maxSteps int64) {
+	t.Helper()
+	for _, f := range firsts {
+		if _, ok := f.cpu.Frontend().(interface{ PC() uint32 }); !ok {
+			continue
+		}
+		if err := f.cpu.Reset(); err != nil {
+			t.Fatalf("%s/%s: Reset: %v", name, f.path, err)
+		}
+		st, err := f.cpu.Run(maxSteps)
+		if (err == nil) != (f.err == nil) || (err != nil && err.Error() != f.err.Error()) {
+			t.Fatalf("%s/%s: rerun error %v, first run %v", name, f.path, err, f.err)
+		}
+		if st != f.status {
+			t.Fatalf("%s/%s: rerun exited %d, first run %d", name, f.path, st, f.status)
+		}
+		if !bytes.Equal(f.cpu.Output(), f.out) {
+			t.Fatalf("%s/%s: rerun output diverged (%d vs %d bytes)", name, f.path, len(f.cpu.Output()), len(f.out))
+		}
+		if f.cpu.Stats != f.stats {
+			t.Fatalf("%s/%s: rerun stats diverged:\nfirst %+v\nrerun %+v", name, f.path, f.stats, f.cpu.Stats)
+		}
 	}
 }

@@ -186,12 +186,8 @@ func NewMachineDictInMemory(img *Image, dictBase uint32) (*machine.CPU, error) {
 // stack mapped exactly as for the original program.
 func NewMachine(img *Image) (*machine.CPU, error) {
 	mem := machine.NewMemory()
-	data := make([]byte, len(img.Data)+1<<16)
-	copy(data, img.Data)
-	if err := mem.Map("data", img.DataBase, data); err != nil {
-		return nil, err
-	}
-	if err := mem.Map("stack", 0x7FF0_0000-1<<20, make([]byte, 1<<20)); err != nil {
+	sp, err := machine.MapDataAndStack(mem, img.DataBase, img.Data)
+	if err != nil {
 		return nil, err
 	}
 	fe := NewCompressedFrontend(img)
@@ -199,7 +195,7 @@ func NewMachine(img *Image) (*machine.CPU, error) {
 	if err := fe.Reset(img.EntryUnit); err != nil {
 		return nil, err
 	}
-	cpu.GPR[1] = 0x7FF0_0000 - 64
+	cpu.GPR[1] = sp
 	if err := cpu.SnapshotReset(); err != nil {
 		return nil, err
 	}

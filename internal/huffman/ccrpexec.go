@@ -229,12 +229,8 @@ func (f *CCRPFrontend) Fetch() (machine.FetchInfo, error) {
 // NewCCRPMachine builds a CPU executing the CCRP image.
 func NewCCRPMachine(img *CCRPImage, cacheLines int) (*machine.CPU, error) {
 	mem := machine.NewMemory()
-	data := make([]byte, len(img.Data)+1<<16)
-	copy(data, img.Data)
-	if err := mem.Map("data", img.DataBase, data); err != nil {
-		return nil, err
-	}
-	if err := mem.Map("stack", 0x7FF0_0000-1<<20, make([]byte, 1<<20)); err != nil {
+	sp, err := machine.MapDataAndStack(mem, img.DataBase, img.Data)
+	if err != nil {
 		return nil, err
 	}
 	fe := NewCCRPFrontend(img, cacheLines)
@@ -242,6 +238,6 @@ func NewCCRPMachine(img *CCRPImage, cacheLines int) (*machine.CPU, error) {
 	if err := fe.Reset(img.Entry); err != nil {
 		return nil, err
 	}
-	cpu.GPR[1] = 0x7FF0_0000 - 64
+	cpu.GPR[1] = sp
 	return cpu, nil
 }

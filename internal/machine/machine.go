@@ -25,7 +25,7 @@ const (
 	SysPuts    = 3 // r3 = address of NUL-terminated string
 )
 
-// Memory layout for stacks.
+// Guest memory layout, mapped for every machine by MapDataAndStack.
 const (
 	stackTop  = 0x7FF0_0000
 	stackSize = 1 << 20
@@ -156,12 +156,8 @@ func NewForProgram(p *program.Program) (*CPU, error) {
 	if err := mem.Map("text", p.TextBase, WordsToBytes(p.Text)); err != nil {
 		return nil, err
 	}
-	data := make([]byte, len(p.Data)+heapExtra)
-	copy(data, p.Data)
-	if err := mem.Map("data", p.DataBase, data); err != nil {
-		return nil, err
-	}
-	if err := mem.Map("stack", stackTop-stackSize, make([]byte, stackSize)); err != nil {
+	sp, err := MapDataAndStack(mem, p.DataBase, p.Data)
+	if err != nil {
 		return nil, err
 	}
 	fe := NewNormalFrontend(mem, p.TextBase, len(p.Text))
@@ -169,11 +165,27 @@ func NewForProgram(p *program.Program) (*CPU, error) {
 	if err := fe.Reset(p.EntryAddr()); err != nil {
 		return nil, err
 	}
-	cpu.GPR[1] = stackTop - 64 // stack pointer with a red zone
+	cpu.GPR[1] = sp
 	if err := cpu.SnapshotReset(); err != nil {
 		return nil, err
 	}
 	return cpu, nil
+}
+
+// MapDataAndStack maps the guest data layout every machine shares: a copy
+// of the data image plus heap slack at dataBase, and the stack below
+// stackTop. It returns the initial stack pointer, which leaves a red zone
+// below the top.
+func MapDataAndStack(mem *Memory, dataBase uint32, dataImage []byte) (sp uint32, err error) {
+	data := make([]byte, len(dataImage)+heapExtra)
+	copy(data, dataImage)
+	if err := mem.Map("data", dataBase, data); err != nil {
+		return 0, err
+	}
+	if err := mem.Map("stack", stackTop-stackSize, make([]byte, stackSize)); err != nil {
+		return 0, err
+	}
+	return stackTop - 64, nil
 }
 
 // SnapshotReset captures the CPU's current architectural state — registers,

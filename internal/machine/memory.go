@@ -3,7 +3,12 @@ package machine
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 )
+
+// pageShift sets the dirty-tracking granularity: Reset restores memory in
+// 1 KiB pages.
+const pageShift = 10
 
 // Memory is a sparse big-endian byte-addressable memory built from disjoint
 // regions (text, data, stack). Accesses outside any region fault, which
@@ -31,6 +36,10 @@ type region struct {
 	// stack never earns a copy).
 	init  []byte
 	watch bool // stores here advance storeGen
+
+	// dirty has one bit per page stored to since the last Snapshot or
+	// Reset: the only pages Reset has to restore.
+	dirty []uint64
 }
 
 // NewMemory returns an empty memory.
@@ -48,12 +57,15 @@ func (m *Memory) Map(name string, base uint32, data []byte) error {
 			return fmt.Errorf("machine: region %s overlaps %s", name, r.name)
 		}
 	}
-	m.regions = append(m.regions, region{name: name, base: base, data: data})
+	pages := (len(data) + 1<<pageShift - 1) >> pageShift
+	m.regions = append(m.regions, region{name: name, base: base, data: data,
+		dirty: make([]uint64, (pages+63)/64)})
 	return nil
 }
 
 func (m *Memory) find(addr uint32, n int) ([]byte, error) {
-	for _, r := range m.regions {
+	for i := range m.regions {
+		r := &m.regions[i]
 		if addr >= r.base && uint64(addr)+uint64(n) <= uint64(r.base)+uint64(len(r.data)) {
 			off := addr - r.base
 			return r.data[off : off+uint32(n)], nil
@@ -62,8 +74,10 @@ func (m *Memory) find(addr uint32, n int) ([]byte, error) {
 	return nil, fmt.Errorf("machine: fault at %#x (%d bytes)", addr, n)
 }
 
-// findW is find for stores: a hit in a watched region advances the store
-// generation before the caller writes through the returned slice.
+// findW is find for stores: before the caller writes through the returned
+// slice, it marks the written pages dirty for Reset and, in a watched
+// region, advances the store generation. A store is at most 4 bytes, so
+// the pages of its first and last byte are all it touches.
 func (m *Memory) findW(addr uint32, n int) ([]byte, error) {
 	for i := range m.regions {
 		r := &m.regions[i]
@@ -72,6 +86,9 @@ func (m *Memory) findW(addr uint32, n int) ([]byte, error) {
 				m.storeGen++
 			}
 			off := addr - r.base
+			first, last := off>>pageShift, (off+uint32(n)-1)>>pageShift
+			r.dirty[first/64] |= 1 << (first % 64)
+			r.dirty[last/64] |= 1 << (last % 64)
 			return r.data[off : off+uint32(n)], nil
 		}
 	}
@@ -94,8 +111,9 @@ func (m *Memory) WatchStores(lo, hi uint32) uint64 {
 }
 
 // Snapshot records each region's current contents as the state Reset
-// restores. Regions that are all-zero at snapshot time (stacks, BSS) are
-// recorded implicitly and zero-filled on Reset instead of copied.
+// restores and starts a clean dirty-page set. Regions that are all-zero at
+// snapshot time (stacks, BSS) are recorded implicitly and zero-filled on
+// Reset instead of copied.
 func (m *Memory) Snapshot() {
 	for i := range m.regions {
 		r := &m.regions[i]
@@ -104,25 +122,35 @@ func (m *Memory) Snapshot() {
 		} else {
 			r.init = append([]byte(nil), r.data...)
 		}
+		clear(r.dirty)
 	}
 	m.snapped = true
 	m.snapGen = m.storeGen
 }
 
 // Reset restores every region to its Snapshot contents, reusing the
-// backing arrays. If any watched store happened since the snapshot, the
-// store generation advances once more: the restored bytes differ from
-// what a predecode table built after that store saw.
+// backing arrays. Only the pages stored to since the last Snapshot or
+// Reset are rewritten, so its cost follows the pages a run dirtied, not
+// the size of the address space. If any watched store happened since the
+// snapshot, the store generation advances once more: the restored bytes
+// differ from what a predecode table built after that store saw.
 func (m *Memory) Reset() error {
 	if !m.snapped {
 		return fmt.Errorf("machine: memory Reset without a prior Snapshot")
 	}
 	for i := range m.regions {
 		r := &m.regions[i]
-		if r.init == nil {
-			clear(r.data)
-		} else {
-			copy(r.data, r.init)
+		for w, word := range r.dirty {
+			for ; word != 0; word &= word - 1 {
+				lo := (w*64 + bits.TrailingZeros64(word)) << pageShift
+				hi := min(lo+1<<pageShift, len(r.data))
+				if r.init == nil {
+					clear(r.data[lo:hi])
+				} else {
+					copy(r.data[lo:hi], r.init[lo:hi])
+				}
+			}
+			r.dirty[w] = 0
 		}
 	}
 	if m.storeGen != m.snapGen {
