@@ -22,10 +22,11 @@ race:
 smoke:
 	$(GO) run ./cmd/experiments -run fig5 -parallel 4
 
-# Differential gate: the indexed greedy builder must be byte-identical to
-# the reference implementation on all eight synth benchmarks, plus the
-# fuzz seed corpus, and every strategy's capped build must be a prefix of
-# its uncapped build (the invariant the corpus's family cache rests on).
+# Differential gate: the indexed greedy and static builders must be
+# byte-identical to their reference implementations on all eight synth
+# benchmarks, plus the fuzz seed corpus, and every strategy's capped build
+# must be a prefix of its uncapped build (the invariant the corpus's
+# family cache rests on).
 diff:
 	$(GO) test -run 'MatchesReference|PrefixMatches|StrategyParity|FuzzBuildDifferential' ./internal/dictionary
 

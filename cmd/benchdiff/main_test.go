@@ -1,7 +1,9 @@
 package main
 
 import (
+	"bufio"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -117,5 +119,59 @@ func TestAbsentCeilingMetricNamesFile(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "new.json") || !strings.Contains(err.Error(), "no_such") {
 		t.Errorf("error %q does not name the file and metric", err)
+	}
+}
+
+// TestSuffixedRunMatchesBaseline: a bench run on a multi-core host names
+// its benchmarks BenchmarkX-N. Parsed through benchjson's path, it must
+// share every benchmark with the committed suffix-free baseline and pass
+// the gate with the baseline's own numbers.
+func TestSuffixedRunMatchesBaseline(t *testing.T) {
+	const baseline = "../../baselines/BENCH_dictionary.json"
+	base, err := benchfmt.ReadFile(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Re-render the baseline as `go test -bench -count=N` output at
+	// GOMAXPROCS=2: one result line per sample, every name suffixed -2.
+	var out strings.Builder
+	for _, b := range base.Benchmarks {
+		ns := b.Samples[benchfmt.MetricNs]
+		if len(ns) == 0 {
+			ns = []float64{b.NsPerOp}
+		}
+		for i, v := range ns {
+			fmt.Fprintf(&out, "%s-2\t%d\t%v ns/op", b.Name, b.Iterations, v)
+			for m, s := range b.Samples {
+				if m != benchfmt.MetricNs && i < len(s) {
+					fmt.Fprintf(&out, "\t%v %s", s[i], m)
+				}
+			}
+			out.WriteString("\n")
+		}
+	}
+	rep, err := benchfmt.Parse(bufio.NewScanner(strings.NewReader(out.String())))
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.AddDerived()
+	for _, b := range rep.Benchmarks {
+		if b.Procs != 2 {
+			t.Fatalf("%s: procs %d, want 2", b.Name, b.Procs)
+		}
+	}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	neu := filepath.Join(t.TempDir(), "new.json")
+	if err := os.WriteFile(neu, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if cmp := benchfmt.Compare(base, rep); len(cmp.OldOnly) != 0 || len(cmp.NewOnly) != 0 {
+		t.Fatalf("suffixed run does not line up with the baseline: only in old %v, only in new %v", cmp.OldOnly, cmp.NewOnly)
+	}
+	if err := run(baseline, neu, 30, true, benchfmt.DefaultAlpha, nil); err != nil {
+		t.Fatalf("suffixed run of the baseline's own numbers fails the gate: %v", err)
 	}
 }

@@ -406,7 +406,9 @@ func Fig11(c *Corpus) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		sp := comparatorSpan(c, "lzw", name)
 		lr := lzw.RatioRecorded(p.TextBytes(), c.Recorder())
+		sp.End()
 		return []string{name, ratioStr(img.Ratio()), ratioStr(lr),
 			fmt.Sprintf("%+.1fpp", 100*(img.Ratio()-lr))}, nil
 	})
@@ -468,7 +470,9 @@ func ExtBaselines(c *Corpus) (*Table, error) {
 				// Dictionary schemes go through the memoizing corpus cache.
 				img, err = c.Image(name, core.Options{Scheme: sc.Scheme(), MaxEntryLen: 4})
 			} else {
+				sp := comparatorSpan(c, cd.Name(), name)
 				img, err = cd.Compress(p, codec.Options{Stats: c.Recorder()})
+				sp.End()
 			}
 			if err != nil {
 				return nil, err

@@ -6,6 +6,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/core"
 	"repro/internal/sizeaudit"
+	"repro/internal/trace"
 )
 
 func init() {
@@ -41,7 +42,16 @@ func AuditFor(c *Corpus, name, enc string) (*sizeaudit.Audit, error) {
 	if err != nil {
 		return nil, err
 	}
+	sp := comparatorSpan(c, enc, name)
+	defer sp.End()
 	return cd.Audit(p, codec.Options{Stats: c.Recorder()})
+}
+
+// comparatorSpan opens the span of one comparator-codec run (LZW, CCRP) on
+// benchmark name, so a trace attributes its time to the codec layer rather
+// than to the experiment around it.
+func comparatorSpan(c *Corpus, enc, name string) *trace.Span {
+	return c.Span().Child("codec."+enc+".comparator").Set("bench", name)
 }
 
 // ExtSizeAudit attributes every compressed byte of every benchmark under

@@ -36,7 +36,14 @@ const (
 // existed (the field is omitted), so committed baselines stay loadable
 // in both directions.
 type Benchmark struct {
+	// Name is the benchmark's name without the -N suffix `go test -bench`
+	// appends when GOMAXPROCS > 1, so runs on hosts with different core
+	// counts compare by name.
 	Name string `json:"name"`
+
+	// Procs is the GOMAXPROCS value that suffix recorded; 0 when the line
+	// carried none.
+	Procs int `json:"procs,omitempty"`
 
 	// Iterations is the total b.N across all samples of this benchmark.
 	Iterations int64 `json:"iterations"`
@@ -205,7 +212,8 @@ func parseBench(line string) (Benchmark, error) {
 	if err != nil {
 		return Benchmark{}, fmt.Errorf("iterations: %w", err)
 	}
-	b := Benchmark{Name: f[0], Iterations: iters}
+	name, procs := splitProcs(f[0])
+	b := Benchmark{Name: name, Procs: procs, Iterations: iters}
 	for i := 2; i+1 < len(f); i += 2 {
 		v, err := strconv.ParseFloat(f[i], 64)
 		if err != nil {
@@ -229,6 +237,21 @@ func parseBench(line string) (Benchmark, error) {
 		}
 	}
 	return b, nil
+}
+
+// splitProcs splits a result line's name into the benchmark name and the
+// trailing -N GOMAXPROCS suffix: BenchmarkX/sub/case-2 is
+// BenchmarkX/sub/case at 2 procs. A name without the suffix has procs 0.
+func splitProcs(name string) (string, int) {
+	i := strings.LastIndexByte(name, '-')
+	if i < 0 || strings.TrimLeft(name[i+1:], "0123456789") != "" {
+		return name, 0
+	}
+	procs, err := strconv.Atoi(name[i+1:])
+	if err != nil {
+		return name, 0 // no digits, or more than an int holds
+	}
+	return name[:i], procs
 }
 
 // Dist returns the distribution of the named metric: computed over the

@@ -35,7 +35,7 @@ func TestParse(t *testing.T) {
 		t.Fatalf("got %d benchmarks", len(rep.Benchmarks))
 	}
 	b := rep.Benchmarks[0]
-	if b.Name != "BenchmarkCompressNibble/go-8" || b.Iterations != 10 || b.NsPerOp != 123456789 {
+	if b.Name != "BenchmarkCompressNibble/go" || b.Procs != 8 || b.Iterations != 10 || b.NsPerOp != 123456789 {
 		t.Fatalf("bench 0: %+v", b)
 	}
 	if b.Metrics["ratio"] != 0.45 || b.BytesPerOp == nil || *b.BytesPerOp != 1024 {
@@ -43,6 +43,32 @@ func TestParse(t *testing.T) {
 	}
 	if rep.Benchmarks[1].Metrics["selbits-p99"] != 55 {
 		t.Fatalf("bench 1 metrics: %+v", rep.Benchmarks[1])
+	}
+}
+
+// TestParseSplitsProcs: the -N suffix `go test -bench` appends when
+// GOMAXPROCS > 1 moves from the name into Procs, at any sub-benchmark
+// depth; names without one keep procs 0, and only an all-digit tail
+// counts as a suffix.
+func TestParseSplitsProcs(t *testing.T) {
+	for _, tc := range []struct {
+		line, name string
+		procs      int
+	}{
+		{"BenchmarkX-4 10 100 ns/op", "BenchmarkX", 4},
+		{"BenchmarkX/sub/case-2 10 100 ns/op", "BenchmarkX/sub/case", 2},
+		{"BenchmarkX 10 100 ns/op", "BenchmarkX", 0},
+		{"BenchmarkX/sub/case 10 100 ns/op", "BenchmarkX/sub/case", 0},
+		{"BenchmarkX/a-b 10 100 ns/op", "BenchmarkX/a-b", 0},
+		{"BenchmarkX/trailing- 10 100 ns/op", "BenchmarkX/trailing-", 0},
+	} {
+		rep, err := Parse(bufio.NewScanner(strings.NewReader(tc.line)))
+		if err != nil {
+			t.Fatalf("%q: %v", tc.line, err)
+		}
+		if b := rep.Benchmarks[0]; b.Name != tc.name || b.Procs != tc.procs {
+			t.Errorf("%q: name %q procs %d, want %q procs %d", tc.line, b.Name, b.Procs, tc.name, tc.procs)
+		}
 	}
 }
 
@@ -55,9 +81,9 @@ func TestParseRejectsEmpty(t *testing.T) {
 func TestCompare(t *testing.T) {
 	old := parseSample(t)
 	newer := parseSample(t)
-	newer.Benchmarks[0].NsPerOp *= 1.5                // 50% slower
-	newer.Benchmarks[1].Metrics["selbits-p99"] = 44   // improved
-	newer.Benchmarks[1].Name = "BenchmarkRenamed/x-8" // disappeared + appeared
+	newer.Benchmarks[0].NsPerOp *= 1.5              // 50% slower
+	newer.Benchmarks[1].Metrics["selbits-p99"] = 44 // improved
+	newer.Benchmarks[1].Name = "BenchmarkRenamed/x" // disappeared + appeared
 
 	c := Compare(old, newer)
 	if len(c.OldOnly) != 1 || len(c.NewOnly) != 1 {
@@ -67,7 +93,7 @@ func TestCompare(t *testing.T) {
 	var ns, ratio *MetricDelta
 	for i := range c.Deltas {
 		d := &c.Deltas[i]
-		if d.Bench != "BenchmarkCompressNibble/go-8" {
+		if d.Bench != "BenchmarkCompressNibble/go" {
 			t.Fatalf("unexpected delta %+v", d)
 		}
 		switch d.Metric {
@@ -202,7 +228,7 @@ func TestParseAccumulatesSamples(t *testing.T) {
 		t.Fatalf("got %d benchmarks, want 2", len(rep.Benchmarks))
 	}
 	x := rep.Benchmarks[0]
-	if x.Name != "BenchmarkX-8" {
+	if x.Name != "BenchmarkX" || x.Procs != 8 {
 		t.Fatalf("bench 0: %+v", x)
 	}
 	if x.Iterations != 33 {
@@ -241,7 +267,7 @@ func TestSamplesRoundTripJSON(t *testing.T) {
 	if got := back.Benchmarks[0].Samples[MetricNs]; len(got) != 3 {
 		t.Fatalf("samples lost in round-trip: %v", got)
 	}
-	if strings.Contains(string(data), `"BenchmarkY-8","iterations":5,"ns_per_op":500,"samples"`) {
+	if strings.Contains(string(data), `"BenchmarkY","procs":8,"iterations":5,"ns_per_op":500,"samples"`) {
 		t.Fatal("single-sample benchmark serialized a samples field")
 	}
 }

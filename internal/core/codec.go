@@ -89,8 +89,22 @@ func WriteImagePayload(dst io.Writer, img *Image) error {
 	return w.Err()
 }
 
+// HeaderError reports a dictionary image header field out of range for
+// its payload: a scheme byte naming no scheme, or more stream units than
+// the stream holds.
+type HeaderError struct {
+	Field string // "scheme" or "units"
+	Value int64
+	Limit int64 // the largest value the payload admits
+}
+
+func (e *HeaderError) Error() string {
+	return fmt.Sprintf("core: image header %s %d out of range (at most %d)", e.Field, e.Value, e.Limit)
+}
+
 // ReadImagePayload deserializes a dictionary image body written by
-// WriteImagePayload.
+// WriteImagePayload. It fails with a *HeaderError when the header's scheme
+// or unit count contradicts the payload.
 func ReadImagePayload(src io.Reader) (*Image, error) {
 	r := wire.NewReader(src)
 	img := &Image{}
@@ -98,6 +112,15 @@ func ReadImagePayload(src io.Reader) (*Image, error) {
 	img.Scheme = codeword.Scheme(r.U8())
 	img.Units = int(r.U32())
 	img.Stream = r.Blob()
+	if r.Err() == nil {
+		// Checked before anything sizes a buffer from them: predecoding
+		// allocates one slot per unit.
+		if img.Scheme > codeword.Liao {
+			r.Fail(&HeaderError{Field: "scheme", Value: int64(img.Scheme), Limit: int64(codeword.Liao)})
+		} else if limit := len(img.Stream) * 8 / img.Scheme.UnitBits(); img.Units > limit {
+			r.Fail(&HeaderError{Field: "units", Value: int64(img.Units), Limit: int64(limit)})
+		}
+	}
 	img.Base = r.U32()
 	img.EntryUnit = r.U32()
 	nent := r.Count(int(r.U32()), "entry")

@@ -58,6 +58,7 @@ func BenchmarkBuildIndexed2k(b *testing.B)    { benchBuild(b, 2_000, Greedy) }
 func BenchmarkBuildIndexed20k(b *testing.B)   { benchBuild(b, 20_000, Greedy) }
 func BenchmarkBuildReference2k(b *testing.B)  { benchBuild(b, 2_000, GreedyReference) }
 func BenchmarkBuildReference20k(b *testing.B) { benchBuild(b, 20_000, GreedyReference) }
+func BenchmarkBuildStatic20k(b *testing.B)    { benchBuild(b, 20_000, StaticOrder) }
 
 func BenchmarkEnumerateIndexed(b *testing.B) {
 	text, comp, lead := synthText(20_000)

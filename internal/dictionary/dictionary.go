@@ -23,6 +23,7 @@ import (
 	"container/heap"
 	"encoding/binary"
 	"fmt"
+	"math"
 	"sort"
 
 	"repro/internal/stats"
@@ -220,8 +221,71 @@ func buildReference(text []uint32, cfg Config, maxEntries int) *Result {
 }
 
 // buildStatic ranks candidates once by initial savings and selects in that
-// fixed order (the ablation baseline).
+// fixed order (the ablation baseline). It runs on the indexed builder's
+// enumeration and occurrence index, so a candidate's value at its turn
+// comes from the cached use count, rescanning only if an earlier selection
+// killed one of its occurrences. Output is byte-identical to the
+// string-keyed transcription the tests keep as StaticReference.
 func buildStatic(text []uint32, cfg Config, maxEntries int) *Result {
+	n := len(text)
+	if int64(n)*int64(min(cfg.MaxEntryLen, n)) >= math.MaxInt32 {
+		return buildStaticReference(text, cfg, maxEntries)
+	}
+	spE := cfg.Trace.Child("dict.enumerate")
+	ix := newIndex(text, cfg)
+	spE.SetInt("candidates", int64(len(ix.cands))).End()
+	cfg.Stats.Add("dict.candidates", int64(len(ix.cands)))
+	covered := make([]bool, n)
+	coverEntry := newCoverEntry(n)
+	res := &Result{}
+
+	spS := cfg.Trace.Child("dict.select")
+	// Candidates worth nothing now never become worth something: uses
+	// only shrink and CodewordBits only grows with rank.
+	order := make([]*icand, 0, len(ix.cands))
+	for i := range ix.cands {
+		c := &ix.cands[i]
+		c.uses = initialUses(c)
+		c.val = savings(int(c.uses), int(c.k), cfg, 0)
+		if c.val > 0 {
+			order = append(order, c)
+		}
+	}
+	sort.SliceStable(order, func(i, j int) bool { return order[i].val > order[j].val })
+	rank := 0
+	for _, c := range order {
+		if rank >= maxEntries {
+			break
+		}
+		if c.dead {
+			continue
+		}
+		if c.dirty {
+			rescan(c)
+		}
+		v := savings(int(c.uses), int(c.k), cfg, rank)
+		if v <= 0 {
+			continue
+		}
+		ix.commit(c, rank, covered, coverEntry, res)
+		cfg.Stats.ObserveValue("dict.selection_bits", int64(v))
+		c.dead = true
+		rank++
+	}
+	cfg.Stats.Add("dict.entries", int64(rank))
+	spS.SetInt("entries", int64(rank)).End()
+	spC := cfg.Trace.Child("dict.commit")
+	ownWords(res)
+	assembleItems(text, covered, coverEntry, res)
+	spC.End()
+	return res
+}
+
+// buildStaticReference is buildStatic transcribed directly: string-keyed
+// enumeration and a full occurrence rescan at every candidate's turn. It
+// serves texts too large for the index's int32 slots and is the
+// differential oracle for buildStatic.
+func buildStaticReference(text []uint32, cfg Config, maxEntries int) *Result {
 	spE := cfg.Trace.Child("dict.enumerate")
 	cands := enumerate(text, cfg)
 	spE.SetInt("candidates", int64(len(cands))).End()

@@ -213,6 +213,42 @@ func TestIndexedMatchesReferenceSweep(t *testing.T) {
 	}
 }
 
+// TestStaticMatchesReference pins StaticOrder, which runs on the indexed
+// builder's occurrence index, to the string-keyed StaticReference across
+// the entry lengths, cost schedules and dictionary caps the ablation and
+// the figures use.
+func TestStaticMatchesReference(t *testing.T) {
+	for _, name := range synth.BenchmarkNames() {
+		name := name
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			text, cfg := benchmarkInput(t, name)
+			cfg.Strategy = dictionary.StaticOrder
+			for _, scheme := range []codeword.Scheme{codeword.Baseline, codeword.Nibble} {
+				cfg.CodewordBits = scheme.CodewordBits
+				for _, maxLen := range []int{1, 4, 8} {
+					cfg.MaxEntryLen = maxLen
+					for _, n := range []int{1, 16, 256, 0} {
+						cfg.MaxEntries = n
+						got, err := dictionary.Build(text, cfg)
+						if err != nil {
+							t.Fatal(err)
+						}
+						want := dictionary.StaticReference(text, cfg)
+						if !reflect.DeepEqual(got, want) {
+							t.Fatalf("%v, MaxEntryLen %d, cap %d: static build (%d entries, %d items) != reference (%d entries, %d items)",
+								scheme, maxLen, n, len(got.Entries), len(got.Items), len(want.Entries), len(want.Items))
+						}
+						if len(want.Entries) == 0 {
+							t.Fatalf("%v, MaxEntryLen %d, cap %d: no entries selected — differential is vacuous", scheme, maxLen, n)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 // TestCompressStrategyParity lifts the differential to the whole pipeline:
 // a full core.Compress with the indexed builder must produce the same
 // image bytes as with the reference builder.

@@ -62,3 +62,13 @@ func IndexedEnumeration(text []uint32, cfg Config) ([]EnumCand, error) {
 func IndexedCandidates(text []uint32, cfg Config) int {
 	return len(newIndex(text, cfg).cands)
 }
+
+// StaticReference is Build with StaticOrder through the string-keyed
+// transcription: the differential oracle for the indexed static builder.
+func StaticReference(text []uint32, cfg Config) *Result {
+	maxEntries := cfg.MaxEntries
+	if maxEntries <= 0 {
+		maxEntries = int(^uint(0) >> 1)
+	}
+	return buildStaticReference(text, cfg, maxEntries)
+}

@@ -1,8 +1,8 @@
 package dictionary
 
 // Fuzz differential: random texts, compressibility masks and leader masks
-// are fed to the indexed and reference greedy builders, which must agree
-// exactly. The seed corpus runs on every plain `go test`.
+// are fed to the indexed and reference builders — greedy and static —
+// which must agree exactly. The seed corpus runs on every plain `go test`.
 
 import (
 	"reflect"
@@ -110,6 +110,9 @@ func FuzzBuildDifferential(f *testing.F) {
 		cfg.Strategy = Greedy
 		got := mustBuild(t, text, cfg)
 		assertSameResult(t, "indexed vs reference", got, want)
+		cfg.Strategy = StaticOrder
+		assertSameResult(t, "static vs reference", mustBuild(t, text, cfg), StaticReference(text, cfg))
+		cfg.Strategy = Greedy
 
 		// The prefix invariant at a fuzzed cap: the capped build is the
 		// uncapped build's first selections.

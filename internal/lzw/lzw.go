@@ -92,17 +92,11 @@ func CompressAudited(data []byte, rec *stats.Recorder, em *sizeaudit.Emitter) []
 func compress(data []byte, rec *stats.Recorder, em *sizeaudit.Emitter) []byte {
 	rec.Add("lzw.dict_resets", 0) // materialize: zero resets is a finding
 	w := &bitWriter{}
-	table := make(map[string]uint32, 1<<12)
-	reset := func() uint32 {
-		for k := range table {
-			delete(table, k)
-		}
-		for i := 0; i < 256; i++ {
-			table[string([]byte{byte(i)})] = uint32(i)
-		}
-		return firstCode
-	}
-	next := reset()
+	// The string table, keyed as compress(1) keys it: a string is its
+	// prefix's code and its last byte, prefix<<8 | byte. Single bytes are
+	// their own codes and need no entry.
+	table := make(map[uint32]uint32, 1<<12)
+	next := uint32(firstCode)
 	bits := uint32(minBits)
 
 	if len(data) == 0 {
@@ -129,18 +123,17 @@ func compress(data []byte, rec *stats.Recorder, em *sizeaudit.Emitter) []byte {
 	}
 
 	spanStart := 0
-	cur := string(data[:1])
+	cur := uint32(data[0])
 	for i := 1; i < len(data); i++ {
 		c := data[i]
-		// NB: string(c) would UTF-8-encode the byte; splice it verbatim.
-		ext := cur + string([]byte{c})
-		if _, ok := table[ext]; ok {
-			cur = ext
+		key := cur<<8 | uint32(c)
+		if code, ok := table[key]; ok {
+			cur = code
 			continue
 		}
-		emit(table[cur], bits, spanStart)
+		emit(cur, bits, spanStart)
 		if next < 1<<maxBits {
-			table[ext] = next
+			table[key] = next
 			next++
 			if next == 1<<bits+1 && bits < maxBits {
 				bits++
@@ -154,16 +147,17 @@ func compress(data []byte, rec *stats.Recorder, em *sizeaudit.Emitter) []byte {
 				bitsWritten += int64(bits)
 				em.Global(sizeaudit.Dict, sizeaudit.ResetRow, int64(bits))
 				rec.Add("lzw.dict_resets", 1)
-				next = reset()
+				clear(table)
+				next = firstCode
 				bits = minBits
 			}
 			lastCheck = i
 			lastOutLen = len(w.out)
 		}
-		cur = string([]byte{c})
+		cur = uint32(c)
 		spanStart = i
 	}
-	emit(table[cur], bits, spanStart)
+	emit(cur, bits, spanStart)
 	out := w.flush()
 	em.Global(sizeaudit.Padding, sizeaudit.PadRow, int64(len(out))*8-bitsWritten)
 	rec.Add("lzw.codes", codes)

@@ -3,9 +3,12 @@ package lzw
 import (
 	"bytes"
 	"math/rand"
+	"reflect"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/sizeaudit"
+	"repro/internal/stats"
 	"repro/internal/synth"
 )
 
@@ -131,5 +134,141 @@ func TestRoundTripQuick(t *testing.T) {
 	cfg := &quick.Config{MaxCount: 150, Rand: rand.New(rand.NewSource(21))}
 	if err := quick.Check(f, cfg); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// compressReference is the string-keyed encoder compress replaced: the
+// table maps each string's bytes to its code. It is the oracle for the
+// integer-keyed table.
+func compressReference(data []byte, rec *stats.Recorder, em *sizeaudit.Emitter) []byte {
+	rec.Add("lzw.dict_resets", 0) // materialize: zero resets is a finding
+	w := &bitWriter{}
+	table := make(map[string]uint32, 1<<12)
+	reset := func() uint32 {
+		for k := range table {
+			delete(table, k)
+		}
+		for i := 0; i < 256; i++ {
+			table[string([]byte{byte(i)})] = uint32(i)
+		}
+		return firstCode
+	}
+	next := reset()
+	bits := uint32(minBits)
+
+	if len(data) == 0 {
+		return w.flush()
+	}
+	// checkGap controls how often the adaptive reset is considered.
+	const checkGap = 4096
+	lastCheck := 0
+	lastOutLen := 0
+
+	// spanStart is the input offset of cur's first byte: each emitted code
+	// covers data[spanStart:i], so its bits are attributed there.
+	var bitsWritten, codes, literals int64
+	emit := func(code, width uint32, spanStart int) {
+		w.write(code, width)
+		bitsWritten += int64(width)
+		codes++
+		cls := sizeaudit.Codeword
+		if code < clearCode {
+			cls = sizeaudit.Raw
+			literals++
+		}
+		em.At(cls, uint32(spanStart), int64(width))
+	}
+
+	spanStart := 0
+	cur := string(data[:1])
+	for i := 1; i < len(data); i++ {
+		c := data[i]
+		// NB: string(c) would UTF-8-encode the byte; splice it verbatim.
+		ext := cur + string([]byte{c})
+		if _, ok := table[ext]; ok {
+			cur = ext
+			continue
+		}
+		emit(table[cur], bits, spanStart)
+		if next < 1<<maxBits {
+			table[ext] = next
+			next++
+			if next == 1<<bits+1 && bits < maxBits {
+				bits++
+			}
+		} else if i-lastCheck > checkGap {
+			// Table full: reset when output is growing faster than input
+			// consumed since the last check (compression degrading).
+			outGrew := len(w.out) - lastOutLen
+			if outGrew > (i-lastCheck)*9/10 {
+				w.write(clearCode, bits)
+				bitsWritten += int64(bits)
+				em.Global(sizeaudit.Dict, sizeaudit.ResetRow, int64(bits))
+				rec.Add("lzw.dict_resets", 1)
+				next = reset()
+				bits = minBits
+			}
+			lastCheck = i
+			lastOutLen = len(w.out)
+		}
+		cur = string([]byte{c})
+		spanStart = i
+	}
+	emit(table[cur], bits, spanStart)
+	out := w.flush()
+	em.Global(sizeaudit.Padding, sizeaudit.PadRow, int64(len(out))*8-bitsWritten)
+	rec.Add("lzw.codes", codes)
+	rec.Add("lzw.literal_codes", literals)
+	return out
+}
+
+// TestMatchesStringKeyedReference checks that the integer-keyed encoder
+// emits the reference's bytes, overhead counters and provenance records
+// on every corpus text, the degenerate inputs, and noise long enough to
+// fill the 16-bit table and force adaptive resets.
+func TestMatchesStringKeyedReference(t *testing.T) {
+	type input struct {
+		name string
+		data []byte
+		em   func() *sizeaudit.Emitter
+	}
+	rng := rand.New(rand.NewSource(6))
+	noise := make([]byte, 300_000)
+	for i := range noise {
+		noise[i] = byte(rng.Intn(256))
+	}
+	inputs := []input{{name: "empty"}, {name: "one-byte", data: []byte{0x7c}}, {name: "noise", data: noise}}
+	for _, name := range synth.BenchmarkNames() {
+		p, err := synth.Generate(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inputs = append(inputs, input{name, p.TextBytes(), func() *sizeaudit.Emitter { return sizeaudit.NewProgramEmitter(p) }})
+	}
+	for _, in := range inputs {
+		newEm := func() *sizeaudit.Emitter { return sizeaudit.NewEmitter(nil, uint32(len(in.data))) }
+		if in.em != nil {
+			newEm = in.em
+		}
+		rec, refRec := stats.New(), stats.New()
+		em, refEm := newEm(), newEm()
+		got := compress(in.data, rec, em)
+		want := compressReference(in.data, refRec, refEm)
+		if !bytes.Equal(got, want) {
+			t.Fatalf("%s: %d bytes, reference %d", in.name, len(got), len(want))
+		}
+		s, ref := rec.Snapshot(), refRec.Snapshot()
+		for _, c := range []string{"lzw.codes", "lzw.literal_codes", "lzw.dict_resets"} {
+			if s.Counter(c) != ref.Counter(c) {
+				t.Errorf("%s: %s %d, reference %d", in.name, c, s.Counter(c), ref.Counter(c))
+			}
+		}
+		if a, b := em.Finish(in.name, "lzw", len(got), len(in.data)), refEm.Finish(in.name, "lzw", len(want), len(in.data)); !reflect.DeepEqual(a, b) {
+			t.Errorf("%s: size audit differs from the reference's", in.name)
+		}
+		if in.name == "noise" && s.Counter("lzw.dict_resets") == 0 {
+			t.Errorf("noise: no dictionary reset — the reset path went untested")
+		}
+		roundTrip(t, in.data)
 	}
 }

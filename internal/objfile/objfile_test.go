@@ -2,7 +2,9 @@ package objfile
 
 import (
 	"bytes"
+	"errors"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/codec"
@@ -263,6 +265,60 @@ func TestImageFrameValidation(t *testing.T) {
 	for _, tc := range cases {
 		if _, err := OpenImage(bytes.NewReader(tc.data)); err == nil {
 			t.Errorf("%s accepted", tc.name)
+		}
+	}
+}
+
+// TestImageHeaderRejected: a dictionary image whose header claims an
+// unknown scheme or more units than its stream holds fails to open with a
+// *core.HeaderError — before a machine could size its predecoded slots
+// from the claim — in both frame versions, and opening it allocates
+// nothing near the claimed size.
+func TestImageHeaderRejected(t *testing.T) {
+	p, err := synth.Generate("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := core.Compress(p, core.Options{Scheme: codeword.Nibble})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var v1, v2 bytes.Buffer
+	if err := WriteImageV1(&v1, img); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteImage(&v2, img); err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		field string
+		patch []byte // written over the body from its scheme byte on
+	}{
+		{"units", []byte{byte(codeword.Nibble), 0x7F, 0xFF, 0xFF, 0xFF}},
+		{"scheme", []byte{byte(codeword.Liao) + 1}},
+	} {
+		// The body follows the magic (v1) or the magic, sentinel, version
+		// and method bytes (v2). It opens with the name (uint16 length +
+		// bytes), then the scheme byte and the uint32 unit count.
+		for _, f := range []struct {
+			version int
+			frame   []byte
+			body    int
+		}{{1, v1.Bytes(), 4}, {2, v2.Bytes(), 7}} {
+			version := f.version
+			bad := append([]byte(nil), f.frame...)
+			copy(bad[f.body+2+len(img.Name):], tc.patch)
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			opened, err := OpenImage(bytes.NewReader(bad))
+			runtime.ReadMemStats(&after)
+			var he *core.HeaderError
+			if !errors.As(err, &he) || he.Field != tc.field {
+				t.Fatalf("%s v%d: OpenImage = %T, %v; want a *core.HeaderError on %s", tc.field, version, opened, err, tc.field)
+			}
+			if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(16*len(bad)) {
+				t.Errorf("%s v%d: opening a %d-byte frame allocated %d bytes", tc.field, version, len(bad), grew)
+			}
 		}
 	}
 }
