@@ -76,13 +76,14 @@ lint-fastpath:
 	fi
 
 # Metric-name registry gate: every literal counter/phase/histogram name
-# passed to a stats.Recorder sink (Add/Observe/ObserveValue/Time) must
-# appear in internal/stats/metrics.txt, so bundle schemas, the -json
+# passed to a stats.Recorder sink (Add/Observe/ObserveValue) or to
+# trace.Span.Phase, which takes the name first, must appear in
+# internal/stats/metrics.txt, so bundle schemas, the -json
 # report and /metrics output cannot grow names silently. Dynamically
 # built names (machine.fastpath.bail.* from BailReason strings) are
 # enumerated in the registry and pinned by a test in internal/machine.
 lint-metrics:
-	@used=$$(grep -rhoE '\.(Add|Observe|ObserveValue|Time)\("[a-z0-9_]+\.[a-z0-9_.]+"' \
+	@used=$$(grep -rhoE '\.(Add|Observe|ObserveValue|Phase)\("[a-z0-9_]+\.[a-z0-9_.]+"' \
 		--include='*.go' --exclude='*_test.go' cmd internal \
 		| sed -E 's/.*\("([^"]+)".*/\1/' | sort -u); \
 	missing=$$(for m in $$used; do \

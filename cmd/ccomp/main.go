@@ -65,13 +65,8 @@ func main() {
 		fatal(err)
 	}
 
-	var em *sizeaudit.Emitter
-	if *audit || *auditDiff {
-		em = sizeaudit.NewProgramEmitter(p)
-	}
-	img, err := cd.Compress(p, codec.Options{
-		MaxEntries: *entries, MaxEntryLen: *entryLen, Audit: em,
-	})
+	opts := codec.Options{MaxEntries: *entries, MaxEntryLen: *entryLen}
+	img, err := cd.Compress(p, opts)
 	if err != nil {
 		fatal(err)
 	}
@@ -110,9 +105,9 @@ func main() {
 	}
 	fmt.Printf("  verified: structural equivalence OK -> %s\n", dst)
 
-	if em != nil {
-		a := em.Finish(p.Name, cd.Name(), img.CompressedBytes(), p.SizeBytes())
-		if err := a.Check(); err != nil {
+	if *audit || *auditDiff {
+		a, err := cd.Audit(p, opts)
+		if err != nil {
 			fatal(err)
 		}
 		fmt.Println()

@@ -179,11 +179,9 @@ func (c *Corpus) Program(name string) (*program.Program, error) {
 	st.progs[name] = f
 	st.mu.Unlock()
 
-	stop := c.rec.Time("corpus.generate")
-	sp := c.sp.Child("corpus.generate").Set("bench", name)
+	sp := c.sp.Phase("corpus.generate", c.rec).Set("bench", name)
 	f.val, f.err = synth.Generate(name)
 	sp.End()
-	stop()
 	c.rec.Add("corpus.generations", 1)
 	close(f.done)
 	return f.val, f.err
@@ -228,15 +226,13 @@ func (c *Corpus) compress(name string, opt core.Options) (*core.Image, error) {
 	}
 	opt = opt.Normalized()
 	opt.Stats = c.rec
-	sp := c.sp.Child("corpus.compress").Set("bench", name).Set("scheme", opt.Scheme.String())
+	sp := c.sp.Phase("corpus.compress", c.rec).Set("bench", name).Set("scheme", opt.Scheme.String())
 	opt.Trace = sp
-	stop := c.rec.Time("corpus.compress")
 	var img *core.Image
 	sel, err := c.build(name, p, opt)
 	if err == nil {
 		img, err = core.CompressBuilt(p.Clone(), sel.Prefix(p.Text, opt.MaxEntries), opt)
 	}
-	stop()
 	sp.End()
 	c.rec.Add("corpus.compressions", 1)
 	if err != nil {

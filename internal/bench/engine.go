@@ -109,17 +109,18 @@ launch:
 			sp := e.opt.Tracer.Root("experiment:"+r.ID).
 				Set("id", r.ID).Set("title", r.Title).SetInt("slot", int64(i))
 			view := e.corpus.Bound(ctx, sem, rec).WithSpan(sp)
-			stop := rec.Time("experiment.wall")
+			t0 := time.Now()
 			tab, err := r.Run(view)
-			stop()
+			wall := time.Since(t0)
 			sp.End()
+			rec.Observe("experiment.wall", wall)
 			snap := rec.Snapshot()
 			results[i] = Result{
 				ID:    r.ID,
 				Title: r.Title,
 				Table: tab,
 				Err:   err,
-				Wall:  snap.Phase("experiment.wall").Duration(),
+				Wall:  wall,
 				Stats: snap,
 			}
 			e.opt.Recorder.Merge(snap)

@@ -8,7 +8,11 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/codeword"
+	"repro/internal/core"
 	"repro/internal/stats"
+	"repro/internal/synth"
+	"repro/internal/trace"
 )
 
 // renderAll concatenates the rendered tables of a result set.
@@ -224,4 +228,49 @@ func TestParallelEach(t *testing.T) {
 	if !errors.Is(err, wantErr) {
 		t.Errorf("error not propagated: %v", err)
 	}
+}
+
+// TestPhasesAreSpans: every pipeline phase is timed by the span of the
+// same name, so a phase's Count is the number of those spans and its
+// Nanos their summed duration, exactly — for a direct core.Compress and
+// for an engine run.
+func TestPhasesAreSpans(t *testing.T) {
+	check := func(label string, rec *stats.Recorder, tr *trace.Tracer, names ...string) {
+		t.Helper()
+		count := map[string]int64{}
+		nanos := map[string]int64{}
+		for _, s := range tr.Spans() {
+			count[s.Name]++
+			nanos[s.Name] += int64(s.Dur)
+		}
+		snap := rec.Snapshot()
+		for _, name := range names {
+			p := snap.Phase(name)
+			if p.Count == 0 || p.Count != count[name] || p.Nanos != nanos[name] {
+				t.Errorf("%s: phase %s = %+v, spans %d summing %d ns", label, name, p, count[name], nanos[name])
+			}
+		}
+	}
+
+	p, err := synth.Generate("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, tr := stats.New(), trace.New()
+	root := tr.Root("compress")
+	if _, err := core.Compress(p, core.Options{Scheme: codeword.Nibble, Stats: rec, Trace: root}); err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	check("core.Compress", rec, tr, "core.analyze", "core.build", "core.encode", "core.patch")
+
+	rec, tr = stats.New(), trace.New()
+	e := NewEngine(NewCorpus(), EngineOptions{Parallel: 1, Recorder: rec, Tracer: tr})
+	if _, err := e.Run(context.Background(), []Runner{{ID: "one", Run: func(c *Corpus) (*Table, error) {
+		_, err := c.Image("compress", core.Options{Scheme: codeword.Baseline})
+		return &Table{}, err
+	}}}); err != nil {
+		t.Fatal(err)
+	}
+	check("engine", rec, tr, "corpus.generate", "corpus.compress", "core.analyze", "core.build", "core.encode", "core.patch")
 }

@@ -69,11 +69,6 @@ type Options struct {
 	// Trace, when non-nil, is the parent span for the codec's pipeline
 	// phases. Nil-safe pass-through; never affects the produced image.
 	Trace *trace.Span
-
-	// Audit, when non-nil, receives one byte-provenance record per emitted
-	// item. Nil-safe pass-through; never affects the produced image.
-	// Callers Finish it with the image's CompressedBytes afterwards.
-	Audit *sizeaudit.Emitter
 }
 
 // Image is a compressed program produced by a Codec. Concrete types carry
@@ -146,8 +141,9 @@ type Codec interface {
 	// round-trip; the strongest check the codec supports).
 	Verify(p *program.Program, img Image) error
 
-	// Audit compresses with a live provenance emitter attached and returns
-	// the finished, conservation-checked audit.
+	// Audit compresses p and returns its finished, conservation-checked
+	// byte-provenance audit. The dictionary codecs rebuild it from the
+	// image's marks; the others compress with a live emitter attached.
 	Audit(p *program.Program, opt Options) (*sizeaudit.Audit, error)
 
 	// MaxCompressedBytes is a conservative upper bound on the compressed

@@ -90,21 +90,22 @@ func WriteImagePayload(dst io.Writer, img *Image) error {
 }
 
 // HeaderError reports a dictionary image header field out of range for
-// its payload: a scheme byte naming no scheme, or more stream units than
-// the stream holds.
+// its payload: a scheme byte naming no scheme, more stream units than the
+// stream holds, or an empty dictionary entry.
 type HeaderError struct {
-	Field string // "scheme" or "units"
+	Field string // "scheme", "units" or "entry length"
 	Value int64
+	Min   int64 // the smallest value the payload admits
 	Limit int64 // the largest value the payload admits
 }
 
 func (e *HeaderError) Error() string {
-	return fmt.Sprintf("core: image header %s %d out of range (at most %d)", e.Field, e.Value, e.Limit)
+	return fmt.Sprintf("core: image header %s %d out of range [%d, %d]", e.Field, e.Value, e.Min, e.Limit)
 }
 
 // ReadImagePayload deserializes a dictionary image body written by
 // WriteImagePayload. It fails with a *HeaderError when the header's scheme
-// or unit count contradicts the payload.
+// or unit count contradicts the payload, or a dictionary entry is empty.
 func ReadImagePayload(src io.Reader) (*Image, error) {
 	r := wire.NewReader(src)
 	img := &Image{}
@@ -126,6 +127,10 @@ func ReadImagePayload(src io.Reader) (*Image, error) {
 	nent := r.Count(int(r.U32()), "entry")
 	for i := 0; i < nent && r.Err() == nil; i++ {
 		k := int(r.U8())
+		if k == 0 {
+			r.Fail(&HeaderError{Field: "entry length", Value: 0, Min: 1, Limit: math.MaxUint8})
+			break
+		}
 		words := make([]uint32, k)
 		for j := range words {
 			words[j] = r.U32()
@@ -201,7 +206,6 @@ func (c schemeCodec) options(opt codec.Options) Options {
 		DynProfile:  opt.DynProfile,
 		Stats:       opt.Stats,
 		Trace:       opt.Trace,
-		Audit:       opt.Audit,
 	}
 }
 

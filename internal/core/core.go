@@ -320,17 +320,14 @@ func Build(p *program.Program, opt Options) (*dictionary.Result, error) {
 }
 
 func build(p *program.Program, opt Options) (*dictionary.Result, *program.Analysis, error) {
-	stopAnalyze := opt.Stats.Time("core.analyze")
-	spAnalyze := opt.Trace.Child("core.analyze")
+	spAnalyze := opt.Trace.Phase("core.analyze", opt.Stats)
 	compressible, an, err := markers(p)
 	spAnalyze.End()
-	stopAnalyze()
 	if err != nil {
 		return nil, nil, err
 	}
 
-	stopBuild := opt.Stats.Time("core.build")
-	spBuild := opt.Trace.Child("core.build")
+	spBuild := opt.Trace.Phase("core.build", opt.Stats)
 	res, err := dictionary.Build(p.Text, dictionary.Config{
 		MaxEntries:        opt.MaxEntries,
 		MaxEntryLen:       opt.MaxEntryLen,
@@ -343,7 +340,6 @@ func build(p *program.Program, opt Options) (*dictionary.Result, *program.Analys
 		Trace:             spBuild,
 	})
 	spBuild.End()
-	stopBuild()
 	if err != nil {
 		return nil, nil, err
 	}
@@ -388,23 +384,17 @@ func assemble(p *program.Program, an *program.Analysis, opt Options, res *dictio
 		OriginalBytes:  p.SizeBytes(),
 	}
 
-	stopEncode := opt.Stats.Time("core.encode")
-	spEncode := opt.Trace.Child("core.encode")
+	spEncode := opt.Trace.Phase("core.encode", opt.Stats)
 	lay, err := layout(p, an, res.Items, rank.of, opt.Scheme)
-	if err != nil {
-		spEncode.End()
-		stopEncode()
-		return nil, err
+	if err == nil {
+		err = emit(img, an, res.Items, rank.of, lay, opt)
 	}
-	err = emit(img, an, res.Items, rank.of, lay, opt)
 	spEncode.End()
-	stopEncode()
 	if err != nil {
 		return nil, err
 	}
 
-	defer opt.Stats.Time("core.patch")()
-	defer opt.Trace.Child("core.patch").End()
+	defer opt.Trace.Phase("core.patch", opt.Stats).End()
 	// Patch jump tables to absolute unit addresses in compressed space.
 	jts, err := p.JumpTableTargets()
 	if err != nil {

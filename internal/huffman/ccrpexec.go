@@ -117,15 +117,18 @@ func (img *CCRPImage) Ratio() float64 {
 	return float64(img.CompressedBytes()) / float64(img.OriginalBytes)
 }
 
+// extent is the number of text bytes line ln holds: LineSize, or less for
+// the last line.
+func (img *CCRPImage) extent(ln int) int {
+	return min(img.LineSize, img.NumWords*4-ln*img.LineSize)
+}
+
 // decodeLine expands line ln into words.
 func (img *CCRPImage) decodeLine(ln int) ([]uint32, error) {
 	if ln < 0 || ln >= len(img.Lines) {
 		return nil, fmt.Errorf("huffman: line %d out of range", ln)
 	}
-	nbytes := img.LineSize
-	if rem := img.NumWords*4 - ln*img.LineSize; rem < nbytes {
-		nbytes = rem
-	}
+	nbytes := img.extent(ln)
 	var raw []byte
 	if img.Raw[ln] {
 		raw = img.Lines[ln]

@@ -57,7 +57,19 @@ func WriteCCRPImagePayload(dst io.Writer, img *CCRPImage) error {
 	return w.Err()
 }
 
-// ReadCCRPImagePayload deserializes a CCRP image body.
+// LineError reports a raw CCRP line shorter than the text it covers.
+type LineError struct {
+	Line   int
+	Len    int // stored bytes
+	Extent int // text bytes the line covers
+}
+
+func (e *LineError) Error() string {
+	return fmt.Sprintf("huffman: raw line %d holds %d bytes, covers %d", e.Line, e.Len, e.Extent)
+}
+
+// ReadCCRPImagePayload deserializes a CCRP image body. It fails with a
+// *LineError when a raw line is shorter than the text it covers.
 func ReadCCRPImagePayload(src io.Reader) (*CCRPImage, error) {
 	r := wire.NewReader(src)
 	img := &CCRPImage{}
@@ -83,6 +95,14 @@ func ReadCCRPImagePayload(src io.Reader) (*CCRPImage, error) {
 	if img.LineSize <= 0 || img.LineSize%4 != 0 {
 		return nil, fmt.Errorf("huffman: bad line size %d in image", img.LineSize)
 	}
+	if want := (img.NumWords*4 + img.LineSize - 1) / img.LineSize; len(img.Lines) != want {
+		return nil, fmt.Errorf("huffman: image holds %d lines for %d words, want %d", len(img.Lines), img.NumWords, want)
+	}
+	for ln, l := range img.Lines {
+		if ext := img.extent(ln); img.Raw[ln] && len(l) < ext {
+			return nil, &LineError{Line: ln, Len: len(l), Extent: ext}
+		}
+	}
 	code, err := NewCodeFromLens(lens)
 	if err != nil {
 		return nil, err
@@ -101,7 +121,6 @@ func (ccrpCodec) Name() string         { return "ccrp" }
 func cfgFor(opt codec.Options) CCRP {
 	cfg := DefaultCCRP()
 	cfg.Stats = opt.Stats
-	cfg.Audit = opt.Audit
 	return cfg
 }
 

@@ -72,7 +72,7 @@ func (lzwCodec) Compress(p *program.Program, opt codec.Options) (codec.Image, er
 	return &Image{
 		Name:          p.Name,
 		OriginalBytes: p.SizeBytes(),
-		Blob:          CompressAudited(p.TextBytes(), opt.Stats, opt.Audit),
+		Blob:          CompressAudited(p.TextBytes(), opt.Stats, nil),
 	}, nil
 }
 

@@ -10,6 +10,7 @@ import (
 	"repro/internal/codec"
 	"repro/internal/codeword"
 	"repro/internal/core"
+	"repro/internal/huffman"
 	"repro/internal/program"
 	"repro/internal/synth"
 )
@@ -320,6 +321,76 @@ func TestImageHeaderRejected(t *testing.T) {
 				t.Errorf("%s v%d: opening a %d-byte frame allocated %d bytes", tc.field, version, len(bad), grew)
 			}
 		}
+	}
+}
+
+// TestEmptyEntryRejected: a golden baseline frame whose first dictionary
+// entry is cut to length zero fails to open with a *core.HeaderError,
+// instead of opening and panicking when the codeword is expanded.
+func TestEmptyEntryRejected(t *testing.T) {
+	p, err := synth.Generate("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := core.Compress(p, core.Options{Scheme: codeword.Baseline})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var frame bytes.Buffer
+	if err := WriteImage(&frame, img); err != nil {
+		t.Fatal(err)
+	}
+	// Frame header (7), name (2+len), scheme (1), units (4), stream blob
+	// (4+len), base (4), entry unit (4), entry count (4): then entry 0's
+	// length byte and its words.
+	off := 7 + 2 + len(img.Name) + 1 + 4 + 4 + len(img.Stream) + 4 + 4 + 4
+	k := len(img.Entries[0].Words)
+	if int(frame.Bytes()[off]) != k {
+		t.Fatalf("byte %d = %d, want entry 0's length %d", off, frame.Bytes()[off], k)
+	}
+	bad := append([]byte(nil), frame.Bytes()[:off]...)
+	bad = append(bad, 0)
+	bad = append(bad, frame.Bytes()[off+1+4*k:]...)
+	opened, err := OpenImage(bytes.NewReader(bad))
+	var he *core.HeaderError
+	if !errors.As(err, &he) || he.Field != "entry length" {
+		t.Fatalf("OpenImage = %T, %v; want a *core.HeaderError on entry length", opened, err)
+	}
+}
+
+// TestShortRawLineRejected: a golden CCRP frame whose first line is
+// flagged raw while holding its shorter Huffman encoding fails to open
+// with a *huffman.LineError, instead of opening and panicking when the
+// line is decoded.
+func TestShortRawLineRejected(t *testing.T) {
+	p, err := synth.Generate("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cd, err := codec.ByName("ccrp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := cd.Compress(p, codec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci := img.(*huffman.CCRPImage)
+	if ci.Raw[0] || len(ci.Lines[0]) >= ci.LineSize {
+		t.Fatal("line 0 is not a compressed line")
+	}
+	var frame bytes.Buffer
+	if err := WriteImage(&frame, img); err != nil {
+		t.Fatal(err)
+	}
+	// Frame header (7), name (2+len), line size, text base, word count and
+	// entry (16), code lengths (256), line count (4): then line 0's raw flag.
+	bad := append([]byte(nil), frame.Bytes()...)
+	bad[7+2+len(ci.Name)+16+256+4] = 1
+	opened, err := OpenImage(bytes.NewReader(bad))
+	var le *huffman.LineError
+	if !errors.As(err, &le) || le.Line != 0 || le.Extent != ci.LineSize {
+		t.Fatalf("OpenImage = %T, %v; want a *huffman.LineError on line 0", opened, err)
 	}
 }
 

@@ -6,6 +6,7 @@ import (
 	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/core"
 	"repro/internal/guestprof"
@@ -19,16 +20,10 @@ func testBundle() *Bundle {
 	rec := stats.New()
 	rec.Add("machine.steps", 1000)
 	rec.Add("machine.expanded", 120)
-	stop := rec.Time("core.compress")
-	stop()
+	rec.Observe("core.compress", 1500*time.Microsecond)
 	rec.Observe("machine.expansion_len", 2)
 	rec.Observe("machine.expansion_len", 4)
 	snap := rec.Snapshot()
-	// The recorder's phase carries wall-clock nanos; pin them for
-	// deterministic goldens.
-	ph := snap.Phases["core.compress"]
-	ph.Nanos = 1_500_000
-	snap.Phases["core.compress"] = ph
 
 	em := sizeaudit.NewEmitter([]sizeaudit.Func{
 		{Name: "main", Start: 0},

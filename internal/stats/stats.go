@@ -31,9 +31,6 @@ type Phase struct {
 	Nanos int64 `json:"nanos"` // total duration in nanoseconds
 }
 
-// Duration returns the accumulated time.
-func (p Phase) Duration() time.Duration { return time.Duration(p.Nanos) }
-
 // New creates an empty recorder.
 func New() *Recorder {
 	return &Recorder{
@@ -57,7 +54,9 @@ func (r *Recorder) Add(name string, n int64) {
 	r.mu.Unlock()
 }
 
-// Observe accumulates one completed invocation of the named phase.
+// Observe accumulates one completed invocation of the named phase. The
+// pipeline's phases arrive here from trace.Span.Phase, whose End passes
+// the span's own duration.
 func (r *Recorder) Observe(name string, d time.Duration) {
 	if r == nil {
 		return
@@ -68,19 +67,6 @@ func (r *Recorder) Observe(name string, d time.Duration) {
 	p.Nanos += int64(d)
 	r.phases[name] = p
 	r.mu.Unlock()
-}
-
-// Time starts a phase timer and returns the function that stops it:
-//
-//	defer r.Time("core.build")()
-//
-// The returned stop is safe to call on a timer from a nil recorder.
-func (r *Recorder) Time(name string) func() {
-	if r == nil {
-		return func() {}
-	}
-	t0 := time.Now()
-	return func() { r.Observe(name, time.Since(t0)) }
 }
 
 // ObserveValue folds one value into the named histogram. Distributions

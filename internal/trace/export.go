@@ -2,9 +2,7 @@ package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
-	"sort"
 	"time"
 )
 
@@ -71,42 +69,4 @@ func (t *Tracer) WriteChrome(w io.Writer) error {
 	}
 	enc := json.NewEncoder(w)
 	return enc.Encode(doc)
-}
-
-// WriteTree renders the spans as an indented tree, children ordered by
-// start time — the quick-look companion to the Chrome export. Nil-safe.
-func (t *Tracer) WriteTree(w io.Writer) error {
-	spans := t.Spans()
-	children := make(map[int64][]SpanInfo, len(spans))
-	for _, s := range spans {
-		children[s.Parent] = append(children[s.Parent], s)
-	}
-	for _, kids := range children {
-		sort.SliceStable(kids, func(i, j int) bool { return kids[i].Start < kids[j].Start })
-	}
-	var dump func(parent int64, depth int) error
-	dump = func(parent int64, depth int) error {
-		for _, s := range children[parent] {
-			for i := 0; i < depth; i++ {
-				if _, err := io.WriteString(w, "  "); err != nil {
-					return err
-				}
-			}
-			line := fmt.Sprintf("%s %s", s.Name, s.Dur.Round(time.Microsecond))
-			if !s.Ended {
-				line += " (running)"
-			}
-			for _, a := range s.Attrs {
-				line += fmt.Sprintf(" %s=%s", a.Key, a.Value)
-			}
-			if _, err := io.WriteString(w, line+"\n"); err != nil {
-				return err
-			}
-			if err := dump(s.ID, depth+1); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return dump(0, 0)
 }

@@ -1,17 +1,21 @@
 // Package trace provides lightweight span tracing for the compression and
 // simulation pipeline: a concurrency-safe collector of named spans (ID,
 // parent, attributes, wall-clock interval) with a Chrome trace-event JSON
-// exporter (loadable in chrome://tracing and Perfetto) and a
-// human-readable tree dump.
+// exporter (loadable in chrome://tracing and Perfetto).
 //
 // Like the stats recorder, every entry point is nil-safe: a nil *Tracer
 // yields nil *Spans, and every method of a nil *Span is a no-op, so
 // instrumented code never checks whether tracing is enabled.
+//
+// A span opened with Phase is also a stats.Recorder phase timer: its one
+// measured duration is both the span's Dur and the phase's Nanos.
 package trace
 
 import (
 	"sync"
 	"time"
+
+	"repro/internal/stats"
 )
 
 // Tracer collects spans. The zero value is not usable; call New. A nil
@@ -33,18 +37,19 @@ type Attr struct {
 	Value string `json:"value"`
 }
 
-// Span is one timed operation. Spans are created by Tracer.Root and
-// Span.Child and finished with End; attributes may be attached at any
-// point in between. A span is owned by the goroutine that created it —
-// concurrent children are fine (each goroutine gets its own span), but a
-// single span must not be mutated from two goroutines.
+// Span is one timed operation. Spans are created by Tracer.Root,
+// Span.Child and Span.Phase and finished with End; attributes may be
+// attached at any point in between. A span is owned by the goroutine that
+// created it — concurrent children are fine (each goroutine gets its own
+// span), but a single span must not be mutated from two goroutines.
 type Span struct {
-	tr     *Tracer
+	tr     *Tracer // nil for a detached phase span
+	rec    *stats.Recorder
 	id     int64
 	parent int64 // 0 = root
 
 	name  string
-	start time.Duration // offset from the tracer epoch
+	begin time.Time
 
 	mu    sync.Mutex // guards the mutable tail against concurrent export
 	attrs []Attr
@@ -54,7 +59,7 @@ type Span struct {
 
 // start allocates and registers a span.
 func (t *Tracer) start(parent int64, name string) *Span {
-	s := &Span{tr: t, parent: parent, name: name, start: time.Since(t.t0)}
+	s := &Span{tr: t, parent: parent, name: name, begin: time.Now()}
 	t.mu.Lock()
 	t.next++
 	s.id = t.next
@@ -81,19 +86,37 @@ func (t *Tracer) Len() int {
 	return len(t.spans)
 }
 
-// Child opens a span nested under s. Nil-safe: a nil receiver yields nil,
-// so an untraced pipeline builds no spans at all.
+// Child opens a span nested under s. Nil-safe: a nil or detached
+// receiver yields nil, so an untraced pipeline builds no spans at all.
 func (s *Span) Child(name string) *Span {
-	if s == nil {
+	if s == nil || s.tr == nil {
 		return nil
 	}
 	return s.tr.start(s.id, name)
 }
 
-// Set attaches a string attribute and returns s for chaining. Nil-safe.
+// Phase opens a child span whose End also adds its duration to rec's
+// phase of the same name, so the span and the phase share one clock
+// reading. Under a nil or detached s it returns a detached span that
+// records the phase and nothing else; with s and rec both nil it returns
+// nil and allocates nothing. Nil rec makes it Child.
+func (s *Span) Phase(name string, rec *stats.Recorder) *Span {
+	sp := s.Child(name)
+	if sp == nil {
+		if rec == nil {
+			return nil
+		}
+		sp = &Span{name: name, begin: time.Now()}
+	}
+	sp.rec = rec
+	return sp
+}
+
+// Set attaches a string attribute and returns s for chaining. Nil-safe;
+// a detached span discards it.
 func (s *Span) Set(key, value string) *Span {
-	if s == nil {
-		return nil
+	if s == nil || s.tr == nil {
+		return s
 	}
 	s.mu.Lock()
 	s.attrs = append(s.attrs, Attr{Key: key, Value: value})
@@ -101,27 +124,33 @@ func (s *Span) Set(key, value string) *Span {
 	return s
 }
 
-// SetInt attaches an integer attribute. Nil-safe.
+// SetInt attaches an integer attribute. Nil-safe; a detached span
+// discards it.
 func (s *Span) SetInt(key string, v int64) *Span {
-	if s == nil {
-		return nil
+	if s == nil || s.tr == nil {
+		return s
 	}
 	return s.Set(key, itoa(v))
 }
 
-// End closes the span, fixing its duration. Nil-safe; ending twice keeps
-// the first duration.
+// End closes the span, fixing its duration, and adds that duration to
+// the phase of a span opened with Phase. Nil-safe; ending twice keeps the
+// first duration and records the phase once.
 func (s *Span) End() {
 	if s == nil {
 		return
 	}
-	d := time.Since(s.tr.t0) - s.start
+	d := time.Since(s.begin)
 	s.mu.Lock()
-	if !s.ended {
+	first := !s.ended
+	if first {
 		s.ended = true
 		s.dur = d
 	}
 	s.mu.Unlock()
+	if first {
+		s.rec.Observe(s.name, d)
+	}
 }
 
 // SpanInfo is the exported, immutable view of one span.
@@ -153,7 +182,7 @@ func (t *Tracer) Spans() []SpanInfo {
 		s.mu.Lock()
 		info := SpanInfo{
 			ID: s.id, Parent: s.parent, Name: s.name,
-			Start: s.start, Dur: s.dur, Ended: s.ended,
+			Start: s.begin.Sub(t.t0), Dur: s.dur, Ended: s.ended,
 			Attrs: append([]Attr(nil), s.attrs...),
 		}
 		s.mu.Unlock()

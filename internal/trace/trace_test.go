@@ -3,9 +3,11 @@ package trace
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"sync"
 	"testing"
+	"time"
+
+	"repro/internal/stats"
 )
 
 func TestNilTracerAndSpanAreSafe(t *testing.T) {
@@ -25,9 +27,6 @@ func TestNilTracerAndSpanAreSafe(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	if err := tr.WriteChrome(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.WriteTree(&buf); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -129,26 +128,34 @@ func TestWriteChromeRoundTrip(t *testing.T) {
 	}
 }
 
-func TestWriteTree(t *testing.T) {
+// TestWriteChromeAttrsAndNesting: a root's attributes become its event's
+// args, and its child's event lands on the root's track.
+func TestWriteChromeAttrsAndNesting(t *testing.T) {
 	tr := New()
 	root := tr.Root("experiment").Set("id", "fig5")
 	root.Child("corpus.compress").End()
 	root.End()
 
 	var buf bytes.Buffer
-	if err := tr.WriteTree(&buf); err != nil {
+	if err := tr.WriteChrome(&buf); err != nil {
 		t.Fatal(err)
 	}
-	out := buf.String()
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("tree:\n%s", out)
+	var doc chromeDoc
+	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
+		t.Fatal(err)
 	}
-	if !strings.HasPrefix(lines[0], "experiment ") || !strings.Contains(lines[0], "id=fig5") {
-		t.Errorf("root line %q", lines[0])
+	tid := map[string]int64{}
+	for _, ev := range doc.TraceEvents {
+		if ev.Ph != "X" {
+			continue
+		}
+		tid[ev.Name] = *ev.TID
+		if ev.Name == "experiment" && ev.Args["id"] != "fig5" {
+			t.Errorf("root args = %v", ev.Args)
+		}
 	}
-	if !strings.HasPrefix(lines[1], "  corpus.compress ") {
-		t.Errorf("child line %q", lines[1])
+	if len(tid) != 2 || tid["corpus.compress"] != tid["experiment"] {
+		t.Fatalf("tracks = %v, want the child on its root's track", tid)
 	}
 }
 
@@ -172,7 +179,6 @@ func TestConcurrentCollector(t *testing.T) {
 				if j%10 == 0 {
 					_ = tr.Spans()
 					_ = tr.WriteChrome(&bytes.Buffer{})
-					_ = tr.WriteTree(&bytes.Buffer{})
 				}
 			}
 		}()
@@ -208,13 +214,77 @@ func TestWriteChromeEmptyTracer(t *testing.T) {
 	if doc.Unit != "ms" {
 		t.Fatalf("displayTimeUnit %q", doc.Unit)
 	}
+}
 
-	// WriteTree on the same empty tracer writes nothing but succeeds.
-	buf.Reset()
-	if err := tr.WriteTree(&buf); err != nil {
-		t.Fatalf("WriteTree: %v", err)
+// TestPhaseIsSpan: a phase span's one measured duration is both its Dur
+// and its recorder phase's Nanos, recorded once however often it ends.
+func TestPhaseIsSpan(t *testing.T) {
+	tr := New()
+	rec := stats.New()
+	root := tr.Root("r")
+	for i := 0; i < 3; i++ {
+		sp := root.Phase("core.build", rec).Set("i", "x")
+		sp.Child("dict.select").End()
+		sp.End()
+		sp.End()
 	}
-	if strings.TrimSpace(buf.String()) != "" {
-		t.Fatalf("WriteTree output %q", buf.String())
+	root.Phase("core.encode", nil).End() // nil rec: a plain child
+	root.End()
+
+	var n int64
+	var sum time.Duration
+	for _, s := range tr.Spans() {
+		if s.Name == "core.build" {
+			n++
+			sum += s.Dur
+			if s.Parent != 1 || len(s.Attrs) != 1 {
+				t.Errorf("phase span %+v", s)
+			}
+		}
+	}
+	if tr.Len() != 8 {
+		t.Errorf("spans = %d, want 8", tr.Len())
+	}
+	snap := rec.Snapshot()
+	if p := snap.Phase("core.build"); p.Count != n || p.Nanos != int64(sum) || n != 3 {
+		t.Errorf("phase %+v, spans %d summing %d ns", p, n, sum)
+	}
+	if len(snap.Phases) != 1 {
+		t.Errorf("phases = %v, want core.build alone", snap.Phases)
+	}
+}
+
+// TestDetachedPhase: without a tracer a phase still records, through a
+// detached span that has no children and collects nothing; without a
+// recorder too it is nil and free.
+func TestDetachedPhase(t *testing.T) {
+	rec := stats.New()
+	var parent *Span
+	sp := parent.Phase("corpus.compress", rec).Set("bench", "gcc").SetInt("n", 1)
+	if sp == nil {
+		t.Fatal("nil parent with a recorder returned nil")
+	}
+	if sp.Child("dict.select") != nil {
+		t.Error("a detached span returned a child")
+	}
+	inner := sp.Phase("core.build", rec)
+	if inner == nil {
+		t.Fatal("Phase of a detached span returned nil")
+	}
+	inner.End()
+	sp.End()
+	snap := rec.Snapshot()
+	for _, name := range []string{"corpus.compress", "core.build"} {
+		if snap.Phase(name).Count != 1 {
+			t.Errorf("%s = %+v, want one invocation", name, snap.Phase(name))
+		}
+	}
+	if parent.Phase("core.build", nil) != nil {
+		t.Error("nil parent and nil recorder returned a span")
+	}
+	if a := testing.AllocsPerRun(100, func() {
+		parent.Phase("core.build", nil).Set("k", "v").End()
+	}); a != 0 {
+		t.Errorf("untraced, unrecorded phase allocates %v", a)
 	}
 }

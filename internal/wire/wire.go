@@ -25,6 +25,7 @@ const (
 type Writer struct {
 	w   io.Writer
 	err error
+	buf [8]byte
 }
 
 // NewWriter wraps dst. Buffering is the caller's concern.
@@ -41,22 +42,16 @@ func (w *Writer) Fail(err error) {
 }
 
 // U8 writes one byte.
-func (w *Writer) U8(v uint8) { w.bin(v) }
+func (w *Writer) U8(v uint8) { w.Bytes(append(w.buf[:0], v)) }
 
 // U16 writes a big-endian uint16.
-func (w *Writer) U16(v uint16) { w.bin(v) }
+func (w *Writer) U16(v uint16) { w.Bytes(binary.BigEndian.AppendUint16(w.buf[:0], v)) }
 
 // U32 writes a big-endian uint32.
-func (w *Writer) U32(v uint32) { w.bin(v) }
+func (w *Writer) U32(v uint32) { w.Bytes(binary.BigEndian.AppendUint32(w.buf[:0], v)) }
 
 // U64 writes a big-endian uint64.
-func (w *Writer) U64(v uint64) { w.bin(v) }
-
-func (w *Writer) bin(v interface{}) {
-	if w.err == nil {
-		w.err = binary.Write(w.w, binary.BigEndian, v)
-	}
-}
+func (w *Writer) U64(v uint64) { w.Bytes(binary.BigEndian.AppendUint64(w.buf[:0], v)) }
 
 // Bytes writes raw bytes with no length prefix.
 func (w *Writer) Bytes(b []byte) {
@@ -88,9 +83,11 @@ func (w *Writer) Str(s string) {
 // Words writes a uint32 count followed by each word.
 func (w *Writer) Words(ws []uint32) {
 	w.U32(uint32(len(ws)))
+	b := make([]byte, 0, 4*len(ws))
 	for _, x := range ws {
-		w.U32(x)
+		b = binary.BigEndian.AppendUint32(b, x)
 	}
+	w.Bytes(b)
 }
 
 // Reader deserializes big-endian values with a sticky error mirroring
@@ -98,6 +95,7 @@ func (w *Writer) Words(ws []uint32) {
 type Reader struct {
 	r   io.Reader
 	err error
+	buf [8]byte
 }
 
 // NewReader wraps src. Buffering is the caller's concern.
@@ -114,30 +112,41 @@ func (r *Reader) Fail(err error) {
 }
 
 // U8 reads one byte.
-func (r *Reader) U8() (v uint8) { r.bin(&v); return }
+func (r *Reader) U8() uint8 { return r.fill(1)[0] }
 
 // U16 reads a big-endian uint16.
-func (r *Reader) U16() (v uint16) { r.bin(&v); return }
+func (r *Reader) U16() uint16 { return binary.BigEndian.Uint16(r.fill(2)) }
 
 // U32 reads a big-endian uint32.
-func (r *Reader) U32() (v uint32) { r.bin(&v); return }
+func (r *Reader) U32() uint32 { return binary.BigEndian.Uint32(r.fill(4)) }
 
 // U64 reads a big-endian uint64.
-func (r *Reader) U64() (v uint64) { r.bin(&v); return }
+func (r *Reader) U64() uint64 { return binary.BigEndian.Uint64(r.fill(8)) }
 
-func (r *Reader) bin(v interface{}) {
+// fill reads n ≤ 8 bytes into the scratch buffer and returns them, or
+// zeros after a failure.
+func (r *Reader) fill(n int) []byte {
+	b := r.buf[:n]
 	if r.err == nil {
-		r.err = binary.Read(r.r, binary.BigEndian, v)
+		_, r.err = io.ReadFull(r.r, b)
 	}
+	if r.err != nil {
+		clear(b)
+	}
+	return b
 }
 
 // Bytes reads exactly n raw bytes, rejecting implausible lengths.
 func (r *Reader) Bytes(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if n < 0 || n > MaxCount {
+	if r.err == nil && (n < 0 || n > MaxCount) {
 		r.err = fmt.Errorf("wire: implausible length %d", n)
+	}
+	return r.read(n)
+}
+
+// read reads exactly n bytes, or returns nil after a failure.
+func (r *Reader) read(n int) []byte {
+	if r.err != nil {
 		return nil
 	}
 	b := make([]byte, n)
@@ -164,9 +173,13 @@ func (r *Reader) Words() []uint32 {
 		r.err = fmt.Errorf("wire: implausible word count %d", n)
 		return nil
 	}
+	b := r.read(4 * n)
+	if b == nil {
+		return nil
+	}
 	out := make([]uint32, n)
 	for i := range out {
-		out[i] = r.U32()
+		out[i] = binary.BigEndian.Uint32(b[4*i:])
 	}
 	return out
 }
