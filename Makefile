@@ -26,9 +26,12 @@ smoke:
 # byte-identical to their reference implementations on all eight synth
 # benchmarks, plus the fuzz seed corpus, and every strategy's capped build
 # must be a prefix of its uncapped build (the invariant the corpus's
-# family cache rests on).
+# family cache rests on). The fused loop's fetch journal must deliver
+# exactly the Step path's TraceFetch sequence on all eight benchmarks,
+# native and through every dictionary codec.
 diff:
 	$(GO) test -run 'MatchesReference|PrefixMatches|StrategyParity|FuzzBuildDifferential' ./internal/dictionary
+	$(GO) test -run '^TestFetchJournalMatchesStep$$' ./internal/core
 
 # Short coverage-guided fuzz of the two differential oracles: the fused
 # fast path (with its Reset rerun) against the Step path, and the indexed
@@ -102,24 +105,25 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # Perf trajectory: dictionary.Build and core.Compress at small/medium/full
-# corpus sizes plus the execution benchmarks, recorded as
-# BENCH_dictionary.json (ns/op, B/op, allocs/op, and histogram quantiles
-# such as selbits-p50/p90/p99 and explen-p50/p90/p99). BENCH_SAMPLES runs
+# corpus sizes plus the execution benchmarks (I-cache simulation
+# included), recorded as BENCH_dictionary.json (ns/op, B/op, allocs/op,
+# and histogram quantiles such as selbits-p50/p90/p99 and
+# explen-p50/p90/p99). BENCH_SAMPLES runs
 # each benchmark that many times so the report carries raw samples — the
 # fuel for 95% confidence intervals and the -significant gate.
 BENCH_SAMPLES ?= 5
 bench-json:
-	$(GO) test -run '^$$' -bench '^BenchmarkDictionaryBuild$$|^BenchmarkCompressSweep$$|^BenchmarkNativeExecution$$|^BenchmarkCompressedExecution$$|^BenchmarkSampledExecution$$|^BenchmarkReset$$' -count=$(BENCH_SAMPLES) -benchmem . \
+	$(GO) test -run '^$$' -bench '^BenchmarkDictionaryBuild$$|^BenchmarkCompressSweep$$|^BenchmarkNativeExecution$$|^BenchmarkCompressedExecution$$|^BenchmarkSampledExecution$$|^BenchmarkICacheExecution$$|^BenchmarkReset$$' -count=$(BENCH_SAMPLES) -benchmem . \
 		| $(GO) run ./cmd/benchjson > BENCH_dictionary.json
 	@echo wrote BENCH_dictionary.json
 
 # Just the execution-speed pair (native vs compressed through the
-# predecoded engine) plus the sampled run and the Reset layer, recorded as
-# BENCH_exec.json with the derived compressed_vs_native_ratio metric — the
-# quick loop while working on the execution engine, without the
-# multi-minute dictionary sweeps.
+# predecoded engine) plus the sampled run, the I-cache run and the Reset
+# layer, recorded as BENCH_exec.json with the derived
+# compressed_vs_native_ratio metric — the quick loop while working on the
+# execution engine, without the multi-minute dictionary sweeps.
 bench-exec:
-	$(GO) test -run '^$$' -bench '^BenchmarkNativeExecution$$|^BenchmarkCompressedExecution$$|^BenchmarkSampledExecution$$|^BenchmarkReset$$' -count=$(BENCH_SAMPLES) -benchmem . \
+	$(GO) test -run '^$$' -bench '^BenchmarkNativeExecution$$|^BenchmarkCompressedExecution$$|^BenchmarkSampledExecution$$|^BenchmarkICacheExecution$$|^BenchmarkReset$$' -count=$(BENCH_SAMPLES) -benchmem . \
 		| $(GO) run ./cmd/benchjson > BENCH_exec.json
 	@echo wrote BENCH_exec.json
 

@@ -13,6 +13,7 @@ import (
 
 	"repro/asm"
 	"repro/internal/bench"
+	"repro/internal/cache"
 	"repro/internal/codeword"
 	"repro/internal/core"
 	"repro/internal/dictionary"
@@ -326,6 +327,47 @@ func BenchmarkSampledExecution(b *testing.B) {
 	}
 	b.ReportMetric(float64(steps), "steps/op")
 	b.ReportMetric(float64(cpu.Fast.Steps), "faststeps/op")
+}
+
+// BenchmarkICacheExecution is the I-cache simulation layer:
+// BenchmarkCompressedExecution with a fresh 8 KiB direct-mapped cache of
+// 32-byte lines on the TraceFetch hook for every Reset+Run. The fetch
+// journal keeps the run on the fused fast path (it fails otherwise), so
+// the delta to BenchmarkCompressedExecution is the cost of journaling and
+// of the cache model itself.
+func BenchmarkICacheExecution(b *testing.B) {
+	p := benchProgram(b, "perl")
+	img, err := core.Compress(p.Clone(), Options{Scheme: Nibble})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cpu, err := core.NewMachine(img)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cfg := cache.Config{SizeBytes: 8 << 10, LineBytes: 32, Assoc: 1}
+	var misses int64
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		ic, err := cache.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		cpu.TraceFetch = ic.Access
+		if err := cpu.Reset(); err != nil {
+			b.Fatal(err)
+		}
+		if _, err := cpu.Run(200_000_000); err != nil {
+			b.Fatal(err)
+		}
+		if cpu.Fast.Steps != cpu.Stats.Steps {
+			b.Fatalf("the cache hook knocked the run off the fast path: %s", cpu.Fast.BailSummary())
+		}
+		misses = ic.Stats.Misses
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(cpu.Stats.Steps), "steps/op")
+	b.ReportMetric(float64(misses), "misses/op")
 }
 
 // BenchmarkReset is the Reset layer of the serving shape: each iteration

@@ -2,6 +2,7 @@ package codedensity
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 
 	"repro/internal/codec"
@@ -20,10 +21,13 @@ import (
 // A third machine runs the fast path with epoch sampling on and a tiny
 // epoch length, so every fuzz case crosses many epoch boundaries:
 // sampling must not perturb any architectural result, and the drained
-// slot traffic must conserve the fast-path step count exactly. Finally
-// each machine is Reset and rerun, and must repeat its first run exactly:
-// dirty-page Reset restores only the pages the run stored to, so a missed
-// page shows up as a rerun that reads a stale byte.
+// slot traffic must conserve the fast-path step count exactly. The hooked
+// and sampled machines also carry a recording TraceFetch, which keeps the
+// sampled machine fused (fed from its fetch journal) while the hooked one
+// delivers from Step: both must see the same (addr, nbytes) sequence.
+// Finally each machine is Reset and rerun, and must repeat its first run
+// exactly: dirty-page Reset restores only the pages the run stored to, so
+// a missed page shows up as a rerun that reads a stale byte.
 func FuzzFastPathDifferential(f *testing.F) {
 	f.Add(int64(7), uint16(900))
 	f.Add(int64(42), uint16(2500))
@@ -92,17 +96,28 @@ func (s *trafficSum) ObserveEpoch(pd *machine.Predecode, tr []machine.SlotTraffi
 	}
 }
 
+// fetchTrace records a TraceFetch sequence.
+type fetchTrace []uint64
+
+func (f *fetchTrace) hook(addr uint32, nbytes int) {
+	*f = append(*f, uint64(addr)<<32|uint64(uint32(nbytes)))
+}
+
 // comparePaths runs fast bare, slow with a hook attached, and sampled
 // with short-epoch sampling enabled, then demands identical errors,
-// status, output, and counters — and exact traffic conservation.
+// status, output, counters and fetch traces — and exact traffic
+// conservation.
 func comparePaths(t *testing.T, name string, fast, slow, sampled *machine.CPU) {
 	t.Helper()
 	const maxSteps = 50_000_000
 	var hooked int64
+	var slowFetches, sampledFetches fetchTrace
 	slow.TraceStep = func(machine.StepInfo) { hooked++ }
+	slow.TraceFetch = slowFetches.hook
 	obs := &trafficSum{}
 	sampled.EpochSteps = 97 // force many epoch boundaries per run
 	sampled.EnableEpochSampling(stats.New(), obs)
+	sampled.TraceFetch = sampledFetches.hook
 	fs, ferr := fast.Run(maxSteps)
 	ss, serr := slow.Run(maxSteps)
 	ps, perr := sampled.Run(maxSteps)
@@ -124,6 +139,18 @@ func comparePaths(t *testing.T, name string, fast, slow, sampled *machine.CPU) {
 	if obs.steps != sampled.Fast.Steps {
 		t.Fatalf("%s: drained traffic holds %d steps, fast path executed %d",
 			name, obs.steps, sampled.Fast.Steps)
+	}
+	if !slices.Equal(slowFetches, sampledFetches) {
+		t.Fatalf("%s: fetch traces diverged: %d accesses from Step, %d from the journal",
+			name, len(slowFetches), len(sampledFetches))
+	}
+	// Unless the bare run fell back to Step, the fetch hook must leave the
+	// sampled run entirely on the fused loop.
+	bailed := fast.Fast.Bails[machine.BailFaultSlot] + fast.Fast.Bails[machine.BailOffTable] +
+		fast.Fast.Bails[machine.BailFrontendRefused]
+	if bailed == 0 && sampled.Fast.Steps != sampled.Stats.Steps {
+		t.Fatalf("%s: fetch hook knocked the sampled run off the fast path: %d of %d steps (%s)",
+			name, sampled.Fast.Steps, sampled.Stats.Steps, sampled.Fast.BailSummary())
 	}
 	if ferr != nil {
 		// Matching faults: no architectural result to compare, but the

@@ -6,6 +6,7 @@ package cache
 
 import (
 	"fmt"
+	"math/bits"
 
 	"repro/internal/stats"
 )
@@ -40,13 +41,15 @@ type line struct {
 	used  int64 // LRU clock
 }
 
-// Cache is the simulator.
+// Cache is the simulator. Set i occupies lines[i*assoc : (i+1)*assoc].
 type Cache struct {
-	cfg   Config
-	sets  [][]line
-	nsets int
-	clock int64
-	Stats Stats
+	cfg     Config
+	lines   []line
+	assoc   int
+	setMask uint32 // nsets-1: nsets is a power of two
+	setBits int    // log2(nsets)
+	clock   int64
+	Stats   Stats
 }
 
 // New validates the configuration and builds the cache.
@@ -69,12 +72,13 @@ func New(cfg Config) (*Cache, error) {
 	if nsets&(nsets-1) != 0 {
 		return nil, fmt.Errorf("cache: %d sets not a power of two", nsets)
 	}
-	c := &Cache{cfg: cfg, nsets: nsets}
-	c.sets = make([][]line, nsets)
-	for i := range c.sets {
-		c.sets[i] = make([]line, assoc)
-	}
-	return c, nil
+	return &Cache{
+		cfg:     cfg,
+		lines:   make([]line, lines),
+		assoc:   assoc,
+		setMask: uint32(nsets - 1),
+		setBits: bits.TrailingZeros(uint(nsets)),
+	}, nil
 }
 
 // Access touches [addr, addr+nbytes), accessing every line the range
@@ -97,8 +101,9 @@ func (c *Cache) Access(addr uint32, nbytes int) {
 func (c *Cache) touchLine(lineAddr uint32) {
 	c.clock++
 	c.Stats.Accesses++
-	set := c.sets[int(lineAddr)%c.nsets]
-	tag := lineAddr / uint32(c.nsets)
+	first := int(lineAddr&c.setMask) * c.assoc
+	set := c.lines[first : first+c.assoc]
+	tag := lineAddr >> c.setBits
 	victim := 0
 	for i := range set {
 		if set[i].valid && set[i].tag == tag {
@@ -122,11 +127,7 @@ func (c *Cache) touchLine(lineAddr uint32) {
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	for _, set := range c.sets {
-		for i := range set {
-			set[i] = line{}
-		}
-	}
+	clear(c.lines)
 	c.clock = 0
 	c.Stats = Stats{}
 }

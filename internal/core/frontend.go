@@ -166,8 +166,7 @@ func (f *CompressedFrontend) Fetch() (machine.FetchInfo, error) {
 // byteAddr maps a unit address to the byte address of the underlying
 // program memory, for cache modeling.
 func (f *CompressedFrontend) byteAddr(unitAddr uint32) uint32 {
-	rel := unitAddr - f.img.Base
-	return f.img.Base + rel*uint32(f.img.Scheme.UnitBits())/8
+	return machine.UnitByteAddr(f.img.Base, unitAddr-f.img.Base, uint(f.img.Scheme.UnitBits()))
 }
 
 // NewMachineDictInMemory builds a CPU whose traffic model places the

@@ -24,10 +24,11 @@ func (img *Image) Predecode() *machine.Predecode {
 
 func buildPredecode(img *Image) *machine.Predecode {
 	pd := &machine.Predecode{
-		Base:    img.Base,
-		Shift:   0, // unit-addressed: one slot per unit
-		Slots:   make([]machine.PredecodedSlot, img.Units),
-		Entries: make([]machine.PredecodedEntry, len(img.Entries)),
+		Base:     img.Base,
+		Shift:    0, // unit-addressed: one slot per unit
+		UnitBits: uint(img.Scheme.UnitBits()),
+		Slots:    make([]machine.PredecodedSlot, img.Units),
+		Entries:  make([]machine.PredecodedEntry, len(img.Entries)),
 	}
 	for r, e := range img.Entries {
 		insts := make([]ppc.Inst, len(e.Words))

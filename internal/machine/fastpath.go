@@ -1,9 +1,11 @@
-// Fast-path telemetry: bail-reason accounting and epoch sampling for the
-// fused fetch+execute loop. The loop itself (predecode.go) touches none of
-// the observability machinery directly — it calls the beginFast/drainEpoch/
-// endFast helpers here, which run only at epoch boundaries and exits, so
-// per-step cost stays at one integer comparison the loop already paid for
-// the budget check. `make lint-fastpath` enforces that split.
+// Fast-path telemetry: bail-reason accounting, epoch sampling and the
+// fetch journal for the fused fetch+execute loop. The loop itself
+// (predecode.go) touches none of the observability machinery directly — it
+// calls the beginFast/beginJournal/drainFetches/drainEpoch/endFast helpers
+// here, which run only at boundaries and exits, so per-step cost stays at
+// one integer comparison the loop already paid for the budget check (plus
+// one nil test and a slot-index append while a fetch hook is attached).
+// `make lint-fastpath` enforces that split.
 package machine
 
 import (
@@ -25,7 +27,7 @@ const (
 	BailOffTable                           // PC left the table or hit a misaligned interior offset
 	BailSelfModifiedText                   // a store invalidated the table mid-run
 	BailExecFault                          // an instruction faulted architecturally
-	BailHookAttached                       // a hook forced the instrumented Step path for the whole Run
+	BailHookAttached                       // TraceStep or Record forced the instrumented Step path for the whole Run
 	BailFrontendRefused                    // frontend had no usable predecode table
 
 	numBailReasons
@@ -254,13 +256,54 @@ func (c *CPU) drainEpoch(pd *Predecode, tr []SlotTraffic, steps int64, more bool
 	}
 }
 
-// endFast closes one fast-loop segment: accumulates the segment's steps
-// into Fast.Steps and records why the loop exited. The epoch in flight is
-// NOT drained — its traffic carries over to the next segment (or Run) so
-// telemetry cost stays on the epoch cadence, not the Run rate; the span
-// annotates each segment's bail as it happens. FlushEpoch forces the
-// final partial epoch out.
-func (c *CPU) endFast(reason BailReason, entrySteps, epochStart int64) {
+// JournalLen is the fetch journal's capacity in table fetches: large
+// enough that draining is a tight loop over a cache-resident buffer, small
+// enough (16 KiB) to stay in L1/L2 next to the slot table.
+const JournalLen = 4096
+
+// beginJournal returns the emptied fetch journal for one fast-loop
+// segment, nil when no TraceFetch hook is attached. The buffer is
+// allocated once per CPU and reused across segments, Runs and Resets;
+// runFast appends one slot index per table fetch and bounds its step
+// limit by the free room, so the journal never grows. It is handed out
+// by pointer, so the loop carries one word for it rather than a slice
+// header.
+func (c *CPU) beginJournal() *[]uint32 {
+	if c.TraceFetch == nil {
+		return nil
+	}
+	if c.journal == nil {
+		c.journal = make([]uint32, 0, JournalLen)
+	}
+	c.journal = c.journal[:0]
+	return &c.journal
+}
+
+// drainFetches delivers the journaled table fetches to TraceFetch in fetch
+// order, one (byte address, MemBytes) call per entry — exactly the
+// accesses Step reports for the same instructions (expansion
+// continuations touch no program memory and are never journaled) — and
+// empties the journal.
+func (c *CPU) drainFetches(pd *Predecode, jl *[]uint32) {
+	for _, idx := range *jl {
+		c.TraceFetch(UnitByteAddr(pd.Base, idx<<pd.Shift, pd.UnitBits), int(pd.Slots[idx].MemBytes))
+	}
+	*jl = (*jl)[:0]
+}
+
+// endFast closes one fast-loop segment: delivers the fetches still in the
+// journal (jl, nil when none is kept), accumulates the segment's steps into
+// Fast.Steps and records why the loop exited. Draining here, before the
+// slow path resumes, keeps TraceFetch's sequence in fetch order across a
+// bail and complete when Run returns. The epoch in flight is NOT drained —
+// its traffic carries over to the next segment (or Run) so telemetry cost
+// stays on the epoch cadence, not the Run rate; the span annotates each
+// segment's bail as it happens. FlushEpoch forces the final partial epoch
+// out.
+func (c *CPU) endFast(pd *Predecode, jl *[]uint32, reason BailReason, entrySteps, epochStart int64) {
+	if jl != nil {
+		c.drainFetches(pd, jl)
+	}
 	c.Fast.Steps += c.Stats.Steps - entrySteps
 	c.Fast.Bails[reason]++
 	if c.samplingOn() {

@@ -208,6 +208,45 @@ func TestEpochSamplingParity(t *testing.T) {
 	}
 }
 
+// TestFetchJournalWithEpochs: the fetch journal and epoch sampling both
+// bound the fused loop's step limit; with a TraceFetch hook attached the
+// run stays fused, every fetch is delivered by the time Run returns, and
+// epochs still drain at exactly EpochSteps — the journal drains, at its
+// capacity between epoch boundaries here, are not epoch boundaries.
+func TestFetchJournalWithEpochs(t *testing.T) {
+	p := newSpinBuilder(t)
+	cpu, err := NewForProgram(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec := stats.New()
+	cpu.EnableEpochSampling(rec, &epochRecorder{})
+	const epoch = JournalLen + 904
+	cpu.EpochSteps = epoch
+	var fetches int64
+	cpu.TraceFetch = func(addr uint32, n int) {
+		if addr != p.TextBase || n != 4 {
+			t.Errorf("fetch (%#x, %d), want (%#x, 4)", addr, n, p.TextBase)
+		}
+		fetches++
+	}
+	const budget = 3*JournalLen + 500
+	if _, err := cpu.Run(budget); err == nil {
+		t.Fatal("spin loop exited")
+	}
+	if fetches != budget || cpu.Fast.Steps != budget || cpu.Fast.Bails[BailBudget] != 1 {
+		t.Fatalf("%d fetches delivered, fast path %+v", fetches, cpu.Fast)
+	}
+	if len(cpu.journal) != 0 || cap(cpu.journal) != JournalLen {
+		t.Fatalf("journal len %d cap %d after Run, want empty with capacity %d", len(cpu.journal), cap(cpu.journal), JournalLen)
+	}
+	cpu.FlushEpoch()
+	h := rec.Snapshot().Hist("machine.fastpath.epoch_len")
+	if h.Count != budget/epoch+1 || h.Max != epoch || h.Min != budget%epoch || h.Sum != budget {
+		t.Fatalf("epoch_len histogram count=%d min=%d max=%d sum=%d", h.Count, h.Min, h.Max, h.Sum)
+	}
+}
+
 func TestEpochSpans(t *testing.T) {
 	tr := trace.New()
 	root := tr.Root("run")

@@ -54,8 +54,15 @@ type CPU struct {
 	fe  Frontend
 	out bytes.Buffer
 
-	// TraceFetch, when non-nil, receives the memory traffic of every fetch
-	// (for cache simulation).
+	// TraceFetch, when non-nil, receives the program-memory traffic of
+	// every fetch (for cache simulation): one (addr, nbytes) call per
+	// access, in fetch order. Unlike TraceStep and Record it does not
+	// force the instrumented Step path. The fused fast loop journals its
+	// table fetches and delivers them in batches — at most every few
+	// thousand fetches and whenever the loop exits — so calls lag
+	// execution, but the sequence is exactly the one Step delivers and is
+	// complete when Run returns. The hook must therefore not read CPU
+	// state (registers, Stats, memory): it sees only its arguments.
 	TraceFetch func(addr uint32, nbytes int)
 
 	// TraceStep, when non-nil, receives every executed instruction after
@@ -92,6 +99,7 @@ type CPU struct {
 	touched     []int32         // slots with traffic this epoch, first-touch order
 	trafficPD   *Predecode      // table the accumulated traffic indexes
 	sinceDrain  int64           // fast steps accumulated since the last drain
+	journal     []uint32        // fetch journal backing store (beginJournal)
 
 	branch takenBranch // control transfer of the instruction being executed
 	exited bool
@@ -243,10 +251,12 @@ func (c *CPU) Exited() (bool, int32) { return c.exited, c.status }
 // the exit status. Exceeding the budget or any architectural fault is an
 // error.
 //
-// When every hook (TraceFetch/TraceStep/Record) is nil and
-// the frontend supplies a predecode table, Run drives the fused
-// fetch+execute fast loop; attaching any hook transparently selects the
-// instrumented Step path, so observability features see every event.
+// When TraceStep and Record are nil and the frontend supplies a predecode
+// table, Run drives the fused fetch+execute fast loop; attaching either
+// transparently selects the instrumented Step path, so observability
+// features see every event. TraceFetch rides the fast loop through its
+// fetch journal: the hook receives the same (addr, nbytes) sequence as on
+// the Step path, batched, and has received all of it when Run returns.
 // Epoch sampling (EnableEpochSampling, TraceEpochs) is deliberately NOT a
 // hook: it observes the fast loop from its epoch boundaries, so sampled
 // runs stay fused. Every Run classifies how the fast path ended — or why
@@ -264,7 +274,7 @@ func (c *CPU) Run(maxSteps int64) (int32, error) {
 		fastBefore, stepsBefore := c.Fast, c.Stats.Steps
 		defer func() { c.exportFastpath(rec, fastBefore, stepsBefore) }()
 	}
-	if c.TraceFetch == nil && c.TraceStep == nil && c.Record == nil {
+	if c.TraceStep == nil && c.Record == nil {
 		if fe, ok := c.fe.(PredecodedFrontend); ok {
 			if pd := fe.Predecode(); pd != nil {
 				st, done, err := c.runFast(fe, pd, maxSteps)
@@ -308,7 +318,8 @@ func (c *CPU) runSlow(maxSteps int64) (int32, error) {
 // program memory), MemAddr2/MemBytes2 is the optional secondary access (a
 // memory-resident dictionary-entry fetch). Each access flows through here
 // exactly once, in fetch order, so Stats.MemFetches/FetchedBytes and the
-// cache simulation agree on what the memory interface saw.
+// cache simulation agree on what the memory interface saw. (The fused
+// loop's fetch journal, drainFetches, replays the same sequence.)
 func (c *CPU) traceAccess(addr uint32, nbytes int) {
 	c.Stats.MemFetches++
 	c.Stats.FetchedBytes += int64(nbytes)

@@ -2,6 +2,7 @@ package machine
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ppc"
 )
@@ -54,12 +55,25 @@ type Predecode struct {
 	Shift uint
 	Slots []PredecodedSlot
 
+	// UnitBits is the width of one PC-space address unit in bits: 8 for
+	// byte-addressed text, the codeword unit for a compressed stream. It
+	// scales a PC offset to the program-memory byte address the slot's
+	// fetch reads (see UnitByteAddr).
+	UnitBits uint
+
 	// Entries is the expansion cache, indexed by dictionary rank.
 	Entries []PredecodedEntry
 
 	// gen is the Memory store generation the table was built at; the
 	// normal frontend rebuilds when stores have hit text since.
 	gen uint64
+}
+
+// UnitByteAddr maps the PC-space address base+off, counted in units of
+// unitBits bits, to the byte address of the program memory holding it.
+// The product is formed in 64 bits so large streams cannot wrap it.
+func UnitByteAddr(base, off uint32, unitBits uint) uint32 {
+	return base + uint32(uint64(off)*uint64(unitBits)/8)
 }
 
 // PredecodedFrontend is implemented by frontends whose text can be
@@ -84,7 +98,7 @@ type PredecodedFrontend interface {
 // PredecodeText builds the table for raw 32-bit text mapped at [lo, hi).
 func PredecodeText(mem *Memory, lo, hi uint32) *Predecode {
 	n := int(hi-lo) / 4
-	pd := &Predecode{Base: lo, Shift: 2, Slots: make([]PredecodedSlot, n)}
+	pd := &Predecode{Base: lo, Shift: 2, UnitBits: 8, Slots: make([]PredecodedSlot, n)}
 	for i := 0; i < n; i++ {
 		addr := lo + uint32(4*i)
 		w, err := mem.Load32(addr)
@@ -102,24 +116,28 @@ func PredecodeText(mem *Memory, lo, hi uint32) *Predecode {
 	return pd
 }
 
-// runFast is the fused fetch+execute loop. It requires every hook to be
-// nil (checked by Run): with nobody observing per-fetch events, fetch
-// reduces to a table index plus three counter adds, and expansion streams
-// decoded instructions straight out of the entry cache. Stats produced
-// here are identical to the slow path's: each table fetch is one memory
-// fetch of MemBytes, each expansion continuation is one Expanded step with
-// no traffic, and the budget is enforced before every instruction,
-// including mid-expansion.
+// runFast is the fused fetch+execute loop. It requires the per-step hooks
+// to be nil (checked by Run): with nobody observing per-instruction
+// events, fetch reduces to a table index plus three counter adds, and
+// expansion streams decoded instructions straight out of the entry cache.
+// Stats produced here are identical to the slow path's: each table fetch
+// is one memory fetch of MemBytes, each expansion continuation is one
+// Expanded step with no traffic, and the budget is enforced before every
+// instruction, including mid-expansion.
 //
-// Telemetry rides the loop for free. Without epoch sampling, stepLimit is
-// just maxSteps and the boundary comparison is the budget check the loop
-// always made. With sampling on, the loop runs in epochs: stepLimit drops
-// to the next epoch boundary, per-slot traffic accumulates in tr (two
-// array increments per fetch, one per continuation), and drainEpoch hands
-// the counters out between epochs. Every exit goes through endFast, which
-// classifies the bail; the partial epoch in flight carries over to the
-// next segment or Run and FlushEpoch forces it out. The loop body itself
-// never touches a sink — lint-fastpath keeps it that way.
+// Telemetry rides the loop for free. Without epoch sampling or a fetch
+// hook, stepLimit is just maxSteps and the boundary comparison is the
+// budget check the loop always made. With sampling on, the loop runs in
+// epochs: stepLimit drops to the next epoch boundary (epochEnd), per-slot
+// traffic accumulates in tr (two array increments per fetch, one per
+// continuation), and drainEpoch hands the counters out between epochs.
+// With a fetch hook attached, each table fetch appends its slot index to
+// the journal jl; stepLimit also stops at the journal's free room (one
+// step journals at most one fetch), where drainFetches replays it in
+// order. Every exit goes through endFast, which delivers the journal's
+// remainder and classifies the bail; the partial epoch in flight carries
+// over to the next segment or Run and FlushEpoch forces it out. The loop
+// body itself never touches a sink — lint-fastpath keeps it that way.
 //
 // The (status, done, err) return tells Run whether the segment completed
 // the program (done: exit, fault, or budget) or bailed with work left
@@ -133,30 +151,35 @@ func (c *CPU) runFast(fe PredecodedFrontend, pd *Predecode, maxSteps int64) (int
 
 	entrySteps := c.Stats.Steps
 	epochStart := entrySteps
-	stepLimit := maxSteps
+	epochEnd := int64(math.MaxInt64)
 	var tr []SlotTraffic
 	if c.samplingOn() {
 		tr = c.beginFast(pd)
 		// The epoch in flight may already hold steps from earlier segments
 		// or Runs; this segment runs out its remainder.
-		if end := epochStart + c.epochLen() - c.sinceDrain; end < stepLimit {
-			stepLimit = end
-		}
+		epochEnd = epochStart + c.epochLen() - c.sinceDrain
 	}
+	jl := c.beginJournal()
+	stepLimit := nextLimit(c.Stats.Steps, maxSteps, epochEnd, jl != nil)
 	for {
 		if c.Stats.Steps >= stepLimit {
 			if c.Stats.Steps >= maxSteps {
-				c.endFast(BailBudget, entrySteps, epochStart)
+				c.endFast(pd, jl, BailBudget, entrySteps, epochStart)
 				fe.SetRawPC(pc)
 				return 0, true, fmt.Errorf("machine: step budget of %d exhausted", maxSteps)
 			}
-			// Epoch boundary: hand the telemetry out and keep running.
-			c.drainEpoch(pd, tr, c.sinceDrain+c.Stats.Steps-epochStart, true)
-			c.sinceDrain = 0
-			epochStart = c.Stats.Steps
-			if stepLimit = epochStart + c.epochLen(); stepLimit > maxSteps {
-				stepLimit = maxSteps
+			// Journal or epoch boundary: hand the telemetry out and keep
+			// running.
+			if jl != nil {
+				c.drainFetches(pd, jl)
 			}
+			if c.Stats.Steps >= epochEnd {
+				c.drainEpoch(pd, tr, c.sinceDrain+c.Stats.Steps-epochStart, true)
+				c.sinceDrain = 0
+				epochStart = c.Stats.Steps
+				epochEnd = epochStart + c.epochLen()
+			}
+			stepLimit = nextLimit(c.Stats.Steps, maxSteps, epochEnd, jl != nil)
 		}
 		off := pc - base
 		idx := off >> shift
@@ -168,19 +191,22 @@ func (c *CPU) runFast(fe PredecodedFrontend, pd *Predecode, maxSteps int64) (int
 			if c.Mem.storeGen != gen {
 				reason = BailSelfModifiedText
 			}
-			c.endFast(reason, entrySteps, epochStart)
+			c.endFast(pd, jl, reason, entrySteps, epochStart)
 			fe.SetRawPC(pc)
 			return 0, false, nil
 		}
 		s := &pd.Slots[idx]
 		if s.Fault {
-			c.endFast(BailFaultSlot, entrySteps, epochStart)
+			c.endFast(pd, jl, BailFaultSlot, entrySteps, epochStart)
 			fe.SetRawPC(pc)
 			return 0, false, nil
 		}
 		c.Stats.Steps++
 		c.Stats.MemFetches++
 		c.Stats.FetchedBytes += int64(s.MemBytes)
+		if jl != nil {
+			*jl = append(*jl, idx)
+		}
 		if tr != nil {
 			t := &tr[idx]
 			if t.Steps == 0 {
@@ -194,14 +220,14 @@ func (c *CPU) runFast(fe PredecodedFrontend, pd *Predecode, maxSteps int64) (int
 		// The word argument feeds only OpInvalid's error text, and
 		// OpInvalid slots were marked Fault at build time.
 		if err := c.exec(&s.Inst, 0, pc, s.Next, n == 1); err != nil {
-			c.endFast(BailExecFault, entrySteps, epochStart)
+			c.endFast(pd, jl, BailExecFault, entrySteps, epochStart)
 			return 0, true, err
 		}
 		if n > 1 && !c.exited && c.branch.Kind == BranchNone {
 			e := &pd.Entries[s.Rank]
 			for k := 1; k < n; k++ {
 				if c.Stats.Steps >= maxSteps {
-					c.endFast(BailBudget, entrySteps, epochStart)
+					c.endFast(pd, jl, BailBudget, entrySteps, epochStart)
 					fe.SetRawPC(s.Next)
 					return 0, true, fmt.Errorf("machine: step budget of %d exhausted", maxSteps)
 				}
@@ -212,7 +238,7 @@ func (c *CPU) runFast(fe PredecodedFrontend, pd *Predecode, maxSteps int64) (int
 				}
 				c.branch = takenBranch{}
 				if err := c.exec(&e.Insts[k], e.Words[k], pc, s.Next, k == n-1); err != nil {
-					c.endFast(BailExecFault, entrySteps, epochStart)
+					c.endFast(pd, jl, BailExecFault, entrySteps, epochStart)
 					return 0, true, err
 				}
 				if c.exited || c.branch.Kind != BranchNone {
@@ -227,9 +253,22 @@ func (c *CPU) runFast(fe PredecodedFrontend, pd *Predecode, maxSteps int64) (int
 			pc = s.Next
 		}
 		if c.exited {
-			c.endFast(BailExit, entrySteps, epochStart)
+			c.endFast(pd, jl, BailExit, entrySteps, epochStart)
 			fe.SetRawPC(pc)
 			return c.status, true, nil
 		}
 	}
+}
+
+// nextLimit is the step count at which runFast next stops to check its
+// boundaries: the budget, the end of the epoch in flight, and, while a
+// journal is kept, the point where it could be full. The journal is empty
+// whenever this is computed and one step journals at most one fetch, so
+// JournalLen steps cannot overflow it.
+func nextLimit(steps, maxSteps, epochEnd int64, journaling bool) int64 {
+	limit := min(maxSteps, epochEnd)
+	if journaling {
+		limit = min(limit, steps+JournalLen)
+	}
+	return limit
 }

@@ -19,6 +19,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 
 	"repro/internal/codec"
 	_ "repro/internal/codecs" // populate the registry for OpenImage
@@ -167,6 +168,12 @@ func ReadDictionary(src io.Reader) ([]dictionary.Entry, error) {
 	out := make([]dictionary.Entry, 0, n)
 	for i := 0; i < n && r.Err() == nil; i++ {
 		k := int(r.U8())
+		if k == 0 {
+			// An empty entry would compress to a codeword that expands to
+			// nothing; reject it as the image reader does.
+			r.Fail(&core.HeaderError{Field: "entry length", Value: 0, Min: 1, Limit: math.MaxUint8})
+			break
+		}
 		words := make([]uint32, k)
 		for j := range words {
 			words[j] = r.U32()

@@ -358,6 +358,27 @@ func TestEmptyEntryRejected(t *testing.T) {
 	}
 }
 
+// TestEmptyDictionaryEntryRejected: a hand-built .ppd frame whose second
+// entry has length zero fails to load with a *core.HeaderError on the
+// entry length, the same rejection the image reader applies.
+func TestEmptyDictionaryEntryRejected(t *testing.T) {
+	frame := []byte{'P', 'P', 'D', 'X', 0, 0, 0, 2}
+	// Entry 0: one word (li r3,0), 5 uses.
+	frame = append(frame, 1, 0x38, 0x60, 0x00, 0x00, 0, 0, 0, 5)
+	// Entry 1: zero words, then a use count a reader must never reach.
+	frame = append(frame, 0, 0, 0, 0, 7)
+	entries, err := ReadDictionary(bytes.NewReader(frame))
+	var he *core.HeaderError
+	if !errors.As(err, &he) || he.Field != "entry length" || he.Min != 1 {
+		t.Fatalf("ReadDictionary = %v, %v; want a *core.HeaderError on entry length, Min 1", entries, err)
+	}
+	// The same frame with entry 1 given a word loads.
+	ok := append(append([]byte(nil), frame[:len(frame)-5]...), 1, 0x38, 0x60, 0x00, 0x01, 0, 0, 0, 7)
+	if entries, err := ReadDictionary(bytes.NewReader(ok)); err != nil || len(entries) != 2 {
+		t.Fatalf("well-formed frame: %v, %v", entries, err)
+	}
+}
+
 // TestShortRawLineRejected: a golden CCRP frame whose first line is
 // flagged raw while holding its shorter Huffman encoding fails to open
 // with a *huffman.LineError, instead of opening and panicking when the
