@@ -28,10 +28,12 @@ smoke:
 # must be a prefix of its uncapped build (the invariant the corpus's
 # family cache rests on). The fused loop's fetch journal must deliver
 # exactly the Step path's TraceFetch sequence on all eight benchmarks,
-# native and through every dictionary codec.
+# native and through every dictionary codec, and a Record-only run must
+# stay fused and export the Step path's machine counters.
 diff:
 	$(GO) test -run 'MatchesReference|PrefixMatches|StrategyParity|FuzzBuildDifferential' ./internal/dictionary
 	$(GO) test -run '^TestFetchJournalMatchesStep$$' ./internal/core
+	$(GO) test -run '^TestRecordStaysFused$$' ./internal/machine
 
 # Short coverage-guided fuzz of the two differential oracles: the fused
 # fast path (with its Reset rerun) against the Step path, and the indexed

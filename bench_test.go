@@ -276,17 +276,29 @@ func BenchmarkCompressedExecution(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	// One untimed instrumented run collects the expansion-length
-	// histogram; attaching the recorder routes that machine through the
-	// slow path, so the timed machine below stays bare and predecoded.
-	rec := stats.New()
+	// One untimed profiled run collects the expansion-length histogram:
+	// the exact profiler's heat map counts each entry's expansions, and
+	// the image gives each entry's length. The profiler's TraceStep hook
+	// routes that machine through the Step path, so the timed machine
+	// below stays bare and predecoded.
+	sym, err := img.GuestSymTab()
+	if err != nil {
+		b.Fatal(err)
+	}
 	probe, err := core.NewMachine(img)
 	if err != nil {
 		b.Fatal(err)
 	}
-	probe.Record = rec
+	gp := guestprof.New(sym)
+	gp.Attach(probe)
 	if _, err := probe.Run(200_000_000); err != nil {
 		b.Fatal(err)
+	}
+	rec := stats.New()
+	for rank, n := range gp.Heat() {
+		for ; n > 0; n-- {
+			rec.ObserveValue("explen", int64(len(img.Entries[rank].Words)))
+		}
 	}
 	cpu, err := core.NewMachine(img)
 	if err != nil {
@@ -294,7 +306,7 @@ func BenchmarkCompressedExecution(b *testing.B) {
 	}
 	steps := benchRepeatRuns(b, cpu)
 	b.ReportMetric(float64(steps), "steps/op")
-	reportHist(b, rec, "machine.expansion_len", "explen")
+	reportHist(b, rec, "explen", "explen")
 }
 
 // BenchmarkSampledExecution is BenchmarkCompressedExecution with the
@@ -317,7 +329,8 @@ func BenchmarkSampledExecution(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	cpu.EnableEpochSampling(stats.New(), guestprof.NewSampled(sym))
+	cpu.Record = stats.New()
+	cpu.EnableEpochSampling(guestprof.NewSampled(sym))
 	steps := benchRepeatRuns(b, cpu)
 	// The fold of the final partial epoch lands here, outside the timed
 	// region — in serving, folds happen on the epoch cadence, not per Run.

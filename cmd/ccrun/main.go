@@ -48,14 +48,13 @@ func main() {
 	wantBundle := *bundleDir != ""
 	if *sampledProf {
 		// The sampled profiler is the fast path observed from epoch
-		// boundaries; hooks that force the instrumented Step path defeat
-		// its point, so the combinations are rejected rather than silently
-		// measured slow.
+		// boundaries; the per-step hook -trace needs would force the
+		// instrumented Step path and defeat its point, so that combination
+		// is rejected rather than silently measured slow. A -cache run
+		// stays fused: the fetch journal feeds the cache.
 		switch {
 		case !wantBundle:
 			fatal(fmt.Errorf("-sampledprof selects the bundle's profiler; it needs -bundle"))
-		case *cacheSize > 0:
-			fatal(fmt.Errorf("-sampledprof cannot run with -cache (cache simulation needs the per-fetch hook)"))
 		case *trace > 0:
 			fatal(fmt.Errorf("-sampledprof cannot run with -trace (tracing needs the per-step hook)"))
 		}
@@ -133,15 +132,14 @@ func main() {
 	var sp *guestprof.SampledProfiler
 	if wantBundle {
 		col = obs.NewCollector(id)
+		cpu.Record = col.Recorder()
 		if *sampledProf {
 			if sym == nil {
 				fatal(fmt.Errorf("-sampledprof needs a dictionary image; %s carries no address map", path))
 			}
 			// Sampling is not a hook, so the run stays on the fused fast path.
 			sp = guestprof.NewSampled(sym)
-			cpu.EnableEpochSampling(col.Recorder(), sp)
-		} else {
-			cpu.Record = col.Recorder()
+			cpu.EnableEpochSampling(sp)
 		}
 	}
 

@@ -127,15 +127,42 @@ func TestSampledBundleMatchesExact(t *testing.T) {
 }
 
 // TestSampledProfRejects pins the combinations -sampledprof refuses: the
-// hooks that would force the instrumented path, and running without a
-// bundle to fill.
+// per-step hook that would force the instrumented path, and running
+// without a bundle to fill. -cache is accepted: the fetch journal keeps the
+// cached run fused, and its cache section equals the exact bundle's.
 func TestSampledProfRejects(t *testing.T) {
 	bin := buildCCRun(t)
 	dir := t.TempDir()
 	ppz := writeImage(t, dir, "compress")
+	cached := func(name string, args ...string) *obs.Bundle {
+		t.Helper()
+		bdir := filepath.Join(dir, name)
+		args = append(args, "-cache", "1024", "-bundle", bdir, ppz)
+		if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
+			t.Fatalf("ccrun %v: %v\n%s", args, err, out)
+		}
+		b, err := obs.Open(bdir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Profile == nil || b.Profile.Cache == nil {
+			t.Fatalf("ccrun %v: bundle lacks a cache section", args)
+		}
+		return b
+	}
+	exact, sampled := cached("exact"), cached("sampled", "-sampledprof")
+	if cov := sampled.Profile.Fastpath.Coverage; cov != 1 {
+		t.Errorf("sampled cached run coverage %v, want 1", cov)
+	}
+	if exact.Profile.Cache.Accesses == 0 || exact.Profile.Cache.Misses == 0 {
+		t.Errorf("exact cache section is empty: %+v", exact.Profile.Cache)
+	}
+	if !reflect.DeepEqual(sampled.Profile.Cache, exact.Profile.Cache) {
+		t.Errorf("cache sections differ:\n sampled %+v\n   exact %+v", sampled.Profile.Cache, exact.Profile.Cache)
+	}
+
 	bdir := filepath.Join(dir, "bundle")
 	for _, args := range [][]string{
-		{"-sampledprof", "-cache", "1024", "-bundle", bdir},
 		{"-sampledprof", "-trace", "3", "-bundle", bdir},
 		{"-sampledprof"},
 	} {

@@ -25,6 +25,9 @@ import (
 // and sampled machines also carry a recording TraceFetch, which keeps the
 // sampled machine fused (fed from its fetch journal) while the hooked one
 // delivers from Step: both must see the same (addr, nbytes) sequence.
+// Every machine also carries a Record sink, which leaves the bare and
+// sampled machines fused; all three must export the same execution
+// counters.
 // Finally each machine is Reset and rerun, and must repeat its first run
 // exactly: dirty-page Reset restores only the pages the run stored to, so
 // a missed page shows up as a rerun that reads a stale byte.
@@ -103,20 +106,24 @@ func (f *fetchTrace) hook(addr uint32, nbytes int) {
 	*f = append(*f, uint64(addr)<<32|uint64(uint32(nbytes)))
 }
 
-// comparePaths runs fast bare, slow with a hook attached, and sampled
-// with short-epoch sampling enabled, then demands identical errors,
-// status, output, counters and fetch traces — and exact traffic
-// conservation.
+// comparePaths runs fast with only a recorder, slow with a hook attached,
+// and sampled with short-epoch sampling enabled, then demands identical
+// errors, status, output, counters, recorded counters and fetch traces —
+// and exact traffic conservation.
 func comparePaths(t *testing.T, name string, fast, slow, sampled *machine.CPU) {
 	t.Helper()
 	const maxSteps = 50_000_000
 	var hooked int64
 	var slowFetches, sampledFetches fetchTrace
+	fastRec, slowRec, sampledRec := stats.New(), stats.New(), stats.New()
+	fast.Record = fastRec
+	slow.Record = slowRec
 	slow.TraceStep = func(machine.StepInfo) { hooked++ }
 	slow.TraceFetch = slowFetches.hook
 	obs := &trafficSum{}
 	sampled.EpochSteps = 97 // force many epoch boundaries per run
-	sampled.EnableEpochSampling(stats.New(), obs)
+	sampled.Record = sampledRec
+	sampled.EnableEpochSampling(obs)
 	sampled.TraceFetch = sampledFetches.hook
 	fs, ferr := fast.Run(maxSteps)
 	ss, serr := slow.Run(maxSteps)
@@ -175,6 +182,16 @@ func comparePaths(t *testing.T, name string, fast, slow, sampled *machine.CPU) {
 	}
 	if fast.Stats != sampled.Stats {
 		t.Fatalf("%s: sampling perturbed stats:\nfast    %+v\nsampled %+v", name, fast.Stats, sampled.Stats)
+	}
+	fsnap, ssnap, psnap := fastRec.Snapshot(), slowRec.Snapshot(), sampledRec.Snapshot()
+	for _, c := range []string{"machine.steps", "machine.expanded", "machine.fetched_bytes"} {
+		f, s, p := fsnap.Counter(c), ssnap.Counter(c), psnap.Counter(c)
+		if f != s || f != p {
+			t.Fatalf("%s: recorded %s diverged: fast %d, slow %d, sampled %d", name, c, f, s, p)
+		}
+	}
+	if fsnap.Counter("machine.steps") != fast.Stats.Steps {
+		t.Fatalf("%s: recorded %d steps, Stats.Steps %d", name, fsnap.Counter("machine.steps"), fast.Stats.Steps)
 	}
 	checkReruns(t, name, firsts, maxSteps)
 }

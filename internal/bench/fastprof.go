@@ -40,7 +40,8 @@ func sampledRun(c *Corpus, mk func() (*machineCPU, error), sym *guestprof.SymTab
 	}
 	rec := stats.New()
 	sp := guestprof.NewSampled(sym)
-	cpu.EnableEpochSampling(rec, sp)
+	cpu.Record = rec
+	cpu.EnableEpochSampling(sp)
 	span := c.Span().Child("bench.sampledrun").Set("bench", name)
 	cpu.TraceEpochs(span)
 	_, err = cpu.Run(execBudget)
@@ -158,7 +159,8 @@ func ExtFastProf(c *Corpus) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		timed.EnableEpochSampling(stats.New(), guestprof.NewSampled(sym))
+		timed.Record = stats.New()
+		timed.EnableEpochSampling(guestprof.NewSampled(sym))
 		stime, _, err := measureRuns(timed)
 		if err != nil {
 			return nil, fmt.Errorf("fastprof: sampled %s: %w", name, err)

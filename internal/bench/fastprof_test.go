@@ -79,7 +79,8 @@ func TestSampledProfilerAccuracyNative(t *testing.T) {
 			t.Fatal(err)
 		}
 		sp := guestprof.NewSampled(sym)
-		cpu.EnableEpochSampling(stats.New(), sp)
+		cpu.Record = stats.New()
+		cpu.EnableEpochSampling(sp)
 		if _, err := cpu.Run(execBudget); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}

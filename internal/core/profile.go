@@ -44,37 +44,27 @@ type FastPathProfile struct {
 
 // RunProfile is the per-run execution profile a run bundle stores as
 // profile.json: the machine's counters, fast-path coverage and bail
-// accounting, the dictionary-entry heat map (hottest first), the
-// expansion-length histogram and, when a cache was simulated, its miss
-// curve. All fields are JSON-serializable.
+// accounting, the dictionary-entry heat map (hottest first; each entry's
+// Len and Count give the expansion-length distribution) and, when a cache
+// was simulated, its miss curve. All fields are JSON-serializable.
 type RunProfile struct {
-	Name          string           `json:"name"`
-	Steps         int64            `json:"steps"`
-	Expanded      int64            `json:"expanded"`
-	MemFetches    int64            `json:"mem_fetches"`
-	FetchedBytes  int64            `json:"fetched_bytes"`
-	Fastpath      FastPathProfile  `json:"fastpath"`
-	HotEntries    []EntryHeat      `json:"hot_entries,omitempty"`
-	ExpansionHist *stats.Histogram `json:"expansion_hist,omitempty"`
-	Cache         *CacheProfile    `json:"cache,omitempty"`
-}
-
-// HotEntriesTotal sums the heat map's expansion counts.
-func (p RunProfile) HotEntriesTotal() int64 {
-	var n int64
-	for _, e := range p.HotEntries {
-		n += e.Count
-	}
-	return n
+	Name         string          `json:"name"`
+	Steps        int64           `json:"steps"`
+	Expanded     int64           `json:"expanded"`
+	MemFetches   int64           `json:"mem_fetches"`
+	FetchedBytes int64           `json:"fetched_bytes"`
+	Fastpath     FastPathProfile `json:"fastpath"`
+	HotEntries   []EntryHeat     `json:"hot_entries,omitempty"`
+	Cache        *CacheProfile   `json:"cache,omitempty"`
 }
 
 // CollectRunProfile assembles a RunProfile after cpu.Run completed. heat
 // is the per-rank expansion count of img's dictionary entries, as a guest
 // profiler's Heat method returns it (exact or sampled). img may be nil
-// (uncompressed run: no heat map or expansion histogram), as may ic and
-// curve (no cache section) — the profile simply omits those sections.
-// snap should be the snapshot of the run's recorder; its
-// machine.expansion_len histogram becomes ExpansionHist.
+// (uncompressed run: no heat map), as may ic and curve (no cache section)
+// — the profile simply omits those sections. snap should be the snapshot
+// of the run's recorder; its machine.fastpath.epoch_len histogram becomes
+// Fastpath.EpochHist.
 func CollectRunProfile(img *Image, heat []int64, cpu *machine.CPU, snap stats.Snapshot, ic *cache.Cache, curve []cache.SamplePoint) RunProfile {
 	p := RunProfile{
 		Steps:        cpu.Stats.Steps,
@@ -118,10 +108,6 @@ func CollectRunProfile(img *Image, heat []int64, cpu *machine.CPU, snap stats.Sn
 		sort.SliceStable(p.HotEntries, func(i, j int) bool {
 			return p.HotEntries[i].Count > p.HotEntries[j].Count
 		})
-	}
-	if h, ok := snap.Hists["machine.expansion_len"]; ok {
-		hc := h
-		p.ExpansionHist = &hc
 	}
 	if ic != nil {
 		p.Cache = &CacheProfile{

@@ -13,8 +13,9 @@ import (
 
 // TestCollectRunProfile compresses and runs a synthetic benchmark with
 // full instrumentation attached (the exact guest profiler supplying the
-// heat map) and checks the profile carries a non-empty heat map,
-// expansion histogram and cache miss curve.
+// heat map) and checks the profile carries a non-empty heat map, whose
+// Len and Count give the expansion-length distribution, and a cache miss
+// curve.
 func TestCollectRunProfile(t *testing.T) {
 	p, err := synth.Generate("compress")
 	if err != nil {
@@ -66,19 +67,13 @@ func TestCollectRunProfile(t *testing.T) {
 		if e.Count <= 0 {
 			t.Fatalf("HotEntries[%d] has count %d", i, e.Count)
 		}
-		if len(e.Insns) != e.Len {
-			t.Fatalf("HotEntries[%d]: %d insns for len %d", i, len(e.Insns), e.Len)
+		if len(e.Insns) != e.Len || e.Len != len(img.Entries[e.Rank].Words) {
+			t.Fatalf("HotEntries[%d]: %d insns for len %d, entry %d has %d words",
+				i, len(e.Insns), e.Len, e.Rank, len(img.Entries[e.Rank].Words))
 		}
 		if i > 0 && prof.HotEntries[i-1].Count < e.Count {
 			t.Fatal("heat map not sorted hottest-first")
 		}
-	}
-	if prof.ExpansionHist == nil || prof.ExpansionHist.Count == 0 {
-		t.Fatal("empty expansion histogram")
-	}
-	if prof.ExpansionHist.Count != prof.HotEntriesTotal() {
-		t.Fatalf("expansion histogram count %d != heat map total %d",
-			prof.ExpansionHist.Count, prof.HotEntriesTotal())
 	}
 	if prof.Cache == nil || prof.Cache.Accesses == 0 {
 		t.Fatal("empty cache profile")
@@ -127,7 +122,7 @@ func TestCollectRunProfileNilSections(t *testing.T) {
 	if prof.Steps == 0 {
 		t.Fatal("machine counters not collected")
 	}
-	if prof.HotEntries != nil || prof.ExpansionHist != nil || prof.Cache != nil {
+	if prof.HotEntries != nil || prof.Cache != nil {
 		t.Fatal("optional sections present without their inputs")
 	}
 	// With an image but no heat counts, entries all count zero and the

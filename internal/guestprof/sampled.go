@@ -15,8 +15,9 @@ import "repro/internal/machine"
 // flat profile, counter for counter; steps executed on the instrumented
 // path are the only loss, and FastStats.Coverage reports their share.
 // What sampling cannot see is the call stack, so profiles are flat-only
-// (each function's Cum equals its Flat) and CacheMisses stays zero (cache
-// simulation needs the per-fetch hook, which is a slow-path feature).
+// (each function's Cum equals its Flat), nor the per-function fetch
+// stream, so CacheMisses stays zero — a cache on TraceFetch still runs
+// fused, but its misses are charged to no function.
 type SampledProfiler struct {
 	sym  *SymTab
 	flat []Counts // index fn+1; 0 is the unknown function
@@ -31,7 +32,7 @@ var _ machine.EpochObserver = (*SampledProfiler)(nil)
 
 // NewSampled creates a sampled profiler resolving addresses through sym
 // (for compressed images, the symbol table GuestSymTab already translates
-// unit addresses). Connect it with cpu.EnableEpochSampling(rec, p).
+// unit addresses). Connect it with cpu.EnableEpochSampling(p).
 func NewSampled(sym *SymTab) *SampledProfiler {
 	return &SampledProfiler{
 		sym:    sym,

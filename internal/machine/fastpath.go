@@ -8,10 +8,7 @@
 // `make lint-fastpath` enforces that split.
 package machine
 
-import (
-	"repro/internal/stats"
-	"repro/internal/trace"
-)
+import "repro/internal/trace"
 
 // BailReason classifies how a Run's fast-path attempt ended — or why it
 // never started. Every Run increments exactly one Bails counter per
@@ -27,7 +24,7 @@ const (
 	BailOffTable                           // PC left the table or hit a misaligned interior offset
 	BailSelfModifiedText                   // a store invalidated the table mid-run
 	BailExecFault                          // an instruction faulted architecturally
-	BailHookAttached                       // TraceStep or Record forced the instrumented Step path for the whole Run
+	BailHookAttached                       // TraceStep forced the instrumented Step path for the whole Run
 	BailFrontendRefused                    // frontend had no usable predecode table
 
 	numBailReasons
@@ -137,12 +134,12 @@ type EpochObserver interface {
 // telemetry staleness bound).
 const DefaultEpochSteps = 1 << 20
 
-// EnableEpochSampling attaches epoch-grained telemetry sinks to the fast
-// loop. Unlike the hooks, sampling does NOT force the instrumented Step
-// path: the fused loop runs unchanged and, every EpochSteps instructions,
-// adds its counters to rec (machine.fastpath.* plus the
-// machine.fastpath.epoch_len histogram) and hands the per-slot traffic to
-// obs. Either sink may be nil.
+// EnableEpochSampling attaches an epoch-grained traffic observer to the
+// fast loop. Unlike TraceStep, sampling does NOT force the instrumented
+// Step path: the fused loop runs unchanged and, every EpochSteps
+// instructions, hands the per-slot traffic to obs and observes the epoch's
+// length as machine.fastpath.epoch_len on Record (when attached). A nil
+// obs detaches the observer.
 //
 // Epochs are step-count intervals of the machine's lifetime, not of one
 // Run: in the steady-state serving shape (Reset + Run per request) traffic
@@ -150,9 +147,8 @@ const DefaultEpochSteps = 1 << 20
 // that cadence, not the request rate, bounds both the telemetry cost and
 // its staleness. Call FlushEpoch before reading final results from the
 // observer.
-func (c *CPU) EnableEpochSampling(rec *stats.Recorder, obs EpochObserver) {
+func (c *CPU) EnableEpochSampling(obs EpochObserver) {
 	c.FlushEpoch()
-	c.sampleRec = rec
 	c.sampleObs = obs
 }
 
@@ -180,7 +176,7 @@ func (c *CPU) TraceEpochs(parent *trace.Span) { c.epochParent = parent }
 // false the fast loop runs with zero telemetry work beyond Bails/Steps
 // accounting at exits.
 func (c *CPU) samplingOn() bool {
-	return c.sampleRec != nil || c.sampleObs != nil || c.epochParent != nil
+	return c.sampleObs != nil || c.epochParent != nil
 }
 
 // epochLen is the configured epoch length in steps.
@@ -237,7 +233,7 @@ func (c *CPU) beginEpochSpan() {
 func (c *CPU) drainEpoch(pd *Predecode, tr []SlotTraffic, steps int64, more bool) {
 	if steps > 0 {
 		c.Fast.Epochs++
-		c.sampleRec.ObserveValue("machine.fastpath.epoch_len", steps)
+		c.Record.ObserveValue("machine.fastpath.epoch_len", steps)
 		if c.sampleObs != nil && tr != nil {
 			c.sampleObs.ObserveEpoch(pd, tr, c.touched)
 			for _, i := range c.touched {
@@ -312,17 +308,6 @@ func (c *CPU) endFast(pd *Predecode, jl *[]uint32, reason BailReason, entrySteps
 	}
 }
 
-// fastpathRec selects the recorder the machine.fastpath.* Run-delta export
-// flows to: the epoch-sampling recorder when one is attached (the
-// fast-path case), else the Record hook's recorder (so instrumented runs
-// still report their hook_attached bail and zero coverage).
-func (c *CPU) fastpathRec() *stats.Recorder {
-	if c.sampleRec != nil {
-		return c.sampleRec
-	}
-	return c.Record
-}
-
 // bailCounterNames precomputes the exported counter name of every bail
 // reason, so per-Run export does no string building.
 var bailCounterNames = func() (a [numBailReasons]string) {
@@ -332,17 +317,23 @@ var bailCounterNames = func() (a [numBailReasons]string) {
 	return
 }()
 
-// exportFastpath adds one Run's fast-path counter deltas to rec. Every
-// bail counter is exported (including zeros) so OpenMetrics scrapes and
-// snapshots always show the full reason vocabulary; slow_steps is the
-// instrumented-path remainder, letting coverage be derived from any single
-// recorder as steps/(steps+slow_steps).
-func (c *CPU) exportFastpath(rec *stats.Recorder, before FastStats, stepsBefore int64) {
-	fast := c.Fast.Steps - before.Steps
+// exportRun adds one Run's counter deltas to Record: the execution
+// counters plus the fast-path accounting. Every bail counter is exported
+// (including zeros) so OpenMetrics scrapes and snapshots always show the
+// full reason vocabulary; slow_steps is the instrumented-path remainder,
+// letting coverage be derived from any single recorder as
+// steps/(steps+slow_steps).
+func (c *CPU) exportRun(before Stats, fastBefore FastStats) {
+	rec := c.Record
+	steps := c.Stats.Steps - before.Steps
+	fast := c.Fast.Steps - fastBefore.Steps
+	rec.Add("machine.steps", steps)
+	rec.Add("machine.expanded", c.Stats.Expanded-before.Expanded)
+	rec.Add("machine.fetched_bytes", c.Stats.FetchedBytes-before.FetchedBytes)
 	rec.Add("machine.fastpath.steps", fast)
-	rec.Add("machine.fastpath.slow_steps", c.Stats.Steps-stepsBefore-fast)
-	rec.Add("machine.fastpath.epochs", c.Fast.Epochs-before.Epochs)
+	rec.Add("machine.fastpath.slow_steps", steps-fast)
+	rec.Add("machine.fastpath.epochs", c.Fast.Epochs-fastBefore.Epochs)
 	for r := range c.Fast.Bails {
-		rec.Add(bailCounterNames[r], c.Fast.Bails[r]-before.Bails[r])
+		rec.Add(bailCounterNames[r], c.Fast.Bails[r]-fastBefore.Bails[r])
 	}
 }

@@ -102,6 +102,49 @@ func TestBailReasonHookAttached(t *testing.T) {
 	}
 }
 
+// TestRecordStaysFused: a recorder is a counter sink, not a hook. A
+// Record-only run stays entirely on the fused loop, and the execution
+// counters it exports equal those of a TraceStep run of the same program.
+func TestRecordStaysFused(t *testing.T) {
+	p := parityProgram(t)
+	run := func(hook bool) (*CPU, stats.Snapshot) {
+		t.Helper()
+		cpu, err := NewForProgram(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rec := stats.New()
+		cpu.Record = rec
+		if hook {
+			cpu.TraceStep = func(StepInfo) {}
+		}
+		if _, err := cpu.Run(10000); err != nil {
+			t.Fatal(err)
+		}
+		return cpu, rec.Snapshot()
+	}
+	fused, fsnap := run(false)
+	if fused.Fast.Steps != fused.Stats.Steps || fused.Fast.Bails[BailHookAttached] != 0 {
+		t.Fatalf("Record knocked the run off the fast path: %d of %d steps (%s)",
+			fused.Fast.Steps, fused.Stats.Steps, fused.Fast.BailSummary())
+	}
+	if got := fsnap.Counter("machine.fastpath.steps"); got != fused.Stats.Steps {
+		t.Fatalf("exported fastpath.steps %d, want %d", got, fused.Stats.Steps)
+	}
+	stepped, ssnap := run(true)
+	if stepped.Fast.Bails[BailHookAttached] != 1 {
+		t.Fatalf("TraceStep run FastStats %+v, want one hook_attached bail", stepped.Fast)
+	}
+	for _, name := range []string{"machine.steps", "machine.expanded", "machine.fetched_bytes"} {
+		if f, s := fsnap.Counter(name), ssnap.Counter(name); f != s {
+			t.Errorf("%s: fused run exported %d, Step run %d", name, f, s)
+		}
+	}
+	if fsnap.Counter("machine.steps") != fused.Stats.Steps {
+		t.Errorf("machine.steps %d, Stats.Steps %d", fsnap.Counter("machine.steps"), fused.Stats.Steps)
+	}
+}
+
 // plainFrontend hides a frontend's predecode capability, standing in for
 // any frontend configuration that cannot supply a table.
 type plainFrontend struct{ Frontend }
@@ -152,7 +195,8 @@ func TestEpochSamplingParity(t *testing.T) {
 	}
 	rec := stats.New()
 	obs := &epochRecorder{}
-	sampled.EnableEpochSampling(rec, obs)
+	sampled.Record = rec
+	sampled.EnableEpochSampling(obs)
 	sampled.EpochSteps = 7
 	bs, berr := bare.Run(10000)
 	ss, serr := sampled.Run(10000)
@@ -220,7 +264,8 @@ func TestFetchJournalWithEpochs(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := stats.New()
-	cpu.EnableEpochSampling(rec, &epochRecorder{})
+	cpu.Record = rec
+	cpu.EnableEpochSampling(&epochRecorder{})
 	const epoch = JournalLen + 904
 	cpu.EpochSteps = epoch
 	var fetches int64
@@ -303,7 +348,8 @@ func TestResetClearsFastStats(t *testing.T) {
 	}
 	rec := stats.New()
 	obs := &epochRecorder{}
-	cpu.EnableEpochSampling(rec, obs)
+	cpu.Record = rec
+	cpu.EnableEpochSampling(obs)
 	cpu.EpochSteps = 7
 	if _, err := cpu.Run(10000); err != nil {
 		t.Fatal(err)
@@ -339,7 +385,8 @@ func TestEpochSpansRuns(t *testing.T) {
 	}
 	rec := stats.New()
 	obs := &epochRecorder{}
-	cpu.EnableEpochSampling(rec, obs)
+	cpu.Record = rec
+	cpu.EnableEpochSampling(obs)
 	cpu.EpochSteps = 1 << 30
 	const runs = 3
 	var total, fetches int64

@@ -34,8 +34,7 @@ type FetchInfo struct {
 	// it begins a codeword expansion: EntryLen is the entry's instruction
 	// count (0 on every other fetch, including the expansion's
 	// continuation fetches) and EntryRank its dictionary rank. They feed
-	// the expansion-length histogram and the guest profiler's per-entry
-	// heat map.
+	// the guest profiler's per-entry heat map.
 	EntryRank int
 	EntryLen  int
 }

@@ -56,8 +56,8 @@ type CPU struct {
 
 	// TraceFetch, when non-nil, receives the program-memory traffic of
 	// every fetch (for cache simulation): one (addr, nbytes) call per
-	// access, in fetch order. Unlike TraceStep and Record it does not
-	// force the instrumented Step path. The fused fast loop journals its
+	// access, in fetch order. Unlike TraceStep it does not force the
+	// instrumented Step path. The fused fast loop journals its
 	// table fetches and delivers them in batches — at most every few
 	// thousand fetches and whenever the loop exits — so calls lag
 	// execution, but the sequence is exactly the one Step delivers and is
@@ -72,11 +72,13 @@ type CPU struct {
 	// number of deliveries equals Stats.Steps.
 	TraceStep func(StepInfo)
 
-	// Record, when non-nil, receives the execution counters of every Run
-	// (machine.steps, machine.expanded, machine.fetched_bytes — deltas per
-	// Run, so repeated Runs on one CPU accumulate correctly) plus the
-	// machine.expansion_len histogram: the entry length of every codeword
-	// expansion the frontend begins.
+	// Record, when non-nil, is the CPU's counter sink, not a hook: every
+	// Run adds its deltas of machine.steps, machine.expanded,
+	// machine.fetched_bytes and the machine.fastpath.* counters (so
+	// repeated Runs on one CPU accumulate correctly), and with epoch
+	// sampling enabled each drained epoch observes
+	// machine.fastpath.epoch_len. Attaching it leaves Run on the fused
+	// fast loop.
 	Record *stats.Recorder
 
 	Stats Stats
@@ -91,15 +93,14 @@ type CPU struct {
 	// DefaultEpochSteps. Without sampling the fast loop runs unchunked.
 	EpochSteps int64
 
-	sampleRec   *stats.Recorder // epoch-sampling sink (EnableEpochSampling)
-	sampleObs   EpochObserver   // per-slot traffic consumer (EnableEpochSampling)
-	epochParent *trace.Span     // per-epoch span parent (TraceEpochs)
-	epochSpan   *trace.Span     // span of the epoch in flight
-	traffic     []SlotTraffic   // per-CPU slot counters, drained each epoch
-	touched     []int32         // slots with traffic this epoch, first-touch order
-	trafficPD   *Predecode      // table the accumulated traffic indexes
-	sinceDrain  int64           // fast steps accumulated since the last drain
-	journal     []uint32        // fetch journal backing store (beginJournal)
+	sampleObs   EpochObserver // per-slot traffic consumer (EnableEpochSampling)
+	epochParent *trace.Span   // per-epoch span parent (TraceEpochs)
+	epochSpan   *trace.Span   // span of the epoch in flight
+	traffic     []SlotTraffic // per-CPU slot counters, drained each epoch
+	touched     []int32       // slots with traffic this epoch, first-touch order
+	trafficPD   *Predecode    // table the accumulated traffic indexes
+	sinceDrain  int64         // fast steps accumulated since the last drain
+	journal     []uint32      // fetch journal backing store (beginJournal)
 
 	branch takenBranch // control transfer of the instruction being executed
 	exited bool
@@ -213,7 +214,7 @@ func (c *CPU) SnapshotReset() error {
 // Reset rewinds the machine to its SnapshotReset state: registers, memory,
 // PC, accumulated output, exit state, Stats, and Fast all return to their
 // post-construction values, reusing every allocation. Hooks (TraceFetch,
-// TraceStep, Record) and epoch-sampling sinks are left attached.
+// TraceStep), Record and the epoch-sampling observer are left attached.
 func (c *CPU) Reset() error {
 	if c.snap == nil {
 		return fmt.Errorf("machine: Reset without a prior SnapshotReset")
@@ -251,30 +252,23 @@ func (c *CPU) Exited() (bool, int32) { return c.exited, c.status }
 // the exit status. Exceeding the budget or any architectural fault is an
 // error.
 //
-// When TraceStep and Record are nil and the frontend supplies a predecode
-// table, Run drives the fused fetch+execute fast loop; attaching either
-// transparently selects the instrumented Step path, so observability
-// features see every event. TraceFetch rides the fast loop through its
+// When TraceStep is nil and the frontend supplies a predecode table, Run
+// drives the fused fetch+execute fast loop; attaching TraceStep
+// transparently selects the instrumented Step path, so the per-step hook
+// sees every instruction. TraceFetch rides the fast loop through its
 // fetch journal: the hook receives the same (addr, nbytes) sequence as on
 // the Step path, batched, and has received all of it when Run returns.
-// Epoch sampling (EnableEpochSampling, TraceEpochs) is deliberately NOT a
-// hook: it observes the fast loop from its epoch boundaries, so sampled
-// runs stay fused. Every Run classifies how the fast path ended — or why
-// it never started — in Fast.Bails.
+// Record is a sink, not a hook: one deferred export adds the Run's
+// counter deltas to it on either path. Epoch sampling
+// (EnableEpochSampling, TraceEpochs) observes the fast loop from its
+// epoch boundaries, so sampled runs stay fused too. Every Run classifies
+// how the fast path ended — or why it never started — in Fast.Bails.
 func (c *CPU) Run(maxSteps int64) (int32, error) {
 	if c.Record != nil {
-		before := c.Stats
-		defer func() {
-			c.Record.Add("machine.steps", c.Stats.Steps-before.Steps)
-			c.Record.Add("machine.expanded", c.Stats.Expanded-before.Expanded)
-			c.Record.Add("machine.fetched_bytes", c.Stats.FetchedBytes-before.FetchedBytes)
-		}()
+		before, fastBefore := c.Stats, c.Fast
+		defer func() { c.exportRun(before, fastBefore) }()
 	}
-	if rec := c.fastpathRec(); rec != nil {
-		fastBefore, stepsBefore := c.Fast, c.Stats.Steps
-		defer func() { c.exportFastpath(rec, fastBefore, stepsBefore) }()
-	}
-	if c.TraceStep == nil && c.Record == nil {
+	if c.TraceStep == nil {
 		if fe, ok := c.fe.(PredecodedFrontend); ok {
 			if pd := fe.Predecode(); pd != nil {
 				st, done, err := c.runFast(fe, pd, maxSteps)
@@ -342,9 +336,6 @@ func (c *CPU) Step() error {
 	}
 	if fi.MemBytes2 > 0 {
 		c.traceAccess(fi.MemAddr2, fi.MemBytes2)
-	}
-	if fi.EntryLen > 0 && c.Record != nil {
-		c.Record.ObserveValue("machine.expansion_len", int64(fi.EntryLen))
 	}
 	c.branch = takenBranch{}
 	i := ppc.Decode(fi.Word)

@@ -96,7 +96,7 @@ type Bundle struct {
 	Stats *stats.Snapshot
 
 	// Profile is the execution profile (fast-path coverage and bails, hot
-	// dictionary entries, expansion histogram, cache curve). Its Guest and
+	// dictionary entries with expansion counts, cache curve). Its Guest and
 	// Size fields are always nil inside a bundle — those artifacts are the
 	// Guest and Audit sections.
 	Profile *core.RunProfile
