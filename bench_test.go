@@ -449,16 +449,15 @@ func BenchmarkLZWCompress(b *testing.B) {
 
 func BenchmarkCCRPHuffman(b *testing.B) {
 	p := benchProgram(b, "go")
-	text := p.TextBytes()
-	model := huffman.DefaultCCRP()
-	b.SetBytes(int64(len(text)))
+	cfg := huffman.DefaultCCRP()
+	b.SetBytes(int64(p.SizeBytes()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		res, err := model.Compress(text)
+		img, err := huffman.BuildCCRPImage(p, cfg)
 		if err != nil {
 			b.Fatal(err)
 		}
-		benchSink = res
+		benchSink = img
 	}
 }
 

@@ -218,13 +218,10 @@ func main() {
 	}
 	var curve []cache.SamplePoint
 	if smp != nil {
+		ic.Report(col.Recorder())
 		curve = smp.Points
 	}
-	prof := core.CollectRunProfile(img, heat, cpu, col.Recorder().Snapshot(), ic, curve)
-	if prof.Name == "" {
-		prof.Name = id.Bench
-	}
-	col.SetProfile(prof)
+	col.SetProfile(core.CollectRunProfile(img, heat, curve))
 	col.SetAudit(sa)
 	if err := col.Write(*bundleDir); err != nil {
 		fatal(err)

@@ -1,6 +1,8 @@
 package main
 
 import (
+	"encoding/json"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -9,9 +11,12 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/bench"
+	"repro/internal/codec"
 	"repro/internal/codeword"
 	"repro/internal/core"
 	"repro/internal/guestprof"
+	"repro/internal/machine"
 	"repro/internal/objfile"
 	"repro/internal/obs"
 	"repro/internal/synth"
@@ -103,8 +108,8 @@ func TestSampledBundleMatchesExact(t *testing.T) {
 		t.Errorf("folded stacks: exact %d bytes, sampled %d bytes; want exact only",
 			len(exact.GuestFolded), len(sampled.GuestFolded))
 	}
-	if cov := sampled.Profile.Fastpath.Coverage; cov != 1 {
-		t.Fatalf("sampled run coverage %v, want 1", cov)
+	if fast, steps := sampled.Stats.Counter("machine.fastpath.steps"), sampled.Stats.Counter("machine.steps"); fast != steps || steps == 0 {
+		t.Fatalf("sampled run: %d of %d steps on the fast path, want all", fast, steps)
 	}
 	if len(exact.Profile.HotEntries) == 0 {
 		t.Fatal("exact bundle has no hot entries")
@@ -129,7 +134,8 @@ func TestSampledBundleMatchesExact(t *testing.T) {
 // TestSampledProfRejects pins the combinations -sampledprof refuses: the
 // per-step hook that would force the instrumented path, and running
 // without a bundle to fill. -cache is accepted: the fetch journal keeps the
-// cached run fused, and its cache section equals the exact bundle's.
+// cached run fused, and its cache counters and miss curve equal the exact
+// bundle's.
 func TestSampledProfRejects(t *testing.T) {
 	bin := buildCCRun(t)
 	dir := t.TempDir()
@@ -145,20 +151,25 @@ func TestSampledProfRejects(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.Profile == nil || b.Profile.Cache == nil {
-			t.Fatalf("ccrun %v: bundle lacks a cache section", args)
+		if b.Profile == nil {
+			t.Fatalf("ccrun %v: bundle lacks a profile section", args)
 		}
 		return b
 	}
 	exact, sampled := cached("exact"), cached("sampled", "-sampledprof")
-	if cov := sampled.Profile.Fastpath.Coverage; cov != 1 {
-		t.Errorf("sampled cached run coverage %v, want 1", cov)
+	if fast, steps := sampled.Stats.Counter("machine.fastpath.steps"), sampled.Stats.Counter("machine.steps"); fast != steps || steps == 0 {
+		t.Errorf("sampled cached run: %d of %d steps on the fast path, want all", fast, steps)
 	}
-	if exact.Profile.Cache.Accesses == 0 || exact.Profile.Cache.Misses == 0 {
-		t.Errorf("exact cache section is empty: %+v", exact.Profile.Cache)
+	if exact.Stats.Counter("cache.accesses") == 0 || exact.Stats.Counter("cache.misses") == 0 {
+		t.Errorf("exact bundle has no cache counters: %+v", exact.Stats.Counters)
 	}
-	if !reflect.DeepEqual(sampled.Profile.Cache, exact.Profile.Cache) {
-		t.Errorf("cache sections differ:\n sampled %+v\n   exact %+v", sampled.Profile.Cache, exact.Profile.Cache)
+	for _, name := range []string{"cache.accesses", "cache.hits", "cache.misses"} {
+		if s, e := sampled.Stats.Counter(name), exact.Stats.Counter(name); s != e {
+			t.Errorf("%s: sampled %d, exact %d", name, s, e)
+		}
+	}
+	if !reflect.DeepEqual(sampled.Profile.MissCurve, exact.Profile.MissCurve) {
+		t.Errorf("miss curves differ:\n sampled %+v\n   exact %+v", sampled.Profile.MissCurve, exact.Profile.MissCurve)
 	}
 
 	bdir := filepath.Join(dir, "bundle")
@@ -214,5 +225,191 @@ func TestBundleNativeProgram(t *testing.T) {
 	}
 	if b.Audit != nil {
 		t.Error("native bundle should carry no size audit")
+	}
+}
+
+// TestBundleCountersLiveInStats pins where a bundle keeps each number.
+// stats.json carries every counter of the run, equal to the CPU's and
+// the cache's own totals; profile.json carries only what no counter can,
+// the heat map and the miss curve. Both producers are covered:
+// bench.CollectBundle for every executable codec, and ccrun with and
+// without -cache and -sampledprof.
+func TestBundleCountersLiveInStats(t *testing.T) {
+	checkProfileKeys := func(t *testing.T, dir string) {
+		t.Helper()
+		data, err := os.ReadFile(filepath.Join(dir, "profile.json"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var keys map[string]json.RawMessage
+		if err := json.Unmarshal(data, &keys); err != nil {
+			t.Fatal(err)
+		}
+		for k := range keys {
+			if k != "hot_entries" && k != "miss_curve" {
+				t.Errorf("profile.json has key %q; only hot_entries and miss_curve belong there", k)
+			}
+		}
+	}
+	checkCounters := func(t *testing.T, dir string, want map[string]int64) {
+		t.Helper()
+		b, err := obs.Open(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if b.Stats == nil {
+			t.Fatal("bundle has no stats section")
+		}
+		for name, v := range want {
+			if got, ok := b.Stats.Counters[name]; !ok || got != v {
+				t.Errorf("stats.json %s = %d (present %v), run total %d", name, got, ok, v)
+			}
+		}
+	}
+
+	t.Run("collect", func(t *testing.T) {
+		c := bench.NewCorpus()
+		p, err := c.Program("compress")
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cd := range codec.Codecs() {
+			img, err := cd.Compress(p, codec.Options{MaxEntryLen: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ex, ok := img.(codec.Executable)
+			if !ok {
+				continue
+			}
+			// The reference run: the same image under a per-step hook, which
+			// puts it on the path the bundle's exact profiler takes.
+			cpu, err := ex.NewMachine()
+			if err != nil {
+				t.Fatal(err)
+			}
+			cpu.TraceStep = func(machine.StepInfo) {}
+			if _, err := cpu.Run(200_000_000); err != nil {
+				t.Fatal(err)
+			}
+			b, err := bench.CollectBundle(c, "compress", cd.Name(), core.Options{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := filepath.Join(t.TempDir(), cd.Name())
+			if err := obs.Write(dir, b); err != nil {
+				t.Fatal(err)
+			}
+			checkProfileKeys(t, dir)
+			checkCounters(t, dir, machineCounters(cpu.Stats, cpu.Fast))
+		}
+	})
+
+	t.Run("ccrun", func(t *testing.T) {
+		bin := buildCCRun(t)
+		dir := t.TempDir()
+		ppz := writeImage(t, dir, "compress")
+		for i, args := range [][]string{
+			nil,
+			{"-cache", "1024"},
+			{"-sampledprof"},
+			{"-sampledprof", "-cache", "1024"},
+		} {
+			bdir := filepath.Join(dir, fmt.Sprint("b", i))
+			cmd := exec.Command(bin, append(args, "-bundle", bdir, ppz)...)
+			var stderr strings.Builder
+			cmd.Stderr = &stderr
+			if err := cmd.Run(); err != nil {
+				t.Fatalf("ccrun %v: %v\n%s", args, err, stderr.String())
+			}
+			checkProfileKeys(t, bdir)
+			want := summaryCounters(t, stderr.String())
+			if _, ok := want["cache.accesses"]; ok != (len(args) > 0 && args[len(args)-1] == "1024") {
+				t.Fatalf("ccrun %v: cache summary present %v", args, ok)
+			}
+			checkCounters(t, bdir, want)
+		}
+	})
+}
+
+// machineCounters names a run's CPU totals as the stats counters a
+// recorder attached to it receives.
+func machineCounters(st machine.Stats, f machine.FastStats) map[string]int64 {
+	m := map[string]int64{
+		"machine.steps":               st.Steps,
+		"machine.expanded":            st.Expanded,
+		"machine.fetched_bytes":       st.FetchedBytes,
+		"machine.mem_fetches":         st.MemFetches,
+		"machine.fastpath.steps":      f.Steps,
+		"machine.fastpath.slow_steps": st.Steps - f.Steps,
+		"machine.fastpath.epochs":     f.Epochs,
+	}
+	for r, n := range f.Bails {
+		m["machine.fastpath.bail."+machine.BailReason(r).String()] = n
+	}
+	return m
+}
+
+// summaryCounters parses ccrun's run summary, which it prints straight
+// from the CPU's and the cache's totals, into the counters stats.json must
+// hold.
+func summaryCounters(t *testing.T, summary string) map[string]int64 {
+	t.Helper()
+	var st machine.Stats
+	var f machine.FastStats
+	var accesses, misses int64
+	haveCache := false
+	for _, line := range strings.Split(summary, "\n") {
+		var n, ignore int64
+		switch {
+		case strings.HasPrefix(line, "steps "):
+			_, err := fmt.Sscanf(line, "steps %d, taken branches %d", &st.Steps, &ignore)
+			mustScan(t, line, err)
+		case strings.HasPrefix(line, "program-memory fetches "):
+			_, err := fmt.Sscanf(line, "program-memory fetches %d (%d bytes), dictionary expansions %d",
+				&st.MemFetches, &st.FetchedBytes, &st.Expanded)
+			mustScan(t, line, err)
+		case strings.HasPrefix(line, "fastpath: ") && strings.Contains(line, " bails: "):
+			_, err := fmt.Sscanf(line, "fastpath: %d/%d", &f.Steps, &ignore)
+			mustScan(t, line, err)
+			_, bails, _ := strings.Cut(line, " bails: ")
+			for _, pair := range strings.Fields(bails) {
+				name, count, ok := strings.Cut(pair, "=")
+				if !ok {
+					continue // "none"
+				}
+				_, err := fmt.Sscan(count, &n)
+				mustScan(t, line, err)
+				for r := range f.Bails {
+					if machine.BailReason(r).String() == name {
+						f.Bails[r] = n
+					}
+				}
+			}
+		case strings.HasSuffix(line, " telemetry epochs drained"):
+			_, err := fmt.Sscanf(line, "fastpath: %d telemetry", &f.Epochs)
+			mustScan(t, line, err)
+		case strings.HasPrefix(line, "icache: "):
+			_, err := fmt.Sscanf(line, "icache: %d accesses, %d misses", &accesses, &misses)
+			mustScan(t, line, err)
+			haveCache = true
+		}
+	}
+	if st.Steps == 0 {
+		t.Fatalf("no step count in the run summary:\n%s", summary)
+	}
+	m := machineCounters(st, f)
+	if haveCache {
+		m["cache.accesses"] = accesses
+		m["cache.hits"] = accesses - misses
+		m["cache.misses"] = misses
+	}
+	return m
+}
+
+func mustScan(t *testing.T, line string, err error) {
+	t.Helper()
+	if err != nil {
+		t.Fatalf("run summary line %q: %v", line, err)
 	}
 }

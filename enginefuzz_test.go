@@ -184,7 +184,7 @@ func comparePaths(t *testing.T, name string, fast, slow, sampled *machine.CPU) {
 		t.Fatalf("%s: sampling perturbed stats:\nfast    %+v\nsampled %+v", name, fast.Stats, sampled.Stats)
 	}
 	fsnap, ssnap, psnap := fastRec.Snapshot(), slowRec.Snapshot(), sampledRec.Snapshot()
-	for _, c := range []string{"machine.steps", "machine.expanded", "machine.fetched_bytes"} {
+	for _, c := range []string{"machine.steps", "machine.expanded", "machine.fetched_bytes", "machine.mem_fetches"} {
 		f, s, p := fsnap.Counter(c), ssnap.Counter(c), psnap.Counter(c)
 		if f != s || f != p {
 			t.Fatalf("%s: recorded %s diverged: fast %d, slow %d, sampled %d", name, c, f, s, p)

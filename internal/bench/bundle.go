@@ -92,8 +92,7 @@ func CollectBundle(c *Corpus, name, enc string, opt core.Options) (*obs.Bundle, 
 		sym = guestprof.NewProgramSymTab(p)
 	}
 
-	rec := col.Recorder()
-	cpu.Record = rec
+	cpu.Record = col.Recorder()
 	gp := guestprof.New(sym)
 	gp.Attach(cpu)
 	if _, err := cpu.Run(bundleStepBudget); err != nil {
@@ -101,11 +100,7 @@ func CollectBundle(c *Corpus, name, enc string, opt core.Options) (*obs.Bundle, 
 	}
 	cpu.FlushEpoch()
 
-	prof := core.CollectRunProfile(img, gp.Heat(), cpu, rec.Snapshot(), nil, nil)
-	if prof.Name == "" {
-		prof.Name = name
-	}
-	col.SetProfile(prof)
+	col.SetProfile(core.CollectRunProfile(img, gp.Heat(), nil))
 	guest := gp.Profile(name)
 	var sb strings.Builder
 	if err := gp.WriteFolded(&sb); err != nil {

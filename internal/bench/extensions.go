@@ -114,11 +114,12 @@ func ExtCrossover(c *Corpus) (*Table, error) {
 	for _, mp := range penalties {
 		t.Columns = append(t.Columns, fmt.Sprintf("miss=%d", mp))
 	}
-	// One work item per (benchmark, penalty) point: each runs two full
-	// pipeline simulations.
+	// One work item per benchmark: one native and one compressed pipeline
+	// simulation, priced at every penalty (the penalty changes no event
+	// count, only what each miss costs).
 	cells := make([]string, len(names)*len(penalties))
-	err := c.each(len(cells), func(k int) error {
-		name, mp := names[k/len(penalties)], penalties[k%len(penalties)]
+	err := c.each(len(names), func(k int) error {
+		name := names[k]
 		p, err := c.Program(name)
 		if err != nil {
 			return err
@@ -127,13 +128,13 @@ func ExtCrossover(c *Corpus) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		cfg := pipeline.DefaultConfig(mp)
+		icache := pipeline.DefaultConfig(0).ICache
 		ncpu, err := newNative(p)
 		if err != nil {
 			return err
 		}
 		ncpu.Record = c.Recorder()
-		nr, err := pipeline.Measure(ncpu, cfg, 200_000_000)
+		nr, err := pipeline.Measure(ncpu, icache, 200_000_000)
 		if err != nil {
 			return err
 		}
@@ -142,11 +143,14 @@ func ExtCrossover(c *Corpus) (*Table, error) {
 			return err
 		}
 		ccpu.Record = c.Recorder()
-		cr, err := pipeline.Measure(ccpu, cfg, 200_000_000)
+		cr, err := pipeline.Measure(ccpu, icache, 200_000_000)
 		if err != nil {
 			return err
 		}
-		cells[k] = fmt.Sprintf("%.2fx", float64(nr.Cycles)/float64(cr.Cycles))
+		for j, mp := range penalties {
+			cfg := pipeline.DefaultConfig(mp)
+			cells[k*len(penalties)+j] = fmt.Sprintf("%.2fx", float64(nr.Cycles(cfg))/float64(cr.Cycles(cfg)))
+		}
 		return nil
 	})
 	if err != nil {
@@ -594,8 +598,8 @@ func ExtCycles(c *Corpus) (*Table, error) {
 				return 0, err
 			}
 			cpu.Record = c.Recorder()
-			r, err := pipeline.Measure(cpu, cfg, 200_000_000)
-			return r.Cycles, err
+			r, err := pipeline.Measure(cpu, cfg.ICache, 200_000_000)
+			return r.Cycles(cfg), err
 		}
 		co, err := cyclesOf(func() (*machineCPU, error) { return newNative(p) })
 		if err != nil {

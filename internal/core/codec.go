@@ -90,8 +90,8 @@ func WriteImagePayload(dst io.Writer, img *Image) error {
 }
 
 // HeaderError reports a dictionary image header field out of range for
-// its payload: a scheme byte naming no scheme, more stream units than the
-// stream holds, or an empty dictionary entry.
+// its payload: a scheme byte naming no scheme (or not the frame's method),
+// more stream units than the stream holds, or an empty dictionary entry.
 type HeaderError struct {
 	Field string // "scheme", "units" or "entry length"
 	Value int64
@@ -214,14 +214,16 @@ func (c schemeCodec) Compress(p *program.Program, opt codec.Options) (codec.Imag
 	return Compress(p.Clone(), c.options(opt))
 }
 
-// Open deserializes an image payload and checks it belongs to this codec.
+// Open deserializes an image payload and checks it belongs to this codec:
+// a body whose scheme byte disagrees with the v2 frame's method byte fails
+// with a *HeaderError on "scheme" that admits only this codec's scheme.
 func (c schemeCodec) Open(r io.Reader) (codec.Image, error) {
 	img, err := ReadImagePayload(r)
 	if err != nil {
 		return nil, err
 	}
 	if img.Scheme != c.scheme {
-		return nil, fmt.Errorf("core: image scheme %v does not match codec %v", img.Scheme, c.scheme)
+		return nil, &HeaderError{Field: "scheme", Value: int64(img.Scheme), Min: int64(c.scheme), Limit: int64(c.scheme)}
 	}
 	return img, nil
 }

@@ -2,20 +2,20 @@ package core
 
 import (
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"repro/internal/cache"
 	"repro/internal/codeword"
 	"repro/internal/guestprof"
-	"repro/internal/stats"
 	"repro/internal/synth"
 )
 
 // TestCollectRunProfile compresses and runs a synthetic benchmark with
 // full instrumentation attached (the exact guest profiler supplying the
 // heat map) and checks the profile carries a non-empty heat map, whose
-// Len and Count give the expansion-length distribution, and a cache miss
-// curve.
+// Len and Count give the expansion-length distribution, and the cache
+// sampler's miss curve.
 func TestCollectRunProfile(t *testing.T) {
 	p, err := synth.Generate("compress")
 	if err != nil {
@@ -36,8 +36,6 @@ func TestCollectRunProfile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rec := stats.New()
-	cpu.Record = rec
 	gp := guestprof.New(sym)
 	gp.Attach(cpu)
 	ic, err := cache.New(cache.Config{SizeBytes: 1024, LineBytes: 32, Assoc: 2})
@@ -53,13 +51,7 @@ func TestCollectRunProfile(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	prof := CollectRunProfile(img, gp.Heat(), cpu, rec.Snapshot(), ic, smp.Points)
-	if prof.Name != img.Name {
-		t.Fatalf("Name = %q, want %q", prof.Name, img.Name)
-	}
-	if prof.Steps == 0 || prof.Expanded == 0 {
-		t.Fatalf("empty machine counters: steps=%d expanded=%d", prof.Steps, prof.Expanded)
-	}
+	prof := CollectRunProfile(img, gp.Heat(), smp.Points)
 	if len(prof.HotEntries) == 0 {
 		t.Fatal("empty dictionary-entry heat map")
 	}
@@ -75,15 +67,8 @@ func TestCollectRunProfile(t *testing.T) {
 			t.Fatal("heat map not sorted hottest-first")
 		}
 	}
-	if prof.Cache == nil || prof.Cache.Accesses == 0 {
-		t.Fatal("empty cache profile")
-	}
-	if prof.Cache.Hits+prof.Cache.Misses != prof.Cache.Accesses {
-		t.Fatalf("cache accounting: %d hits + %d misses != %d accesses",
-			prof.Cache.Hits, prof.Cache.Misses, prof.Cache.Accesses)
-	}
-	if len(prof.Cache.Curve) == 0 {
-		t.Fatal("empty cache miss curve")
+	if len(prof.MissCurve) == 0 || !reflect.DeepEqual(prof.MissCurve, smp.Points) {
+		t.Fatalf("miss curve has %d points, sampler %d", len(prof.MissCurve), len(smp.Points))
 	}
 
 	// The profile must survive a JSON round trip (it is ccrun's output).
@@ -95,13 +80,13 @@ func TestCollectRunProfile(t *testing.T) {
 	if err := json.Unmarshal(raw, &back); err != nil {
 		t.Fatal(err)
 	}
-	if back.Steps != prof.Steps || len(back.HotEntries) != len(prof.HotEntries) {
+	if !reflect.DeepEqual(back, prof) {
 		t.Fatal("profile changed across JSON round trip")
 	}
 }
 
 // TestCollectRunProfileNilSections checks the collector tolerates missing
-// instrumentation: no image, no cache, empty snapshot.
+// instrumentation: no image, no heat counts, no cache sampler.
 func TestCollectRunProfileNilSections(t *testing.T) {
 	p, err := synth.Generate("compress")
 	if err != nil {
@@ -111,23 +96,13 @@ func TestCollectRunProfileNilSections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cpu, err := NewMachine(img)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cpu.Run(10_000_000); err != nil {
-		t.Fatal(err)
-	}
-	prof := CollectRunProfile(nil, nil, cpu, stats.Snapshot{}, nil, nil)
-	if prof.Steps == 0 {
-		t.Fatal("machine counters not collected")
-	}
-	if prof.HotEntries != nil || prof.Cache != nil {
+	prof := CollectRunProfile(nil, nil, nil)
+	if prof.HotEntries != nil || prof.MissCurve != nil {
 		t.Fatal("optional sections present without their inputs")
 	}
 	// With an image but no heat counts, entries all count zero and the
 	// heat map stays empty rather than listing cold entries.
-	prof = CollectRunProfile(img, nil, cpu, stats.Snapshot{}, nil, nil)
+	prof = CollectRunProfile(img, nil, nil)
 	if len(prof.HotEntries) != 0 {
 		t.Fatalf("heat map has %d entries without heat counts", len(prof.HotEntries))
 	}

@@ -1,8 +1,6 @@
 package huffman
 
 import (
-	"fmt"
-
 	"repro/internal/sizeaudit"
 	"repro/internal/stats"
 )
@@ -37,102 +35,3 @@ type CCRP struct {
 
 // DefaultCCRP is the configuration used for the Ext. A comparison.
 func DefaultCCRP() CCRP { return CCRP{LineSize: 32, LATBytesPerLine: 3} }
-
-// Result summarizes a CCRP compression run.
-type CCRPResult struct {
-	OriginalBytes   int
-	CompressedBytes int // padded compressed lines
-	LATBytes        int
-	Lines           int
-	CodeTableBytes  int // shipped dictionary: code lengths per symbol
-}
-
-// TotalBytes includes line data, LAT and the code table.
-func (r CCRPResult) TotalBytes() int { return r.CompressedBytes + r.LATBytes + r.CodeTableBytes }
-
-// Ratio is compressed/original.
-func (r CCRPResult) Ratio() float64 {
-	if r.OriginalBytes == 0 {
-		return 0
-	}
-	return float64(r.TotalBytes()) / float64(r.OriginalBytes)
-}
-
-// Compress runs the CCRP model over the program text bytes.
-func (c CCRP) Compress(text []byte) (CCRPResult, error) {
-	if c.LineSize <= 0 {
-		return CCRPResult{}, fmt.Errorf("huffman: bad line size %d", c.LineSize)
-	}
-	var freq [256]int64
-	for _, b := range text {
-		freq[b]++
-	}
-	code, err := Build(&freq)
-	if err != nil {
-		return CCRPResult{}, err
-	}
-	res := CCRPResult{
-		OriginalBytes:  len(text),
-		CodeTableBytes: 256, // one code length byte per symbol
-	}
-	rawLines := 0
-	for off := 0; off < len(text); off += c.LineSize {
-		end := off + c.LineSize
-		if end > len(text) {
-			end = len(text)
-		}
-		line := text[off:end]
-		bits := code.EncodedBits(line)
-		bytes := (bits + 7) / 8 // pad each line to a byte boundary
-		if bytes > len(line) {
-			bytes = len(line) // a line never stored expanded (store raw)
-			rawLines++
-		}
-		res.CompressedBytes += bytes
-		res.Lines++
-	}
-	res.LATBytes = int(float64(res.Lines) * c.LATBytesPerLine)
-	c.recordStats(res, rawLines)
-	return res, nil
-}
-
-// recordStats publishes the overhead components into the attached
-// recorder; counters materialize even at zero so snapshots always carry
-// the full component set.
-func (c CCRP) recordStats(res CCRPResult, rawLines int) {
-	c.Stats.Add("ccrp.lines", int64(res.Lines))
-	c.Stats.Add("ccrp.raw_lines", int64(rawLines))
-	c.Stats.Add("ccrp.lat_bytes", int64(res.LATBytes))
-	c.Stats.Add("ccrp.code_table_bytes", int64(res.CodeTableBytes))
-}
-
-// Verify round-trips every line through the real encoder/decoder to show
-// the model's sizes are achievable, not just estimated.
-func (c CCRP) Verify(text []byte) error {
-	var freq [256]int64
-	for _, b := range text {
-		freq[b]++
-	}
-	code, err := Build(&freq)
-	if err != nil {
-		return err
-	}
-	for off := 0; off < len(text); off += c.LineSize {
-		end := off + c.LineSize
-		if end > len(text) {
-			end = len(text)
-		}
-		line := text[off:end]
-		enc := code.Encode(line)
-		dec, err := code.Decode(enc, len(line))
-		if err != nil {
-			return fmt.Errorf("huffman: line at %d: %v", off, err)
-		}
-		for i := range line {
-			if dec[i] != line[i] {
-				return fmt.Errorf("huffman: line at %d differs at byte %d", off, i)
-			}
-		}
-	}
-	return nil
-}

@@ -91,11 +91,12 @@ func BuildCCRPImage(p *program.Program, cfg CCRP) (*CCRPImage, error) {
 	}
 	cfg.Audit.Global(sizeaudit.Table, sizeaudit.LATRow, int64(latBytes)*8)
 	cfg.Audit.Global(sizeaudit.Table, sizeaudit.CodeTableRow, 256*8)
-	cfg.recordStats(CCRPResult{
-		Lines:          len(img.Lines),
-		LATBytes:       latBytes,
-		CodeTableBytes: 256,
-	}, rawLines)
+	// Counters materialize even at zero so snapshots always carry the full
+	// component set.
+	cfg.Stats.Add("ccrp.lines", int64(len(img.Lines)))
+	cfg.Stats.Add("ccrp.raw_lines", int64(rawLines))
+	cfg.Stats.Add("ccrp.lat_bytes", int64(latBytes))
+	cfg.Stats.Add("ccrp.code_table_bytes", 256)
 	return img, nil
 }
 

@@ -4,27 +4,39 @@ import (
 	"testing"
 
 	"repro/internal/machine"
+	"repro/internal/stats"
 	"repro/internal/synth"
 )
 
-func TestCCRPImageSizesMatchModel(t *testing.T) {
-	// The executable image and the analytic model must agree on the
-	// compressed size (the model also caps lines at raw size).
+func TestCCRPImageSizesMatchCounters(t *testing.T) {
+	// The image's size is exactly its line payloads plus the overhead
+	// components it records: the LAT and the code table.
 	p, err := synth.Generate("li")
 	if err != nil {
 		t.Fatal(err)
 	}
+	rec := stats.New()
 	cfg := DefaultCCRP()
+	cfg.Stats = rec
 	img, err := BuildCCRPImage(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	model, err := cfg.Compress(p.TextBytes())
-	if err != nil {
-		t.Fatal(err)
+	snap := rec.Snapshot()
+	payload, raw := 0, 0
+	for ln, l := range img.Lines {
+		payload += len(l)
+		if img.Raw[ln] {
+			raw++
+		}
 	}
-	if img.CompressedBytes() != model.TotalBytes() {
-		t.Fatalf("executable image %d bytes, model %d", img.CompressedBytes(), model.TotalBytes())
+	want := int64(payload) + snap.Counter("ccrp.lat_bytes") + snap.Counter("ccrp.code_table_bytes")
+	if int64(img.CompressedBytes()) != want {
+		t.Fatalf("image %d bytes, lines + recorded overheads %d", img.CompressedBytes(), want)
+	}
+	if snap.Counter("ccrp.lines") != int64(len(img.Lines)) || snap.Counter("ccrp.raw_lines") != int64(raw) {
+		t.Fatalf("recorded %d lines (%d raw), image has %d (%d raw)",
+			snap.Counter("ccrp.lines"), snap.Counter("ccrp.raw_lines"), len(img.Lines), raw)
 	}
 	if img.Ratio() >= 1 {
 		t.Fatalf("ratio %.3f", img.Ratio())

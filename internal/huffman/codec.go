@@ -143,7 +143,7 @@ func (ccrpCodec) WriteImage(w io.Writer, img codec.Image) error {
 }
 
 // Verify decodes every stored line and compares it against the original
-// text — the image-level equivalent of CCRP.Verify.
+// text.
 func (ccrpCodec) Verify(p *program.Program, img codec.Image) error {
 	ci, ok := img.(*CCRPImage)
 	if !ok {

@@ -6,6 +6,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/program"
+	"repro/internal/stats"
 	"repro/internal/synth"
 )
 
@@ -149,25 +151,27 @@ func TestCCRPOnBenchmark(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	text := p.TextBytes()
-	model := DefaultCCRP()
-	res, err := model.Compress(text)
+	rec := stats.New()
+	cfg := DefaultCCRP()
+	cfg.Stats = rec
+	img, err := BuildCCRPImage(p, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Lines != (len(text)+31)/32 {
-		t.Fatalf("lines %d for %d bytes", res.Lines, len(text))
+	text := p.SizeBytes()
+	if len(img.Lines) != (text+31)/32 {
+		t.Fatalf("lines %d for %d bytes", len(img.Lines), text)
 	}
-	if res.Ratio() <= 0 || res.Ratio() >= 1.1 {
-		t.Fatalf("CCRP ratio %.3f implausible", res.Ratio())
+	if img.Ratio() <= 0 || img.Ratio() >= 1.1 {
+		t.Fatalf("CCRP ratio %.3f implausible", img.Ratio())
 	}
-	if res.LATBytes == 0 || res.CodeTableBytes == 0 {
+	snap := rec.Snapshot()
+	lat := snap.Counter("ccrp.lat_bytes")
+	if lat == 0 || snap.Counter("ccrp.code_table_bytes") == 0 {
 		t.Fatal("overheads not accounted")
 	}
-	t.Logf("li: CCRP ratio %.3f (lines %.3f, LAT %.3f of original)",
-		res.Ratio(), float64(res.CompressedBytes)/float64(len(text)),
-		float64(res.LATBytes)/float64(len(text)))
-	if err := model.Verify(text); err != nil {
+	t.Logf("li: CCRP ratio %.3f (LAT %.3f of original)", img.Ratio(), float64(lat)/float64(text))
+	if err := (ccrpCodec{}).Verify(p, img); err != nil {
 		t.Fatalf("per-line verify: %v", err)
 	}
 }
@@ -176,21 +180,35 @@ func TestCCRPLineNeverExpands(t *testing.T) {
 	// Adversarial text: uniform bytes compress poorly; lines must be
 	// stored raw rather than expanded.
 	rng := rand.New(rand.NewSource(9))
-	text := make([]byte, 4096)
-	for i := range text {
-		text[i] = byte(rng.Intn(256))
+	p := &program.Program{Name: "noise", Text: make([]uint32, 1024), TextBase: program.DefaultTextBase}
+	for i := range p.Text {
+		p.Text[i] = rng.Uint32()
 	}
-	res, err := DefaultCCRP().Compress(text)
+	img, err := BuildCCRPImage(p, DefaultCCRP())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.CompressedBytes > len(text) {
-		t.Fatalf("lines expanded: %d > %d", res.CompressedBytes, len(text))
+	stored, raw := 0, 0
+	for ln, l := range img.Lines {
+		if len(l) > img.extent(ln) {
+			t.Fatalf("line %d expanded: %d > %d bytes", ln, len(l), img.extent(ln))
+		}
+		stored += len(l)
+		if img.Raw[ln] {
+			raw++
+		}
+	}
+	if stored > p.SizeBytes() || raw == 0 {
+		t.Fatalf("lines hold %d bytes of %d, %d stored raw", stored, p.SizeBytes(), raw)
+	}
+	if err := (ccrpCodec{}).Verify(p, img); err != nil {
+		t.Fatalf("per-line verify: %v", err)
 	}
 }
 
 func TestCCRPBadConfig(t *testing.T) {
-	if _, err := (CCRP{LineSize: 0}).Compress([]byte{1}); err == nil {
+	p := &program.Program{Text: []uint32{1}}
+	if _, err := BuildCCRPImage(p, CCRP{LineSize: 0}); err == nil {
 		t.Fatal("zero line size accepted")
 	}
 }

@@ -65,18 +65,6 @@ func (f *FastStats) Coverage(totalSteps int64) float64 {
 	return float64(f.Steps) / float64(totalSteps)
 }
 
-// BailMap renders the non-zero bail counters keyed by reason name, the
-// JSON-friendly form RunProfile embeds.
-func (f *FastStats) BailMap() map[string]int64 {
-	m := make(map[string]int64)
-	for r, n := range f.Bails {
-		if n != 0 {
-			m[BailReason(r).String()] = n
-		}
-	}
-	return m
-}
-
 // BailSummary renders the non-zero bail counters as "reason=n" pairs in
 // enum order — a deterministic one-line form for logs and CLI summaries.
 func (f *FastStats) BailSummary() string {
@@ -153,8 +141,10 @@ func (c *CPU) EnableEpochSampling(obs EpochObserver) {
 }
 
 // FlushEpoch drains the partial epoch in flight, if any: the observer sees
-// all traffic up to the last executed instruction and the epoch-length
-// histogram gains the partial interval. A no-op when nothing accumulated.
+// all traffic up to the last executed instruction, and the epoch-length
+// histogram and the epochs counter gain the partial interval (it drains
+// outside any Run, so exportRun does not count it). A no-op when nothing
+// accumulated.
 func (c *CPU) FlushEpoch() {
 	if c.sinceDrain > 0 {
 		var tr []SlotTraffic
@@ -162,6 +152,7 @@ func (c *CPU) FlushEpoch() {
 			tr = c.traffic[:len(c.trafficPD.Slots)]
 		}
 		c.drainEpoch(c.trafficPD, tr, c.sinceDrain, false)
+		c.Record.Add("machine.fastpath.epochs", 1)
 		c.sinceDrain = 0
 	}
 }
@@ -330,6 +321,7 @@ func (c *CPU) exportRun(before Stats, fastBefore FastStats) {
 	rec.Add("machine.steps", steps)
 	rec.Add("machine.expanded", c.Stats.Expanded-before.Expanded)
 	rec.Add("machine.fetched_bytes", c.Stats.FetchedBytes-before.FetchedBytes)
+	rec.Add("machine.mem_fetches", c.Stats.MemFetches-before.MemFetches)
 	rec.Add("machine.fastpath.steps", fast)
 	rec.Add("machine.fastpath.slow_steps", steps-fast)
 	rec.Add("machine.fastpath.epochs", c.Fast.Epochs-fastBefore.Epochs)

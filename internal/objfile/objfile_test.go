@@ -322,6 +322,20 @@ func TestImageHeaderRejected(t *testing.T) {
 			}
 		}
 	}
+
+	// A v2 frame whose method byte names another dictionary codec than
+	// the body's scheme byte: the codec the method selects refuses it.
+	bad := append([]byte(nil), v2.Bytes()...)
+	if bad[6] != byte(codec.Nibble) {
+		t.Fatalf("v2 frame byte 6 = %d, want the nibble method byte", bad[6])
+	}
+	bad[6] = byte(codec.OneByte)
+	opened, err := OpenImage(bytes.NewReader(bad))
+	var he *core.HeaderError
+	if !errors.As(err, &he) || he.Field != "scheme" || he.Value != int64(codeword.Nibble) ||
+		he.Min != int64(codeword.OneByte) || he.Limit != int64(codeword.OneByte) {
+		t.Fatalf("method/scheme mismatch: OpenImage = %T, %v; want a *core.HeaderError on scheme admitting only onebyte", opened, err)
+	}
 }
 
 // TestEmptyEntryRejected: a golden baseline frame whose first dictionary

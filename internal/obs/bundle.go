@@ -95,10 +95,9 @@ type Bundle struct {
 	// Stats is the run's recorder snapshot (counters, phases, histograms).
 	Stats *stats.Snapshot
 
-	// Profile is the execution profile (fast-path coverage and bails, hot
-	// dictionary entries with expansion counts, cache curve). Its Guest and
-	// Size fields are always nil inside a bundle — those artifacts are the
-	// Guest and Audit sections.
+	// Profile is the execution profile: the hot dictionary entries with
+	// their expansion counts and the cache miss curve. The run's counters
+	// are in Stats.
 	Profile *core.RunProfile
 
 	// Guest is the symbolized per-function profile; GuestFolded its folded

@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/cache"
 	"repro/internal/core"
 	"repro/internal/guestprof"
 	"repro/internal/sizeaudit"
@@ -20,9 +21,16 @@ func testBundle() *Bundle {
 	rec := stats.New()
 	rec.Add("machine.steps", 1000)
 	rec.Add("machine.expanded", 120)
-	rec.Observe("core.compress", 1500*time.Microsecond)
-	rec.Observe("machine.expansion_len", 2)
-	rec.Observe("machine.expansion_len", 4)
+	rec.Add("machine.mem_fetches", 900)
+	rec.Add("machine.fetched_bytes", 1800)
+	rec.Add("machine.fastpath.steps", 900)
+	rec.Add("machine.fastpath.slow_steps", 100)
+	rec.Add("machine.fastpath.bail.budget", 0)
+	rec.Add("machine.fastpath.bail.exit", 1)
+	rec.Add("machine.fastpath.bail.hook_attached", 2)
+	rec.Observe("core.encode", 1500*time.Microsecond)
+	rec.Observe("core.patch", 2)
+	rec.Observe("core.patch", 4)
 	snap := rec.Snapshot()
 
 	em := sizeaudit.NewEmitter([]sizeaudit.Func{
@@ -47,21 +55,11 @@ func testBundle() *Bundle {
 		},
 		Stats: &snap,
 		Profile: &core.RunProfile{
-			Name:         "demo",
-			Steps:        1000,
-			Expanded:     120,
-			MemFetches:   900,
-			FetchedBytes: 1800,
-			Fastpath: core.FastPathProfile{
-				Steps:     900,
-				SlowSteps: 100,
-				Coverage:  0.9,
-				Bails:     map[string]int64{"exit": 1, "hook_attached": 2},
-			},
 			HotEntries: []core.EntryHeat{
 				{Rank: 0, Count: 80, Len: 2, Uses: 7, Insns: []string{"mr r3,r30", "blr"}},
 				{Rank: 3, Count: 40, Len: 1, Uses: 4, Insns: []string{"lis r11,32"}},
 			},
+			MissCurve: []cache.SamplePoint{{Access: 4096, Hits: 4000, Misses: 96}},
 		},
 		Guest: &guestprof.Profile{
 			Name:  "demo",

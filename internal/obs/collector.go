@@ -62,9 +62,6 @@ func (c *Collector) SetProfile(p core.RunProfile) {
 	if c == nil {
 		return
 	}
-	if len(p.Fastpath.Bails) == 0 {
-		p.Fastpath.Bails = nil
-	}
 	c.profile = &p
 }
 

@@ -9,9 +9,9 @@ import (
 
 // Diff is the pairwise comparison of two bundles: every axis the paper's
 // claims are stated over — size (total bytes, per-provenance-class bits),
-// cycles (total steps, per-function guest deltas), and behavior (stats
-// counters, histogram quantiles, fast-path bail shifts). Sections absent
-// from either bundle simply yield empty slices.
+// cycles (per-function guest deltas), and behavior (stats counters, among
+// them the step count and fast-path bails, and histogram quantiles).
+// Sections absent from either bundle simply yield empty slices.
 type Diff struct {
 	Old, New Identity
 
@@ -25,9 +25,6 @@ type Diff struct {
 	MetricsOldOnly []string
 	MetricsNewOnly []string
 
-	// Exec summarizes the execution profiles (nil without both).
-	Exec *ExecDelta
-
 	// Funcs is the per-function guest-profile delta (cycles and fetched
 	// program-memory bytes), ordered by |Δcycles| descending.
 	Funcs []FuncDelta
@@ -36,16 +33,6 @@ type Diff struct {
 	// size audits; Size their total-byte summary (nil without both).
 	Classes []ClassDelta
 	Size    *SizeDelta
-
-	// Bails is the fast-path bail-reason shift between the two runs
-	// (union of reasons; absent reasons count zero).
-	Bails []benchfmt.MetricDelta
-}
-
-// ExecDelta compares the headline execution numbers of two profiles.
-type ExecDelta struct {
-	OldSteps, NewSteps       int64
-	OldCoverage, NewCoverage float64
 }
 
 // FuncDelta is one function's movement between two guest profiles.
@@ -97,10 +84,8 @@ func metricsReport(b *Bundle) *benchfmt.Report {
 func NewDiff(old, new *Bundle) *Diff {
 	d := &Diff{Old: old.Identity, New: new.Identity}
 	d.diffMetrics(old, new)
-	d.diffExec(old, new)
 	d.diffGuest(old, new)
 	d.diffAudit(old, new)
-	d.diffBails(old, new)
 	return d
 }
 
@@ -126,16 +111,6 @@ func (d *Diff) diffMetrics(old, new *Bundle) {
 	}
 	sort.Strings(d.MetricsOldOnly)
 	sort.Strings(d.MetricsNewOnly)
-}
-
-func (d *Diff) diffExec(old, new *Bundle) {
-	if old.Profile == nil || new.Profile == nil {
-		return
-	}
-	d.Exec = &ExecDelta{
-		OldSteps: old.Profile.Steps, NewSteps: new.Profile.Steps,
-		OldCoverage: old.Profile.Fastpath.Coverage, NewCoverage: new.Profile.Fastpath.Coverage,
-	}
 }
 
 func (d *Diff) diffGuest(old, new *Bundle) {
@@ -188,39 +163,6 @@ func (d *Diff) diffAudit(old, new *Bundle) {
 	d.Size = &SizeDelta{
 		OldBytes: int64(old.Audit.TotalBytes), NewBytes: int64(new.Audit.TotalBytes),
 		OldRatio: old.Audit.Ratio(), NewRatio: new.Audit.Ratio(),
-	}
-}
-
-func (d *Diff) diffBails(old, new *Bundle) {
-	var ob, nb map[string]int64
-	if old.Profile != nil {
-		ob = old.Profile.Fastpath.Bails
-	}
-	if new.Profile != nil {
-		nb = new.Profile.Fastpath.Bails
-	}
-	if len(ob) == 0 && len(nb) == 0 {
-		return
-	}
-	seen := map[string]bool{}
-	var reasons []string
-	for r := range ob {
-		if !seen[r] {
-			seen[r] = true
-			reasons = append(reasons, r)
-		}
-	}
-	for r := range nb {
-		if !seen[r] {
-			seen[r] = true
-			reasons = append(reasons, r)
-		}
-	}
-	sort.Strings(reasons)
-	for _, r := range reasons {
-		d.Bails = append(d.Bails, benchfmt.MetricDelta{
-			Bench: "fastpath", Metric: r, Old: float64(ob[r]), New: float64(nb[r]),
-		})
 	}
 }
 

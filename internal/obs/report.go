@@ -9,7 +9,7 @@ import (
 	"strconv"
 	"strings"
 
-	"repro/internal/core"
+	"repro/internal/benchfmt"
 	"repro/internal/sizeaudit"
 )
 
@@ -211,11 +211,13 @@ func BundleReport(b *Bundle) *Report {
 		r.KV = append(r.KV, [2]string{"trace", fmtI(int64(len(b.Trace))) + " bytes (Chrome trace-event)"})
 	}
 
-	if b.Profile != nil {
-		r.Tables = append(r.Tables, profileTable(b.Profile))
-		if len(b.Profile.HotEntries) > 0 {
-			r.Tables = append(r.Tables, hotEntriesTable(b))
+	if b.Stats != nil {
+		if _, ok := b.Stats.Counters["machine.steps"]; ok {
+			r.Tables = append(r.Tables, executionTable(b.Stats.Counters))
 		}
+	}
+	if b.Profile != nil && len(b.Profile.HotEntries) > 0 {
+		r.Tables = append(r.Tables, hotEntriesTable(b))
 	}
 	if b.Stats != nil {
 		r.Tables = append(r.Tables, statsTables(b)...)
@@ -246,32 +248,49 @@ func identityKV(id Identity) [][2]string {
 	return kv
 }
 
-func profileTable(p *core.RunProfile) ReportTable {
+// bailPrefix names the fast-path bail counters, one per machine.BailReason.
+const bailPrefix = "machine.fastpath.bail."
+
+// executionTable summarizes a run's machine counters: the simulator's
+// activity, the fast path's coverage and non-zero bails, and the I-cache
+// totals when a cache was simulated.
+func executionTable(c map[string]int64) ReportTable {
 	t := ReportTable{
 		Title: "Execution",
 		Head:  []string{"metric", "value"},
 		Num:   []bool{false, true},
 	}
 	add := func(k, v string) { t.Rows = append(t.Rows, []string{k, v}) }
-	add("steps", fmtI(p.Steps))
-	add("expanded", fmtI(p.Expanded))
-	add("mem fetches", fmtI(p.MemFetches))
-	add("fetched bytes", fmtI(p.FetchedBytes))
-	add("fastpath steps", fmtI(p.Fastpath.Steps))
-	add("fastpath slow steps", fmtI(p.Fastpath.SlowSteps))
-	add("fastpath coverage", fmt.Sprintf("%.4f", p.Fastpath.Coverage))
-	if p.Fastpath.Epochs > 0 {
-		add("fastpath epochs", fmtI(p.Fastpath.Epochs))
+	steps := c["machine.steps"]
+	add("steps", fmtI(steps))
+	add("expanded", fmtI(c["machine.expanded"]))
+	add("mem fetches", fmtI(c["machine.mem_fetches"]))
+	add("fetched bytes", fmtI(c["machine.fetched_bytes"]))
+	add("fastpath steps", fmtI(c["machine.fastpath.steps"]))
+	add("fastpath slow steps", fmtI(c["machine.fastpath.slow_steps"]))
+	add("fastpath coverage", fmt.Sprintf("%.4f", ratio(float64(c["machine.fastpath.steps"]), float64(steps))))
+	if n := c["machine.fastpath.epochs"]; n > 0 {
+		add("fastpath epochs", fmtI(n))
 	}
-	for _, reason := range sortedKeys(p.Fastpath.Bails) {
-		add("bail "+reason, fmtI(p.Fastpath.Bails[reason]))
+	for _, k := range sortedKeys(c) {
+		if reason, ok := strings.CutPrefix(k, bailPrefix); ok && c[k] != 0 {
+			add("bail "+reason, fmtI(c[k]))
+		}
 	}
-	if p.Cache != nil {
-		add("icache accesses", fmtI(p.Cache.Accesses))
-		add("icache misses", fmtI(p.Cache.Misses))
-		add("icache miss rate", fmt.Sprintf("%.4f", p.Cache.MissRate))
+	if accesses, ok := c["cache.accesses"]; ok {
+		add("icache accesses", fmtI(accesses))
+		add("icache misses", fmtI(c["cache.misses"]))
+		add("icache miss rate", fmt.Sprintf("%.4f", ratio(float64(c["cache.misses"]), float64(accesses))))
 	}
 	return t
+}
+
+// ratio is num/den, or 0 when den is not positive.
+func ratio(num, den float64) float64 {
+	if den <= 0 {
+		return 0
+	}
+	return num / den
 }
 
 func hotEntriesTable(b *Bundle) ReportTable {
@@ -426,11 +445,20 @@ func DiffReport(d *Diff) *Report {
 				d.Size.OldBytes, d.Size.NewBytes, fmtDelta(d.Size.OldBytes, d.Size.NewBytes),
 				d.Size.OldRatio, d.Size.NewRatio)})
 	}
-	if d.Exec != nil {
+	metric := map[string]benchfmt.MetricDelta{}
+	var bails [][]string
+	for _, md := range d.Metrics {
+		metric[md.Metric] = md
+		if reason, ok := strings.CutPrefix(md.Metric, bailPrefix); ok && (md.Old != 0 || md.New != 0) {
+			bails = append(bails, []string{reason, fmtF(md.Old), fmtF(md.New)})
+		}
+	}
+	if steps, ok := metric["machine.steps"]; ok {
+		fast := metric["machine.fastpath.steps"]
 		r.KV = append(r.KV, [2]string{"steps",
-			fmt.Sprintf("%d -> %d (%s)", d.Exec.OldSteps, d.Exec.NewSteps, fmtDelta(d.Exec.OldSteps, d.Exec.NewSteps))})
+			fmt.Sprintf("%d -> %d (%s)", int64(steps.Old), int64(steps.New), fmtDelta(int64(steps.Old), int64(steps.New)))})
 		r.KV = append(r.KV, [2]string{"fastpath coverage",
-			fmt.Sprintf("%.4f -> %.4f", d.Exec.OldCoverage, d.Exec.NewCoverage)})
+			fmt.Sprintf("%.4f -> %.4f", ratio(fast.Old, steps.Old), ratio(fast.New, steps.New))})
 	}
 
 	if len(d.Classes) > 0 {
@@ -470,16 +498,13 @@ func DiffReport(d *Diff) *Report {
 		}
 		r.Tables = append(r.Tables, t)
 	}
-	if len(d.Bails) > 0 {
-		t := ReportTable{
+	if len(bails) > 0 {
+		r.Tables = append(r.Tables, ReportTable{
 			Title: "Fast-path bails",
 			Head:  []string{"reason", "old", "new"},
 			Num:   []bool{false, true, true},
-		}
-		for _, bd := range d.Bails {
-			t.Rows = append(t.Rows, []string{bd.Metric, fmtF(bd.Old), fmtF(bd.New)})
-		}
-		r.Tables = append(r.Tables, t)
+			Rows:  bails,
+		})
 	}
 	if len(d.Metrics) > 0 {
 		t := ReportTable{

@@ -4,6 +4,7 @@ import (
 	"flag"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -17,13 +18,22 @@ var update = flag.Bool("update", false, "rewrite the golden report files")
 
 // testBundleNew is the "after" side for diff tests: same shape as
 // testBundle with moved numbers, a function and a bail reason only it
-// has, and a counter the old side lacks.
+// has, and cache counters the old side lacks.
 func testBundleNew() *Bundle {
 	rec := stats.New()
 	rec.Add("machine.steps", 1400)
 	rec.Add("machine.expanded", 90)
+	rec.Add("machine.mem_fetches", 1200)
 	rec.Add("machine.fetched_bytes", 2100)
-	rec.Observe("machine.expansion_len", 3)
+	rec.Add("machine.fastpath.steps", 1390)
+	rec.Add("machine.fastpath.slow_steps", 10)
+	rec.Add("machine.fastpath.bail.budget", 3)
+	rec.Add("machine.fastpath.bail.exit", 1)
+	rec.Add("machine.fastpath.bail.hook_attached", 0)
+	rec.Add("cache.accesses", 1500)
+	rec.Add("cache.hits", 1400)
+	rec.Add("cache.misses", 100)
+	rec.Observe("core.patch", 3)
 	snap := rec.Snapshot()
 
 	em := sizeaudit.NewEmitter([]sizeaudit.Func{
@@ -44,20 +54,8 @@ func testBundleNew() *Bundle {
 			GoVersion: "go1.24.0",
 			Timestamp: "2026-08-08T01:00:00Z",
 		},
-		Stats: &snap,
-		Profile: &core.RunProfile{
-			Name:         "demo",
-			Steps:        1400,
-			Expanded:     90,
-			MemFetches:   1200,
-			FetchedBytes: 2100,
-			Fastpath: core.FastPathProfile{
-				Steps:     1390,
-				SlowSteps: 10,
-				Coverage:  0.9929,
-				Bails:     map[string]int64{"exit": 1, "budget": 3},
-			},
-		},
+		Stats:   &snap,
+		Profile: &core.RunProfile{},
 		Guest: &guestprof.Profile{
 			Name:  "demo",
 			Total: guestprof.Counts{Cycles: 1400, FetchBytes: 2100},
@@ -125,9 +123,6 @@ func TestDiffSemantics(t *testing.T) {
 	old, new := testBundle(), testBundleNew()
 	d := NewDiff(old, new)
 
-	if d.Exec == nil || d.Exec.OldSteps != 1000 || d.Exec.NewSteps != 1400 {
-		t.Fatalf("exec delta = %+v", d.Exec)
-	}
 	if d.Size == nil || d.Size.OldBytes != int64(old.Audit.TotalBytes) || d.Size.NewBytes != 20 {
 		t.Fatalf("size delta = %+v", d.Size)
 	}
@@ -143,21 +138,21 @@ func TestDiffSemantics(t *testing.T) {
 	}
 	foundNewOnly := false
 	for _, n := range d.MetricsNewOnly {
-		if n == "machine.fetched_bytes" {
+		if n == "cache.accesses" {
 			foundNewOnly = true
 		}
 	}
 	if !foundNewOnly {
-		t.Errorf("machine.fetched_bytes should be new-only, got %v", d.MetricsNewOnly)
+		t.Errorf("cache.accesses should be new-only, got %v", d.MetricsNewOnly)
 	}
 	foundOldOnly := false
 	for _, n := range d.MetricsOldOnly {
-		if n == "core.compress.ms" {
+		if n == "core.encode.ms" {
 			foundOldOnly = true
 		}
 	}
 	if !foundOldOnly {
-		t.Errorf("core.compress.ms should be old-only, got %v", d.MetricsOldOnly)
+		t.Errorf("core.encode.ms should be old-only, got %v", d.MetricsOldOnly)
 	}
 
 	// Guest functions: union of both sides, absent side counted zero,
@@ -180,16 +175,27 @@ func TestDiffSemantics(t *testing.T) {
 		}
 	}
 
-	// Bails: union of reasons across both profiles.
-	bails := map[string][2]float64{}
-	for _, b := range d.Bails {
-		bails[b.Metric] = [2]float64{b.Old, b.New}
+	// Steps, coverage and bails come from the stats counters: every
+	// reason non-zero on either side is a row, the others are not.
+	r := DiffReport(d)
+	kv := map[string]string{}
+	for _, p := range r.KV {
+		kv[p[0]] = p[1]
 	}
-	if got := bails["hook_attached"]; got != [2]float64{2, 0} {
-		t.Errorf("hook_attached bail delta = %v", got)
+	if kv["steps"] != "1000 -> 1400 (+400)" || kv["fastpath coverage"] != "0.9000 -> 0.9929" {
+		t.Errorf("steps %q, fastpath coverage %q", kv["steps"], kv["fastpath coverage"])
 	}
-	if got := bails["budget"]; got != [2]float64{0, 3} {
-		t.Errorf("budget bail delta = %v", got)
+	bails := map[string][2]string{}
+	for _, tb := range r.Tables {
+		if tb.Title == "Fast-path bails" {
+			for _, row := range tb.Rows {
+				bails[row[0]] = [2]string{row[1], row[2]}
+			}
+		}
+	}
+	want := map[string][2]string{"budget": {"0", "3"}, "exit": {"1", "1"}, "hook_attached": {"2", "0"}}
+	if !reflect.DeepEqual(bails, want) {
+		t.Errorf("bail rows = %v, want %v", bails, want)
 	}
 
 	// Classes: every provenance class with bits on either side appears.

@@ -38,28 +38,37 @@ func DefaultConfig(missPenalty int64) Config {
 	}
 }
 
-// Report is the outcome of one timed run.
+// Report is the event counts of one simulated run: everything the model
+// prices, so one simulation serves every penalty setting.
 type Report struct {
-	Cycles        int64
 	Steps         int64
 	TakenBranches int64
 	Expanded      int64
 	Misses        int64
 }
 
-// CPI is cycles per instruction.
-func (r Report) CPI() float64 {
+// Cycles prices the run under cfg's penalties.
+func (r Report) Cycles(cfg Config) int64 {
+	return r.Steps +
+		cfg.BranchPenalty*r.TakenBranches +
+		cfg.ExpandPenalty*r.Expanded +
+		cfg.MissPenalty*r.Misses
+}
+
+// CPI is cycles per instruction under cfg.
+func (r Report) CPI(cfg Config) float64 {
 	if r.Steps == 0 {
 		return 0
 	}
-	return float64(r.Cycles) / float64(r.Steps)
+	return float64(r.Cycles(cfg)) / float64(r.Steps)
 }
 
-// Measure runs the CPU to completion under the model. The CPU must be
-// freshly constructed (its fetch trace is consumed here). The cache's
-// counters go to cpu.Record, when one is attached.
-func Measure(cpu *machine.CPU, cfg Config, maxSteps int64) (Report, error) {
-	ic, err := cache.New(cfg.ICache)
+// Measure runs the CPU to completion with an instruction cache of the
+// given shape on its fetch trace and returns the run's event counts. The
+// CPU must be freshly constructed (its fetch trace is consumed here). The
+// cache's counters go to cpu.Record, when one is attached.
+func Measure(cpu *machine.CPU, icache cache.Config, maxSteps int64) (Report, error) {
+	ic, err := cache.New(icache)
 	if err != nil {
 		return Report{}, err
 	}
@@ -68,15 +77,10 @@ func Measure(cpu *machine.CPU, cfg Config, maxSteps int64) (Report, error) {
 		return Report{}, fmt.Errorf("pipeline: %w", err)
 	}
 	ic.Report(cpu.Record)
-	r := Report{
+	return Report{
 		Steps:         cpu.Stats.Steps,
 		TakenBranches: cpu.Stats.TakenBranches,
 		Expanded:      cpu.Stats.Expanded,
 		Misses:        ic.Stats.Misses,
-	}
-	r.Cycles = r.Steps +
-		cfg.BranchPenalty*r.TakenBranches +
-		cfg.ExpandPenalty*r.Expanded +
-		cfg.MissPenalty*r.Misses
-	return r, nil
+	}, nil
 }

@@ -20,19 +20,19 @@ func TestMeasureAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := DefaultConfig(10)
-	r, err := Measure(cpu, cfg, 200_000_000)
+	r, err := Measure(cpu, cfg.ICache, 200_000_000)
 	if err != nil {
 		t.Fatal(err)
 	}
 	want := r.Steps + cfg.BranchPenalty*r.TakenBranches + cfg.ExpandPenalty*r.Expanded + cfg.MissPenalty*r.Misses
-	if r.Cycles != want {
-		t.Fatalf("cycles %d, want %d", r.Cycles, want)
+	if got := r.Cycles(cfg); got != want {
+		t.Fatalf("cycles %d, want %d", got, want)
 	}
 	if r.Expanded != 0 {
 		t.Fatalf("normal path reported %d expansions", r.Expanded)
 	}
-	if r.CPI() < 1 {
-		t.Fatalf("CPI %f below 1", r.CPI())
+	if r.CPI(cfg) < 1 {
+		t.Fatalf("CPI %f below 1", r.CPI(cfg))
 	}
 }
 
@@ -45,35 +45,35 @@ func TestCompressedPaysDecodeAndSavesMisses(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	measure := func(mk func() (*machine.CPU, error), miss int64) Report {
+	measure := func(mk func() (*machine.CPU, error)) Report {
 		cpu, err := mk()
 		if err != nil {
 			t.Fatal(err)
 		}
-		r, err := Measure(cpu, DefaultConfig(miss), 200_000_000)
+		r, err := Measure(cpu, DefaultConfig(0).ICache, 200_000_000)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	native := func() (*machine.CPU, error) { return machine.NewForProgram(p) }
-	comp := func() (*machine.CPU, error) { return core.NewMachine(img) }
+	n := measure(func() (*machine.CPU, error) { return machine.NewForProgram(p) })
+	c := measure(func() (*machine.CPU, error) { return core.NewMachine(img) })
 
 	// With free memory the compressed path can only lose (decode penalty).
-	n0, c0 := measure(native, 0), measure(comp, 0)
-	if c0.Cycles < n0.Cycles {
-		t.Fatalf("compression faster with free memory: %d vs %d", c0.Cycles, n0.Cycles)
+	free := DefaultConfig(0)
+	if c.Cycles(free) < n.Cycles(free) {
+		t.Fatalf("compression faster with free memory: %d vs %d", c.Cycles(free), n.Cycles(free))
 	}
-	if c0.Expanded == 0 {
+	if c.Expanded == 0 {
 		t.Fatal("compressed run reported no expansions")
 	}
 	// With expensive memory the miss savings dominate.
-	n50, c50 := measure(native, 50), measure(comp, 50)
-	if c50.Cycles >= n50.Cycles {
-		t.Fatalf("compression not faster at 50-cycle misses: %d vs %d", c50.Cycles, n50.Cycles)
+	dear := DefaultConfig(50)
+	if c.Cycles(dear) >= n.Cycles(dear) {
+		t.Fatalf("compression not faster at 50-cycle misses: %d vs %d", c.Cycles(dear), n.Cycles(dear))
 	}
-	if c50.Misses >= n50.Misses {
-		t.Fatalf("compressed image missed more: %d vs %d", c50.Misses, n50.Misses)
+	if c.Misses >= n.Misses {
+		t.Fatalf("compressed image missed more: %d vs %d", c.Misses, n.Misses)
 	}
 }
 
@@ -88,7 +88,7 @@ func TestMeasureBadCache(t *testing.T) {
 	}
 	cfg := DefaultConfig(1)
 	cfg.ICache = cache.Config{SizeBytes: 7, LineBytes: 3}
-	if _, err := Measure(cpu, cfg, 1000); err == nil {
+	if _, err := Measure(cpu, cfg.ICache, 1000); err == nil {
 		t.Fatal("bad cache config accepted")
 	}
 }
