@@ -83,8 +83,8 @@ lint-fastpath:
 # Metric-name registry gate: every literal counter/phase/histogram name
 # passed to a stats.Recorder sink (Add/Observe/ObserveValue) or to
 # trace.Span.Phase, which takes the name first, must appear in
-# internal/stats/metrics.txt, so bundle schemas, the -json
-# report and /metrics output cannot grow names silently. Dynamically
+# internal/stats/metrics.txt, so bundle schemas and the -json
+# report cannot grow names silently. Dynamically
 # built names (machine.fastpath.bail.* from BailReason strings) are
 # enumerated in the registry and pinned by a test in internal/machine.
 lint-metrics:

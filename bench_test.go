@@ -506,7 +506,7 @@ func BenchmarkCCRPExecution(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cpu, err := huffman.NewCCRPMachine(img, 64)
+		cpu, err := img.NewMachine()
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -9,7 +9,6 @@
 //	experiments -json            # machine-readable report with per-phase stats
 //	experiments -timeout 2m      # cancel the run after a deadline
 //	experiments -list            # list experiment ids
-//	experiments -pprof :6060     # serve net/http/pprof, live counters, /metrics
 //	experiments -bundle dir/     # run bundles: the whole run plus every bench × codec
 //
 // Output is deterministic at every -parallel setting. The process exits
@@ -19,11 +18,8 @@ package main
 import (
 	"context"
 	"encoding/json"
-	"expvar"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -64,7 +60,6 @@ func main() {
 	parallel := flag.Int("parallel", runtime.GOMAXPROCS(0), "bound on concurrently executing work (runners and their rows); 1 = sequential")
 	timeout := flag.Duration("timeout", 0, "cancel the run after this duration (0 = no deadline)")
 	showStats := flag.Bool("stats", false, "print each experiment's counter/phase summary after its table")
-	pprofAddr := flag.String("pprof", "", "serve net/http/pprof and the live stats snapshot (expvar \"stats\") on this address, e.g. :6060")
 	bundleDir := flag.String("bundle", "", "write run bundles into this directory: experiments/ holding the whole run's stats and trace, plus one <bench>.<codec>/ per benchmark and registered codec (dictionary codecs under the paper's entry-length bound)")
 	flag.Parse()
 
@@ -93,23 +88,6 @@ func main() {
 	}
 
 	totals := stats.New()
-	if *pprofAddr != "" {
-		// The expvar page exposes the run's live totals alongside the
-		// standard pprof endpoints, and /metrics serves the same snapshot
-		// in the OpenMetrics text format for Prometheus-style scrapers.
-		expvar.Publish("stats", expvar.Func(func() any { return totals.Snapshot() }))
-		http.HandleFunc("/metrics", func(w http.ResponseWriter, _ *http.Request) {
-			w.Header().Set("Content-Type", "application/openmetrics-text; version=1.0.0; charset=utf-8")
-			if err := stats.WriteOpenMetrics(w, totals.Snapshot()); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: /metrics: %v\n", err)
-			}
-		})
-		go func() {
-			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
-				fmt.Fprintf(os.Stderr, "experiments: pprof server: %v\n", err)
-			}
-		}()
-	}
 	// With -bundle, the collector owns the run's tracer; the spans land in
 	// the experiments/ bundle.
 	var col *obs.Collector

@@ -28,9 +28,10 @@ import (
 // Every machine also carries a Record sink, which leaves the bare and
 // sampled machines fused; all three must export the same execution
 // counters.
-// Finally each machine is Reset and rerun, and must repeat its first run
-// exactly: dirty-page Reset restores only the pages the run stored to, so
-// a missed page shows up as a rerun that reads a stale byte.
+// Finally each machine — native and every executable codec alike — is
+// Reset and rerun, and must repeat its first run exactly: dirty-page Reset
+// restores only the pages the run stored to, so a missed page shows up as
+// a rerun that reads a stale byte.
 func FuzzFastPathDifferential(f *testing.F) {
 	f.Add(int64(7), uint16(900))
 	f.Add(int64(42), uint16(2500))
@@ -207,14 +208,10 @@ type firstRun struct {
 }
 
 // checkReruns Resets and reruns each machine and demands it repeat its
-// first run: error, status, output and Stats. Machines whose frontend
-// cannot report a PC (CCRP) have no Reset snapshot and are skipped.
+// first run: error, status, output and Stats.
 func checkReruns(t *testing.T, name string, firsts []firstRun, maxSteps int64) {
 	t.Helper()
 	for _, f := range firsts {
-		if _, ok := f.cpu.Frontend().(interface{ PC() uint32 }); !ok {
-			continue
-		}
 		if err := f.cpu.Reset(); err != nil {
 			t.Fatalf("%s/%s: Reset: %v", name, f.path, err)
 		}

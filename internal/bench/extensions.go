@@ -238,9 +238,10 @@ func entryLensOf(entries []dictionary.Entry) []int {
 }
 
 // ExtRefill compares memory traffic of the three executable paths at the
-// same effective line-buffer capacity (2KB, 32-byte lines, direct-mapped):
-// the normal machine, the nibble dictionary machine (on-chip dictionary),
-// and the CCRP machine whose misses decompress Huffman lines.
+// same I-cache (2KB, 32-byte lines, direct-mapped): the normal machine,
+// the nibble dictionary machine (on-chip dictionary), and the CCRP machine,
+// whose cache holds decompressed lines at their original addresses and
+// whose misses refill Huffman-compressed lines.
 func ExtRefill(c *Corpus) (*Table, error) {
 	const (
 		lineBytes  = 32
@@ -254,6 +255,33 @@ func ExtRefill(c *Corpus) (*Table, error) {
 			"words entirely (on-chip expansion); CCRP refills Huffman-compressed " +
 			"lines but touches every line the original touches",
 	}
+	// lineTraffic runs a machine under the I-cache and totals the bytes
+	// its misses refill, refill(addr) per missed line. A CCRP fetch never
+	// spans lines; a dictionary fetch may, but its misses cost a full line
+	// whatever the address.
+	lineTraffic := func(mk func() (*machineCPU, error), refill func(addr uint32) int64) (int64, error) {
+		ic, err := cache.New(cache.Config{SizeBytes: cacheLines * lineBytes, LineBytes: lineBytes, Assoc: 1})
+		if err != nil {
+			return 0, err
+		}
+		cpu, err := mk()
+		if err != nil {
+			return 0, err
+		}
+		var traffic int64
+		cpu.Record = c.Recorder()
+		cpu.TraceFetch = func(addr uint32, nbytes int) {
+			misses := ic.Stats.Misses
+			ic.Access(addr, nbytes)
+			traffic += (ic.Stats.Misses - misses) * refill(addr)
+		}
+		if _, err := cpu.Run(200_000_000); err != nil {
+			return 0, err
+		}
+		ic.Report(c.Recorder())
+		return traffic, nil
+	}
+	fullLine := func(uint32) int64 { return lineBytes }
 	names := []string{"compress", "li", "go"}
 	err := rowsInOrder(c, t, len(names), func(i int) ([]string, error) {
 		name := names[i]
@@ -261,24 +289,7 @@ func ExtRefill(c *Corpus) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		lineTraffic := func(mk func() (*machineCPU, error)) (int64, error) {
-			ic, err := cache.New(cache.Config{SizeBytes: cacheLines * lineBytes, LineBytes: lineBytes, Assoc: 1})
-			if err != nil {
-				return 0, err
-			}
-			cpu, err := mk()
-			if err != nil {
-				return 0, err
-			}
-			cpu.Record = c.Recorder()
-			cpu.TraceFetch = ic.Access
-			if _, err := cpu.Run(200_000_000); err != nil {
-				return 0, err
-			}
-			ic.Report(c.Recorder())
-			return ic.Stats.Misses * lineBytes, nil
-		}
-		orig, err := lineTraffic(func() (*machineCPU, error) { return newNative(p) })
+		orig, err := lineTraffic(func() (*machineCPU, error) { return newNative(p) }, fullLine)
 		if err != nil {
 			return nil, err
 		}
@@ -286,7 +297,7 @@ func ExtRefill(c *Corpus) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dict, err := lineTraffic(func() (*machineCPU, error) { return core.NewMachine(img) })
+		dict, err := lineTraffic(func() (*machineCPU, error) { return core.NewMachine(img) }, fullLine)
 		if err != nil {
 			return nil, err
 		}
@@ -296,15 +307,10 @@ func ExtRefill(c *Corpus) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ccpu, err := huffman.NewCCRPMachine(cimg, cacheLines)
+		ccrp, err := lineTraffic(cimg.NewMachine, cimg.RefillBytes)
 		if err != nil {
 			return nil, err
 		}
-		ccpu.Record = c.Recorder()
-		if _, err := ccpu.Run(200_000_000); err != nil {
-			return nil, err
-		}
-		ccrp := ccpu.Stats.FetchedBytes
 		return []string{name, fmt.Sprint(orig), fmt.Sprint(dict), fmt.Sprint(ccrp),
 			pct(float64(dict) / float64(orig)), pct(float64(ccrp) / float64(orig))}, nil
 	})

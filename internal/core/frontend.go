@@ -195,9 +195,7 @@ func NewMachine(img *Image) (*machine.CPU, error) {
 		return nil, err
 	}
 	cpu.GPR[1] = sp
-	if err := cpu.SnapshotReset(); err != nil {
-		return nil, err
-	}
+	cpu.SnapshotReset()
 	return cpu, nil
 }
 

@@ -1,9 +1,9 @@
 package huffman
 
 import (
+	"encoding/binary"
 	"fmt"
 
-	"repro/internal/machine"
 	"repro/internal/program"
 	"repro/internal/sizeaudit"
 )
@@ -13,7 +13,8 @@ import (
 // addresses are unchanged (the icache holds decompressed lines), and a
 // Line Address Table maps line numbers to compressed blobs. Unlike the
 // dictionary method, no branch patching is needed — the cost is moved to
-// the refill path.
+// the refill path: the machine runs the decoded Text, and an I-cache
+// simulation prices each miss with RefillBytes.
 type CCRPImage struct {
 	Name     string
 	LineSize int
@@ -124,124 +125,31 @@ func (img *CCRPImage) extent(ln int) int {
 	return min(img.LineSize, img.NumWords*4-ln*img.LineSize)
 }
 
-// decodeLine expands line ln into words.
-func (img *CCRPImage) decodeLine(ln int) ([]uint32, error) {
-	if ln < 0 || ln >= len(img.Lines) {
-		return nil, fmt.Errorf("huffman: line %d out of range", ln)
-	}
-	nbytes := img.extent(ln)
-	var raw []byte
-	if img.Raw[ln] {
-		raw = img.Lines[ln]
-	} else {
-		dec, err := img.Code.Decode(img.Lines[ln], nbytes)
-		if err != nil {
-			return nil, fmt.Errorf("huffman: line %d: %w", ln, err)
+// Text decodes every line once and returns the program text it holds, at
+// the original addresses from TextBase. A compressed line that does not
+// decode to its extent fails with a *LineError.
+func (img *CCRPImage) Text() ([]uint32, error) {
+	text := make([]uint32, 0, img.NumWords)
+	for ln, l := range img.Lines {
+		ext := img.extent(ln)
+		raw := l
+		if !img.Raw[ln] {
+			dec, err := img.Code.Decode(l, ext)
+			if err != nil {
+				return nil, &LineError{Line: ln, Len: len(l), Extent: ext, Err: err}
+			}
+			raw = dec
 		}
-		raw = dec
-	}
-	words := make([]uint32, nbytes/4)
-	for i := range words {
-		words[i] = uint32(raw[4*i])<<24 | uint32(raw[4*i+1])<<16 |
-			uint32(raw[4*i+2])<<8 | uint32(raw[4*i+3])
-	}
-	return words, nil
-}
-
-// CCRPFrontend is the CCRP fetch path: instruction addresses are the
-// original ones; a small direct-mapped buffer of decompressed lines stands
-// in for the instruction cache, and a miss charges the compressed line's
-// bytes as memory traffic.
-type CCRPFrontend struct {
-	img   *CCRPImage
-	pc    uint32
-	ways  int
-	tags  []int // cached line number per way, -1 empty
-	lines [][]uint32
-
-	// Misses counts refills (line decompressions).
-	Misses int64
-}
-
-// NewCCRPFrontend builds the fetch path with the given number of cached
-// decompressed lines.
-func NewCCRPFrontend(img *CCRPImage, cacheLines int) *CCRPFrontend {
-	if cacheLines < 1 {
-		cacheLines = 1
-	}
-	f := &CCRPFrontend{
-		img:   img,
-		ways:  cacheLines,
-		tags:  make([]int, cacheLines),
-		lines: make([][]uint32, cacheLines),
-	}
-	for i := range f.tags {
-		f.tags[i] = -1
-	}
-	return f
-}
-
-var _ machine.Frontend = (*CCRPFrontend)(nil)
-
-// Reset positions fetch.
-func (f *CCRPFrontend) Reset(entry uint32) error { return f.SetPC(entry) }
-
-// SetPC redirects fetch; addresses are original text addresses.
-func (f *CCRPFrontend) SetPC(addr uint32) error {
-	lo := f.img.TextBase
-	hi := lo + uint32(4*f.img.NumWords)
-	if addr < lo || addr >= hi || addr%4 != 0 {
-		return fmt.Errorf("huffman: jump to %#x outside text [%#x,%#x)", addr, lo, hi)
-	}
-	f.pc = addr
-	return nil
-}
-
-// RelTarget: standard word-scaled displacement — CCRP needs no control
-// unit changes, which was its selling point.
-func (f *CCRPFrontend) RelTarget(cia uint32, field int32) uint32 {
-	return cia + uint32(field)*4
-}
-
-// Fetch serves the instruction at PC, refilling through the decompressor
-// on a line miss.
-func (f *CCRPFrontend) Fetch() (machine.FetchInfo, error) {
-	off := int(f.pc - f.img.TextBase)
-	ln := off / f.img.LineSize
-	way := ln % f.ways
-	fi := machine.FetchInfo{CIA: f.pc, Next: f.pc + 4, NextOK: true}
-	if f.tags[way] != ln {
-		words, err := f.img.decodeLine(ln)
-		if err != nil {
-			return machine.FetchInfo{}, err
+		for i := 0; i < ext; i += 4 {
+			text = append(text, binary.BigEndian.Uint32(raw[i:]))
 		}
-		f.tags[way] = ln
-		f.lines[way] = words
-		f.Misses++
-		fi.MemAddr = f.img.TextBase + uint32(ln*f.img.LineSize)
-		fi.MemBytes = len(f.img.Lines[ln]) // compressed bytes cross memory
 	}
-	idx := off % f.img.LineSize / 4
-	if idx >= len(f.lines[way]) {
-		return machine.FetchInfo{}, fmt.Errorf("huffman: fetch at %#x beyond line", f.pc)
-	}
-	fi.Word = f.lines[way][idx]
-	f.pc += 4
-	return fi, nil
+	return text, nil
 }
 
-// NewCCRPMachine builds a CPU executing the CCRP image.
-func NewCCRPMachine(img *CCRPImage, cacheLines int) (*machine.CPU, error) {
-	mem := machine.NewMemory()
-	sp, err := machine.MapDataAndStack(mem, img.DataBase, img.Data)
-	if err != nil {
-		return nil, err
-	}
-	fe := NewCCRPFrontend(img, cacheLines)
-	cpu := machine.New(mem, fe)
-	if err := fe.Reset(img.Entry); err != nil {
-		return nil, err
-	}
-	cpu.GPR[1] = sp
-	return cpu, nil
+// RefillBytes is the memory traffic of an I-cache refill of the line
+// holding the text address addr: that line's stored bytes, compressed or
+// raw.
+func (img *CCRPImage) RefillBytes(addr uint32) int64 {
+	return int64(len(img.Lines[int(addr-img.TextBase)/img.LineSize]))
 }

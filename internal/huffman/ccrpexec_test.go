@@ -3,6 +3,7 @@ package huffman
 import (
 	"testing"
 
+	"repro/internal/cache"
 	"repro/internal/machine"
 	"repro/internal/stats"
 	"repro/internal/synth"
@@ -43,6 +44,26 @@ func TestCCRPImageSizesMatchCounters(t *testing.T) {
 	}
 }
 
+// refillRun runs cpu under a direct-mapped I-cache of lines 32-byte lines
+// and returns its misses and the bytes those misses refill, priced by
+// RefillBytes.
+func refillRun(t *testing.T, cpu *machine.CPU, img *CCRPImage, lines int) (misses, refill int64) {
+	t.Helper()
+	ic, err := cache.New(cache.Config{SizeBytes: 32 * lines, LineBytes: 32, Assoc: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu.TraceFetch = func(addr uint32, nbytes int) {
+		before := ic.Stats.Misses
+		ic.Access(addr, nbytes)
+		refill += (ic.Stats.Misses - before) * img.RefillBytes(addr)
+	}
+	if _, err := cpu.Run(200_000_000); err != nil {
+		t.Fatal(err)
+	}
+	return ic.Stats.Misses, refill
+}
+
 func TestCCRPExecutionMatchesOriginal(t *testing.T) {
 	for _, name := range []string{"compress", "li", "go"} {
 		p, err := synth.Generate(name)
@@ -62,7 +83,7 @@ func TestCCRPExecutionMatchesOriginal(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cpu, err := NewCCRPMachine(img, 64)
+		cpu, err := img.NewMachine()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -74,25 +95,26 @@ func TestCCRPExecutionMatchesOriginal(t *testing.T) {
 			t.Fatalf("%s: behavior differs: %d/%q vs %d/%q",
 				name, st1, orig.Output(), st2, cpu.Output())
 		}
-		if orig.Stats.Steps != cpu.Stats.Steps {
-			t.Fatalf("%s: dynamic instruction counts differ: %d vs %d",
-				name, orig.Stats.Steps, cpu.Stats.Steps)
-		}
-		// Misses must have occurred and charged compressed-line traffic.
-		fe := cpu.Frontend().(*CCRPFrontend)
-		if fe.Misses == 0 || cpu.Stats.FetchedBytes == 0 {
-			t.Fatalf("%s: no refill traffic recorded", name)
+		if orig.Stats != cpu.Stats {
+			t.Fatalf("%s: CPU-side counters differ:\nnative %+v\nccrp   %+v", name, orig.Stats, cpu.Stats)
 		}
 		// Compressed refills move fewer bytes than raw refills would.
-		rawRefill := fe.Misses * int64(img.LineSize)
-		if cpu.Stats.FetchedBytes >= rawRefill {
-			t.Fatalf("%s: refill traffic %d not below raw %d", name, cpu.Stats.FetchedBytes, rawRefill)
+		if err := cpu.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		misses, refill := refillRun(t, cpu, img, 64)
+		if misses == 0 || refill == 0 {
+			t.Fatalf("%s: no refill traffic recorded", name)
+		}
+		if raw := misses * int64(img.LineSize); refill >= raw {
+			t.Fatalf("%s: refill traffic %d not below raw %d", name, refill, raw)
 		}
 	}
 }
 
 func TestCCRPTinyCacheStillCorrect(t *testing.T) {
-	// A single-line buffer thrashes but must stay correct.
+	// A single-line cache thrashes: it misses more than a 256-line one,
+	// and the program's behavior does not depend on either.
 	p, err := synth.Generate("compress")
 	if err != nil {
 		t.Fatal(err)
@@ -101,27 +123,56 @@ func TestCCRPTinyCacheStillCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	big, err := NewCCRPMachine(img, 256)
+	big, err := img.NewMachine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := big.Run(200_000_000); err != nil {
-		t.Fatal(err)
-	}
-	tiny, err := NewCCRPMachine(img, 1)
+	bigMisses, _ := refillRun(t, big, img, 256)
+	tiny, err := img.NewMachine()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := tiny.Run(200_000_000); err != nil {
-		t.Fatal(err)
-	}
+	tinyMisses, _ := refillRun(t, tiny, img, 1)
 	if string(big.Output()) != string(tiny.Output()) {
 		t.Fatal("cache size changed program behavior")
 	}
-	bigFE := big.Frontend().(*CCRPFrontend)
-	tinyFE := tiny.Frontend().(*CCRPFrontend)
-	if tinyFE.Misses <= bigFE.Misses {
-		t.Fatalf("tiny cache misses %d not above big cache %d", tinyFE.Misses, bigFE.Misses)
+	if tinyMisses <= bigMisses {
+		t.Fatalf("tiny cache misses %d not above big cache %d", tinyMisses, bigMisses)
+	}
+}
+
+// TestCCRPMachineFusedAndResettable: a CCRP machine is its decoded text on
+// the shared engine, so on every corpus program it runs entirely on the
+// fused loop, and Reset+Run repeats its output and counters.
+func TestCCRPMachineFusedAndResettable(t *testing.T) {
+	for _, name := range synth.BenchmarkNames() {
+		p, err := synth.Generate(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := BuildCCRPImage(p, DefaultCCRP())
+		if err != nil {
+			t.Fatal(err)
+		}
+		cpu, err := img.NewMachine()
+		if err != nil {
+			t.Fatal(err)
+		}
+		st, err := cpu.Run(200_000_000)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if cov := cpu.Fast.Coverage(cpu.Stats.Steps); cov != 1 {
+			t.Fatalf("%s: fast-path coverage %v (%s)", name, cov, cpu.Fast.BailSummary())
+		}
+		out, stats := string(cpu.Output()), cpu.Stats
+		if err := cpu.Reset(); err != nil {
+			t.Fatal(err)
+		}
+		st2, err := cpu.Run(200_000_000)
+		if err != nil || st2 != st || string(cpu.Output()) != out || cpu.Stats != stats {
+			t.Fatalf("%s: rerun %d/%v %+v, first run %d %+v", name, st2, err, cpu.Stats, st, stats)
+		}
 	}
 }
 
@@ -130,18 +181,18 @@ func TestCCRPFrontendValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	if _, err := BuildCCRPImage(p, CCRP{LineSize: 30}); err == nil {
+		t.Error("non-multiple-of-4 line size accepted")
+	}
 	img, err := BuildCCRPImage(p, DefaultCCRP())
 	if err != nil {
 		t.Fatal(err)
 	}
-	fe := NewCCRPFrontend(img, 4)
-	if err := fe.SetPC(img.TextBase - 4); err == nil {
-		t.Error("jump below text accepted")
-	}
-	if err := fe.SetPC(img.TextBase + 2); err == nil {
-		t.Error("unaligned jump accepted")
-	}
-	if _, err := BuildCCRPImage(p, CCRP{LineSize: 30}); err == nil {
-		t.Error("non-multiple-of-4 line size accepted")
+	for _, entry := range []uint32{img.TextBase - 4, img.TextBase + 2, img.TextBase + uint32(4*img.NumWords)} {
+		bad := *img
+		bad.Entry = entry
+		if _, err := bad.NewMachine(); err == nil {
+			t.Errorf("entry %#x accepted", entry)
+		}
 	}
 }

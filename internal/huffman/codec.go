@@ -16,19 +16,29 @@ func init() {
 	codec.Register(ccrpCodec{})
 }
 
-// DefaultCacheLines is the decompressed-line buffer size a self-describing
-// CCRP image executes with when the caller supplies no configuration (the
-// codec.Executable path); 64 lines of 32 bytes matches the execution
-// benchmarks' 2 KB buffer.
-const DefaultCacheLines = 64
-
 // Method identifies the CCRP codec in image frames.
 func (img *CCRPImage) Method() codec.Method { return codec.CCRP }
 
-// NewMachine builds a CPU executing the image with DefaultCacheLines
-// decompressed lines buffered.
+// NewMachine builds a CPU executing the image. CCRP keeps the original
+// addresses, so the machine is the decoded text on the normal fetch path —
+// predecoded, fused and resettable like a native one; the compression
+// shows only in refill traffic (RefillBytes). An undecodable line fails
+// with a *LineError, and an entry point that is misaligned or outside the
+// text is rejected.
 func (img *CCRPImage) NewMachine() (*machine.CPU, error) {
-	return NewCCRPMachine(img, DefaultCacheLines)
+	text, err := img.Text()
+	if err != nil {
+		return nil, err
+	}
+	off := img.Entry - img.TextBase
+	if off%4 != 0 || off >= uint32(4*len(text)) {
+		return nil, fmt.Errorf("huffman: entry %#x misaligned or outside text [%#x,%#x)",
+			img.Entry, img.TextBase, img.TextBase+uint32(4*len(text)))
+	}
+	return machine.NewForProgram(&program.Program{
+		Name: img.Name, Text: text, TextBase: img.TextBase,
+		Data: img.Data, DataBase: img.DataBase, Entry: int(off / 4),
+	})
 }
 
 // WriteCCRPImagePayload serializes a CCRP image body (the bytes after the
@@ -57,16 +67,24 @@ func WriteCCRPImagePayload(dst io.Writer, img *CCRPImage) error {
 	return w.Err()
 }
 
-// LineError reports a raw CCRP line shorter than the text it covers.
+// LineError reports a CCRP line that does not hold the text it covers: a
+// raw line shorter than its extent, or a compressed line that does not
+// decode to it (Err is the decoder's cause).
 type LineError struct {
 	Line   int
-	Len    int // stored bytes
-	Extent int // text bytes the line covers
+	Len    int   // stored bytes
+	Extent int   // text bytes the line covers
+	Err    error // decode failure; nil for a short raw line
 }
 
 func (e *LineError) Error() string {
+	if e.Err != nil {
+		return fmt.Sprintf("huffman: line %d (%d bytes) does not decode to %d: %v", e.Line, e.Len, e.Extent, e.Err)
+	}
 	return fmt.Sprintf("huffman: raw line %d holds %d bytes, covers %d", e.Line, e.Len, e.Extent)
 }
+
+func (e *LineError) Unwrap() error { return e.Err }
 
 // ReadCCRPImagePayload deserializes a CCRP image body. It fails with a
 // *LineError when a raw line is shorter than the text it covers.
@@ -152,16 +170,13 @@ func (ccrpCodec) Verify(p *program.Program, img codec.Image) error {
 	if ci.NumWords != len(p.Text) {
 		return fmt.Errorf("huffman: image holds %d words, program %d", ci.NumWords, len(p.Text))
 	}
-	wordsPerLine := ci.LineSize / 4
-	for ln := range ci.Lines {
-		words, err := ci.decodeLine(ln)
-		if err != nil {
-			return err
-		}
-		for i, w := range words {
-			if orig := p.Text[ln*wordsPerLine+i]; w != orig {
-				return fmt.Errorf("huffman: line %d word %d: %#x != %#x", ln, i, w, orig)
-			}
+	text, err := ci.Text()
+	if err != nil {
+		return err
+	}
+	for i, w := range text {
+		if orig := p.Text[i]; w != orig {
+			return fmt.Errorf("huffman: line %d word %d: %#x != %#x", 4*i/ci.LineSize, 4*i%ci.LineSize/4, w, orig)
 		}
 	}
 	return nil

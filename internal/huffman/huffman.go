@@ -9,7 +9,6 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // maxCodeLen bounds canonical code lengths so codes fit comfortably in a
@@ -20,6 +19,15 @@ const maxCodeLen = 56
 type Code struct {
 	Lens  [256]uint8  // code length per symbol, 0 = absent
 	Codes [256]uint64 // canonical code value per symbol
+
+	// The decode table, filled by assignCanonical: codes of length l run
+	// from first[l] through first[l]+count[l]-1, and their symbols sit in
+	// canonical order in syms starting at offset[l].
+	first  [maxCodeLen + 1]uint64
+	count  [maxCodeLen + 1]uint16
+	offset [maxCodeLen + 1]uint16
+	syms   [256]byte
+	maxLen int // longest code length present
 }
 
 // hnode is a Huffman tree node; sym is -1 for internal nodes.
@@ -130,32 +138,33 @@ func (h *nodeHeap) Pop() interface{} {
 	return v
 }
 
-// assignCanonical fills Codes from Lens using the canonical ordering
-// (shorter codes first, ties by symbol value).
+// assignCanonical fills Codes and the decode table from Lens using the
+// canonical ordering (shorter codes first, ties by symbol value). It is the
+// one place canonical order is computed.
 func assignCanonical(c *Code) {
-	type sl struct {
-		sym int
-		l   uint8
+	for _, l := range c.Lens {
+		if l > 0 {
+			c.count[l]++
+		}
 	}
-	var syms []sl
+	code, off := uint64(0), uint16(0)
+	for l := 1; l <= maxCodeLen; l++ {
+		code <<= 1
+		c.first[l], c.offset[l] = code, off
+		code += uint64(c.count[l])
+		off += c.count[l]
+		if c.count[l] > 0 {
+			c.maxLen = l
+		}
+	}
+	var filled [maxCodeLen + 1]uint16
 	for s, l := range c.Lens {
 		if l > 0 {
-			syms = append(syms, sl{s, l})
+			i := filled[l]
+			filled[l]++
+			c.syms[c.offset[l]+i] = byte(s)
+			c.Codes[s] = c.first[l] + uint64(i)
 		}
-	}
-	sort.Slice(syms, func(i, j int) bool {
-		if syms[i].l != syms[j].l {
-			return syms[i].l < syms[j].l
-		}
-		return syms[i].sym < syms[j].sym
-	})
-	code := uint64(0)
-	prevLen := uint8(0)
-	for _, s := range syms {
-		code <<= s.l - prevLen
-		c.Codes[s.sym] = code
-		code++
-		prevLen = s.l
 	}
 }
 
@@ -188,78 +197,27 @@ func (c *Code) Encode(data []byte) []byte {
 	return out
 }
 
-// Decode expands exactly n symbols from the encoded stream.
+// Decode expands exactly n symbols from the encoded stream, reading one
+// bit at a time until the code read so far falls inside a length's range
+// of the decode table.
 func (c *Code) Decode(enc []byte, n int) ([]byte, error) {
-	// Build a canonical decode table: for each length, the first code and
-	// the symbol list in canonical order.
-	type lenClass struct {
-		first uint64
-		syms  []byte
-	}
-	classes := map[uint8]*lenClass{}
-	var lens []uint8
-	{
-		type sl struct {
-			sym int
-			l   uint8
-		}
-		var syms []sl
-		for s, l := range c.Lens {
-			if l > 0 {
-				syms = append(syms, sl{s, l})
+	out := make([]byte, n)
+	pos := 0 // bit position in enc
+	for i := range out {
+		var code uint64
+		for l := 1; ; l++ {
+			if l > c.maxLen {
+				return nil, errors.New("huffman: invalid code")
 			}
-		}
-		sort.Slice(syms, func(i, j int) bool {
-			if syms[i].l != syms[j].l {
-				return syms[i].l < syms[j].l
+			if pos >= 8*len(enc) {
+				return nil, errors.New("huffman: truncated stream")
 			}
-			return syms[i].sym < syms[j].sym
-		})
-		code := uint64(0)
-		prevLen := uint8(0)
-		for _, s := range syms {
-			code <<= s.l - prevLen
-			cl := classes[s.l]
-			if cl == nil {
-				cl = &lenClass{first: code}
-				classes[s.l] = cl
-				lens = append(lens, s.l)
-			}
-			cl.syms = append(cl.syms, byte(s.sym))
-			code++
-			prevLen = s.l
-		}
-	}
-	out := make([]byte, 0, n)
-	var acc uint64
-	var nacc uint
-	pos := 0
-	for len(out) < n {
-		matched := false
-		for _, l := range lens {
-			for nacc < uint(l) {
-				if pos >= len(enc) {
-					if len(out) == n {
-						return out, nil
-					}
-					return nil, errors.New("huffman: truncated stream")
-				}
-				acc = acc<<8 | uint64(enc[pos])
-				pos++
-				nacc += 8
-			}
-			v := acc >> (nacc - uint(l))
-			cl := classes[l]
-			if v >= cl.first && v < cl.first+uint64(len(cl.syms)) {
-				out = append(out, cl.syms[v-cl.first])
-				acc &= 1<<(nacc-uint(l)) - 1
-				nacc -= uint(l)
-				matched = true
+			code = code<<1 | uint64(enc[pos/8]>>(7-pos%8)&1)
+			pos++
+			if d := code - c.first[l]; d < uint64(c.count[l]) {
+				out[i] = c.syms[c.offset[l]+uint16(d)]
 				break
 			}
-		}
-		if !matched {
-			return nil, errors.New("huffman: invalid code")
 		}
 	}
 	return out, nil

@@ -146,6 +146,31 @@ func TestDecodeRejectsGarbage(t *testing.T) {
 	}
 }
 
+// TestDecodeAllocatesOnlyOutput: the decode table is built once, with the
+// code, so decoding one 32-byte line allocates just its output slice.
+func TestDecodeAllocatesOnlyOutput(t *testing.T) {
+	p, err := synth.Generate("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := p.TextBytes()
+	c, err := Build(freqOf(text))
+	if err != nil {
+		t.Fatal(err)
+	}
+	line := text[:32]
+	enc := c.Encode(line)
+	allocs := testing.AllocsPerRun(100, func() {
+		dec, err := c.Decode(enc, len(line))
+		if err != nil || !bytes.Equal(dec, line) {
+			t.Fatalf("round trip: %v", err)
+		}
+	})
+	if allocs != 1 {
+		t.Fatalf("Decode of one line allocated %v times, want 1", allocs)
+	}
+}
+
 func TestCCRPOnBenchmark(t *testing.T) {
 	p, err := synth.Generate("li")
 	if err != nil {

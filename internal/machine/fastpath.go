@@ -118,7 +118,7 @@ type EpochObserver interface {
 
 // DefaultEpochSteps is the epoch length when CPU.EpochSteps is zero: long
 // enough that draining is noise even on programs that never revisit a
-// slot, short enough that /metrics and spans stay fresh (an epoch is the
+// slot, short enough that epoch spans stay fine-grained (an epoch is the
 // telemetry staleness bound).
 const DefaultEpochSteps = 1 << 20
 
@@ -310,9 +310,9 @@ var bailCounterNames = func() (a [numBailReasons]string) {
 
 // exportRun adds one Run's counter deltas to Record: the execution
 // counters plus the fast-path accounting. Every bail counter is exported
-// (including zeros) so OpenMetrics scrapes and snapshots always show the
-// full reason vocabulary; slow_steps is the instrumented-path remainder,
-// letting coverage be derived from any single recorder as
+// (including zeros) so snapshots always show the full reason vocabulary;
+// slow_steps is the instrumented-path remainder, letting coverage be
+// derived from any single recorder as
 // steps/(steps+slow_steps).
 func (c *CPU) exportRun(before Stats, fastBefore FastStats) {
 	rec := c.Record

@@ -51,6 +51,8 @@ type Frontend interface {
 	Fetch() (FetchInfo, error)
 	// SetPC redirects fetch to a branch target in the frontend's PC space.
 	SetPC(addr uint32) error
+	// PC returns the current fetch address.
+	PC() uint32
 	// RelTarget computes the target of a relative branch whose displacement
 	// field (unscaled) is field, relative to the fetch address cia. The
 	// normal frontend scales by 4; compressed frontends scale by their

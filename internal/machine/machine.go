@@ -175,9 +175,7 @@ func NewForProgram(p *program.Program) (*CPU, error) {
 		return nil, err
 	}
 	cpu.GPR[1] = sp
-	if err := cpu.SnapshotReset(); err != nil {
-		return nil, err
-	}
+	cpu.SnapshotReset()
 	return cpu, nil
 }
 
@@ -201,14 +199,9 @@ func MapDataAndStack(mem *Memory, dataBase uint32, dataImage []byte) (sp uint32,
 // PC, and every memory region's contents — as the state Reset restores.
 // Constructors call it once setup is complete, so a freshly built machine
 // can be Run repeatedly without re-mapping ~MBs of memory per run.
-func (c *CPU) SnapshotReset() error {
-	pcer, ok := c.fe.(interface{ PC() uint32 })
-	if !ok {
-		return fmt.Errorf("machine: frontend %T cannot report its PC for snapshot", c.fe)
-	}
+func (c *CPU) SnapshotReset() {
 	c.Mem.Snapshot()
-	c.snap = &resetState{gpr: c.GPR, lr: c.LR, ctr: c.CTR, cr: c.CR, pc: pcer.PC()}
-	return nil
+	c.snap = &resetState{gpr: c.GPR, lr: c.LR, ctr: c.CTR, cr: c.CR, pc: c.fe.PC()}
 }
 
 // Reset rewinds the machine to its SnapshotReset state: registers, memory,

@@ -86,9 +86,6 @@ type PredecodedFrontend interface {
 	// instrumented path). The frontend owns caching and staleness.
 	Predecode() *Predecode
 
-	// PC returns the current fetch address.
-	PC() uint32
-
 	// SetRawPC repositions fetch without validation, resynchronizing the
 	// frontend when the fused loop hands control back to the slow path;
 	// the next Fetch then reproduces whatever fault the address implies.

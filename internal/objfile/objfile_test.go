@@ -429,6 +429,51 @@ func TestShortRawLineRejected(t *testing.T) {
 	}
 }
 
+// TestCorruptCCRPLineFailsTyped: a golden CCRP frame whose first
+// compressed line is overwritten with all-ones bits still opens (lines are
+// decoded on use), but building its machine decodes every line and fails
+// with a *huffman.LineError carrying the decoder's cause.
+func TestCorruptCCRPLineFailsTyped(t *testing.T) {
+	p, err := synth.Generate("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cd, err := codec.ByName("ccrp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := cd.Compress(p, codec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ci := img.(*huffman.CCRPImage)
+	if ci.Raw[0] {
+		t.Fatal("line 0 is not a compressed line")
+	}
+	ones := bytes.Repeat([]byte{0xff}, len(ci.Lines[0]))
+	if _, err := ci.Code.Decode(ones, ci.LineSize); err == nil {
+		t.Fatal("all-ones line decodes; pick another corruption")
+	}
+	var frame bytes.Buffer
+	if err := WriteImage(&frame, img); err != nil {
+		t.Fatal(err)
+	}
+	// Frame header (7), name (2+len), line size, text base, word count and
+	// entry (16), code lengths (256), line count (4), line 0's raw flag (1)
+	// and blob length (4): then line 0's payload.
+	bad := append([]byte(nil), frame.Bytes()...)
+	copy(bad[7+2+len(ci.Name)+16+256+4+1+4:], ones)
+	opened, err := OpenImage(bytes.NewReader(bad))
+	if err != nil {
+		t.Fatalf("OpenImage: %v", err)
+	}
+	cpu, err := opened.(codec.Executable).NewMachine()
+	var le *huffman.LineError
+	if !errors.As(err, &le) || le.Line != 0 || le.Err == nil {
+		t.Fatalf("NewMachine = %v, %v; want a *huffman.LineError on line 0 with a cause", cpu, err)
+	}
+}
+
 func TestBadMagicRejected(t *testing.T) {
 	if _, err := ReadProgram(bytes.NewReader([]byte("JUNKJUNKJUNK"))); err == nil {
 		t.Fatal("bad program magic accepted")
