@@ -107,25 +107,25 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # Perf trajectory: dictionary.Build and core.Compress at small/medium/full
-# corpus sizes plus the execution benchmarks (I-cache simulation
-# included), recorded as BENCH_dictionary.json (ns/op, B/op, allocs/op,
+# corpus sizes plus the execution benchmarks (the Step path and I-cache
+# simulation included), recorded as BENCH_dictionary.json (ns/op, B/op, allocs/op,
 # and histogram quantiles such as selbits-p50/p90/p99 and
 # explen-p50/p90/p99). BENCH_SAMPLES runs
 # each benchmark that many times so the report carries raw samples — the
 # fuel for 95% confidence intervals and the -significant gate.
 BENCH_SAMPLES ?= 5
 bench-json:
-	$(GO) test -run '^$$' -bench '^BenchmarkDictionaryBuild$$|^BenchmarkCompressSweep$$|^BenchmarkNativeExecution$$|^BenchmarkCompressedExecution$$|^BenchmarkSampledExecution$$|^BenchmarkICacheExecution$$|^BenchmarkReset$$' -count=$(BENCH_SAMPLES) -benchmem . \
+	$(GO) test -run '^$$' -bench '^BenchmarkDictionaryBuild$$|^BenchmarkCompressSweep$$|^BenchmarkNativeExecution$$|^BenchmarkCompressedExecution$$|^BenchmarkSampledExecution$$|^BenchmarkHookedExecution$$|^BenchmarkICacheExecution$$|^BenchmarkReset$$' -count=$(BENCH_SAMPLES) -benchmem . \
 		| $(GO) run ./cmd/benchjson > BENCH_dictionary.json
 	@echo wrote BENCH_dictionary.json
 
 # Just the execution-speed pair (native vs compressed through the
-# predecoded engine) plus the sampled run, the I-cache run and the Reset
-# layer, recorded as BENCH_exec.json with the derived
+# predecoded engine) plus the sampled run, the hooked Step-path run, the
+# I-cache run and the Reset layer, recorded as BENCH_exec.json with the derived
 # compressed_vs_native_ratio metric — the quick loop while working on the
 # execution engine, without the multi-minute dictionary sweeps.
 bench-exec:
-	$(GO) test -run '^$$' -bench '^BenchmarkNativeExecution$$|^BenchmarkCompressedExecution$$|^BenchmarkSampledExecution$$|^BenchmarkICacheExecution$$|^BenchmarkReset$$' -count=$(BENCH_SAMPLES) -benchmem . \
+	$(GO) test -run '^$$' -bench '^BenchmarkNativeExecution$$|^BenchmarkCompressedExecution$$|^BenchmarkSampledExecution$$|^BenchmarkHookedExecution$$|^BenchmarkICacheExecution$$|^BenchmarkReset$$' -count=$(BENCH_SAMPLES) -benchmem . \
 		| $(GO) run ./cmd/benchjson > BENCH_exec.json
 	@echo wrote BENCH_exec.json
 

@@ -342,6 +342,30 @@ func BenchmarkSampledExecution(b *testing.B) {
 	b.ReportMetric(float64(cpu.Fast.Steps), "faststeps/op")
 }
 
+// BenchmarkHookedExecution is the instrumented Step path:
+// BenchmarkCompressedExecution with a no-op TraceStep hook, which sends
+// every instruction through Step (fetch, resolve, one-step run of the
+// shared dispatch). It fails unless the fused loop ran none of them, so
+// the ledger keeps a number for the path every hooked consumer — the
+// exact guest profiler, tracing — pays.
+func BenchmarkHookedExecution(b *testing.B) {
+	p := benchProgram(b, "perl")
+	img, err := core.Compress(p.Clone(), Options{Scheme: Nibble})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cpu, err := core.NewMachine(img)
+	if err != nil {
+		b.Fatal(err)
+	}
+	cpu.TraceStep = func(machine.StepInfo) {}
+	steps := benchRepeatRuns(b, cpu)
+	if cpu.Fast.Steps != 0 {
+		b.Fatalf("a TraceStep run reached the fused loop: %s", cpu.Fast.BailSummary())
+	}
+	b.ReportMetric(float64(steps), "steps/op")
+}
+
 // BenchmarkICacheExecution is the I-cache simulation layer:
 // BenchmarkCompressedExecution with a fresh 8 KiB direct-mapped cache of
 // 32-byte lines on the TraceFetch hook for every Reset+Run. The fetch

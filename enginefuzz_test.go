@@ -13,10 +13,13 @@ import (
 
 // FuzzFastPathDifferential pits the fused fast loop against the
 // instrumented Step path over fuzzer-shaped programs, native and through
-// every executable codec. The two engines share exec() but nothing of
-// their fetch plumbing, so any table-construction bug — wrong successor,
-// wrong expansion length, a counter charged differently — shows up as a
-// divergence in output, exit status, or the Stats counters. The hooked
+// every executable codec. The two engines share the one dispatch in
+// runFast but nothing of their fetch plumbing or resolution — the fused
+// loop reads instructions the table builder resolved, Step resolves each
+// fetched word itself — so any table-construction bug (wrong successor,
+// wrong expansion length, a mis-resolved operand, a counter charged
+// differently) shows up as a divergence in output, exit status, or the
+// Stats counters. The hooked
 // machine counts TraceStep deliveries to prove the slow path actually ran.
 // A third machine runs the fast path with epoch sampling on and a tiny
 // epoch length, so every fuzz case crosses many epoch boundaries:

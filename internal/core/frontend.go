@@ -63,7 +63,8 @@ func (f *CompressedFrontend) Reset(entry uint32) error { return f.SetPC(entry) }
 // inside an entry abandons the rest of the entry.
 func (f *CompressedFrontend) SetPC(addr uint32) error {
 	if addr < f.img.Base || addr >= f.img.Base+uint32(f.img.Units) {
-		return fmt.Errorf("core: jump to %#x outside compressed text [%#x,%#x)",
+		return machine.Faultf(machine.FaultJumpOutsideText, 0, addr,
+			"core: jump to %#x outside compressed text [%#x,%#x)",
 			addr, f.img.Base, f.img.Base+uint32(f.img.Units))
 	}
 	f.pc = addr
@@ -74,8 +75,12 @@ func (f *CompressedFrontend) SetPC(addr uint32) error {
 // RelTarget interprets branch displacement fields at codeword-unit
 // granularity (§3.2.2).
 func (f *CompressedFrontend) RelTarget(cia uint32, field int32) uint32 {
-	return cia + uint32(field)
+	return unitTarget(cia, field)
 }
+
+// unitTarget is the unit address a relative branch at cia with the given
+// displacement field reaches: fields count codeword units.
+func unitTarget(cia uint32, field int32) uint32 { return cia + uint32(field) }
 
 // PC returns the current fetch unit address.
 func (f *CompressedFrontend) PC() uint32 { return f.pc }
@@ -127,7 +132,8 @@ func (f *CompressedFrontend) Fetch() (machine.FetchInfo, error) {
 	}
 	it, err := f.rdr.At(int(f.pc - f.img.Base))
 	if err != nil {
-		return machine.FetchInfo{}, err
+		// The item at pc runs off the end of the stream.
+		return machine.FetchInfo{}, machine.Faultf(machine.FaultBadAddress, f.pc, f.pc, "%v", err)
 	}
 	cia := f.pc
 	next := f.pc + uint32(it.Units)
@@ -141,7 +147,8 @@ func (f *CompressedFrontend) Fetch() (machine.FetchInfo, error) {
 		}, nil
 	}
 	if it.Rank >= len(f.img.Entries) {
-		return machine.FetchInfo{}, fmt.Errorf("core: codeword %d exceeds dictionary", it.Rank)
+		return machine.FetchInfo{}, machine.Faultf(machine.FaultCodewordBeyondDictionary, cia,
+			uint32(it.Rank), "core: codeword %d exceeds dictionary", it.Rank)
 	}
 	words := f.img.Entries[it.Rank].Words
 	f.queue = words[1:]

@@ -30,12 +30,31 @@ func buildPredecode(img *Image) *machine.Predecode {
 		Slots:    make([]machine.PredecodedSlot, img.Units),
 		Entries:  make([]machine.PredecodedEntry, len(img.Entries)),
 	}
+	// An entry's instructions resolve once, with no branch target, and
+	// proto[r] is the slot every codeword of rank r starts from. A slot
+	// whose entry starts with a relative branch resolves it again at its
+	// own address; an entry that no slot can expand (empty, longer than a
+	// slot counts, an illegal first instruction, or a relative branch after
+	// it — never in a compressor-built image) makes its slots Fault, so
+	// Step handles them per fetch.
+	memo := machine.GetMemo()
+	defer memo.Release()
+	proto := make([]machine.PredecodedSlot, len(img.Entries))
 	for r, e := range img.Entries {
-		insts := make([]ppc.Inst, len(e.Words))
+		insts := make([]machine.Resolved, len(e.Words))
+		p := &proto[r]
+		p.Fault = len(e.Words) == 0 || len(e.Words) > 255
 		for k, w := range e.Words {
-			insts[k] = ppc.Decode(w)
+			i := ppc.Decode(w)
+			insts[k] = memo.Resolve(w, i, 0, k == len(e.Words)-1)
+			if k == 0 && i.Op == ppc.OpInvalid || k > 0 && ppc.IsRelativeBranch(w) {
+				p.Fault = true
+			}
 		}
 		pd.Entries[r] = machine.PredecodedEntry{Insts: insts, Words: e.Words}
+		if !p.Fault {
+			*p = machine.PredecodedSlot{Inst: insts[0], Word: e.Words[0], Rank: int32(r), EntryLen: uint8(len(e.Words))}
+		}
 	}
 	rdr := codeword.NewReader(img.Scheme, img.Stream, img.Units)
 	unitBits := img.Scheme.UnitBits()
@@ -48,40 +67,35 @@ func buildPredecode(img *Image) *machine.Predecode {
 			s.Fault = true
 			continue
 		}
-		next := img.Base + uint32(u+it.Units)
+		cia := img.Base + uint32(u)
+		next := cia + uint32(it.Units)
 		memBytes := (it.Units*unitBits + 7) / 8
 		if !it.IsCodeword {
-			inst := ppc.Decode(it.Word)
-			if inst.Op == ppc.OpInvalid {
-				s.Fault = true
-				continue
+			r, ok := memo.Lookup(it.Word, true)
+			if !ok {
+				inst := ppc.Decode(it.Word)
+				if inst.Op == ppc.OpInvalid {
+					s.Fault = true
+					continue
+				}
+				r = memo.Resolve(it.Word, inst, unitTarget(cia, inst.Imm>>2), true)
 			}
 			*s = machine.PredecodedSlot{
-				Inst: inst, Next: next,
-				Rank: -1, MemBytes: uint8(memBytes), EntryLen: 1,
+				Inst: r, Word: it.Word, Next: next, Rank: -1, MemBytes: uint8(memBytes),
+				EntryLen: 1, Succ: uint8(it.Units),
 			}
 			continue
 		}
-		words := entryWords(img, it.Rank)
-		if words == nil || len(words) > 255 ||
-			pd.Entries[it.Rank].Insts[0].Op == ppc.OpInvalid {
+		if it.Rank >= len(proto) || proto[it.Rank].Fault {
 			s.Fault = true
 			continue
 		}
-		*s = machine.PredecodedSlot{
-			Inst: pd.Entries[it.Rank].Insts[0], Next: next,
-			Rank: int32(it.Rank), MemBytes: uint8(memBytes),
-			EntryLen: uint8(len(words)),
+		*s = proto[it.Rank]
+		s.Next, s.MemBytes, s.Succ = next, uint8(memBytes), uint8(it.Units)
+		if ppc.IsRelativeBranch(s.Word) {
+			head := ppc.Decode(s.Word)
+			s.Inst = machine.Resolve(head, unitTarget(cia, head.Imm>>2), s.EntryLen == 1)
 		}
 	}
 	return pd
-}
-
-// entryWords resolves a codeword rank to its entry, nil when the rank is
-// out of range or the entry is empty (both are slow-path faults).
-func entryWords(img *Image, rank int) []uint32 {
-	if rank < 0 || rank >= len(img.Entries) || len(img.Entries[rank].Words) == 0 {
-		return nil
-	}
-	return img.Entries[rank].Words
 }

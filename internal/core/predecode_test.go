@@ -7,6 +7,7 @@ import (
 	"repro/internal/codeword"
 	"repro/internal/machine"
 	"repro/internal/ppc"
+	"repro/internal/synth"
 )
 
 func TestPredecodeMatchesReader(t *testing.T) {
@@ -26,6 +27,7 @@ func TestPredecodeMatchesReader(t *testing.T) {
 			t.Fatalf("%v: table shape base=%#x shift=%d slots=%d", scheme, pd.Base, pd.Shift, len(pd.Slots))
 		}
 		rdr := codeword.NewReader(img.Scheme, img.Stream, img.Units)
+		f := NewCompressedFrontend(img)
 		unitBits := img.Scheme.UnitBits()
 		for u := 0; u < img.Units; u++ {
 			s := pd.Slots[u]
@@ -46,7 +48,8 @@ func TestPredecodeMatchesReader(t *testing.T) {
 					}
 					continue
 				}
-				if s.Fault || s.Inst != inst || s.Next != wantNext ||
+				want := machine.Resolve(inst, f.RelTarget(img.Base+uint32(u), inst.Imm>>2), true)
+				if s.Fault || s.Inst != want || s.Word != it.Word || s.Next != wantNext || int(s.Succ) != it.Units ||
 					s.Rank != -1 || s.EntryLen != 1 || s.MemBytes != wantMem {
 					t.Fatalf("%v: unit %d: raw slot %+v, item %+v", scheme, u, s, it)
 				}
@@ -64,8 +67,10 @@ func TestPredecodeMatchesReader(t *testing.T) {
 			if s.Fault {
 				t.Fatalf("%v: unit %d: decodable codeword marked Fault", scheme, u)
 			}
-			if s.Rank != int32(it.Rank) || int(s.EntryLen) != len(words) ||
-				s.Next != wantNext || s.MemBytes != wantMem || s.Inst != ppc.Decode(words[0]) {
+			head := ppc.Decode(words[0])
+			want := machine.Resolve(head, f.RelTarget(img.Base+uint32(u), head.Imm>>2), len(words) == 1)
+			if s.Rank != int32(it.Rank) || int(s.EntryLen) != len(words) || s.Word != words[0] || int(s.Succ) != it.Units ||
+				s.Next != wantNext || s.MemBytes != wantMem || s.Inst != want {
 				t.Fatalf("%v: unit %d: codeword slot %+v, item %+v", scheme, u, s, it)
 			}
 			e := pd.Entries[it.Rank]
@@ -73,7 +78,7 @@ func TestPredecodeMatchesReader(t *testing.T) {
 				t.Fatalf("%v: entry %d cache holds %d insts for %d words", scheme, it.Rank, len(e.Insts), len(words))
 			}
 			for k, w := range words {
-				if e.Words[k] != w || e.Insts[k] != ppc.Decode(w) {
+				if e.Words[k] != w || e.Insts[k] != machine.Resolve(ppc.Decode(w), 0, k == len(words)-1) {
 					t.Fatalf("%v: entry %d word %d cached wrong", scheme, it.Rank, k)
 				}
 			}
@@ -237,5 +242,87 @@ func TestPredecodeUnavailable(t *testing.T) {
 	}
 	if mcpu.Fast.Steps != 0 {
 		t.Fatalf("mid-expansion resume reports fast-path steps: %+v", mcpu.Fast)
+	}
+}
+
+// TestResolvedBranchTargets: every relative branch in the predecoded
+// tables of all eight benchmarks, native and nibble, carries the target
+// its frontend's RelTarget computes at the slot's address.
+func TestResolvedBranchTargets(t *testing.T) {
+	for _, name := range synth.BenchmarkNames() {
+		p, err := synth.Generate(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cpu, err := machine.NewForProgram(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		img, err := Compress(p.Clone(), Options{Scheme: codeword.Nibble})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, fe := range []machine.PredecodedFrontend{
+			cpu.Frontend().(machine.PredecodedFrontend), NewCompressedFrontend(img),
+		} {
+			pd := fe.Predecode()
+			branches := 0
+			for i, s := range pd.Slots {
+				if s.Fault || !ppc.IsRelativeBranch(s.Word) {
+					continue
+				}
+				branches++
+				cia := pd.Base + uint32(i)<<pd.Shift
+				if want := fe.RelTarget(cia, ppc.Decode(s.Word).Imm>>2); s.Inst.Imm != want {
+					t.Fatalf("%s (%T): branch %08x at %#x resolves to %#x, RelTarget %#x",
+						name, fe, s.Word, cia, s.Inst.Imm, want)
+				}
+			}
+			if branches == 0 {
+				t.Fatalf("%s (%T): no relative branch in the table", name, fe)
+			}
+		}
+	}
+}
+
+// TestEntryBranchParity puts relative branches into a dictionary's
+// entries, which the compressor never does: at an entry's head (the
+// slot resolves it at its own address) and after it (the slot is a Fault
+// slot and Step resolves it per fetch). The fused loop and the Step path
+// must agree on the outcome either way.
+func TestEntryBranchParity(t *testing.T) {
+	for _, at := range []int{0, 1} {
+		img, _ := compress(t, "compress", codeword.Nibble)
+		for i := range img.Entries {
+			if w := img.Entries[i].Words; len(w) > at+1 || (at == 0 && len(w) > 0) {
+				w = append([]uint32(nil), w...)
+				w[at] = ppc.B(int32(4 * (i%5 - 2)))
+				img.Entries[i].Words = w
+			}
+		}
+		type outcome struct {
+			status int32
+			errStr string
+			out    string
+			stats  machine.Stats
+		}
+		run := func(hook bool) outcome {
+			cpu, err := NewMachine(img)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if hook {
+				cpu.TraceStep = func(machine.StepInfo) {}
+			}
+			st, err := cpu.Run(20_000)
+			o := outcome{status: st, out: string(cpu.Output()), stats: cpu.Stats}
+			if err != nil {
+				o.errStr = err.Error()
+			}
+			return o
+		}
+		if fast, slow := run(false), run(true); fast != slow {
+			t.Fatalf("branch at entry position %d:\nfast %+v\nslow %+v", at, fast, slow)
+		}
 	}
 }

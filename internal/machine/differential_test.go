@@ -118,16 +118,25 @@ func (r *refState) exec(w uint32) bool {
 	return true
 }
 
-// aluOps generates one random ALU instruction over low registers.
+// aluOps generates one random ALU instruction over low registers. The
+// (rA|0) source of addi/addis draws r0 a quarter of the time (the caller
+// loads r0 nonzero, so reading it as zero is observable), and mr, which
+// the resolver gives a kind of its own, is drawn explicitly.
 func aluOp(rng *rand.Rand) uint32 {
 	r := func() uint8 { return uint8(3 + rng.Intn(8)) }
+	ra0 := func() uint8 {
+		if rng.Intn(4) == 0 {
+			return 0
+		}
+		return r()
+	}
 	imm := func() int32 { return int32(rng.Intn(1 << 16)) }
 	simm := func() int32 { return int32(rng.Intn(1<<16)) - 1<<15 }
-	switch rng.Intn(22) {
+	switch rng.Intn(23) {
 	case 0:
-		return ppc.Addi(r(), r(), simm())
+		return ppc.Addi(r(), ra0(), simm())
 	case 1:
-		return ppc.Addis(r(), r(), simm())
+		return ppc.Addis(r(), ra0(), simm())
 	case 2:
 		return ppc.Ori(r(), r(), imm())
 	case 3:
@@ -166,13 +175,16 @@ func aluOp(rng *rand.Rand) uint32 {
 		return ppc.Extsb(r(), r())
 	case 20:
 		return ppc.Extsh(r(), r())
+	case 21:
+		return ppc.Mr(r(), r())
 	default:
 		return ppc.Rlwinm(r(), r(), uint8(rng.Intn(32)), uint8(rng.Intn(32)), uint8(rng.Intn(32)))
 	}
 }
 
 // TestALUDifferential cross-checks the interpreter against the reference
-// model on random straight-line programs with random initial registers.
+// model on random straight-line programs with random initial registers, on
+// both the fused loop and the Step path.
 func TestALUDifferential(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
@@ -184,12 +196,13 @@ func TestALUDifferential(t *testing.T) {
 			words = append(words, aluOp(rng))
 		}
 
-		// Build and run on the machine.
+		// Build the machine: random r3..r10 and a nonzero r0, then the
+		// program.
 		b := program.NewBuilder("diff")
 		f := b.Func("main")
 		var init [32]uint32
-		for r := 3; r <= 10; r++ {
-			v := rng.Uint32()
+		for _, r := range []int{0, 3, 4, 5, 6, 7, 8, 9, 10} {
+			v := rng.Uint32() | 1
 			init[r] = v
 			f.Emit(ppc.Lis(uint8(r), int32(int16(uint16(v>>16)))))
 			f.Emit(ppc.Ori(uint8(r), uint8(r), int32(v&0xFFFF)))
@@ -204,15 +217,6 @@ func TestALUDifferential(t *testing.T) {
 			t.Log(err)
 			return false
 		}
-		cpu, err := NewForProgram(p)
-		if err != nil {
-			t.Log(err)
-			return false
-		}
-		if _, err := cpu.Run(10000); err != nil {
-			t.Log(err)
-			return false
-		}
 
 		// Run the reference.
 		ref := &refState{gpr: init}
@@ -223,15 +227,33 @@ func TestALUDifferential(t *testing.T) {
 			}
 		}
 
-		// r0 and r3 are clobbered by the exit syscall setup (li r0; and
-		// r3 holds the exit argument unchanged); compare r3..r10.
-		for r := 3; r <= 10; r++ {
-			if cpu.GPR[r] != ref.gpr[r] {
-				for _, w := range words {
-					t.Logf("  %s", ppc.Disassemble(w))
-				}
-				t.Logf("r%d: machine %08x, reference %08x", r, cpu.GPR[r], ref.gpr[r])
+		for _, stepped := range []bool{false, true} {
+			cpu, err := NewForProgram(p)
+			if err != nil {
+				t.Log(err)
 				return false
+			}
+			if stepped {
+				cpu.TraceStep = func(StepInfo) {}
+			}
+			if _, err := cpu.Run(10000); err != nil {
+				t.Log(err)
+				return false
+			}
+			if fused := cpu.Fast.Steps == cpu.Stats.Steps; fused == stepped {
+				t.Logf("stepped=%v: fast path ran %d of %d steps", stepped, cpu.Fast.Steps, cpu.Stats.Steps)
+				return false
+			}
+			// r0 is clobbered by the exit syscall setup (li r0); compare
+			// r3..r10.
+			for r := 3; r <= 10; r++ {
+				if cpu.GPR[r] != ref.gpr[r] {
+					for _, w := range words {
+						t.Logf("  %s", ppc.Disassemble(w))
+					}
+					t.Logf("stepped=%v: r%d: machine %08x, reference %08x", stepped, r, cpu.GPR[r], ref.gpr[r])
+					return false
+				}
 			}
 		}
 		return true

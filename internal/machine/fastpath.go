@@ -100,7 +100,10 @@ func (f *FastStats) BailSummary() string {
 // lives in a per-CPU parallel array, drained and cleared every epoch.
 // Counters are int32 on purpose — an epoch is bounded by the step budget,
 // far below overflow, and the half-sized entries keep the traffic array's
-// cache footprint out of the fused loop's way.
+// cache footprint out of the fused loop's way. The loop counts only
+// fetches, plus (negatively, in Steps) the instructions of an expansion a
+// branch, an exit or a fault cut short; drainEpoch adds Fetches×EntryLen
+// to Steps before an observer sees them.
 type SlotTraffic struct {
 	Fetches int32 // table fetches that landed on the slot
 	Steps   int32 // instructions the slot supplied (fetch + expansion continuations)
@@ -226,6 +229,9 @@ func (c *CPU) drainEpoch(pd *Predecode, tr []SlotTraffic, steps int64, more bool
 		c.Fast.Epochs++
 		c.Record.ObserveValue("machine.fastpath.epoch_len", steps)
 		if c.sampleObs != nil && tr != nil {
+			for _, i := range c.touched {
+				tr[i].Steps += tr[i].Fetches * int32(pd.Slots[i].EntryLen)
+			}
 			c.sampleObs.ObserveEpoch(pd, tr, c.touched)
 			for _, i := range c.touched {
 				tr[i] = SlotTraffic{}

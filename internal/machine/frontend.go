@@ -1,9 +1,6 @@
 package machine
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "encoding/binary"
 
 // FetchInfo describes one fetched instruction.
 type FetchInfo struct {
@@ -83,7 +80,7 @@ func (f *NormalFrontend) Reset(entry uint32) error { return f.SetPC(entry) }
 // SetPC redirects fetch.
 func (f *NormalFrontend) SetPC(addr uint32) error {
 	if addr < f.lo || addr >= f.hi || addr%4 != 0 {
-		return fmt.Errorf("machine: jump to %#x outside text [%#x,%#x)", addr, f.lo, f.hi)
+		return Faultf(FaultJumpOutsideText, 0, addr, "machine: jump to %#x outside text [%#x,%#x)", addr, f.lo, f.hi)
 	}
 	f.pc = addr
 	return nil
@@ -93,7 +90,7 @@ func (f *NormalFrontend) SetPC(addr uint32) error {
 func (f *NormalFrontend) Fetch() (FetchInfo, error) {
 	w, err := f.mem.Load32(f.pc)
 	if err != nil {
-		return FetchInfo{}, err
+		return FetchInfo{}, at(err, f.pc, 0)
 	}
 	fi := FetchInfo{
 		Word: w, CIA: f.pc, Next: f.pc + 4, NextOK: true,

@@ -8,8 +8,6 @@ package machine
 import (
 	"bytes"
 	"fmt"
-	"math"
-	"math/bits"
 
 	"repro/internal/ppc"
 	"repro/internal/program"
@@ -102,9 +100,13 @@ type CPU struct {
 	sinceDrain  int64         // fast steps accumulated since the last drain
 	journal     []uint32      // fetch journal backing store (beginJournal)
 
-	branch takenBranch // control transfer of the instruction being executed
-	exited bool
-	status int32
+	step     Predecode         // Step's one-slot table over stepSlot
+	stepSlot [1]PredecodedSlot // the instruction Step fetched, resolved
+	memo     *Memo             // Step's resolutions, allocated on the first Step
+	segs     [2]segment        // runFast's cold state: fused, Step
+	branch   takenBranch       // control transfer of the instruction being executed
+	exited   bool
+	status   int32
 
 	snap *resetState // architectural state SnapshotReset captured, for Reset
 }
@@ -136,7 +138,7 @@ const (
 	BranchReturn                   // taken bclr without LK
 )
 
-// takenBranch records the transfer exec performed during the current Step.
+// takenBranch records the transfer the instruction in flight performed.
 type takenBranch struct {
 	Kind   BranchKind
 	Target uint32
@@ -155,7 +157,10 @@ type StepInfo struct {
 
 // New creates a CPU over the given memory and frontend.
 func New(mem *Memory, fe Frontend) *CPU {
-	return &CPU{Mem: mem, fe: fe}
+	c := &CPU{Mem: mem, fe: fe}
+	c.stepSlot[0].EntryLen = 1
+	c.step.Slots = c.stepSlot[:]
+	return c
 }
 
 // NewForProgram maps a linked program into a fresh machine with the normal
@@ -294,7 +299,13 @@ func (c *CPU) runSlow(maxSteps int64) (int32, error) {
 			return c.status, nil
 		}
 	}
-	return 0, fmt.Errorf("machine: step budget of %d exhausted", maxSteps)
+	return 0, errBudget(maxSteps)
+}
+
+// errBudget is the error of a Run that exhausted its step budget: a plain
+// error, not a Fault, since the program did nothing wrong.
+func errBudget(maxSteps int64) error {
+	return fmt.Errorf("machine: step budget of %d exhausted", maxSteps)
 }
 
 // traceAccess accounts one program-memory access of a fetch and forwards
@@ -315,7 +326,9 @@ func (c *CPU) traceAccess(addr uint32, nbytes int) {
 	}
 }
 
-// Step fetches and executes one instruction.
+// Step fetches and executes one instruction. It resolves the fetched word
+// into the CPU's one-slot table and executes it through runFast, the same
+// dispatch the fused loop uses, so the two paths share every semantic.
 func (c *CPU) Step() error {
 	fi, err := c.fe.Fetch()
 	if err != nil {
@@ -331,325 +344,21 @@ func (c *CPU) Step() error {
 		c.traceAccess(fi.MemAddr2, fi.MemBytes2)
 	}
 	c.branch = takenBranch{}
-	i := ppc.Decode(fi.Word)
-	err = c.exec(&i, fi.Word, fi.CIA, fi.Next, fi.NextOK)
+	s := &c.stepSlot[0]
+	if c.memo == nil {
+		c.memo = new(Memo)
+	}
+	var ok bool
+	if s.Inst, ok = c.memo.Lookup(fi.Word, fi.NextOK); !ok {
+		i := ppc.Decode(fi.Word)
+		s.Inst = c.memo.Resolve(fi.Word, i, c.fe.RelTarget(fi.CIA, i.Imm>>2), fi.NextOK)
+	}
+	s.Word, s.Next, c.step.Base = fi.Word, fi.Next, fi.CIA
+	_, _, err = c.runFast(nil, &c.step, 0)
 	if c.TraceStep != nil {
 		c.TraceStep(StepInfo{FetchInfo: fi, Branch: c.branch.Kind, Target: c.branch.Target})
 	}
 	return err
-}
-
-// branchTo records a taken control transfer and redirects fetch. The
-// recorded kind/target reach TraceStep observers after exec completes.
-func (c *CPU) branchTo(target uint32, kind BranchKind) error {
-	c.Stats.TakenBranches++
-	c.branch = takenBranch{Kind: kind, Target: target}
-	return c.fe.SetPC(target)
-}
-
-// exec applies one decoded instruction. cia/next/nextOK are the fetch
-// addresses in the active frontend's PC space; word is the raw encoding,
-// kept only for error text. Both the instrumented Step path and the fused
-// fast loop call this, so architectural semantics live in one place.
-func (c *CPU) exec(i *ppc.Inst, word, cia, next uint32, nextOK bool) error {
-	g := &c.GPR
-	switch i.Op {
-	case ppc.OpInvalid:
-		return fmt.Errorf("machine: illegal instruction %08x at %#x", word, cia)
-
-	case ppc.OpAddi:
-		g[i.RT] = c.regOrZero(i.RA) + uint32(i.Imm)
-	case ppc.OpAddis:
-		g[i.RT] = c.regOrZero(i.RA) + uint32(i.Imm)<<16
-	case ppc.OpOri:
-		g[i.RA] = g[i.RT] | uint32(uint16(i.Imm))
-	case ppc.OpOris:
-		g[i.RA] = g[i.RT] | uint32(uint16(i.Imm))<<16
-	case ppc.OpAndiRc:
-		g[i.RA] = g[i.RT] & uint32(uint16(i.Imm))
-		c.setCR0(g[i.RA])
-	case ppc.OpXori:
-		g[i.RA] = g[i.RT] ^ uint32(uint16(i.Imm))
-
-	case ppc.OpCmpwi:
-		c.setCRSigned(i.CRF, int32(g[i.RA]), i.Imm)
-	case ppc.OpCmplwi:
-		c.setCRUnsigned(i.CRF, g[i.RA], uint32(uint16(i.Imm)))
-	case ppc.OpCmpw:
-		c.setCRSigned(i.CRF, int32(g[i.RA]), int32(g[i.RB]))
-	case ppc.OpCmplw:
-		c.setCRUnsigned(i.CRF, g[i.RA], g[i.RB])
-
-	case ppc.OpLwz:
-		v, err := c.Mem.Load32(c.regOrZero(i.RA) + uint32(i.Imm))
-		if err != nil {
-			return err
-		}
-		g[i.RT] = v
-	case ppc.OpLbz:
-		v, err := c.Mem.Load8(c.regOrZero(i.RA) + uint32(i.Imm))
-		if err != nil {
-			return err
-		}
-		g[i.RT] = uint32(v)
-	case ppc.OpLhz:
-		v, err := c.Mem.Load16(c.regOrZero(i.RA) + uint32(i.Imm))
-		if err != nil {
-			return err
-		}
-		g[i.RT] = uint32(v)
-	case ppc.OpStw:
-		if err := c.Mem.Store32(c.regOrZero(i.RA)+uint32(i.Imm), g[i.RT]); err != nil {
-			return err
-		}
-	case ppc.OpStb:
-		if err := c.Mem.Store8(c.regOrZero(i.RA)+uint32(i.Imm), uint8(g[i.RT])); err != nil {
-			return err
-		}
-	case ppc.OpSth:
-		if err := c.Mem.Store16(c.regOrZero(i.RA)+uint32(i.Imm), uint16(g[i.RT])); err != nil {
-			return err
-		}
-	case ppc.OpStwu:
-		ea := g[i.RA] + uint32(i.Imm)
-		if err := c.Mem.Store32(ea, g[i.RT]); err != nil {
-			return err
-		}
-		g[i.RA] = ea
-	case ppc.OpLmw:
-		ea := c.regOrZero(i.RA) + uint32(i.Imm)
-		for r := int(i.RT); r <= 31; r++ {
-			v, err := c.Mem.Load32(ea)
-			if err != nil {
-				return err
-			}
-			g[r] = v
-			ea += 4
-		}
-	case ppc.OpStmw:
-		ea := c.regOrZero(i.RA) + uint32(i.Imm)
-		for r := int(i.RT); r <= 31; r++ {
-			if err := c.Mem.Store32(ea, g[r]); err != nil {
-				return err
-			}
-			ea += 4
-		}
-	case ppc.OpLwzx:
-		v, err := c.Mem.Load32(c.regOrZero(i.RA) + g[i.RB])
-		if err != nil {
-			return err
-		}
-		g[i.RT] = v
-	case ppc.OpStwx:
-		if err := c.Mem.Store32(c.regOrZero(i.RA)+g[i.RB], g[i.RT]); err != nil {
-			return err
-		}
-	case ppc.OpLbzx:
-		v, err := c.Mem.Load8(c.regOrZero(i.RA) + g[i.RB])
-		if err != nil {
-			return err
-		}
-		g[i.RT] = uint32(v)
-	case ppc.OpLhzx:
-		v, err := c.Mem.Load16(c.regOrZero(i.RA) + g[i.RB])
-		if err != nil {
-			return err
-		}
-		g[i.RT] = uint32(v)
-	case ppc.OpStbx:
-		if err := c.Mem.Store8(c.regOrZero(i.RA)+g[i.RB], uint8(g[i.RT])); err != nil {
-			return err
-		}
-	case ppc.OpSthx:
-		if err := c.Mem.Store16(c.regOrZero(i.RA)+g[i.RB], uint16(g[i.RT])); err != nil {
-			return err
-		}
-
-	case ppc.OpAdd:
-		g[i.RT] = g[i.RA] + g[i.RB]
-		if i.Rc {
-			c.setCR0(g[i.RT])
-		}
-	case ppc.OpSubf:
-		g[i.RT] = g[i.RB] - g[i.RA]
-		if i.Rc {
-			c.setCR0(g[i.RT])
-		}
-	case ppc.OpNeg:
-		g[i.RT] = -g[i.RA]
-		if i.Rc {
-			c.setCR0(g[i.RT])
-		}
-	case ppc.OpMullw:
-		g[i.RT] = uint32(int32(g[i.RA]) * int32(g[i.RB]))
-		if i.Rc {
-			c.setCR0(g[i.RT])
-		}
-	case ppc.OpDivw:
-		a, b := int32(g[i.RA]), int32(g[i.RB])
-		var q int32
-		switch {
-		case b == 0, a == math.MinInt32 && b == -1:
-			q = 0 // architecturally undefined; pinned for determinism
-		default:
-			q = a / b
-		}
-		g[i.RT] = uint32(q)
-		if i.Rc {
-			c.setCR0(g[i.RT])
-		}
-
-	case ppc.OpAnd:
-		g[i.RA] = g[i.RT] & g[i.RB]
-		if i.Rc {
-			c.setCR0(g[i.RA])
-		}
-	case ppc.OpOr:
-		g[i.RA] = g[i.RT] | g[i.RB]
-		if i.Rc {
-			c.setCR0(g[i.RA])
-		}
-	case ppc.OpXor:
-		g[i.RA] = g[i.RT] ^ g[i.RB]
-		if i.Rc {
-			c.setCR0(g[i.RA])
-		}
-	case ppc.OpNor:
-		g[i.RA] = ^(g[i.RT] | g[i.RB])
-		if i.Rc {
-			c.setCR0(g[i.RA])
-		}
-	case ppc.OpSlw:
-		sh := g[i.RB] & 0x3F
-		if sh > 31 {
-			g[i.RA] = 0
-		} else {
-			g[i.RA] = g[i.RT] << sh
-		}
-		if i.Rc {
-			c.setCR0(g[i.RA])
-		}
-	case ppc.OpSrw:
-		sh := g[i.RB] & 0x3F
-		if sh > 31 {
-			g[i.RA] = 0
-		} else {
-			g[i.RA] = g[i.RT] >> sh
-		}
-		if i.Rc {
-			c.setCR0(g[i.RA])
-		}
-	case ppc.OpSraw:
-		sh := g[i.RB] & 0x3F
-		if sh > 31 {
-			sh = 31
-		}
-		g[i.RA] = uint32(int32(g[i.RT]) >> sh)
-		if i.Rc {
-			c.setCR0(g[i.RA])
-		}
-	case ppc.OpSrawi:
-		g[i.RA] = uint32(int32(g[i.RT]) >> i.SH)
-		if i.Rc {
-			c.setCR0(g[i.RA])
-		}
-	case ppc.OpExtsb:
-		g[i.RA] = uint32(int32(int8(g[i.RT])))
-		if i.Rc {
-			c.setCR0(g[i.RA])
-		}
-	case ppc.OpExtsh:
-		g[i.RA] = uint32(int32(int16(g[i.RT])))
-		if i.Rc {
-			c.setCR0(g[i.RA])
-		}
-	case ppc.OpRlwinm:
-		r := bits.RotateLeft32(g[i.RT], int(i.SH))
-		g[i.RA] = r & maskMBME(i.MB, i.ME)
-		if i.Rc {
-			c.setCR0(g[i.RA])
-		}
-
-	case ppc.OpMfspr:
-		switch i.SPR {
-		case ppc.SprLR:
-			g[i.RT] = c.LR
-		case ppc.SprCTR:
-			g[i.RT] = c.CTR
-		default:
-			return fmt.Errorf("machine: mfspr %d unsupported", i.SPR)
-		}
-	case ppc.OpMtspr:
-		switch i.SPR {
-		case ppc.SprLR:
-			c.LR = g[i.RT]
-		case ppc.SprCTR:
-			c.CTR = g[i.RT]
-		default:
-			return fmt.Errorf("machine: mtspr %d unsupported", i.SPR)
-		}
-
-	case ppc.OpB:
-		if i.AA {
-			return fmt.Errorf("machine: absolute branch at %#x unsupported", cia)
-		}
-		if i.LK {
-			if !nextOK {
-				return fmt.Errorf("machine: link branch with unaddressable successor at %#x", cia)
-			}
-			c.LR = next
-		}
-		return c.branchTo(c.fe.RelTarget(cia, i.Imm>>2), linkKind(i.LK))
-	case ppc.OpBc:
-		if i.AA {
-			return fmt.Errorf("machine: absolute branch at %#x unsupported", cia)
-		}
-		taken := c.branchCond(i.BO, i.BI)
-		if i.LK {
-			if !nextOK {
-				return fmt.Errorf("machine: link branch with unaddressable successor at %#x", cia)
-			}
-			c.LR = next
-		}
-		if taken {
-			return c.branchTo(c.fe.RelTarget(cia, i.Imm>>2), linkKind(i.LK))
-		}
-	case ppc.OpBclr:
-		taken := c.branchCond(i.BO, i.BI)
-		target := c.LR
-		if i.LK {
-			if !nextOK {
-				return fmt.Errorf("machine: link branch with unaddressable successor at %#x", cia)
-			}
-			c.LR = next
-		}
-		if taken {
-			kind := BranchReturn
-			if i.LK {
-				kind = BranchCall
-			}
-			return c.branchTo(target, kind)
-		}
-	case ppc.OpBcctr:
-		taken := c.branchCond(i.BO, i.BI)
-		if i.LK {
-			if !nextOK {
-				return fmt.Errorf("machine: link branch with unaddressable successor at %#x", cia)
-			}
-			c.LR = next
-		}
-		if taken {
-			return c.branchTo(c.CTR, linkKind(i.LK))
-		}
-
-	case ppc.OpSc:
-		c.Stats.Syscalls++
-		return c.syscall()
-
-	default:
-		return fmt.Errorf("machine: unimplemented op %v at %#x", i.Op, cia)
-	}
-	return nil
 }
 
 // linkKind maps a branch's LK bit to its transfer kind for non-bclr
@@ -659,15 +368,6 @@ func linkKind(lk bool) BranchKind {
 		return BranchCall
 	}
 	return BranchJump
-}
-
-// regOrZero implements the RA=0-means-zero convention of addi/addis and
-// load/store effective-address computation.
-func (c *CPU) regOrZero(ra uint8) uint32 {
-	if ra == 0 {
-		return 0
-	}
-	return c.GPR[ra]
 }
 
 // branchCond evaluates the BO/BI fields, decrementing CTR when required.
@@ -714,18 +414,28 @@ func (c *CPU) setCR0(v uint32) { c.setCRSigned(0, int32(v), 0) }
 // CRBit returns CR bit i (IBM numbering, bit 0 = MSB).
 func (c *CPU) CRBit(i uint8) bool { return c.CR>>(31-uint(i))&1 == 1 }
 
-// maskMBME builds the rlwinm mask covering IBM bits MB..ME inclusive,
-// wrapping when MB > ME.
-func maskMBME(mb, me uint8) uint32 {
-	m1 := ^uint32(0) >> mb
-	var m2 uint32
-	if me < 31 {
-		m2 = ^uint32(0) >> (me + 1)
+// loadMultiple is lmw: registers rt..31 from consecutive words at ea.
+func (c *CPU) loadMultiple(rt uint8, ea uint32) error {
+	for r := int(rt); r <= 31; r++ {
+		v, err := c.Mem.Load32(ea)
+		if err != nil {
+			return err
+		}
+		c.GPR[r] = v
+		ea += 4
 	}
-	if mb <= me {
-		return m1 &^ m2
+	return nil
+}
+
+// storeMultiple is stmw: registers rt..31 to consecutive words at ea.
+func (c *CPU) storeMultiple(rt uint8, ea uint32) error {
+	for r := int(rt); r <= 31; r++ {
+		if err := c.Mem.Store32(ea, c.GPR[r]); err != nil {
+			return err
+		}
+		ea += 4
 	}
-	return m1 | ^m2
+	return nil
 }
 
 func (c *CPU) syscall() error {
@@ -744,7 +454,7 @@ func (c *CPU) syscall() error {
 		}
 		c.out.WriteString(s)
 	default:
-		return fmt.Errorf("machine: unknown syscall %d", c.GPR[0])
+		return Faultf(FaultUnknownSyscall, 0, c.GPR[0], "machine: unknown syscall %d", c.GPR[0])
 	}
 	return nil
 }

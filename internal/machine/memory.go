@@ -71,7 +71,7 @@ func (m *Memory) find(addr uint32, n int) ([]byte, error) {
 			return r.data[off : off+uint32(n)], nil
 		}
 	}
-	return nil, fmt.Errorf("machine: fault at %#x (%d bytes)", addr, n)
+	return nil, Faultf(FaultBadAddress, 0, addr, "machine: fault at %#x (%d bytes)", addr, n)
 }
 
 // findW is find for stores: before the caller writes through the returned
@@ -92,7 +92,7 @@ func (m *Memory) findW(addr uint32, n int) ([]byte, error) {
 			return r.data[off : off+uint32(n)], nil
 		}
 	}
-	return nil, fmt.Errorf("machine: fault at %#x (%d bytes)", addr, n)
+	return nil, Faultf(FaultBadAddress, 0, addr, "machine: fault at %#x (%d bytes)", addr, n)
 }
 
 // WatchStores marks every region overlapping [lo, hi) so that stores into
@@ -245,5 +245,5 @@ func (m *Memory) CString(addr uint32, max int) (string, error) {
 		}
 		out = append(out, c)
 	}
-	return "", fmt.Errorf("machine: unterminated string at %#x", addr)
+	return "", Faultf(FaultBadAddress, 0, addr, "machine: unterminated string at %#x", addr)
 }

@@ -191,11 +191,11 @@ func TestPredecodeTextFaultSlots(t *testing.T) {
 		t.Fatalf("%d slots for %d words", len(pd.Slots), len(words))
 	}
 	s := pd.Slots[0]
-	if s.Fault || s.Next != 0x1004 || s.Rank != -1 || s.EntryLen != 1 || s.MemBytes != 4 {
+	if s.Fault || s.Next != 0x1004 || s.Succ != 1 || s.Rank != -1 || s.EntryLen != 1 || s.MemBytes != 4 {
 		t.Fatalf("slot 0: %+v", s)
 	}
-	if s.Inst != ppc.Decode(words[0]) {
-		t.Fatalf("slot 0 decodes %+v", s.Inst)
+	if s.Inst != Resolve(ppc.Decode(words[0]), 0, true) || s.Word != words[0] {
+		t.Fatalf("slot 0 resolves %+v", s.Inst)
 	}
 	if !pd.Slots[1].Fault {
 		t.Fatal("illegal word not marked Fault")
@@ -212,7 +212,7 @@ func TestPredecodeRebuildAfterStore(t *testing.T) {
 	}
 	fe := NewNormalFrontend(mem, 0x1000, 1)
 	pd := fe.Predecode()
-	if pd == nil || pd.Slots[0].Inst.Imm != 1 {
+	if pd == nil || pd.Slots[0].Inst.Imm != 1 || pd.Slots[0].Inst.Kind != kLi {
 		t.Fatalf("initial table: %+v", pd)
 	}
 	if fe.Predecode() != pd {
