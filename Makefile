@@ -26,12 +26,14 @@ smoke:
 # byte-identical to their reference implementations on all eight synth
 # benchmarks, plus the fuzz seed corpus, and every strategy's capped build
 # must be a prefix of its uncapped build (the invariant the corpus's
-# family cache rests on). The fused loop's fetch journal must deliver
-# exactly the Step path's TraceFetch sequence on all eight benchmarks,
-# native and through every dictionary codec, and a Record-only run must
-# stay fused and export the Step path's machine counters.
+# family cache rests on), and after every greedy selection the occurrence
+# index must still encode coverage exactly. The fused loop's fetch
+# journal must deliver exactly the Step path's TraceFetch sequence on all
+# eight benchmarks, native and through every dictionary codec, and a
+# Record-only run must stay fused and export the Step path's machine
+# counters.
 diff:
-	$(GO) test -run 'MatchesReference|PrefixMatches|StrategyParity|FuzzBuildDifferential' ./internal/dictionary
+	$(GO) test -run 'MatchesReference|PrefixMatches|StrategyParity|CoverKeepsIndexConsistent|FuzzBuildDifferential' ./internal/dictionary
 	$(GO) test -run '^TestFetchJournalMatchesStep$$' ./internal/core
 	$(GO) test -run '^TestRecordStaysFused$$' ./internal/machine
 
@@ -107,15 +109,16 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # Perf trajectory: dictionary.Build and core.Compress at small/medium/full
-# corpus sizes plus the execution benchmarks (the Step path and I-cache
-# simulation included), recorded as BENCH_dictionary.json (ns/op, B/op, allocs/op,
+# corpus sizes, the shared dictionary over all eight programs, plus the
+# execution benchmarks (the Step path and I-cache simulation included),
+# recorded as BENCH_dictionary.json (ns/op, B/op, allocs/op,
 # and histogram quantiles such as selbits-p50/p90/p99 and
 # explen-p50/p90/p99). BENCH_SAMPLES runs
 # each benchmark that many times so the report carries raw samples — the
 # fuel for 95% confidence intervals and the -significant gate.
 BENCH_SAMPLES ?= 5
 bench-json:
-	$(GO) test -run '^$$' -bench '^BenchmarkDictionaryBuild$$|^BenchmarkCompressSweep$$|^BenchmarkNativeExecution$$|^BenchmarkCompressedExecution$$|^BenchmarkSampledExecution$$|^BenchmarkHookedExecution$$|^BenchmarkICacheExecution$$|^BenchmarkReset$$' -count=$(BENCH_SAMPLES) -benchmem . \
+	$(GO) test -run '^$$' -bench '^BenchmarkDictionaryBuild$$|^BenchmarkSharedDictionary$$|^BenchmarkCompressSweep$$|^BenchmarkNativeExecution$$|^BenchmarkCompressedExecution$$|^BenchmarkSampledExecution$$|^BenchmarkHookedExecution$$|^BenchmarkICacheExecution$$|^BenchmarkReset$$' -count=$(BENCH_SAMPLES) -benchmem . \
 		| $(GO) run ./cmd/benchjson > BENCH_dictionary.json
 	@echo wrote BENCH_dictionary.json
 

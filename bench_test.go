@@ -198,6 +198,30 @@ func BenchmarkCompressSweep(b *testing.B) {
 	}
 }
 
+// BenchmarkSharedDictionary times the greedy analyzer at fleet size: one
+// ROM dictionary over all eight corpus programs (~165k words), an index
+// far larger than the per-core caches.
+func BenchmarkSharedDictionary(b *testing.B) {
+	var progs []*Program
+	words := 0
+	for _, name := range benchCorpus.Names() {
+		p := benchProgram(b, name)
+		progs = append(progs, p)
+		words += len(p.Text)
+	}
+	opt := Options{Scheme: Baseline, MaxEntryLen: 4}
+	b.SetBytes(int64(4 * words))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		entries, err := core.BuildSharedDictionary(progs, opt)
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = entries
+	}
+}
+
 func BenchmarkCompressBaselineGcc(b *testing.B) { benchCompress(b, "gcc", Baseline) }
 func BenchmarkCompressNibbleGcc(b *testing.B)   { benchCompress(b, "gcc", Nibble) }
 func BenchmarkCompressNibbleCompress(b *testing.B) {

@@ -178,7 +178,9 @@ func ExtShared(c *Corpus) (*Table, error) {
 	}); err != nil {
 		return nil, err
 	}
-	shared, err := core.BuildSharedDictionary(progs, opt)
+	traced := opt
+	traced.Stats, traced.Trace = c.Recorder(), c.Span()
+	shared, err := core.BuildSharedDictionary(progs, traced)
 	if err != nil {
 		return nil, err
 	}

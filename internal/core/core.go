@@ -268,20 +268,31 @@ func CompressFixed(p *program.Program, entries []dictionary.Entry, opt Options) 
 // BuildSharedDictionary runs the greedy builder over the concatenation of
 // several programs and returns a single dictionary (most-used entries
 // first) suitable for CompressFixed on each of them — the fleet-wide ROM
-// dictionary deployment.
+// dictionary deployment. Like Compress it times phases core.analyze (every
+// program's §3.2.1 analysis) and core.build, and hands opt.Stats and
+// opt.Trace to the dictionary builder.
 func BuildSharedDictionary(programs []*program.Program, opt Options) ([]dictionary.Entry, error) {
 	opt = opt.Normalized()
-	var text []uint32
-	var compressible, leaders []bool
+	spAnalyze := opt.Trace.Phase("core.analyze", opt.Stats)
+	n := 0
+	for _, p := range programs {
+		n += len(p.Text)
+	}
+	text := make([]uint32, 0, n)
+	compressible, leaders := make([]bool, 0, n), make([]bool, 0, n)
 	for _, p := range programs {
 		comp, an, err := markers(p)
 		if err != nil {
+			spAnalyze.End()
 			return nil, err
 		}
 		text = append(text, p.Text...)
 		compressible = append(compressible, comp...)
 		leaders = append(leaders, an.Leader...)
 	}
+	spAnalyze.End()
+
+	spBuild := opt.Trace.Phase("core.build", opt.Stats)
 	res, err := dictionary.Build(text, dictionary.Config{
 		MaxEntries:        opt.MaxEntries,
 		MaxEntryLen:       opt.MaxEntryLen,
@@ -290,7 +301,10 @@ func BuildSharedDictionary(programs []*program.Program, opt Options) ([]dictiona
 		Compressible:      compressible,
 		Leader:            leaders,
 		Strategy:          opt.Strategy,
+		Stats:             opt.Stats,
+		Trace:             spBuild,
 	})
+	spBuild.End()
 	if err != nil {
 		return nil, err
 	}

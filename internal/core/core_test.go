@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"repro/internal/codeword"
@@ -8,7 +9,9 @@ import (
 	"repro/internal/machine"
 	"repro/internal/ppc"
 	"repro/internal/program"
+	"repro/internal/stats"
 	"repro/internal/synth"
+	"repro/internal/trace"
 )
 
 var allSchemes = []codeword.Scheme{codeword.Baseline, codeword.OneByte, codeword.Nibble, codeword.Liao}
@@ -334,6 +337,59 @@ func TestVerifyDetectsCorruption(t *testing.T) {
 	img.EntryUnit++
 	if err := Verify(p, img); err == nil {
 		t.Fatal("corrupted entry point passed verification")
+	}
+}
+
+// TestSharedDictionaryObserved: BuildSharedDictionary reports like
+// Compress — one core.analyze and one core.build phase, the builder's
+// dict.* counters, and its dict.enumerate/select/commit spans under
+// core.build — and being observed does not change the dictionary.
+func TestSharedDictionaryObserved(t *testing.T) {
+	var progs []*program.Program
+	for _, name := range []string{"compress", "li"} {
+		p, err := synth.Generate(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, p)
+	}
+	opt := Options{Scheme: codeword.Baseline, MaxEntryLen: 4}
+	plain, err := BuildSharedDictionary(progs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rec, tr := stats.New(), trace.New()
+	root := tr.Root("fleet")
+	opt.Stats, opt.Trace = rec, root
+	observed, err := BuildSharedDictionary(progs, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root.End()
+	if !reflect.DeepEqual(observed, plain) {
+		t.Fatal("observed build differs from the plain one")
+	}
+	snap := rec.Snapshot()
+	if snap.Counter("dict.candidates") <= 0 || snap.Counter("dict.entries") != int64(len(plain)) {
+		t.Errorf("dict.candidates %d, dict.entries %d for %d entries", snap.Counter("dict.candidates"), snap.Counter("dict.entries"), len(plain))
+	}
+	for _, phase := range []string{"core.analyze", "core.build"} {
+		if n := snap.Phase(phase).Count; n != 1 {
+			t.Errorf("phase %s recorded %d times, want 1", phase, n)
+		}
+	}
+	parent := map[int64]string{}
+	for _, s := range tr.Spans() {
+		parent[s.ID] = s.Name
+	}
+	under := map[string]string{}
+	for _, s := range tr.Spans() {
+		under[s.Name] = parent[s.Parent]
+	}
+	for _, name := range []string{"dict.enumerate", "dict.select", "dict.commit"} {
+		if under[name] != "core.build" {
+			t.Errorf("span %s under %q, want core.build", name, under[name])
+		}
 	}
 }
 

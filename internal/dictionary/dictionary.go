@@ -23,7 +23,7 @@ import (
 	"container/heap"
 	"encoding/binary"
 	"fmt"
-	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/stats"
@@ -159,7 +159,7 @@ func Build(text []uint32, cfg Config) (*Result, error) {
 	}
 	switch cfg.Strategy {
 	case Greedy:
-		return buildIndexed(text, cfg, maxEntries), nil
+		return buildIndexed(text, cfg, maxEntries, nil), nil
 	case GreedyReference:
 		return buildReference(text, cfg, maxEntries), nil
 	case StaticOrder:
@@ -228,55 +228,55 @@ func buildReference(text []uint32, cfg Config, maxEntries int) *Result {
 // string-keyed transcription the tests keep as StaticReference.
 func buildStatic(text []uint32, cfg Config, maxEntries int) *Result {
 	n := len(text)
-	if int64(n)*int64(min(cfg.MaxEntryLen, n)) >= math.MaxInt32 {
+	if !indexable(n, cfg) {
 		return buildStaticReference(text, cfg, maxEntries)
 	}
 	spE := cfg.Trace.Child("dict.enumerate")
 	ix := newIndex(text, cfg)
 	spE.SetInt("candidates", int64(len(ix.cands))).End()
 	cfg.Stats.Add("dict.candidates", int64(len(ix.cands)))
-	covered := make([]bool, n)
-	coverEntry := newCoverEntry(n)
+	ix.startSelection()
 	res := &Result{}
 
 	spS := cfg.Trace.Child("dict.select")
 	// Candidates worth nothing now never become worth something: uses
-	// only shrink and CodewordBits only grows with rank.
-	order := make([]*icand, 0, len(ix.cands))
+	// only shrink and CodewordBits only grows with rank. Heap keys are
+	// unique, so sorting them descending is the stable sort by initial
+	// savings over serial order.
+	order := make([]uint64, 0, len(ix.cands))
 	for i := range ix.cands {
 		c := &ix.cands[i]
-		c.uses = initialUses(c)
-		c.val = savings(int(c.uses), int(c.k), cfg, 0)
-		if c.val > 0 {
-			order = append(order, c)
+		c.uses = ix.initialUses(c)
+		if v := savings(int(c.uses), int(c.k), cfg, 0); v > 0 {
+			order = append(order, heapKey(v, int32(i)))
 		}
 	}
-	sort.SliceStable(order, func(i, j int) bool { return order[i].val > order[j].val })
+	slices.Sort(order)
 	rank := 0
-	for _, c := range order {
+	for i := len(order) - 1; i >= 0; i-- {
 		if rank >= maxEntries {
 			break
 		}
-		if c.dead {
+		c := &ix.cands[keySerial(order[i])]
+		if c.live == 0 {
 			continue
 		}
-		if c.dirty {
-			rescan(c)
+		if c.uses < 0 {
+			ix.rescan(c)
 		}
 		v := savings(int(c.uses), int(c.k), cfg, rank)
 		if v <= 0 {
 			continue
 		}
-		ix.commit(c, rank, covered, coverEntry, res)
+		ix.commit(c, rank, res)
 		cfg.Stats.ObserveValue("dict.selection_bits", int64(v))
-		c.dead = true
 		rank++
 	}
 	cfg.Stats.Add("dict.entries", int64(rank))
 	spS.SetInt("entries", int64(rank)).End()
 	spC := cfg.Trace.Child("dict.commit")
 	ownWords(res)
-	assembleItems(text, covered, coverEntry, res)
+	assembleItems(text, ix.covered, ix.coverEntry, res)
 	spC.End()
 	return res
 }
@@ -350,7 +350,9 @@ func newCoverEntry(n int) []int {
 
 // assembleItems builds the rewritten item sequence from the coverage
 // vectors; shared by every builder so they can only differ in selection.
-func assembleItems(text []uint32, covered []bool, coverEntry []int, res *Result) {
+// The indexed builders keep ranks as int32 (texts are bounded far below
+// 2^31 words), the reference builders as int.
+func assembleItems[R int | int32](text []uint32, covered []bool, coverEntry []R, res *Result) {
 	items := len(text) - res.CoveredInsns
 	for _, e := range res.Entries {
 		items += e.Uses
@@ -358,7 +360,7 @@ func assembleItems(text []uint32, covered []bool, coverEntry []int, res *Result)
 	res.Items = make([]Item, 0, items)
 	for i := range text {
 		if e := coverEntry[i]; e >= 0 {
-			res.Items = append(res.Items, Item{IsCodeword: true, Entry: e, OrigIdx: i})
+			res.Items = append(res.Items, Item{IsCodeword: true, Entry: int(e), OrigIdx: i})
 			continue
 		}
 		if covered[i] {

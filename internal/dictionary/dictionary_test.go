@@ -430,3 +430,46 @@ func TestReconstructionQuick(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestValHeapOrder: the packed heap pops savings descending with serials
+// ascending on ties, interleaving pushes as the greedy loop's re-queues
+// do, and its keys round-trip.
+func TestValHeapOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	type entry struct {
+		val    int
+		serial int32
+	}
+	var h valHeap
+	seen := map[int32]bool{}
+	for len(h) < 2000 {
+		e := entry{1 + rng.Intn(50), int32(rng.Intn(1 << 20))}
+		if seen[e.serial] {
+			continue
+		}
+		seen[e.serial] = true
+		key := heapKey(e.val, e.serial)
+		if keyVal(key) != e.val || keySerial(key) != e.serial {
+			t.Fatalf("key of %+v unpacks to (%d, %d)", e, keyVal(key), keySerial(key))
+		}
+		h = append(h, key)
+	}
+	h.init()
+	var got []entry
+	for len(h) > 0 {
+		key := h.pop()
+		e := entry{keyVal(key), keySerial(key)}
+		if e.val > 1 && rng.Intn(3) == 0 {
+			e.val -= 1 + rng.Intn(e.val-1) // a stale value re-queued lower
+			h.push(heapKey(e.val, e.serial))
+			continue
+		}
+		if n := len(got); n > 0 && (got[n-1].val < e.val || got[n-1].val == e.val && got[n-1].serial > e.serial) {
+			t.Fatalf("popped %+v after %+v", e, got[n-1])
+		}
+		got = append(got, e)
+	}
+	if len(got) != len(seen) {
+		t.Fatalf("popped %d keys, pushed %d", len(got), len(seen))
+	}
+}

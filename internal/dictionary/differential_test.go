@@ -316,3 +316,49 @@ func TestPrefixMatchesCappedBuild(t *testing.T) {
 		})
 	}
 }
+
+// TestCoverKeepsIndexConsistent checks, after every selection, that the
+// occurrence index encodes coverage exactly (see CheckedBuild): on every
+// benchmark at each entry length the paper sweeps, and on the fleet
+// text, all eight benchmarks concatenated, that a shared dictionary is
+// built over.
+func TestCoverKeepsIndexConsistent(t *testing.T) {
+	check := func(t *testing.T, text []uint32, cfg dictionary.Config) {
+		t.Helper()
+		got, err := dictionary.CheckedBuild(text, cfg)
+		if err != nil {
+			t.Fatalf("MaxEntryLen %d: %v", cfg.MaxEntryLen, err)
+		}
+		want, err := dictionary.Build(text, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("MaxEntryLen %d: checked build differs from Build", cfg.MaxEntryLen)
+		}
+		if len(got.Entries) == 0 {
+			t.Fatalf("MaxEntryLen %d: no entries selected — the check is vacuous", cfg.MaxEntryLen)
+		}
+	}
+	var fleet []uint32
+	var comp, lead []bool
+	for _, name := range synth.BenchmarkNames() {
+		text, cfg := benchmarkInput(t, name)
+		fleet = append(fleet, text...)
+		comp = append(comp, cfg.Compressible...)
+		lead = append(lead, cfg.Leader...)
+		t.Run(name, func(t *testing.T) {
+			t.Parallel()
+			for _, maxLen := range []int{1, 4, 8} {
+				cfg.MaxEntryLen = maxLen
+				check(t, text, cfg)
+			}
+		})
+	}
+	t.Run("fleet", func(t *testing.T) {
+		t.Parallel()
+		_, cfg := benchmarkInput(t, "compress")
+		cfg.Compressible, cfg.Leader = comp, lead
+		check(t, fleet, cfg)
+	})
+}

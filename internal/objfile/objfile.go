@@ -242,7 +242,7 @@ func OpenImage(src io.Reader) (codec.Image, error) {
 	}
 	next, err := br.Peek(1)
 	if err != nil {
-		return nil, fmt.Errorf("objfile: truncated image frame: %w", err)
+		return nil, truncatedFrame(err)
 	}
 	if next[0] != frameSentinel {
 		// Version 1: the body follows the magic directly; its scheme byte
@@ -252,20 +252,30 @@ func OpenImage(src io.Reader) (codec.Image, error) {
 	br.Discard(1)
 	version, err := br.ReadByte()
 	if err != nil {
-		return nil, fmt.Errorf("objfile: truncated image frame: %w", err)
+		return nil, truncatedFrame(err)
 	}
 	if version != ImageVersion {
 		return nil, fmt.Errorf("objfile: unsupported image version %d (have %d)", version, ImageVersion)
 	}
 	method, err := br.ReadByte()
 	if err != nil {
-		return nil, fmt.Errorf("objfile: truncated image frame: %w", err)
+		return nil, truncatedFrame(err)
 	}
 	c, err := codec.ByMethod(codec.Method(method))
 	if err != nil {
 		return nil, fmt.Errorf("objfile: %w", err)
 	}
 	return c.Open(br)
+}
+
+// truncatedFrame reports a failed frame-header read. The header is inside
+// the frame, so running out of input there is io.ErrUnexpectedEOF, as in
+// wire.
+func truncatedFrame(err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("objfile: truncated image frame: %w", err)
 }
 
 // ReadImage deserializes a dictionary-scheme compressed image of either

@@ -3,6 +3,7 @@ package objfile
 import (
 	"bytes"
 	"errors"
+	"io"
 	"reflect"
 	"runtime"
 	"testing"
@@ -471,6 +472,44 @@ func TestCorruptCCRPLineFailsTyped(t *testing.T) {
 	var le *huffman.LineError
 	if !errors.As(err, &le) || le.Line != 0 || le.Err == nil {
 		t.Fatalf("NewMachine = %v, %v; want a *huffman.LineError on line 0 with a cause", cpu, err)
+	}
+}
+
+// TestTruncatedFrameNeverEOF cuts every codec's frame of a small
+// compress-profile program (~450 words) at each byte offset: every cut fails to open,
+// and none with an error that errors.Is io.EOF — running out of input
+// inside a frame is io.ErrUnexpectedEOF, so a caller can tell a short
+// file from a clean end of input. (Opening every cut costs time
+// quadratic in the frame, hence the small program.)
+func TestTruncatedFrameNeverEOF(t *testing.T) {
+	prof, err := synth.ProfileFor("compress")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prof.TargetWords, prof.MegaFuncs, prof.NScalars, prof.NArrays, prof.ArrayLenPow = 50, 0, 2, 1, 2
+	p, err := synth.GenerateProfile(prof)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, cd := range codec.Codecs() {
+		img, err := cd.Compress(p, codec.Options{})
+		if err != nil {
+			t.Fatalf("%s: compress: %v", cd.Name(), err)
+		}
+		var frame bytes.Buffer
+		if err := WriteImage(&frame, img); err != nil {
+			t.Fatalf("%s: write: %v", cd.Name(), err)
+		}
+		full := frame.Bytes()
+		for n := 0; n < len(full); n++ {
+			_, err := OpenImage(bytes.NewReader(full[:n]))
+			if err == nil {
+				t.Fatalf("%s: frame cut at %d of %d bytes opened", cd.Name(), n, len(full))
+			}
+			if errors.Is(err, io.EOF) {
+				t.Fatalf("%s: frame cut at %d of %d bytes: %v, a bare io.EOF", cd.Name(), n, len(full), err)
+			}
+		}
 	}
 }
 

@@ -128,7 +128,7 @@ func (r *Reader) U64() uint64 { return binary.BigEndian.Uint64(r.fill(8)) }
 func (r *Reader) fill(n int) []byte {
 	b := r.buf[:n]
 	if r.err == nil {
-		_, r.err = io.ReadFull(r.r, b)
+		r.err = readFull(r.r, b)
 	}
 	if r.err != nil {
 		clear(b)
@@ -150,11 +150,22 @@ func (r *Reader) read(n int) []byte {
 		return nil
 	}
 	b := make([]byte, n)
-	if _, err := io.ReadFull(r.r, b); err != nil {
+	if err := readFull(r.r, b); err != nil {
 		r.err = err
 		return nil
 	}
 	return b
+}
+
+// readFull is io.ReadFull inside a frame: every field a reader asks for
+// is part of the frame, so running out of input before it, even at a
+// field boundary, is io.ErrUnexpectedEOF and never a bare io.EOF.
+func readFull(src io.Reader, b []byte) error {
+	_, err := io.ReadFull(src, b)
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
 }
 
 // Blob reads a uint32 length prefix and that many bytes.

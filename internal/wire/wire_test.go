@@ -102,17 +102,17 @@ func TestEmptyWords(t *testing.T) {
 	}
 }
 
-// TestTruncation cuts the encoding at every length short of complete:
-// reading must fail with an EOF error, and the last field must read as
-// its zero value.
+// TestTruncation cuts the encoding at every length short of complete,
+// field boundaries and the empty input included: reading must fail with
+// io.ErrUnexpectedEOF, never a bare io.EOF, and the last field must read
+// as its zero value.
 func TestTruncation(t *testing.T) {
 	data := encode(t, sample)
 	for n := 0; n < len(data); n++ {
 		r := NewReader(bytes.NewReader(data[:n]))
 		got := readRecord(r)
-		err := r.Err()
-		if !errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-			t.Fatalf("cut at %d: err = %v", n, err)
+		if err := r.Err(); err != io.ErrUnexpectedEOF {
+			t.Fatalf("cut at %d: err = %v, want io.ErrUnexpectedEOF", n, err)
 		}
 		if got.count != 0 {
 			t.Fatalf("cut at %d: last field = %d after a failure", n, got.count)
