@@ -37,12 +37,15 @@ diff:
 	$(GO) test -run '^TestFetchJournalMatchesStep$$' ./internal/core
 	$(GO) test -run '^TestRecordStaysFused$$' ./internal/machine
 
-# Short coverage-guided fuzz of the two differential oracles: the fused
+# Short coverage-guided fuzz of the two differential oracles — the fused
 # fast path (with its Reset rerun) against the Step path, and the indexed
-# dictionary builder against the reference builder. 20 s each.
+# dictionary builder against the reference builder — and of OpenImage on
+# hostile frames, whose images must open or fail and then run on both
+# paths without a panic. 20 s each.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzFastPathDifferential$$' -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildDifferential$$' -fuzztime 20s ./internal/dictionary
+	$(GO) test -run '^$$' -fuzz '^FuzzOpenImage$$' -fuzztime 20s ./internal/objfile
 
 # The benchmark's own tests: cmd/ccbench is a nested module (it replaces
 # repro with the checkout), so `go test ./...` at the root never reaches
@@ -67,18 +70,19 @@ lint-dispatch:
 	fi
 
 # Fast-path purity gate: the fused loop in predecode.go must never call a
-# telemetry sink directly — no hooks, no stats recorder, no observer, no
-# trace spans. All observability drains through the amortized epoch
-# helpers in fastpath.go (note/drainEpoch/beginFast/endFast); a sink
+# telemetry sink directly — no hooks, no stats recorder, no slot observer.
+# Its one piece of per-fetch telemetry is a fetch-journal append; the
+# journal reaches its consumers only through the helpers in fastpath.go
+# (beginJournal/drainFetches/cutFetches/handedOff/endFast). A sink
 # identifier appearing in predecode.go means someone put per-step work
 # back on the hot path (see DESIGN.md, "Observability").
 lint-fastpath:
-	@found=$$(grep -nE 'Record|TraceFetch|TraceStep|sampleRec|sampleObs|stats\.|ObserveValue|ObserveEpoch|epochSpan' \
+	@found=$$(grep -nE 'Record|TraceFetch|TraceStep|TraceSlots|ObserveSlots|sampleRec|stats\.|ObserveValue' \
 		internal/machine/predecode.go || true); \
 	if [ -n "$$found" ]; then \
 		echo "$$found"; \
 		echo 'lint-fastpath: telemetry sink referenced inside the fused fast path'; \
-		echo 'lint-fastpath: drain through the epoch helpers in fastpath.go instead (DESIGN.md, "Observability")'; \
+		echo 'lint-fastpath: drain through the journal helpers in fastpath.go instead (DESIGN.md, "Observability")'; \
 		exit 1; \
 	fi
 

@@ -334,8 +334,8 @@ func BenchmarkCompressedExecution(b *testing.B) {
 }
 
 // BenchmarkSampledExecution is BenchmarkCompressedExecution with the
-// epoch-sampled guest profiler attached — the always-on observability
-// configuration. The run must stay on the fused fast path (faststeps/op
+// sampled guest profiler on the fetch journal — the always-on
+// observability configuration. The run must stay on the fused fast path (faststeps/op
 // equals steps/op); benchdiff derives fastpath_coverage and
 // sampled_profiling_overhead_ratio from this pair and CI pins the latter
 // at 1.10.
@@ -354,11 +354,8 @@ func BenchmarkSampledExecution(b *testing.B) {
 		b.Fatal(err)
 	}
 	cpu.Record = stats.New()
-	cpu.EnableEpochSampling(guestprof.NewSampled(sym))
+	cpu.TraceSlots = guestprof.NewSampled(sym).ObserveSlots
 	steps := benchRepeatRuns(b, cpu)
-	// The fold of the final partial epoch lands here, outside the timed
-	// region — in serving, folds happen on the epoch cadence, not per Run.
-	cpu.FlushEpoch()
 	if cpu.Fast.Steps != cpu.Stats.Steps {
 		b.Fatalf("sampling knocked the run off the fast path: %s", cpu.Fast.BailSummary())
 	}

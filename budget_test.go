@@ -15,8 +15,9 @@ import (
 // fused loop and on the Step path, and demands the one-shot run's status,
 // output and Stats from each. A chunk that ends inside a dictionary
 // expansion leaves the rest of the entry in the frontend's queue, and the
-// next Run must finish it there. The fused machines sample with short
-// epochs, and their slot traffic must still add up to their fast steps.
+// next Run must finish it there. The fused machines carry a slot observer
+// (TraceSlots), and the slots it sees must still add up to their fast
+// steps.
 func TestRunResumesAfterBudget(t *testing.T) {
 	p, err := synth.Generate("compress")
 	if err != nil {
@@ -53,12 +54,11 @@ func TestRunResumesAfterBudget(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				obs := &trafficSum{}
+				obs := &slotSum{}
 				if stepped {
 					cpu.TraceStep = func(machine.StepInfo) {}
 				} else {
-					cpu.EpochSteps = 97
-					cpu.EnableEpochSampling(obs)
+					cpu.TraceSlots = obs.observe
 				}
 				var status int32
 				for {
@@ -72,9 +72,8 @@ func TestRunResumesAfterBudget(t *testing.T) {
 							b.name, chunk, stepped, err, cpu.Stats.Steps)
 					}
 				}
-				cpu.FlushEpoch()
 				if obs.steps != cpu.Fast.Steps {
-					t.Fatalf("%s, chunks of %d: drained traffic holds %d steps, fast path executed %d",
+					t.Fatalf("%s, chunks of %d: observed slots hold %d steps, fast path executed %d",
 						b.name, chunk, obs.steps, cpu.Fast.Steps)
 				}
 				if status != wantStatus || !bytes.Equal(cpu.Output(), one.Output()) || cpu.Stats != one.Stats {

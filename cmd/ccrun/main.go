@@ -37,7 +37,7 @@ func main() {
 	maxSteps := flag.Int64("steps", 200_000_000, "step budget")
 	cacheSize := flag.Int("cache", 0, "simulate an I-cache of this many bytes (direct-mapped, 32B lines)")
 	trace := flag.Int("trace", 0, "print the first N executed instructions to stderr")
-	sampledProf := flag.Bool("sampledprof", false, "with -bundle, profile the guest by epoch-sampling the fused fast path (flat-only, no slowdown) instead of the exact call-tree profiler")
+	sampledProf := flag.Bool("sampledprof", false, "with -bundle, profile the guest from the fused fast path's fetch journal (flat-only, no slowdown) instead of the exact call-tree profiler")
 	bundleDir := flag.String("bundle", "", "write a run bundle (stats, execution profile, guest profile, size audit) to this directory")
 	flag.Parse()
 
@@ -47,8 +47,8 @@ func main() {
 	}
 	wantBundle := *bundleDir != ""
 	if *sampledProf {
-		// The sampled profiler is the fast path observed from epoch
-		// boundaries; the per-step hook -trace needs would force the
+		// The sampled profiler is the fast path observed through its fetch
+		// journal; the per-step hook -trace needs would force the
 		// instrumented Step path and defeat its point, so that combination
 		// is rejected rather than silently measured slow. A -cache run
 		// stays fused: the fetch journal feeds the cache.
@@ -137,9 +137,9 @@ func main() {
 			if sym == nil {
 				fatal(fmt.Errorf("-sampledprof needs a dictionary image; %s carries no address map", path))
 			}
-			// Sampling is not a hook, so the run stays on the fused fast path.
+			// The journal leaves the run on the fused fast path.
 			sp = guestprof.NewSampled(sym)
-			cpu.EnableEpochSampling(sp)
+			cpu.TraceSlots = sp.ObserveSlots
 		}
 	}
 
@@ -181,9 +181,6 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	// Fold the final partial telemetry epoch so the sampled profile and
-	// heat map cover the whole run.
-	cpu.FlushEpoch()
 	os.Stdout.Write(cpu.Output())
 	st := cpu.Stats
 	fmt.Fprintf(os.Stderr, "exit status %d\n", status)
@@ -192,9 +189,6 @@ func main() {
 		st.MemFetches, st.FetchedBytes, st.Expanded)
 	fmt.Fprintf(os.Stderr, "fastpath: %d/%d steps (coverage %.4f), bails: %s\n",
 		cpu.Fast.Steps, st.Steps, cpu.Fast.Coverage(st.Steps), cpu.Fast.BailSummary())
-	if cpu.Fast.Epochs > 0 {
-		fmt.Fprintf(os.Stderr, "fastpath: %d telemetry epochs drained\n", cpu.Fast.Epochs)
-	}
 	if ic != nil {
 		fmt.Fprintf(os.Stderr, "icache: %d accesses, %d misses (%.2f%%)\n",
 			ic.Stats.Accesses, ic.Stats.Misses, 100*ic.Stats.MissRate())

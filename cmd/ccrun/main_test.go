@@ -342,7 +342,6 @@ func machineCounters(st machine.Stats, f machine.FastStats) map[string]int64 {
 		"machine.mem_fetches":         st.MemFetches,
 		"machine.fastpath.steps":      f.Steps,
 		"machine.fastpath.slow_steps": st.Steps - f.Steps,
-		"machine.fastpath.epochs":     f.Epochs,
 	}
 	for r, n := range f.Bails {
 		m["machine.fastpath.bail."+machine.BailReason(r).String()] = n
@@ -386,9 +385,6 @@ func summaryCounters(t *testing.T, summary string) map[string]int64 {
 					}
 				}
 			}
-		case strings.HasSuffix(line, " telemetry epochs drained"):
-			_, err := fmt.Sscanf(line, "fastpath: %d telemetry", &f.Epochs)
-			mustScan(t, line, err)
 		case strings.HasPrefix(line, "icache: "):
 			_, err := fmt.Sscanf(line, "icache: %d accesses, %d misses", &accesses, &misses)
 			mustScan(t, line, err)

@@ -21,13 +21,13 @@ import (
 // differently) shows up as a divergence in output, exit status, or the
 // Stats counters. The hooked
 // machine counts TraceStep deliveries to prove the slow path actually ran.
-// A third machine runs the fast path with epoch sampling on and a tiny
-// epoch length, so every fuzz case crosses many epoch boundaries:
-// sampling must not perturb any architectural result, and the drained
-// slot traffic must conserve the fast-path step count exactly. The hooked
-// and sampled machines also carry a recording TraceFetch, which keeps the
-// sampled machine fused (fed from its fetch journal) while the hooked one
-// delivers from Step: both must see the same (addr, nbytes) sequence.
+// A third machine runs the fast path with a slot observer (TraceSlots) on
+// its fetch journal: observation must not perturb any architectural
+// result, and the delivered slots must account for the fast-path step
+// count exactly. The hooked and sampled machines also carry a recording
+// TraceFetch, which keeps the sampled machine fused (fed from its fetch
+// journal) while the hooked one delivers from Step: both must see the
+// same (addr, nbytes) sequence.
 // Every machine also carries a Record sink, which leaves the bare and
 // sampled machines fused; all three must export the same execution
 // counters.
@@ -91,16 +91,17 @@ func FuzzFastPathDifferential(f *testing.F) {
 	})
 }
 
-// trafficSum is the fuzz observer: it only totals the drained per-slot
-// traffic, so conservation against the machine's own step counter can be
-// asserted after the run.
-type trafficSum struct{ steps, fetches int64 }
+// slotSum is the fuzz observer on TraceSlots: it only totals the
+// instructions the delivered fetches supplied (each slot's EntryLen, less
+// the batch's cut), so conservation against the machine's own step
+// counter can be asserted after the run.
+type slotSum struct{ steps int64 }
 
-func (s *trafficSum) ObserveEpoch(pd *machine.Predecode, tr []machine.SlotTraffic, touched []int32) {
-	for _, i := range touched {
-		s.steps += int64(tr[i].Steps)
-		s.fetches += int64(tr[i].Fetches)
+func (s *slotSum) observe(pd *machine.Predecode, slots []uint32, cut int) {
+	for _, i := range slots {
+		s.steps += int64(pd.Slots[i].EntryLen)
 	}
+	s.steps -= int64(cut)
 }
 
 // fetchTrace records a TraceFetch sequence.
@@ -111,9 +112,9 @@ func (f *fetchTrace) hook(addr uint32, nbytes int) {
 }
 
 // comparePaths runs fast with only a recorder, slow with a hook attached,
-// and sampled with short-epoch sampling enabled, then demands identical
+// and sampled with a slot observer attached, then demands identical
 // errors, status, output, counters, recorded counters and fetch traces —
-// and exact traffic conservation.
+// and that the observed slots account for every fast step.
 func comparePaths(t *testing.T, name string, fast, slow, sampled *machine.CPU) {
 	t.Helper()
 	const maxSteps = 50_000_000
@@ -124,15 +125,13 @@ func comparePaths(t *testing.T, name string, fast, slow, sampled *machine.CPU) {
 	slow.Record = slowRec
 	slow.TraceStep = func(machine.StepInfo) { hooked++ }
 	slow.TraceFetch = slowFetches.hook
-	obs := &trafficSum{}
-	sampled.EpochSteps = 97 // force many epoch boundaries per run
+	obs := &slotSum{}
 	sampled.Record = sampledRec
-	sampled.EnableEpochSampling(obs)
+	sampled.TraceSlots = obs.observe
 	sampled.TraceFetch = sampledFetches.hook
 	fs, ferr := fast.Run(maxSteps)
 	ss, serr := slow.Run(maxSteps)
 	ps, perr := sampled.Run(maxSteps)
-	sampled.FlushEpoch()
 	firsts := []firstRun{
 		{"fast", fast, fs, ferr, bytes.Clone(fast.Output()), fast.Stats},
 		{"slow", slow, ss, serr, bytes.Clone(slow.Output()), slow.Stats},
@@ -148,7 +147,7 @@ func comparePaths(t *testing.T, name string, fast, slow, sampled *machine.CPU) {
 		t.Fatalf("%s: TraceStep fired %d times for %d steps", name, hooked, slow.Stats.Steps)
 	}
 	if obs.steps != sampled.Fast.Steps {
-		t.Fatalf("%s: drained traffic holds %d steps, fast path executed %d",
+		t.Fatalf("%s: observed slots hold %d steps, fast path executed %d",
 			name, obs.steps, sampled.Fast.Steps)
 	}
 	if !slices.Equal(slowFetches, sampledFetches) {

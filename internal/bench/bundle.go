@@ -98,7 +98,6 @@ func CollectBundle(c *Corpus, name, enc string, opt core.Options) (*obs.Bundle, 
 	if _, err := cpu.Run(bundleStepBudget); err != nil {
 		return nil, fmt.Errorf("bench: bundle run of %s/%s: %w", name, enc, err)
 	}
-	cpu.FlushEpoch()
 
 	col.SetProfile(core.CollectRunProfile(img, gp.Heat(), nil))
 	guest := gp.Profile(name)

@@ -13,16 +13,15 @@ import (
 func init() {
 	Experiments = append(Experiments, Runner{
 		ID:     "fastprof",
-		Title:  "Ext. P: epoch-sampled fast-path profiling — accuracy and overhead",
+		Title:  "Ext. P: sampled fast-path profiling — accuracy and overhead",
 		Run:    ExtFastProf,
 		Timing: true,
 	})
 }
 
-// SampledRun is one epoch-sampled execution: the flat profile and heat
-// map reconstructed from drained slot traffic, the machine's fast-path
-// telemetry, and the recorder snapshot carrying the machine.fastpath.*
-// counters and epoch-length histogram.
+// SampledRun is one sampled execution: the flat profile and heat map
+// reconstructed from the fetch journal, the machine's fast-path telemetry,
+// and the recorder snapshot carrying the machine.fastpath.* counters.
 type SampledRun struct {
 	Profile *guestprof.Profile
 	Heat    []int64
@@ -31,9 +30,9 @@ type SampledRun struct {
 	Stats   stats.Snapshot
 }
 
-// sampledRun executes a CPU to completion with epoch sampling attached —
-// the machine stays on the fused fast path throughout.
-func sampledRun(c *Corpus, mk func() (*machineCPU, error), sym *guestprof.SymTab, name string) (SampledRun, error) {
+// sampledRun executes a CPU to completion with the sampled profiler on its
+// fetch journal — the machine stays on the fused fast path throughout.
+func sampledRun(mk func() (*machineCPU, error), sym *guestprof.SymTab, name string) (SampledRun, error) {
 	cpu, err := mk()
 	if err != nil {
 		return SampledRun{}, err
@@ -41,13 +40,8 @@ func sampledRun(c *Corpus, mk func() (*machineCPU, error), sym *guestprof.SymTab
 	rec := stats.New()
 	sp := guestprof.NewSampled(sym)
 	cpu.Record = rec
-	cpu.EnableEpochSampling(sp)
-	span := c.Span().Child("bench.sampledrun").Set("bench", name)
-	cpu.TraceEpochs(span)
-	_, err = cpu.Run(execBudget)
-	cpu.FlushEpoch()
-	span.End()
-	if err != nil {
+	cpu.TraceSlots = sp.ObserveSlots
+	if _, err = cpu.Run(execBudget); err != nil {
 		return SampledRun{}, err
 	}
 	return SampledRun{
@@ -60,8 +54,8 @@ func sampledRun(c *Corpus, mk func() (*machineCPU, error), sym *guestprof.SymTab
 }
 
 // SampledProfilePair runs one benchmark's compressed image twice — once
-// under the exact Step-path profiler, once under epoch sampling on the
-// fast path — so accuracy checks and the fastprof experiment share one
+// under the exact Step-path profiler, once under the sampled profiler on
+// the fast path — so accuracy checks and the fastprof experiment share one
 // wiring.
 func SampledProfilePair(c *Corpus, name string, opt core.Options) (GuestRun, SampledRun, error) {
 	img, err := c.Image(name, opt)
@@ -77,7 +71,7 @@ func SampledProfilePair(c *Corpus, name string, opt core.Options) (GuestRun, Sam
 	if err != nil {
 		return GuestRun{}, SampledRun{}, fmt.Errorf("bench: exact profile of %s: %w", name, err)
 	}
-	sampled, err := sampledRun(c, mk, sym, name)
+	sampled, err := sampledRun(mk, sym, name)
 	if err != nil {
 		return GuestRun{}, SampledRun{}, fmt.Errorf("bench: sampled profile of %s: %w", name, err)
 	}
@@ -114,7 +108,7 @@ func FlatCycleDelta(exact, sampled *guestprof.Profile) int64 {
 	return d
 }
 
-// ExtFastProf publishes, per benchmark, how the epoch-sampled fast-path
+// ExtFastProf publishes, per benchmark, how the sampled fast-path
 // profile compares to the exact Step-path profiler — coverage, hottest
 // function agreement, total attribution distance — and what sampling
 // costs in wall time over the bare fast path. Rows run sequentially, like
@@ -124,8 +118,8 @@ func ExtFastProf(c *Corpus) (*Table, error) {
 	opt := core.Options{Scheme: codeword.Nibble, MaxEntryLen: 4}
 	t := &Table{
 		ID:      "fastprof",
-		Title:   "Ext. P: epoch-sampled fast-path profiling vs exact profiler (nibble scheme, entries ≤ 4)",
-		Columns: []string{"bench", "steps", "coverage", "epochs", "hottest", "exact flat%", "sampled flat%", "Σ|Δcycles|", "bare ns/run", "sampled ns/run", "overhead"},
+		Title:   "Ext. P: sampled fast-path profiling vs exact profiler (nibble scheme, entries ≤ 4)",
+		Columns: []string{"bench", "steps", "coverage", "hottest", "exact flat%", "sampled flat%", "Σ|Δcycles|", "bare ns/run", "sampled ns/run", "overhead"},
 		Note: "timing experiment (host-dependent, excluded from the deterministic " +
 			"default set); sampled attribution is flat-only but exact per covered " +
 			"step, so Σ|Δcycles| counts only instrumented-path steps; overhead is " +
@@ -160,7 +154,7 @@ func ExtFastProf(c *Corpus) (*Table, error) {
 			return nil, err
 		}
 		timed.Record = stats.New()
-		timed.EnableEpochSampling(guestprof.NewSampled(sym))
+		timed.TraceSlots = guestprof.NewSampled(sym).ObserveSlots
 		stime, _, err := measureRuns(timed)
 		if err != nil {
 			return nil, fmt.Errorf("fastprof: sampled %s: %w", name, err)
@@ -168,7 +162,6 @@ func ExtFastProf(c *Corpus) (*Table, error) {
 		t.AddRow(name,
 			fmt.Sprint(sampled.Steps),
 			fmt.Sprintf("%.4f", cov),
-			fmt.Sprint(sampled.Fast.Epochs),
 			hot.Name,
 			fmt.Sprintf("%.1f", 100*float64(hot.Flat.Cycles)/float64(exact.Profile.Total.Cycles)),
 			fmt.Sprintf("%.1f", 100*float64(shot.Flat.Cycles)/float64(sampled.Profile.Total.Cycles)),

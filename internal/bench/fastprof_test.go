@@ -54,9 +54,6 @@ func TestSampledProfilerAccuracy(t *testing.T) {
 		if got := sampled.Stats.Counter("machine.fastpath.steps"); got != sampled.Fast.Steps {
 			t.Errorf("%s: exported fastpath.steps %d, machine counted %d", name, got, sampled.Fast.Steps)
 		}
-		if h := sampled.Stats.Hist("machine.fastpath.epoch_len"); h.Sum != sampled.Fast.Steps {
-			t.Errorf("%s: epoch_len histogram sums %d steps, fast path ran %d", name, h.Sum, sampled.Fast.Steps)
-		}
 	}
 }
 
@@ -80,11 +77,10 @@ func TestSampledProfilerAccuracyNative(t *testing.T) {
 		}
 		sp := guestprof.NewSampled(sym)
 		cpu.Record = stats.New()
-		cpu.EnableEpochSampling(sp)
+		cpu.TraceSlots = sp.ObserveSlots
 		if _, err := cpu.Run(execBudget); err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		cpu.FlushEpoch()
 		if cpu.Fast.Steps != cpu.Stats.Steps {
 			t.Fatalf("%s: native run left the fast path: %s", name, cpu.Fast.BailSummary())
 		}

@@ -294,7 +294,7 @@ func (b *Benchmark) Dist(metric string) (Dist, bool) {
 //     over BenchmarkNativeExecution's — the cost of executing compressed.
 //   - sampled_profiling_overhead_ratio: BenchmarkSampledExecution's ns/op
 //     over BenchmarkCompressedExecution's — the cost of always-on
-//     epoch-sampled profiling over the bare fast path (CI ceiling 1.10).
+//     sampled profiling over the bare fast path (CI ceiling 1.10).
 //   - fastpath_coverage: BenchmarkSampledExecution's faststeps/op over its
 //     steps/op — the share of execution the fused loop supplied.
 //

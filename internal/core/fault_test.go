@@ -8,11 +8,13 @@ import (
 	"repro/internal/machine"
 	"repro/internal/ppc"
 	"repro/internal/program"
+	"repro/internal/stats"
 )
 
 // TestFaultsAreTyped runs one hostile program per fault kind on the fused
 // loop and on the Step path: each run must stop with a *machine.Fault of
-// that kind, attributed to the faulting instruction, and both paths must
+// that kind, attributed to the faulting instruction, counted once as
+// machine.faults.<kind> by the machine's recorder, and both paths must
 // report the same fault with the same text.
 func TestFaultsAreTyped(t *testing.T) {
 	native := func(emit ...uint32) func(t *testing.T) *machine.CPU {
@@ -73,6 +75,8 @@ func TestFaultsAreTyped(t *testing.T) {
 			var texts [2]string
 			for i, stepped := range []bool{false, true} {
 				cpu := tc.build(t)
+				rec := stats.New()
+				cpu.Record = rec
 				if stepped {
 					cpu.TraceStep = func(machine.StepInfo) {}
 				}
@@ -88,6 +92,18 @@ func TestFaultsAreTyped(t *testing.T) {
 				// there is no instruction word to report.
 				if f.PC == 0 || (f.Word == 0) != (tc.kind == machine.FaultCodewordBeyondDictionary) {
 					t.Errorf("stepped=%v: fault %q at PC %#x reports word %08x", stepped, f, f.PC, f.Word)
+				}
+				// The Run's recorder counts the fault under its kind, and
+				// under no other.
+				snap := rec.Snapshot()
+				for k := machine.FaultKind(0); k.String() != "unknown"; k++ {
+					want := int64(0)
+					if k == tc.kind {
+						want = 1
+					}
+					if got := snap.Counter("machine.faults." + k.String()); got != want {
+						t.Errorf("stepped=%v: machine.faults.%s = %d, want %d", stepped, k, got, want)
+					}
 				}
 				texts[i] = err.Error()
 			}

@@ -1,14 +1,14 @@
-// Fast-path telemetry: bail-reason accounting, epoch sampling and the
-// fetch journal for the fused fetch+execute loop. The loop itself
-// (predecode.go) touches none of the observability machinery directly — it
-// calls the beginFast/beginJournal/drainFetches/drainEpoch/endFast helpers
-// here, which run only at boundaries and exits, so per-step cost stays at
-// one integer comparison the loop already paid for the budget check (plus
-// one nil test and a slot-index append while a fetch hook is attached).
-// `make lint-fastpath` enforces that split.
+// Fast-path telemetry: bail-reason accounting and the fetch journal for
+// the fused fetch+execute loop. The loop itself (predecode.go) touches none
+// of the observability machinery directly — it appends slot indices to the
+// journal and calls the beginJournal/drainFetches/cutFetches/handedOff/
+// endFast helpers here, which run only at boundaries and exits, so
+// per-step cost stays at one integer comparison the loop already paid for
+// the budget check (plus one nil test and a slot-index append while a
+// journal is kept). `make lint-fastpath` enforces that split.
 package machine
 
-import "repro/internal/trace"
+import "errors"
 
 // BailReason classifies how a Run's fast-path attempt ended — or why it
 // never started. Every Run increments exactly one Bails counter per
@@ -51,9 +51,8 @@ func (r BailReason) String() string {
 // FastStats accumulates the always-on fast-path telemetry across Runs
 // (Reset clears it alongside Stats).
 type FastStats struct {
-	Steps  int64                 // instructions executed by the fused loop
-	Epochs int64                 // telemetry epochs drained (0 unless sampling is enabled)
-	Bails  [numBailReasons]int64 // fast-path exits and refusals by reason
+	Steps int64                 // instructions executed by the fused loop
+	Bails [numBailReasons]int64 // fast-path exits and refusals by reason
 }
 
 // Coverage is the share of all executed instructions the fused loop
@@ -95,174 +94,20 @@ func (f *FastStats) BailSummary() string {
 	return string(b)
 }
 
-// SlotTraffic is one predecode slot's per-epoch execution traffic. Slots
-// are shared across CPUs (the table is cached per image/text), so traffic
-// lives in a per-CPU parallel array, drained and cleared every epoch.
-// Counters are int32 on purpose — an epoch is bounded by the step budget,
-// far below overflow, and the half-sized entries keep the traffic array's
-// cache footprint out of the fused loop's way. The loop counts only
-// fetches, plus (negatively, in Steps) the instructions of an expansion a
-// branch, an exit or a fault cut short; drainEpoch adds Fetches×EntryLen
-// to Steps before an observer sees them.
-type SlotTraffic struct {
-	Fetches int32 // table fetches that landed on the slot
-	Steps   int32 // instructions the slot supplied (fetch + expansion continuations)
-}
-
-// EpochObserver consumes drained slot traffic at epoch boundaries. The
-// traffic slice parallels pd.Slots; touched lists the indices with
-// non-zero traffic (each exactly once, unordered), so folding an epoch
-// costs the slots it executed, not the size of the table. Both slices are
-// cleared and reused after the call returns — observers must fold them
-// into their own state, not retain them.
-type EpochObserver interface {
-	ObserveEpoch(pd *Predecode, traffic []SlotTraffic, touched []int32)
-}
-
-// DefaultEpochSteps is the epoch length when CPU.EpochSteps is zero: long
-// enough that draining is noise even on programs that never revisit a
-// slot, short enough that epoch spans stay fine-grained (an epoch is the
-// telemetry staleness bound).
-const DefaultEpochSteps = 1 << 20
-
-// EnableEpochSampling attaches an epoch-grained traffic observer to the
-// fast loop. Unlike TraceStep, sampling does NOT force the instrumented
-// Step path: the fused loop runs unchanged and, every EpochSteps
-// instructions, hands the per-slot traffic to obs and observes the epoch's
-// length as machine.fastpath.epoch_len on Record (when attached). A nil
-// obs detaches the observer.
-//
-// Epochs are step-count intervals of the machine's lifetime, not of one
-// Run: in the steady-state serving shape (Reset + Run per request) traffic
-// keeps accumulating across Runs and drains only when an epoch fills —
-// that cadence, not the request rate, bounds both the telemetry cost and
-// its staleness. Call FlushEpoch before reading final results from the
-// observer.
-func (c *CPU) EnableEpochSampling(obs EpochObserver) {
-	c.FlushEpoch()
-	c.sampleObs = obs
-}
-
-// FlushEpoch drains the partial epoch in flight, if any: the observer sees
-// all traffic up to the last executed instruction, and the epoch-length
-// histogram and the epochs counter gain the partial interval (it drains
-// outside any Run, so exportRun does not count it). A no-op when nothing
-// accumulated.
-func (c *CPU) FlushEpoch() {
-	if c.sinceDrain > 0 {
-		var tr []SlotTraffic
-		if c.trafficPD != nil {
-			tr = c.traffic[:len(c.trafficPD.Slots)]
-		}
-		c.drainEpoch(c.trafficPD, tr, c.sinceDrain, false)
-		c.Record.Add("machine.fastpath.epochs", 1)
-		c.sinceDrain = 0
-	}
-}
-
-// TraceEpochs emits one child span of parent per telemetry epoch,
-// annotated with its step count and, on the final epoch of a fast-loop
-// segment, the bail reason. Like EnableEpochSampling, it does not force
-// the instrumented path.
-func (c *CPU) TraceEpochs(parent *trace.Span) { c.epochParent = parent }
-
-// samplingOn reports whether any epoch-grained sink is attached; when
-// false the fast loop runs with zero telemetry work beyond Bails/Steps
-// accounting at exits.
-func (c *CPU) samplingOn() bool {
-	return c.sampleObs != nil || c.epochParent != nil
-}
-
-// epochLen is the configured epoch length in steps.
-func (c *CPU) epochLen() int64 {
-	if c.EpochSteps > 0 {
-		return c.EpochSteps
-	}
-	return DefaultEpochSteps
-}
-
-// beginFast opens one fast-loop segment's telemetry: the per-slot traffic
-// buffer (allocated once per CPU and reused across segments and Resets)
-// and, unless one is already in flight, the epoch's span. Accumulated
-// traffic is bound to the table it indexes, so a table change (rebuild
-// after self-modified text, a different frontend) flushes the pending
-// epoch against the old table first. Returns the traffic buffer, nil when
-// no observer will consume it.
-func (c *CPU) beginFast(pd *Predecode) []SlotTraffic {
-	var tr []SlotTraffic
-	if c.sampleObs != nil {
-		if c.trafficPD != pd {
-			c.FlushEpoch()
-			c.trafficPD = pd
-			if cap(c.traffic) < len(pd.Slots) {
-				c.traffic = make([]SlotTraffic, len(pd.Slots))
-			}
-		}
-		tr = c.traffic[:len(pd.Slots)]
-	}
-	if c.epochSpan == nil {
-		c.beginEpochSpan()
-	}
-	return tr
-}
-
-// note logs the first touch of a slot, so draining scales with the slots
-// an epoch executed. Out-of-line on purpose: the fused loop calls it only
-// on a slot's 0->1 transition.
-func (c *CPU) note(idx uint32) {
-	c.touched = append(c.touched, int32(idx))
-}
-
-func (c *CPU) beginEpochSpan() {
-	if c.epochParent != nil {
-		c.epochSpan = c.epochParent.Child("machine.epoch")
-	}
-}
-
-// drainEpoch closes one telemetry epoch of steps instructions: observes
-// the epoch length, hands the slot traffic to the observer (clearing it
-// for the next epoch), and finishes the epoch's span. When more is true
-// the fast loop continues and the next epoch's span opens; empty epochs
-// drain nothing.
-func (c *CPU) drainEpoch(pd *Predecode, tr []SlotTraffic, steps int64, more bool) {
-	if steps > 0 {
-		c.Fast.Epochs++
-		c.Record.ObserveValue("machine.fastpath.epoch_len", steps)
-		if c.sampleObs != nil && tr != nil {
-			for _, i := range c.touched {
-				tr[i].Steps += tr[i].Fetches * int32(pd.Slots[i].EntryLen)
-			}
-			c.sampleObs.ObserveEpoch(pd, tr, c.touched)
-			for _, i := range c.touched {
-				tr[i] = SlotTraffic{}
-			}
-			c.touched = c.touched[:0]
-		}
-	}
-	if c.epochSpan != nil {
-		c.epochSpan.SetInt("steps", steps)
-		c.epochSpan.End()
-		c.epochSpan = nil
-	}
-	if more {
-		c.beginEpochSpan()
-	}
-}
-
 // JournalLen is the fetch journal's capacity in table fetches: large
 // enough that draining is a tight loop over a cache-resident buffer, small
 // enough (16 KiB) to stay in L1/L2 next to the slot table.
 const JournalLen = 4096
 
 // beginJournal returns the emptied fetch journal for one fast-loop
-// segment, nil when no TraceFetch hook is attached. The buffer is
-// allocated once per CPU and reused across segments, Runs and Resets;
-// runFast appends one slot index per table fetch and bounds its step
-// limit by the free room, so the journal never grows. It is handed out
-// by pointer, so the loop carries one word for it rather than a slice
+// segment, nil when neither TraceFetch nor TraceSlots is attached. The
+// buffer is allocated once per CPU and reused across segments, Runs and
+// Resets; runFast appends one slot index per table fetch and bounds its
+// step limit by the free room, so the journal never grows. It is handed
+// out by pointer, so the loop carries one word for it rather than a slice
 // header.
 func (c *CPU) beginJournal() *[]uint32 {
-	if c.TraceFetch == nil {
+	if c.TraceFetch == nil && c.TraceSlots == nil {
 		return nil
 	}
 	if c.journal == nil {
@@ -272,37 +117,59 @@ func (c *CPU) beginJournal() *[]uint32 {
 	return &c.journal
 }
 
-// drainFetches delivers the journaled table fetches to TraceFetch in fetch
-// order, one (byte address, MemBytes) call per entry — exactly the
-// accesses Step reports for the same instructions (expansion
-// continuations touch no program memory and are never journaled) — and
-// empties the journal.
-func (c *CPU) drainFetches(pd *Predecode, jl *[]uint32) {
-	for _, idx := range *jl {
-		c.TraceFetch(UnitByteAddr(pd.Base, idx<<pd.Shift, pd.UnitBits), int(pd.Slots[idx].MemBytes))
+// drainFetches delivers the journaled table fetches and empties the
+// journal. TraceFetch gets them in fetch order, one (byte address,
+// MemBytes) call per entry — exactly the accesses Step reports for the
+// same instructions (expansion continuations touch no program memory and
+// are never journaled). TraceSlots gets the slot indices in one call, with
+// cut, the instructions a taken branch, an exit or a fault left unexecuted
+// of the last entry's expansion.
+func (c *CPU) drainFetches(pd *Predecode, jl *[]uint32, cut int) {
+	if len(*jl) == 0 {
+		return
+	}
+	if c.TraceFetch != nil {
+		for _, idx := range *jl {
+			c.TraceFetch(UnitByteAddr(pd.Base, idx<<pd.Shift, pd.UnitBits), int(pd.Slots[idx].MemBytes))
+		}
+	}
+	if c.TraceSlots != nil {
+		c.TraceSlots(pd, *jl, cut)
 	}
 	*jl = (*jl)[:0]
 }
 
+// cutFetches closes the journal's batch at an expansion a taken branch
+// left with rem instructions unexecuted. Journal drains happen only at
+// fetch boundaries, so the expansion is the batch's last entry. Only
+// TraceSlots needs to know: without it, the fetches stay journaled.
+func (c *CPU) cutFetches(pd *Predecode, jl *[]uint32, rem int) {
+	if c.TraceSlots != nil {
+		c.drainFetches(pd, jl, rem)
+	}
+}
+
+// handedOff tells TraceSlots about the codeword at slot idx, whose
+// expansion would have crossed the budget and so ran on Step: ran of its
+// instructions executed (Step delivered its fetch to TraceFetch). The
+// journal is empty here, so its backing store carries the one-slot batch.
+func (c *CPU) handedOff(pd *Predecode, jl *[]uint32, idx uint32, ran int) {
+	if c.TraceSlots != nil {
+		c.TraceSlots(pd, append(*jl, idx), int(pd.Slots[idx].EntryLen)-ran)
+	}
+}
+
 // endFast closes one fast-loop segment: delivers the fetches still in the
-// journal (jl, nil when none is kept), accumulates the segment's steps into
+// journal (cut as for drainFetches), accumulates the segment's steps into
 // Fast.Steps and records why the loop exited. Draining here, before the
-// slow path resumes, keeps TraceFetch's sequence in fetch order across a
-// bail and complete when Run returns. The epoch in flight is NOT drained —
-// its traffic carries over to the next segment (or Run) so telemetry cost
-// stays on the epoch cadence, not the Run rate; the span annotates each
-// segment's bail as it happens. FlushEpoch forces the final partial epoch
-// out.
-func (c *CPU) endFast(pd *Predecode, jl *[]uint32, reason BailReason, entrySteps, epochStart int64) {
-	if jl != nil {
-		c.drainFetches(pd, jl)
+// slow path resumes, keeps the journal's consumers in fetch order across a
+// bail and complete when Run returns.
+func (c *CPU) endFast(pd *Predecode, sg *segment, reason BailReason, cut int) {
+	if sg.jl != nil {
+		c.drainFetches(pd, sg.jl, cut)
 	}
-	c.Fast.Steps += c.Stats.Steps - entrySteps
+	c.Fast.Steps += c.Stats.Steps - sg.entrySteps
 	c.Fast.Bails[reason]++
-	if c.samplingOn() {
-		c.sinceDrain += c.Stats.Steps - epochStart
-		c.epochSpan.Set("bail", reason.String())
-	}
 }
 
 // bailCounterNames precomputes the exported counter name of every bail
@@ -315,12 +182,13 @@ var bailCounterNames = func() (a [numBailReasons]string) {
 }()
 
 // exportRun adds one Run's counter deltas to Record: the execution
-// counters plus the fast-path accounting. Every bail counter is exported
-// (including zeros) so snapshots always show the full reason vocabulary;
-// slow_steps is the instrumented-path remainder, letting coverage be
-// derived from any single recorder as
+// counters plus the fast-path accounting, and machine.faults.<kind> when
+// the Run ended in a Fault (err is the Run's error). Every bail counter is
+// exported (including zeros) so snapshots always show the full reason
+// vocabulary; slow_steps is the instrumented-path remainder, letting
+// coverage be derived from any single recorder as
 // steps/(steps+slow_steps).
-func (c *CPU) exportRun(before Stats, fastBefore FastStats) {
+func (c *CPU) exportRun(before Stats, fastBefore FastStats, err error) {
 	rec := c.Record
 	steps := c.Stats.Steps - before.Steps
 	fast := c.Fast.Steps - fastBefore.Steps
@@ -330,8 +198,11 @@ func (c *CPU) exportRun(before Stats, fastBefore FastStats) {
 	rec.Add("machine.mem_fetches", c.Stats.MemFetches-before.MemFetches)
 	rec.Add("machine.fastpath.steps", fast)
 	rec.Add("machine.fastpath.slow_steps", steps-fast)
-	rec.Add("machine.fastpath.epochs", c.Fast.Epochs-fastBefore.Epochs)
 	for r := range c.Fast.Bails {
 		rec.Add(bailCounterNames[r], c.Fast.Bails[r]-fastBefore.Bails[r])
+	}
+	var f *Fault
+	if errors.As(err, &f) {
+		rec.Add(faultCounterNames[f.Kind], 1)
 	}
 }

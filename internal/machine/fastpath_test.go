@@ -8,38 +8,31 @@ import (
 	"repro/internal/ppc"
 	"repro/internal/program"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
-// epochRecorder collects every drained epoch's traffic so tests can check
-// conservation against the CPU's own counters. It also verifies the
-// touched list's contract: exactly the slots with traffic, each once.
-type epochRecorder struct {
-	epochs  int
-	steps   int64
-	fetches int64
-	bad     string
+// slotRecorder totals what TraceSlots delivers, so tests can check it
+// against the CPU's own counters: each fetch supplies its slot's EntryLen
+// instructions, less the batch's cut on its last one.
+type slotRecorder struct {
+	batches        int
+	steps, fetches int64
+	bad            string
 }
 
-func (e *epochRecorder) ObserveEpoch(pd *Predecode, tr []SlotTraffic, touched []int32) {
-	e.epochs++
-	seen := map[int32]bool{}
-	for _, i := range touched {
-		if seen[i] {
-			e.bad = "duplicate touched index"
-		}
-		seen[i] = true
-		if tr[i].Steps == 0 {
-			e.bad = "touched slot without traffic"
-		}
-		e.steps += int64(tr[i].Steps)
-		e.fetches += int64(tr[i].Fetches)
+func (r *slotRecorder) observe(pd *Predecode, slots []uint32, cut int) {
+	r.batches++
+	if len(slots) == 0 {
+		r.bad = "empty batch"
+		return
 	}
-	for i := range tr {
-		if tr[i].Steps != 0 && !seen[int32(i)] {
-			e.bad = "slot with traffic missing from touched"
-		}
+	for _, i := range slots {
+		r.steps += int64(pd.Slots[i].EntryLen)
 	}
+	if cut < 0 || cut >= int(pd.Slots[slots[len(slots)-1]].EntryLen) {
+		r.bad = "cut outside the batch's last expansion"
+	}
+	r.steps -= int64(cut)
+	r.fetches += int64(len(slots))
 }
 
 func TestFastStatsCleanRun(t *testing.T) {
@@ -179,60 +172,54 @@ func TestBailReasonSelfModifiedText(t *testing.T) {
 	}
 }
 
-func TestEpochSamplingParity(t *testing.T) {
-	// Epoch sampling must not perturb architecture or Stats: a bare
-	// machine and a sampled one (tiny epochs, forcing many boundaries)
-	// must agree on everything, and the drained traffic must conserve the
+func TestTraceSlotsParity(t *testing.T) {
+	// A slot observer must not perturb architecture or Stats: a bare
+	// machine and an observed one must agree on everything, the observed
+	// run must stay fused, and the delivered slots must account for the
 	// step and fetch totals exactly.
 	p := parityProgram(t)
 	bare, err := NewForProgram(p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sampled, err := NewForProgram(p)
+	observed, err := NewForProgram(p)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rec := stats.New()
-	obs := &epochRecorder{}
-	sampled.Record = rec
-	sampled.EnableEpochSampling(obs)
-	sampled.EpochSteps = 7
+	obs := &slotRecorder{}
+	observed.Record = rec
+	observed.TraceSlots = obs.observe
 	bs, berr := bare.Run(10000)
-	ss, serr := sampled.Run(10000)
+	ss, serr := observed.Run(10000)
 	if berr != nil || serr != nil {
-		t.Fatalf("run errors: bare %v, sampled %v", berr, serr)
+		t.Fatalf("run errors: bare %v, observed %v", berr, serr)
 	}
-	if bs != ss || !bytes.Equal(bare.Output(), sampled.Output()) {
-		t.Fatalf("sampled run diverged: status %d vs %d", bs, ss)
+	if bs != ss || !bytes.Equal(bare.Output(), observed.Output()) {
+		t.Fatalf("observed run diverged: status %d vs %d", bs, ss)
 	}
-	if bare.Stats != sampled.Stats {
-		t.Fatalf("stats: bare %+v, sampled %+v", bare.Stats, sampled.Stats)
+	if bare.Stats != observed.Stats {
+		t.Fatalf("stats: bare %+v, observed %+v", bare.Stats, observed.Stats)
 	}
-	if sampled.Fast.Steps != sampled.Stats.Steps {
-		t.Fatalf("sampling knocked the run off the fast path: %+v", sampled.Fast)
+	if observed.Fast.Steps != observed.Stats.Steps {
+		t.Fatalf("TraceSlots knocked the run off the fast path: %+v", observed.Fast)
 	}
-	if sampled.Fast.Bails[BailHookAttached] != 0 {
-		t.Fatal("epoch sampling counted as a hook")
+	if observed.Fast.Bails[BailHookAttached] != 0 {
+		t.Fatal("TraceSlots counted as a per-step hook")
 	}
-	// The final partial epoch stays in flight until flushed; conservation
-	// holds only over the flushed whole.
-	sampled.FlushEpoch()
-	if sampled.Fast.Epochs < 2 || int64(obs.epochs) != sampled.Fast.Epochs {
-		t.Fatalf("epochs %d, observer saw %d", sampled.Fast.Epochs, obs.epochs)
+	// Everything is delivered by the time Run returns: no flush.
+	if obs.batches == 0 || obs.steps != observed.Stats.Steps {
+		t.Fatalf("%d batches delivered %d steps, executed %d", obs.batches, obs.steps, observed.Stats.Steps)
 	}
-	if obs.steps != sampled.Stats.Steps {
-		t.Fatalf("drained traffic steps %d, executed %d", obs.steps, sampled.Stats.Steps)
-	}
-	if obs.fetches != sampled.Stats.MemFetches {
-		t.Fatalf("drained traffic fetches %d, MemFetches %d", obs.fetches, sampled.Stats.MemFetches)
+	if obs.fetches != observed.Stats.MemFetches {
+		t.Fatalf("delivered fetches %d, MemFetches %d", obs.fetches, observed.Stats.MemFetches)
 	}
 	if obs.bad != "" {
-		t.Fatalf("touched-list contract violated: %s", obs.bad)
+		t.Fatalf("TraceSlots contract violated: %s", obs.bad)
 	}
 	snap := rec.Snapshot()
-	if got := snap.Counter("machine.fastpath.steps"); got != sampled.Fast.Steps {
-		t.Fatalf("exported fastpath.steps %d, want %d", got, sampled.Fast.Steps)
+	if got := snap.Counter("machine.fastpath.steps"); got != observed.Fast.Steps {
+		t.Fatalf("exported fastpath.steps %d, want %d", got, observed.Fast.Steps)
 	}
 	if got := snap.Counter("machine.fastpath.slow_steps"); got != 0 {
 		t.Fatalf("exported slow_steps %d on a pure fast run", got)
@@ -245,103 +232,6 @@ func TestEpochSamplingParity(t *testing.T) {
 	if _, ok := snap.Counters["machine.fastpath.bail.budget"]; !ok {
 		t.Fatal("zero bail counter not materialized in the snapshot")
 	}
-	h := snap.Hist("machine.fastpath.epoch_len")
-	if h.Count != sampled.Fast.Epochs || h.Sum != sampled.Fast.Steps {
-		t.Fatalf("epoch_len histogram count=%d sum=%d, want %d epochs, %d steps",
-			h.Count, h.Sum, sampled.Fast.Epochs, sampled.Fast.Steps)
-	}
-	if got := snap.Counter("machine.fastpath.epochs"); got != sampled.Fast.Epochs {
-		t.Fatalf("exported epochs %d, want %d (the flushed epoch included)", got, sampled.Fast.Epochs)
-	}
-}
-
-// TestFetchJournalWithEpochs: the fetch journal and epoch sampling both
-// bound the fused loop's step limit; with a TraceFetch hook attached the
-// run stays fused, every fetch is delivered by the time Run returns, and
-// epochs still drain at exactly EpochSteps — the journal drains, at its
-// capacity between epoch boundaries here, are not epoch boundaries.
-func TestFetchJournalWithEpochs(t *testing.T) {
-	p := newSpinBuilder(t)
-	cpu, err := NewForProgram(p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := stats.New()
-	cpu.Record = rec
-	cpu.EnableEpochSampling(&epochRecorder{})
-	const epoch = JournalLen + 904
-	cpu.EpochSteps = epoch
-	var fetches int64
-	cpu.TraceFetch = func(addr uint32, n int) {
-		if addr != p.TextBase || n != 4 {
-			t.Errorf("fetch (%#x, %d), want (%#x, 4)", addr, n, p.TextBase)
-		}
-		fetches++
-	}
-	const budget = 3*JournalLen + 500
-	if _, err := cpu.Run(budget); err == nil {
-		t.Fatal("spin loop exited")
-	}
-	if fetches != budget || cpu.Fast.Steps != budget || cpu.Fast.Bails[BailBudget] != 1 {
-		t.Fatalf("%d fetches delivered, fast path %+v", fetches, cpu.Fast)
-	}
-	if len(cpu.journal) != 0 || cap(cpu.journal) != JournalLen {
-		t.Fatalf("journal len %d cap %d after Run, want empty with capacity %d", len(cpu.journal), cap(cpu.journal), JournalLen)
-	}
-	cpu.FlushEpoch()
-	h := rec.Snapshot().Hist("machine.fastpath.epoch_len")
-	if h.Count != budget/epoch+1 || h.Max != epoch || h.Min != budget%epoch || h.Sum != budget {
-		t.Fatalf("epoch_len histogram count=%d min=%d max=%d sum=%d", h.Count, h.Min, h.Max, h.Sum)
-	}
-}
-
-func TestEpochSpans(t *testing.T) {
-	tr := trace.New()
-	root := tr.Root("run")
-	cpu, err := NewForProgram(parityProgram(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	cpu.EpochSteps = 10
-	cpu.TraceEpochs(root)
-	if _, err := cpu.Run(10000); err != nil {
-		t.Fatal(err)
-	}
-	cpu.FlushEpoch()
-	root.End()
-	var epochs int
-	var total int64
-	sawBail := false
-	for _, s := range tr.Spans() {
-		if s.Name != "machine.epoch" {
-			continue
-		}
-		epochs++
-		if !s.Ended {
-			t.Fatalf("unended epoch span %+v", s)
-		}
-		for _, a := range s.Attrs {
-			if a.Key == "steps" {
-				var v int64
-				for _, ch := range a.Value {
-					v = v*10 + int64(ch-'0')
-				}
-				total += v
-			}
-			if a.Key == "bail" && a.Value == "exit" {
-				sawBail = true
-			}
-		}
-	}
-	if int64(epochs) != cpu.Fast.Epochs || epochs < 2 {
-		t.Fatalf("%d epoch spans for %d epochs", epochs, cpu.Fast.Epochs)
-	}
-	if total != cpu.Fast.Steps {
-		t.Fatalf("span step attrs sum to %d, fast steps %d", total, cpu.Fast.Steps)
-	}
-	if !sawBail {
-		t.Fatal("final epoch span missing its bail attribute")
-	}
 }
 
 func TestResetClearsFastStats(t *testing.T) {
@@ -350,10 +240,9 @@ func TestResetClearsFastStats(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := stats.New()
-	obs := &epochRecorder{}
+	obs := &slotRecorder{}
 	cpu.Record = rec
-	cpu.EnableEpochSampling(obs)
-	cpu.EpochSteps = 7
+	cpu.TraceSlots = obs.observe
 	if _, err := cpu.Run(10000); err != nil {
 		t.Fatal(err)
 	}
@@ -373,59 +262,6 @@ func TestResetClearsFastStats(t *testing.T) {
 	// Run deltas accumulate in the recorder across the two runs.
 	if got := rec.Snapshot().Counter("machine.fastpath.steps"); got != 2*first.Steps {
 		t.Fatalf("accumulated fastpath.steps %d, want %d", got, 2*first.Steps)
-	}
-}
-
-func TestEpochSpansRuns(t *testing.T) {
-	// Epochs are intervals of the machine's lifetime, not of one Run: with
-	// an epoch longer than a whole run, repeated Reset+Run cycles accumulate
-	// traffic without draining, and one flush folds the lot. This is the
-	// serving shape the ≤1.10× overhead gate measures — per-request cost
-	// must not include a fold.
-	cpu, err := NewForProgram(parityProgram(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	rec := stats.New()
-	obs := &epochRecorder{}
-	cpu.Record = rec
-	cpu.EnableEpochSampling(obs)
-	cpu.EpochSteps = 1 << 30
-	const runs = 3
-	var total, fetches int64
-	for i := 0; i < runs; i++ {
-		if i > 0 {
-			if err := cpu.Reset(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := cpu.Run(10000); err != nil {
-			t.Fatal(err)
-		}
-		total += cpu.Stats.Steps
-		fetches += cpu.Stats.MemFetches
-	}
-	if obs.epochs != 0 {
-		t.Fatalf("epoch drained mid-serving: %d drains for runs shorter than the epoch", obs.epochs)
-	}
-	cpu.FlushEpoch()
-	if obs.epochs != 1 {
-		t.Fatalf("flush drained %d epochs, want 1", obs.epochs)
-	}
-	if obs.steps != total || obs.fetches != fetches {
-		t.Fatalf("flushed traffic %d steps/%d fetches, executed %d/%d across %d runs",
-			obs.steps, obs.fetches, total, fetches, runs)
-	}
-	if obs.bad != "" {
-		t.Fatalf("touched-list contract violated: %s", obs.bad)
-	}
-	if h := rec.Snapshot().Hist("machine.fastpath.epoch_len"); h.Count != 1 || h.Sum != total {
-		t.Fatalf("epoch_len histogram count=%d sum=%d, want one epoch of %d steps", h.Count, h.Sum, total)
-	}
-	// A second flush is a no-op.
-	cpu.FlushEpoch()
-	if obs.epochs != 1 {
-		t.Fatal("empty flush drained an epoch")
 	}
 }
 

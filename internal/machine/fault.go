@@ -40,6 +40,15 @@ func (k FaultKind) String() string {
 	return "unknown"
 }
 
+// faultCounterNames precomputes the counter a Run that ends in each kind
+// of fault adds 1 to (see exportRun).
+var faultCounterNames = func() (a [numFaultKinds]string) {
+	for k := range a {
+		a[k] = "machine.faults." + FaultKind(k).String()
+	}
+	return
+}()
+
 // Fault is the error of every abnormal stop: callers match it with
 // errors.As instead of parsing text.
 type Fault struct {

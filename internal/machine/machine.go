@@ -12,7 +12,6 @@ import (
 	"repro/internal/ppc"
 	"repro/internal/program"
 	"repro/internal/stats"
-	"repro/internal/trace"
 )
 
 // Syscall numbers (passed in r0; sc transfers to the host).
@@ -63,6 +62,16 @@ type CPU struct {
 	// state (registers, Stats, memory): it sees only its arguments.
 	TraceFetch func(addr uint32, nbytes int)
 
+	// TraceSlots, when non-nil, receives the fused loop's table fetches
+	// from the same journal, as indices into pd.Slots in fetch order. Each
+	// fetch supplied its slot's EntryLen instructions, except the batch's
+	// last, which supplied cut fewer when a taken branch, an exit, a fault
+	// or the budget ended its expansion early; over a Run the batches
+	// account for exactly the Fast.Steps it added. Like TraceFetch it
+	// leaves Run fused and has received everything when Run returns;
+	// slots is reused after the call.
+	TraceSlots func(pd *Predecode, slots []uint32, cut int)
+
 	// TraceStep, when non-nil, receives every executed instruction after
 	// its architectural effects: the FetchInfo plus the control transfer
 	// the instruction performed (the guest profiler's hook). It fires once
@@ -73,10 +82,9 @@ type CPU struct {
 	// Record, when non-nil, is the CPU's counter sink, not a hook: every
 	// Run adds its deltas of machine.steps, machine.expanded,
 	// machine.fetched_bytes and the machine.fastpath.* counters (so
-	// repeated Runs on one CPU accumulate correctly), and with epoch
-	// sampling enabled each drained epoch observes
-	// machine.fastpath.epoch_len. Attaching it leaves Run on the fused
-	// fast loop.
+	// repeated Runs on one CPU accumulate correctly), plus
+	// machine.faults.<kind> when it ends in a Fault. Attaching it leaves
+	// Run on the fused fast loop.
 	Record *stats.Recorder
 
 	Stats Stats
@@ -86,19 +94,7 @@ type CPU struct {
 	// Fast.Coverage(Stats.Steps) is the fast-path share of execution.
 	Fast FastStats
 
-	// EpochSteps bounds one telemetry epoch when epoch sampling is
-	// enabled (EnableEpochSampling / TraceEpochs); zero selects
-	// DefaultEpochSteps. Without sampling the fast loop runs unchunked.
-	EpochSteps int64
-
-	sampleObs   EpochObserver // per-slot traffic consumer (EnableEpochSampling)
-	epochParent *trace.Span   // per-epoch span parent (TraceEpochs)
-	epochSpan   *trace.Span   // span of the epoch in flight
-	traffic     []SlotTraffic // per-CPU slot counters, drained each epoch
-	touched     []int32       // slots with traffic this epoch, first-touch order
-	trafficPD   *Predecode    // table the accumulated traffic indexes
-	sinceDrain  int64         // fast steps accumulated since the last drain
-	journal     []uint32      // fetch journal backing store (beginJournal)
+	journal []uint32 // fetch journal backing store (beginJournal)
 
 	step     Predecode         // Step's one-slot table over stepSlot
 	stepSlot [1]PredecodedSlot // the instruction Step fetched, resolved
@@ -212,7 +208,7 @@ func (c *CPU) SnapshotReset() {
 // Reset rewinds the machine to its SnapshotReset state: registers, memory,
 // PC, accumulated output, exit state, Stats, and Fast all return to their
 // post-construction values, reusing every allocation. Hooks (TraceFetch,
-// TraceStep), Record and the epoch-sampling observer are left attached.
+// TraceSlots, TraceStep) and Record are left attached.
 func (c *CPU) Reset() error {
 	if c.snap == nil {
 		return fmt.Errorf("machine: Reset without a prior SnapshotReset")
@@ -227,10 +223,6 @@ func (c *CPU) Reset() error {
 	c.out.Reset()
 	c.Stats = Stats{}
 	c.Fast = FastStats{}
-	// The epoch in flight (sinceDrain, traffic, touched, epochSpan) is NOT
-	// reset: epochs are intervals of the machine's lifetime, deliberately
-	// spanning the Reset+Run request cycle so telemetry drains on the epoch
-	// cadence rather than per request.
 	c.branch = takenBranch{}
 	c.exited = false
 	c.status = 0
@@ -248,23 +240,21 @@ func (c *CPU) Exited() (bool, int32) { return c.exited, c.status }
 
 // Run executes until SysExit or the step budget is exhausted. It returns
 // the exit status. Exceeding the budget or any architectural fault is an
-// error.
+// error; a fault is a *Fault.
 //
 // When TraceStep is nil and the frontend supplies a predecode table, Run
 // drives the fused fetch+execute fast loop; attaching TraceStep
 // transparently selects the instrumented Step path, so the per-step hook
-// sees every instruction. TraceFetch rides the fast loop through its
-// fetch journal: the hook receives the same (addr, nbytes) sequence as on
-// the Step path, batched, and has received all of it when Run returns.
-// Record is a sink, not a hook: one deferred export adds the Run's
-// counter deltas to it on either path. Epoch sampling
-// (EnableEpochSampling, TraceEpochs) observes the fast loop from its
-// epoch boundaries, so sampled runs stay fused too. Every Run classifies
-// how the fast path ended — or why it never started — in Fast.Bails.
-func (c *CPU) Run(maxSteps int64) (int32, error) {
+// sees every instruction. TraceFetch and TraceSlots ride the fast loop
+// through its fetch journal: TraceFetch receives the same (addr, nbytes)
+// sequence as on the Step path, batched, and both have received all of it
+// when Run returns. Record is a sink, not a hook: one deferred export adds
+// the Run's counter deltas to it on either path. Every Run classifies how
+// the fast path ended — or why it never started — in Fast.Bails.
+func (c *CPU) Run(maxSteps int64) (status int32, err error) {
 	if c.Record != nil {
 		before, fastBefore := c.Stats, c.Fast
-		defer func() { c.exportRun(before, fastBefore) }()
+		defer func() { c.exportRun(before, fastBefore, err) }()
 	}
 	if c.TraceStep == nil {
 		if fe, ok := c.fe.(PredecodedFrontend); ok {

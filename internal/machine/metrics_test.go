@@ -10,7 +10,8 @@ import (
 // names against the metric registry: the lint-metrics grep gate can only
 // see literal names, so the "machine.fastpath.bail." + BailReason family
 // is enumerated in internal/stats/metrics.txt by hand and this test keeps
-// that enumeration complete. Adding a bail reason without registering its
+// that enumeration complete, as it does the "machine.faults." + FaultKind
+// family. Adding a bail reason or a fault kind without registering its
 // counter fails here.
 func TestBailCountersRegistered(t *testing.T) {
 	data, err := os.ReadFile("../stats/metrics.txt")
@@ -29,11 +30,14 @@ func TestBailCountersRegistered(t *testing.T) {
 			t.Errorf("bail counter %q missing from internal/stats/metrics.txt", name)
 		}
 	}
+	for _, kind := range faultNames {
+		if name := "machine.faults." + kind; !registry[name] {
+			t.Errorf("fault counter %q missing from internal/stats/metrics.txt", name)
+		}
+	}
 	for _, name := range []string{
 		"machine.fastpath.steps",
 		"machine.fastpath.slow_steps",
-		"machine.fastpath.epochs",
-		"machine.fastpath.epoch_len",
 	} {
 		if !registry[name] {
 			t.Errorf("fast-path metric %q missing from internal/stats/metrics.txt", name)

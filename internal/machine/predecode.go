@@ -150,20 +150,18 @@ func (pd *Predecode) word(s *PredecodedSlot, k int) uint32 {
 // expansion would cross it is handed to Step, so the frontend's expansion
 // queue, not this loop, carries the remainder into the next Run.
 //
-// Telemetry rides the loop for free. Without epoch sampling or a fetch
-// hook, stepLimit is just maxSteps and the boundary comparison is the
-// budget check the loop always made. With sampling on, the loop runs in
-// epochs: stepLimit drops to the next epoch boundary (epochEnd), per-slot
-// traffic accumulates in tr (one increment per fetch, and an expansion
-// cut short books what it skipped), and drainEpoch hands the counters out
-// between epochs.
-// With a fetch hook attached, each table fetch appends its slot index to
-// the journal jl; stepLimit also stops at the journal's free room (one
-// step journals at most one fetch), where drainFetches replays it in
-// order. Every exit goes through endFast, which delivers the journal's
-// remainder and classifies the bail; the partial epoch in flight carries
-// over to the next segment or Run and FlushEpoch forces it out. The loop
-// body itself never touches a sink — lint-fastpath keeps it that way.
+// Telemetry rides the loop for free. Without a journal consumer (the
+// fetch and slot hooks), stepLimit is just maxSteps and the boundary
+// comparison is the budget check the loop always made. With one, each
+// table fetch appends its slot index to the journal jl — the loop's only
+// per-fetch telemetry work — and stepLimit also stops at the journal's
+// free room (one step journals at most one fetch), where drainFetches
+// hands it out in order. A taken branch that ends an expansion early
+// drains at once (cutFetches), so the slot hook learns what the
+// expansion skipped while it is still the journal's last entry. Every exit goes
+// through endFast, which delivers the journal's remainder and classifies
+// the bail. The loop body itself never touches a sink — lint-fastpath
+// keeps it that way.
 //
 // With fe nil the loop is Step's executor: pd is the CPU's one-slot table
 // holding the instruction Step fetched, at Base. It executes that
@@ -192,8 +190,7 @@ func (c *CPU) runFast(fe PredecodedFrontend, pd *Predecode, maxSteps int64) (int
 	} else {
 		sg = &c.segs[0]
 		*sg = segment{fe: fe, base: pd.Base, shift: pd.Shift, limit: uint32(len(slots)) << pd.Shift,
-			gen: c.Mem.storeGen, maxSteps: maxSteps,
-			entrySteps: c.Stats.Steps, epochStart: c.Stats.Steps, epochEnd: math.MaxInt64}
+			gen: c.Mem.storeGen, maxSteps: maxSteps, entrySteps: c.Stats.Steps}
 	}
 	var (
 		stepLimit int64
@@ -215,19 +212,12 @@ func (c *CPU) runFast(fe PredecodedFrontend, pd *Predecode, maxSteps int64) (int
 		s, rem = &c.stepSlot[0], 1
 		stepLimit = math.MinInt64 // the first fetch boundary ends the step
 	} else {
-		if c.samplingOn() {
-			sg.tr = c.beginFast(pd)
-			// The epoch in flight may already hold steps from earlier
-			// segments or Runs; this segment runs out its remainder.
-			sg.epochEnd = sg.epochStart + c.epochLen() - c.sinceDrain
-		}
 		sg.jl = c.beginJournal()
-		sg.watched = sg.tr != nil || sg.jl != nil
-		stepLimit = nextLimit(c.Stats.Steps, maxSteps, sg.epochEnd, sg.jl != nil)
+		stepLimit = nextLimit(c.Stats.Steps, maxSteps, sg.jl != nil)
 		off := fe.PC() - sg.base
 		if off>>sg.shift<<sg.shift != off {
 			// A misaligned PC has no slot: the slow path reports it.
-			c.endFast(pd, sg.jl, BailOffTable, sg.entrySteps, sg.epochStart)
+			c.endFast(pd, sg, BailOffTable, 0)
 			return 0, false, nil
 		}
 		idx = off >> sg.shift
@@ -250,20 +240,14 @@ func (c *CPU) runFast(fe PredecodedFrontend, pd *Predecode, maxSteps int64) (int
 					return 0, false, nil
 				}
 				if c.Stats.Steps >= sg.maxSteps {
-					c.endFast(pd, sg.jl, BailBudget, sg.entrySteps, sg.epochStart)
+					c.endFast(pd, sg, BailBudget, 0)
 					sg.fe.SetRawPC(sg.base + idx<<sg.shift)
 					return 0, true, errBudget(sg.maxSteps)
 				}
-				// Journal or epoch boundary, or a store hit text: hand the
-				// telemetry out and keep running on a table still valid.
+				// Journal boundary, or a store hit text: hand the fetches
+				// out and keep running on a table still valid.
 				if sg.jl != nil {
-					c.drainFetches(pd, sg.jl)
-				}
-				if c.Stats.Steps >= sg.epochEnd {
-					c.drainEpoch(pd, sg.tr, c.sinceDrain+c.Stats.Steps-sg.epochStart, true)
-					c.sinceDrain = 0
-					sg.epochStart = c.Stats.Steps
-					sg.epochEnd = sg.epochStart + c.epochLen()
+					c.drainFetches(pd, sg.jl, 0)
 				}
 				if c.Mem.storeGen != sg.gen {
 					// Text modified since the table was built: the slow
@@ -271,7 +255,7 @@ func (c *CPU) runFast(fe PredecodedFrontend, pd *Predecode, maxSteps int64) (int
 					reason = BailSelfModifiedText
 					goto bail
 				}
-				stepLimit = nextLimit(c.Stats.Steps, sg.maxSteps, sg.epochEnd, sg.jl != nil)
+				stepLimit = nextLimit(c.Stats.Steps, sg.maxSteps, sg.jl != nil)
 			}
 			if idx >= uint32(len(slots)) {
 				// Sequential flow or a jump the frontend accepted left the
@@ -290,17 +274,8 @@ func (c *CPU) runFast(fe PredecodedFrontend, pd *Predecode, maxSteps int64) (int
 			c.Stats.Steps++
 			c.Stats.MemFetches++
 			c.Stats.FetchedBytes += int64(s.MemBytes)
-			if sg.watched {
-				if sg.jl != nil {
-					*sg.jl = append(*sg.jl, idx)
-				}
-				if sg.tr != nil {
-					t := &sg.tr[idx]
-					if t.Fetches == 0 {
-						c.note(idx)
-					}
-					t.Fetches++
-				}
+			if sg.jl != nil {
+				*sg.jl = append(*sg.jl, idx)
 			}
 			r, idx = &s.Inst, idx+uint32(s.Succ)
 		}
@@ -632,7 +607,9 @@ func (c *CPU) runFast(fe PredecodedFrontend, pd *Predecode, maxSteps int64) (int
 		// frontend, which redirects fetch or reports the fault.
 		c.Stats.TakenBranches++
 		c.branch = takenBranch{Kind: bk, Target: target}
-		sg.skipped(s, idx, rem)
+		if rem > 0 && sg.jl != nil {
+			c.cutFetches(pd, sg.jl, rem)
+		}
 		if t := target - sg.base; t >= sg.limit || t>>sg.shift<<sg.shift != t {
 			if err = c.fe.SetPC(target); err != nil {
 				goto fail
@@ -645,33 +622,29 @@ func (c *CPU) runFast(fe PredecodedFrontend, pd *Predecode, maxSteps int64) (int
 		// The codeword's expansion would cross the budget. Step runs it
 		// from the codeword, so the frontend's queue, not this loop, holds
 		// what the budget leaves of it for the next Run. Its steps stay in
-		// this segment and its traffic on the codeword's slot.
+		// this segment; Step delivers its fetch to the fetch hook, and
+		// handedOff tells the slot hook how much of the expansion ran.
 		if sg.jl != nil {
-			c.drainFetches(pd, sg.jl)
+			c.drainFetches(pd, sg.jl, 0)
 		}
 		sg.fe.SetRawPC(sg.base + idx<<sg.shift)
 		c.branch = takenBranch{}
 		for rem = 0; c.Stats.Steps < sg.maxSteps && err == nil && !c.exited && c.branch.Kind == BranchNone; rem++ {
 			err = c.Step()
 		}
-		if sg.tr != nil {
-			t := &sg.tr[idx]
-			if t.Fetches == 0 {
-				c.note(idx)
-			}
-			t.Fetches++
-			t.Steps += int32(rem) - int32(s.EntryLen)
+		if sg.jl != nil {
+			c.handedOff(pd, sg.jl, idx, rem)
 		}
 		if err != nil {
-			c.endFast(pd, sg.jl, BailExecFault, sg.entrySteps, sg.epochStart)
+			c.endFast(pd, sg, BailExecFault, 0)
 			return 0, true, err
 		}
 		if c.exited {
-			c.endFast(pd, sg.jl, BailExit, sg.entrySteps, sg.epochStart)
+			c.endFast(pd, sg, BailExit, 0)
 			return c.status, true, nil
 		}
 		if c.branch.Kind == BranchNone {
-			c.endFast(pd, sg.jl, BailBudget, sg.entrySteps, sg.epochStart)
+			c.endFast(pd, sg, BailBudget, 0)
 			return 0, true, errBudget(sg.maxSteps)
 		}
 		// A branch left the expansion within the budget: the loop takes
@@ -682,23 +655,21 @@ func (c *CPU) runFast(fe PredecodedFrontend, pd *Predecode, maxSteps int64) (int
 	}
 
 bail:
-	c.endFast(pd, sg.jl, reason, sg.entrySteps, sg.epochStart)
+	c.endFast(pd, sg, reason, 0)
 	sg.fe.SetRawPC(sg.base + idx<<sg.shift)
 	return 0, false, nil
 
 exit:
-	sg.skipped(s, idx, rem)
 	if !sg.stepping {
-		c.endFast(pd, sg.jl, BailExit, sg.entrySteps, sg.epochStart)
+		c.endFast(pd, sg, BailExit, rem)
 		sg.fe.SetRawPC(sg.base + idx<<sg.shift)
 	}
 	return c.status, true, nil
 
 fail:
 	err = at(err, sg.cia(idx, s), pd.word(s, int(s.EntryLen)-rem-1))
-	sg.skipped(s, idx, rem)
 	if !sg.stepping {
-		c.endFast(pd, sg.jl, BailExecFault, sg.entrySteps, sg.epochStart)
+		c.endFast(pd, sg, BailExecFault, rem)
 		sg.fe.SetRawPC(sg.base + idx<<sg.shift)
 	}
 	return 0, true, err
@@ -709,11 +680,9 @@ fail:
 type segment struct {
 	fe       PredecodedFrontend
 	stepping bool
-	watched  bool // tr or jl is kept
-	jl       *[]uint32
-	tr       []SlotTraffic
+	jl       *[]uint32 // the fetch journal, nil when none is kept
 
-	maxSteps, entrySteps, epochStart, epochEnd int64
+	maxSteps, entrySteps int64
 
 	base, limit uint32
 	shift       uint
@@ -726,24 +695,13 @@ func (sg *segment) cia(idx uint32, s *PredecodedSlot) uint32 {
 	return sg.base + (idx-uint32(s.Succ))<<sg.shift
 }
 
-// skipped books the rem instructions of s's expansion that a taken
-// branch, an exit or a fault left unexecuted against s's traffic (see
-// SlotTraffic); idx is the slot after s.
-func (sg *segment) skipped(s *PredecodedSlot, idx uint32, rem int) {
-	if rem > 0 && sg.tr != nil {
-		sg.tr[idx-uint32(s.Succ)].Steps -= int32(rem)
-	}
-}
-
 // nextLimit is the step count at which runFast next stops to check its
-// boundaries: the budget, the end of the epoch in flight, and, while a
-// journal is kept, the point where it could be full. The journal is empty
-// whenever this is computed and one step journals at most one fetch, so
-// JournalLen steps cannot overflow it.
-func nextLimit(steps, maxSteps, epochEnd int64, journaling bool) int64 {
-	limit := min(maxSteps, epochEnd)
+// boundaries: the budget and, while a journal is kept, the point where it
+// could be full. The journal is empty whenever this is computed and one
+// step journals at most one fetch, so JournalLen steps cannot overflow it.
+func nextLimit(steps, maxSteps int64, journaling bool) int64 {
 	if journaling {
-		limit = min(limit, steps+JournalLen)
+		return min(maxSteps, steps+JournalLen)
 	}
-	return limit
+	return maxSteps
 }

@@ -97,3 +97,54 @@ func FuzzCodecRoundTrip(f *testing.F) {
 		}
 	})
 }
+
+// FuzzOpenImage feeds arbitrary bytes to OpenImage, seeded with one frame
+// per registered codec of a small synthetic program. OpenImage must never
+// panic, and an image that opens and can execute must run Run(1<<20) on
+// the fused loop and on the TraceStep path to an exit, the budget error
+// or another error — never a panic.
+func FuzzOpenImage(f *testing.F) {
+	prof, err := synth.ProfileFor("compress")
+	if err != nil {
+		f.Fatal(err)
+	}
+	prof.TargetWords, prof.MegaFuncs, prof.NScalars, prof.NArrays, prof.ArrayLenPow = 50, 0, 2, 1, 2
+	p, err := synth.GenerateProfile(prof)
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, cd := range codec.Codecs() {
+		img, err := cd.Compress(p, codec.Options{})
+		if err != nil {
+			f.Fatalf("%s: compress: %v", cd.Name(), err)
+		}
+		var frame bytes.Buffer
+		if err := WriteImage(&frame, img); err != nil {
+			f.Fatalf("%s: write: %v", cd.Name(), err)
+		}
+		f.Add(frame.Bytes())
+	}
+	f.Fuzz(func(t *testing.T, frame []byte) {
+		img, err := OpenImage(bytes.NewReader(frame))
+		if err != nil {
+			return
+		}
+		ex, ok := img.(codec.Executable)
+		if !ok {
+			return
+		}
+		for _, stepped := range []bool{false, true} {
+			cpu, err := ex.NewMachine()
+			if err != nil {
+				return
+			}
+			if stepped {
+				cpu.TraceStep = func(machine.StepInfo) {}
+			}
+			_, err = cpu.Run(1 << 20)
+			if exited, _ := cpu.Exited(); err == nil && !exited || cpu.Stats.Steps > 1<<20 {
+				t.Fatalf("stepped=%v: Run returned %v after %d steps, exited=%v", stepped, err, cpu.Stats.Steps, exited)
+			}
+		}
+	})
+}

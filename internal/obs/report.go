@@ -269,9 +269,6 @@ func executionTable(c map[string]int64) ReportTable {
 	add("fastpath steps", fmtI(c["machine.fastpath.steps"]))
 	add("fastpath slow steps", fmtI(c["machine.fastpath.slow_steps"]))
 	add("fastpath coverage", fmt.Sprintf("%.4f", ratio(float64(c["machine.fastpath.steps"]), float64(steps))))
-	if n := c["machine.fastpath.epochs"]; n > 0 {
-		add("fastpath epochs", fmtI(n))
-	}
 	for _, k := range sortedKeys(c) {
 		if reason, ok := strings.CutPrefix(k, bailPrefix); ok && c[k] != 0 {
 			add("bail "+reason, fmtI(c[k]))
