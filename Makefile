@@ -73,7 +73,7 @@ lint-dispatch:
 # telemetry sink directly — no hooks, no stats recorder, no slot observer.
 # Its one piece of per-fetch telemetry is a fetch-journal append; the
 # journal reaches its consumers only through the helpers in fastpath.go
-# (beginJournal/drainFetches/cutFetches/handedOff/endFast). A sink
+# (beginJournal/drainFetches/takenFetch/endFast; stepped for Step). A sink
 # identifier appearing in predecode.go means someone put per-step work
 # back on the hot path (see DESIGN.md, "Observability").
 lint-fastpath:

@@ -301,10 +301,8 @@ func BenchmarkCompressedExecution(b *testing.B) {
 		b.Fatal(err)
 	}
 	// One untimed profiled run collects the expansion-length histogram:
-	// the exact profiler's heat map counts each entry's expansions, and
-	// the image gives each entry's length. The profiler's TraceStep hook
-	// routes that machine through the Step path, so the timed machine
-	// below stays bare and predecoded.
+	// the profiler's heat map counts each entry's expansions, and the
+	// image gives each entry's length. The timed machine below stays bare.
 	sym, err := img.GuestSymTab()
 	if err != nil {
 		b.Fatal(err)
@@ -334,9 +332,10 @@ func BenchmarkCompressedExecution(b *testing.B) {
 }
 
 // BenchmarkSampledExecution is BenchmarkCompressedExecution with the
-// sampled guest profiler on the fetch journal — the always-on
-// observability configuration. The run must stay on the fused fast path (faststeps/op
-// equals steps/op); benchdiff derives fastpath_coverage and
+// call-tree guest profiler on the fetch journal — the always-on
+// observability configuration (the name predates the one profiler; the
+// ledger and baseline key on it). The run must stay on the fused fast path
+// (faststeps/op equals steps/op); benchdiff derives fastpath_coverage and
 // sampled_profiling_overhead_ratio from this pair and CI pins the latter
 // at 1.10.
 func BenchmarkSampledExecution(b *testing.B) {
@@ -354,10 +353,10 @@ func BenchmarkSampledExecution(b *testing.B) {
 		b.Fatal(err)
 	}
 	cpu.Record = stats.New()
-	cpu.TraceSlots = guestprof.NewSampled(sym).ObserveSlots
+	guestprof.New(sym).Attach(cpu)
 	steps := benchRepeatRuns(b, cpu)
 	if cpu.Fast.Steps != cpu.Stats.Steps {
-		b.Fatalf("sampling knocked the run off the fast path: %s", cpu.Fast.BailSummary())
+		b.Fatalf("profiling knocked the run off the fast path: %s", cpu.Fast.BailSummary())
 	}
 	b.ReportMetric(float64(steps), "steps/op")
 	b.ReportMetric(float64(cpu.Fast.Steps), "faststeps/op")
@@ -367,8 +366,8 @@ func BenchmarkSampledExecution(b *testing.B) {
 // BenchmarkCompressedExecution with a no-op TraceStep hook, which sends
 // every instruction through Step (fetch, resolve, one-step run of the
 // shared dispatch). It fails unless the fused loop ran none of them, so
-// the ledger keeps a number for the path every hooked consumer — the
-// exact guest profiler, tracing — pays.
+// the ledger keeps a number for the path every hooked consumer — tracing
+// and the reference tests — pays.
 func BenchmarkHookedExecution(b *testing.B) {
 	p := benchProgram(b, "perl")
 	img, err := core.Compress(p.Clone(), Options{Scheme: Nibble})

@@ -3,9 +3,13 @@ package codedensity
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/core"
+	"repro/internal/guestprof"
+	"repro/internal/guestprof/guestproftest"
 	"repro/internal/machine"
 	"repro/internal/synth"
 )
@@ -15,28 +19,35 @@ import (
 // fused loop and on the Step path, and demands the one-shot run's status,
 // output and Stats from each. A chunk that ends inside a dictionary
 // expansion leaves the rest of the entry in the frontend's queue, and the
-// next Run must finish it there. The fused machines carry a slot observer
-// (TraceSlots), and the slots it sees must still add up to their fast
-// steps.
+// next Run must finish it there. Every machine carries a slot observer
+// (TraceSlots), and the slots it sees — from the fused loop's journal and
+// from Step alike — must add up to the run's steps; the guest profiler
+// on the same slots must hold across the chunks' batches and Runs and
+// profile each chunked run exactly as the one-shot run.
 func TestRunResumesAfterBudget(t *testing.T) {
 	p, err := synth.Generate("compress")
 	if err != nil {
 		t.Fatal(err)
 	}
-	builds := []struct {
+	type build struct {
 		name  string
 		build func() (*machine.CPU, error)
-	}{{"native", func() (*machine.CPU, error) { return machine.NewForProgram(p) }}}
+		sym   *guestprof.SymTab
+	}
+	builds := []build{{"native", func() (*machine.CPU, error) { return machine.NewForProgram(p) }, guestprof.NewProgramSymTab(p)}}
 	for _, cd := range codec.Codecs() {
 		img, err := cd.Compress(p.Clone(), codec.Options{})
 		if err != nil {
 			t.Fatalf("%s: %v", cd.Name(), err)
 		}
 		if ex, ok := img.(codec.Executable); ok {
-			builds = append(builds, struct {
-				name  string
-				build func() (*machine.CPU, error)
-			}{cd.Name(), ex.NewMachine})
+			sym := guestprof.NewProgramSymTab(p)
+			if di, ok := img.(*core.Image); ok {
+				if sym, err = di.GuestSymTab(); err != nil {
+					t.Fatal(err)
+				}
+			}
+			builds = append(builds, build{cd.Name(), ex.NewMachine, sym})
 		}
 	}
 	for _, b := range builds {
@@ -44,6 +55,8 @@ func TestRunResumesAfterBudget(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		oneProf := guestprof.New(b.sym)
+		oneProf.Attach(one)
 		wantStatus, err := one.Run(1 << 40)
 		if err != nil {
 			t.Fatalf("%s: one-shot run: %v", b.name, err)
@@ -55,10 +68,15 @@ func TestRunResumesAfterBudget(t *testing.T) {
 					t.Fatal(err)
 				}
 				obs := &slotSum{}
+				prof := guestprof.New(b.sym)
+				prof.Attach(cpu)
+				profile := cpu.TraceSlots
+				cpu.TraceSlots = func(pd *machine.Predecode, slots []uint32, cut int) {
+					obs.observe(pd, slots, cut)
+					profile(pd, slots, cut)
+				}
 				if stepped {
 					cpu.TraceStep = func(machine.StepInfo) {}
-				} else {
-					cpu.TraceSlots = obs.observe
 				}
 				var status int32
 				for {
@@ -72,10 +90,11 @@ func TestRunResumesAfterBudget(t *testing.T) {
 							b.name, chunk, stepped, err, cpu.Stats.Steps)
 					}
 				}
-				if obs.steps != cpu.Fast.Steps {
-					t.Fatalf("%s, chunks of %d: observed slots hold %d steps, fast path executed %d",
-						b.name, chunk, obs.steps, cpu.Fast.Steps)
+				if obs.steps != cpu.Stats.Steps {
+					t.Fatalf("%s, chunks of %d, stepped=%v: observed slots hold %d steps, the run executed %d",
+						b.name, chunk, stepped, obs.steps, cpu.Stats.Steps)
 				}
+				guestproftest.Same(t, fmt.Sprintf("%s, chunks of %d, stepped=%v", b.name, chunk, stepped), oneProf, prof)
 				if status != wantStatus || !bytes.Equal(cpu.Output(), one.Output()) || cpu.Stats != one.Stats {
 					t.Fatalf("%s, chunks of %d, stepped=%v: status %d, %d output bytes, stats %+v; one-shot %d, %d bytes, %+v",
 						b.name, chunk, stepped, status, len(cpu.Output()), cpu.Stats,

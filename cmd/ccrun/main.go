@@ -7,7 +7,6 @@
 //	ccrun -steps 1e8 -cache 1024 prog.ppz
 //	ccrun -trace 20 prog.ppz                       # disassemble the first 20 steps
 //	ccrun -bundle out.bundle prog.ppz              # stats, profiles and audit as one run bundle
-//	ccrun -sampledprof -bundle out.bundle prog.ppz # same, profiled on the fast path
 //
 // Render a bundle with ccreport.
 package main
@@ -37,7 +36,6 @@ func main() {
 	maxSteps := flag.Int64("steps", 200_000_000, "step budget")
 	cacheSize := flag.Int("cache", 0, "simulate an I-cache of this many bytes (direct-mapped, 32B lines)")
 	trace := flag.Int("trace", 0, "print the first N executed instructions to stderr")
-	sampledProf := flag.Bool("sampledprof", false, "with -bundle, profile the guest from the fused fast path's fetch journal (flat-only, no slowdown) instead of the exact call-tree profiler")
 	bundleDir := flag.String("bundle", "", "write a run bundle (stats, execution profile, guest profile, size audit) to this directory")
 	flag.Parse()
 
@@ -46,19 +44,6 @@ func main() {
 		os.Exit(2)
 	}
 	wantBundle := *bundleDir != ""
-	if *sampledProf {
-		// The sampled profiler is the fast path observed through its fetch
-		// journal; the per-step hook -trace needs would force the
-		// instrumented Step path and defeat its point, so that combination
-		// is rejected rather than silently measured slow. A -cache run
-		// stays fused: the fetch journal feeds the cache.
-		switch {
-		case !wantBundle:
-			fatal(fmt.Errorf("-sampledprof selects the bundle's profiler; it needs -bundle"))
-		case *trace > 0:
-			fatal(fmt.Errorf("-sampledprof cannot run with -trace (tracing needs the per-step hook)"))
-		}
-	}
 	path := flag.Arg(0)
 	f, err := os.Open(path)
 	if err != nil {
@@ -129,18 +114,9 @@ func main() {
 	}
 
 	var col *obs.Collector
-	var sp *guestprof.SampledProfiler
 	if wantBundle {
 		col = obs.NewCollector(id)
 		cpu.Record = col.Recorder()
-		if *sampledProf {
-			if sym == nil {
-				fatal(fmt.Errorf("-sampledprof needs a dictionary image; %s carries no address map", path))
-			}
-			// The journal leaves the run on the fused fast path.
-			sp = guestprof.NewSampled(sym)
-			cpu.TraceSlots = sp.ObserveSlots
-		}
 	}
 
 	var ic *cache.Cache
@@ -159,8 +135,8 @@ func main() {
 		}
 	}
 
-	// The trace hook goes in before the profiler attaches, which chains
-	// onto it.
+	// Tracing puts the run on the Step path, which feeds the profiler's
+	// journal hook too.
 	if *trace > 0 {
 		left := *trace
 		cpu.TraceStep = func(si machine.StepInfo) {
@@ -170,8 +146,10 @@ func main() {
 			}
 		}
 	}
+	// The profiler reads the fetch journal, so the run stays fused; it
+	// attaches after the cache, whose misses it attributes per fetch.
 	var gp *guestprof.Profiler
-	if sym != nil && sp == nil {
+	if sym != nil {
 		gp = guestprof.New(sym)
 		gp.ObserveCache(ic)
 		gp.Attach(cpu)
@@ -198,17 +176,13 @@ func main() {
 	}
 
 	var heat []int64
-	switch {
-	case gp != nil:
+	if gp != nil {
 		var sb strings.Builder
 		if err := gp.WriteFolded(&sb); err != nil {
 			fatal(err)
 		}
 		col.SetGuest(gp.Profile(id.Bench), sb.String())
 		heat = gp.Heat()
-	case sp != nil:
-		col.SetGuest(sp.Profile(id.Bench), "")
-		heat = sp.Heat()
 	}
 	var curve []cache.SamplePoint
 	if smp != nil {

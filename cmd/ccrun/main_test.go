@@ -15,7 +15,6 @@ import (
 	"repro/internal/codec"
 	"repro/internal/codeword"
 	"repro/internal/core"
-	"repro/internal/guestprof"
 	"repro/internal/machine"
 	"repro/internal/objfile"
 	"repro/internal/obs"
@@ -76,11 +75,12 @@ func TestTraceLines(t *testing.T) {
 	}
 }
 
-// TestSampledBundleMatchesExact runs the same image into an exact bundle
-// and a -sampledprof bundle. The run never leaves the fast path, so the
-// sampled profiler sees every step: the heat map and the flat per-function
-// counts must agree exactly.
-func TestSampledBundleMatchesExact(t *testing.T) {
+// TestBundleStaysFused runs the same image into bundles with and without
+// -cache. The guest profiler reads the fetch journal, so each run stays on
+// the fused loop: coverage 1 and no hook_attached bail. A -trace run of
+// each takes the Step path instead, and its deliveries must yield the same
+// guest profile, folded stacks, heat map and cache counters.
+func TestBundleStaysFused(t *testing.T) {
 	bin := buildCCRun(t)
 	dir := t.TempDir()
 	ppz := writeImage(t, dir, "compress")
@@ -95,95 +95,47 @@ func TestSampledBundleMatchesExact(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if b.Profile == nil || b.Guest == nil {
-			t.Fatalf("ccrun %v: bundle lacks profile or guest section", args)
+		if b.Profile == nil || b.Guest == nil || b.GuestFolded == "" {
+			t.Fatalf("ccrun %v: bundle lacks a profile, guest or folded section", args)
 		}
 		return b
 	}
-	exact, sampled := open("exact"), open("sampled", "-sampledprof")
-	if exact.Identity.Bench != "compress" || exact.Identity.Codec != "nibble" || exact.Identity.Method != 2 {
-		t.Errorf("bundle identity = %+v", exact.Identity)
-	}
-	if exact.GuestFolded == "" || sampled.GuestFolded != "" {
-		t.Errorf("folded stacks: exact %d bytes, sampled %d bytes; want exact only",
-			len(exact.GuestFolded), len(sampled.GuestFolded))
-	}
-	if fast, steps := sampled.Stats.Counter("machine.fastpath.steps"), sampled.Stats.Counter("machine.steps"); fast != steps || steps == 0 {
-		t.Fatalf("sampled run: %d of %d steps on the fast path, want all", fast, steps)
-	}
-	if len(exact.Profile.HotEntries) == 0 {
-		t.Fatal("exact bundle has no hot entries")
-	}
-	if !reflect.DeepEqual(sampled.Profile.HotEntries, exact.Profile.HotEntries) {
-		t.Errorf("hot_entries differ:\n sampled %+v\n   exact %+v", sampled.Profile.HotEntries, exact.Profile.HotEntries)
-	}
-	flat := func(p *guestprof.Profile) map[string]guestprof.Counts {
-		m := map[string]guestprof.Counts{}
-		for _, f := range p.Funcs {
-			if f.Flat != (guestprof.Counts{}) {
-				m[f.Name] = f.Flat
+	for _, cached := range [][]string{nil, {"-cache", "1024"}} {
+		fused := open(fmt.Sprint("fused", len(cached)), cached...)
+		stepped := open(fmt.Sprint("stepped", len(cached)), append([]string{"-trace", "1"}, cached...)...)
+		if fused.Identity.Bench != "compress" || fused.Identity.Codec != "nibble" || fused.Identity.Method != 2 {
+			t.Errorf("bundle identity = %+v", fused.Identity)
+		}
+		st := fused.Stats
+		if fast, steps := st.Counter("machine.fastpath.steps"), st.Counter("machine.steps"); fast != steps || steps == 0 {
+			t.Errorf("ccrun %v: %d of %d steps on the fast path, want all", cached, fast, steps)
+		}
+		if n := st.Counter("machine.fastpath.bail.hook_attached"); n != 0 {
+			t.Errorf("ccrun %v: bail.hook_attached %d", cached, n)
+		}
+		if n := stepped.Stats.Counter("machine.fastpath.bail.hook_attached"); n != 1 {
+			t.Errorf("ccrun -trace %v: bail.hook_attached %d, want the Step path", cached, n)
+		}
+		if len(fused.Profile.HotEntries) == 0 {
+			t.Fatal("fused bundle has no hot entries")
+		}
+		if !reflect.DeepEqual(fused.Guest, stepped.Guest) {
+			t.Errorf("ccrun %v: guest profiles differ:\n fused %+v\n Step  %+v", cached, fused.Guest, stepped.Guest)
+		}
+		if fused.GuestFolded != stepped.GuestFolded {
+			t.Errorf("ccrun %v: folded stacks differ:\n%s\nStep path:\n%s", cached, fused.GuestFolded, stepped.GuestFolded)
+		}
+		if !reflect.DeepEqual(fused.Profile, stepped.Profile) {
+			t.Errorf("ccrun %v: execution profiles differ:\n fused %+v\n Step  %+v", cached, fused.Profile, stepped.Profile)
+		}
+		for _, name := range []string{"cache.accesses", "cache.hits", "cache.misses"} {
+			if f, s := st.Counter(name), stepped.Stats.Counter(name); f != s {
+				t.Errorf("%s: fused %d, Step path %d", name, f, s)
 			}
 		}
-		return m
-	}
-	if got, want := flat(sampled.Guest), flat(exact.Guest); !reflect.DeepEqual(got, want) {
-		t.Errorf("flat guest counts differ:\n sampled %+v\n   exact %+v", got, want)
-	}
-}
-
-// TestSampledProfRejects pins the combinations -sampledprof refuses: the
-// per-step hook that would force the instrumented path, and running
-// without a bundle to fill. -cache is accepted: the fetch journal keeps the
-// cached run fused, and its cache counters and miss curve equal the exact
-// bundle's.
-func TestSampledProfRejects(t *testing.T) {
-	bin := buildCCRun(t)
-	dir := t.TempDir()
-	ppz := writeImage(t, dir, "compress")
-	cached := func(name string, args ...string) *obs.Bundle {
-		t.Helper()
-		bdir := filepath.Join(dir, name)
-		args = append(args, "-cache", "1024", "-bundle", bdir, ppz)
-		if out, err := exec.Command(bin, args...).CombinedOutput(); err != nil {
-			t.Fatalf("ccrun %v: %v\n%s", args, err, out)
+		if cached != nil && fused.Guest.Total.CacheMisses == 0 {
+			t.Error("cached run attributed no cache misses")
 		}
-		b, err := obs.Open(bdir)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if b.Profile == nil {
-			t.Fatalf("ccrun %v: bundle lacks a profile section", args)
-		}
-		return b
-	}
-	exact, sampled := cached("exact"), cached("sampled", "-sampledprof")
-	if fast, steps := sampled.Stats.Counter("machine.fastpath.steps"), sampled.Stats.Counter("machine.steps"); fast != steps || steps == 0 {
-		t.Errorf("sampled cached run: %d of %d steps on the fast path, want all", fast, steps)
-	}
-	if exact.Stats.Counter("cache.accesses") == 0 || exact.Stats.Counter("cache.misses") == 0 {
-		t.Errorf("exact bundle has no cache counters: %+v", exact.Stats.Counters)
-	}
-	for _, name := range []string{"cache.accesses", "cache.hits", "cache.misses"} {
-		if s, e := sampled.Stats.Counter(name), exact.Stats.Counter(name); s != e {
-			t.Errorf("%s: sampled %d, exact %d", name, s, e)
-		}
-	}
-	if !reflect.DeepEqual(sampled.Profile.MissCurve, exact.Profile.MissCurve) {
-		t.Errorf("miss curves differ:\n sampled %+v\n   exact %+v", sampled.Profile.MissCurve, exact.Profile.MissCurve)
-	}
-
-	bdir := filepath.Join(dir, "bundle")
-	for _, args := range [][]string{
-		{"-sampledprof", "-trace", "3", "-bundle", bdir},
-		{"-sampledprof"},
-	} {
-		out, err := exec.Command(bin, append(args, ppz)...).CombinedOutput()
-		if err == nil {
-			t.Errorf("ccrun %v succeeded, want a non-zero exit:\n%s", args, out)
-		}
-	}
-	if _, err := os.Stat(bdir); !os.IsNotExist(err) {
-		t.Errorf("a rejected run wrote %s", bdir)
 	}
 }
 
@@ -233,7 +185,7 @@ func TestBundleNativeProgram(t *testing.T) {
 // the cache's own totals; profile.json carries only what no counter can,
 // the heat map and the miss curve. Both producers are covered:
 // bench.CollectBundle for every executable codec, and ccrun with and
-// without -cache and -sampledprof.
+// without -cache and -trace.
 func TestBundleCountersLiveInStats(t *testing.T) {
 	checkProfileKeys := func(t *testing.T, dir string) {
 		t.Helper()
@@ -282,13 +234,12 @@ func TestBundleCountersLiveInStats(t *testing.T) {
 			if !ok {
 				continue
 			}
-			// The reference run: the same image under a per-step hook, which
-			// puts it on the path the bundle's exact profiler takes.
+			// The reference run: the same image on the fused loop, which the
+			// bundle's journal-fed profiler leaves it on.
 			cpu, err := ex.NewMachine()
 			if err != nil {
 				t.Fatal(err)
 			}
-			cpu.TraceStep = func(machine.StepInfo) {}
 			if _, err := cpu.Run(200_000_000); err != nil {
 				t.Fatal(err)
 			}
@@ -312,8 +263,8 @@ func TestBundleCountersLiveInStats(t *testing.T) {
 		for i, args := range [][]string{
 			nil,
 			{"-cache", "1024"},
-			{"-sampledprof"},
-			{"-sampledprof", "-cache", "1024"},
+			{"-trace", "3"},
+			{"-trace", "3", "-cache", "1024"},
 		} {
 			bdir := filepath.Join(dir, fmt.Sprint("b", i))
 			cmd := exec.Command(bin, append(args, "-bundle", bdir, ppz)...)

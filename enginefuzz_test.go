@@ -6,6 +6,9 @@ import (
 	"testing"
 
 	"repro/internal/codec"
+	"repro/internal/core"
+	"repro/internal/guestprof"
+	"repro/internal/guestprof/guestproftest"
 	"repro/internal/machine"
 	"repro/internal/stats"
 	"repro/internal/synth"
@@ -23,13 +26,16 @@ import (
 // machine counts TraceStep deliveries to prove the slow path actually ran.
 // A third machine runs the fast path with a slot observer (TraceSlots) on
 // its fetch journal: observation must not perturb any architectural
-// result, and the delivered slots must account for the fast-path step
-// count exactly. The hooked and sampled machines also carry a recording
-// TraceFetch, which keeps the sampled machine fused (fed from its fetch
-// journal) while the hooked one delivers from Step: both must see the
-// same (addr, nbytes) sequence.
+// result, and the delivered slots must account for the step count
+// exactly. The same journal feeds a guest profiler, and the hooked
+// machine's TraceStep feeds another: folded stacks, flat and cumulative
+// counts and heat must be equal, which is where a conditional branch to
+// its own fall-through and the bails to Step show up. The hooked and
+// journaled machines also carry a recording TraceFetch, which keeps the
+// journaled machine fused (fed from its fetch journal) while the hooked one
+// delivers from Step: both must see the same (addr, nbytes) sequence.
 // Every machine also carries a Record sink, which leaves the bare and
-// sampled machines fused; all three must export the same execution
+// journaled machines fused; all three must export the same execution
 // counters.
 // Finally each machine — native and every executable codec alike — is
 // Reset and rerun, and must repeat its first run exactly: dirty-page Reset
@@ -59,11 +65,11 @@ func FuzzFastPathDifferential(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		sampN, err := machine.NewForProgram(p)
+		jourN, err := machine.NewForProgram(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		comparePaths(t, "native", fastN, slowN, sampN)
+		comparePaths(t, "native", guestprof.NewProgramSymTab(p), fastN, slowN, jourN)
 
 		for _, cd := range codec.Codecs() {
 			img, err := cd.Compress(p, codec.Options{})
@@ -82,11 +88,17 @@ func FuzzFastPathDifferential(f *testing.F) {
 			if err != nil {
 				t.Fatalf("%s: new machine: %v", cd.Name(), err)
 			}
-			samp, err := ex.NewMachine()
+			jour, err := ex.NewMachine()
 			if err != nil {
 				t.Fatalf("%s: new machine: %v", cd.Name(), err)
 			}
-			comparePaths(t, cd.Name(), fast, slow, samp)
+			sym := guestprof.NewProgramSymTab(p)
+			if di, ok := img.(*core.Image); ok {
+				if sym, err = di.GuestSymTab(); err != nil {
+					t.Fatalf("%s: symbols: %v", cd.Name(), err)
+				}
+			}
+			comparePaths(t, cd.Name(), sym, fast, slow, jour)
 		}
 	})
 }
@@ -99,7 +111,7 @@ type slotSum struct{ steps int64 }
 
 func (s *slotSum) observe(pd *machine.Predecode, slots []uint32, cut int) {
 	for _, i := range slots {
-		s.steps += int64(pd.Slots[i].EntryLen)
+		s.steps += int64(pd.Slots[i&^machine.SlotTaken].EntryLen)
 	}
 	s.steps -= int64(cut)
 }
@@ -112,55 +124,67 @@ func (f *fetchTrace) hook(addr uint32, nbytes int) {
 }
 
 // comparePaths runs fast with only a recorder, slow with a hook attached,
-// and sampled with a slot observer attached, then demands identical
-// errors, status, output, counters, recorded counters and fetch traces —
-// and that the observed slots account for every fast step.
-func comparePaths(t *testing.T, name string, fast, slow, sampled *machine.CPU) {
+// and journaled with a slot observer and a profiler attached, then demands
+// identical errors, status, output, counters, recorded counters, fetch
+// traces and profiles (symbolized through sym) — and that the observed
+// slots account for every step.
+func comparePaths(t *testing.T, name string, sym *guestprof.SymTab, fast, slow, journaled *machine.CPU) {
 	t.Helper()
 	const maxSteps = 50_000_000
 	var hooked int64
-	var slowFetches, sampledFetches fetchTrace
-	fastRec, slowRec, sampledRec := stats.New(), stats.New(), stats.New()
+	var slowFetches, journalFetches fetchTrace
+	fastRec, slowRec, journalRec := stats.New(), stats.New(), stats.New()
 	fast.Record = fastRec
 	slow.Record = slowRec
-	slow.TraceStep = func(machine.StepInfo) { hooked++ }
+	oracle := guestprof.New(sym)
+	slow.TraceStep = func(si machine.StepInfo) {
+		hooked++
+		oracle.Step(si)
+	}
 	slow.TraceFetch = slowFetches.hook
 	obs := &slotSum{}
-	sampled.Record = sampledRec
-	sampled.TraceSlots = obs.observe
-	sampled.TraceFetch = sampledFetches.hook
+	journaled.Record = journalRec
+	journaled.TraceFetch = journalFetches.hook
+	gp := guestprof.New(sym)
+	gp.Attach(journaled)
+	profile := journaled.TraceSlots
+	journaled.TraceSlots = func(pd *machine.Predecode, slots []uint32, cut int) {
+		obs.observe(pd, slots, cut)
+		profile(pd, slots, cut)
+	}
 	fs, ferr := fast.Run(maxSteps)
 	ss, serr := slow.Run(maxSteps)
-	ps, perr := sampled.Run(maxSteps)
+	ps, perr := journaled.Run(maxSteps)
 	firsts := []firstRun{
 		{"fast", fast, fs, ferr, bytes.Clone(fast.Output()), fast.Stats},
 		{"slow", slow, ss, serr, bytes.Clone(slow.Output()), slow.Stats},
-		{"sampled", sampled, ps, perr, bytes.Clone(sampled.Output()), sampled.Stats},
+		{"journaled", journaled, ps, perr, bytes.Clone(journaled.Output()), journaled.Stats},
 	}
 	if (ferr == nil) != (serr == nil) || (ferr != nil && ferr.Error() != serr.Error()) {
 		t.Fatalf("%s: error divergence: fast %v, slow %v", name, ferr, serr)
 	}
 	if (ferr == nil) != (perr == nil) || (ferr != nil && ferr.Error() != perr.Error()) {
-		t.Fatalf("%s: error divergence: fast %v, sampled %v", name, ferr, perr)
+		t.Fatalf("%s: error divergence: fast %v, journaled %v", name, ferr, perr)
 	}
 	if hooked != slow.Stats.Steps {
 		t.Fatalf("%s: TraceStep fired %d times for %d steps", name, hooked, slow.Stats.Steps)
 	}
-	if obs.steps != sampled.Fast.Steps {
-		t.Fatalf("%s: observed slots hold %d steps, fast path executed %d",
-			name, obs.steps, sampled.Fast.Steps)
+	if obs.steps != journaled.Stats.Steps {
+		t.Fatalf("%s: observed slots hold %d steps, the run executed %d",
+			name, obs.steps, journaled.Stats.Steps)
 	}
-	if !slices.Equal(slowFetches, sampledFetches) {
+	guestproftest.Same(t, name, oracle, gp)
+	if !slices.Equal(slowFetches, journalFetches) {
 		t.Fatalf("%s: fetch traces diverged: %d accesses from Step, %d from the journal",
-			name, len(slowFetches), len(sampledFetches))
+			name, len(slowFetches), len(journalFetches))
 	}
 	// Unless the bare run fell back to Step, the fetch hook must leave the
-	// sampled run entirely on the fused loop.
+	// journaled run entirely on the fused loop.
 	bailed := fast.Fast.Bails[machine.BailFaultSlot] + fast.Fast.Bails[machine.BailOffTable] +
 		fast.Fast.Bails[machine.BailFrontendRefused]
-	if bailed == 0 && sampled.Fast.Steps != sampled.Stats.Steps {
-		t.Fatalf("%s: fetch hook knocked the sampled run off the fast path: %d of %d steps (%s)",
-			name, sampled.Fast.Steps, sampled.Stats.Steps, sampled.Fast.BailSummary())
+	if bailed == 0 && journaled.Fast.Steps != journaled.Stats.Steps {
+		t.Fatalf("%s: fetch hook knocked the journaled run off the fast path: %d of %d steps (%s)",
+			name, journaled.Fast.Steps, journaled.Stats.Steps, journaled.Fast.BailSummary())
 	}
 	if ferr != nil {
 		// Matching faults: no architectural result to compare, but the
@@ -172,25 +196,25 @@ func comparePaths(t *testing.T, name string, fast, slow, sampled *machine.CPU) {
 		t.Fatalf("%s: exit status fast %d, slow %d", name, fs, ss)
 	}
 	if ps != fs {
-		t.Fatalf("%s: exit status fast %d, sampled %d", name, fs, ps)
+		t.Fatalf("%s: exit status fast %d, journaled %d", name, fs, ps)
 	}
 	if !bytes.Equal(fast.Output(), slow.Output()) {
 		t.Fatalf("%s: output diverged (%d vs %d bytes)", name, len(fast.Output()), len(slow.Output()))
 	}
-	if !bytes.Equal(fast.Output(), sampled.Output()) {
-		t.Fatalf("%s: sampled output diverged (%d vs %d bytes)", name, len(fast.Output()), len(sampled.Output()))
+	if !bytes.Equal(fast.Output(), journaled.Output()) {
+		t.Fatalf("%s: journaled output diverged (%d vs %d bytes)", name, len(fast.Output()), len(journaled.Output()))
 	}
 	if fast.Stats != slow.Stats {
 		t.Fatalf("%s: stats diverged:\nfast %+v\nslow %+v", name, fast.Stats, slow.Stats)
 	}
-	if fast.Stats != sampled.Stats {
-		t.Fatalf("%s: sampling perturbed stats:\nfast    %+v\nsampled %+v", name, fast.Stats, sampled.Stats)
+	if fast.Stats != journaled.Stats {
+		t.Fatalf("%s: the journal perturbed stats:\nfast      %+v\njournaled %+v", name, fast.Stats, journaled.Stats)
 	}
-	fsnap, ssnap, psnap := fastRec.Snapshot(), slowRec.Snapshot(), sampledRec.Snapshot()
+	fsnap, ssnap, psnap := fastRec.Snapshot(), slowRec.Snapshot(), journalRec.Snapshot()
 	for _, c := range []string{"machine.steps", "machine.expanded", "machine.fetched_bytes", "machine.mem_fetches"} {
 		f, s, p := fsnap.Counter(c), ssnap.Counter(c), psnap.Counter(c)
 		if f != s || f != p {
-			t.Fatalf("%s: recorded %s diverged: fast %d, slow %d, sampled %d", name, c, f, s, p)
+			t.Fatalf("%s: recorded %s diverged: fast %d, slow %d, journaled %d", name, c, f, s, p)
 		}
 	}
 	if fsnap.Counter("machine.steps") != fast.Stats.Steps {

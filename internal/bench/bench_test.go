@@ -47,7 +47,7 @@ func TestAllExperimentsRegistered(t *testing.T) {
 		"fig8", "fig9", "fig11", "table3", "baselines", "icache", "penalty",
 		"ablation-selection", "ablation-alignment",
 		"standardize", "dictplace", "cycles", "profiled", "regalloc", "refill", "shared", "crossover", "scaling",
-		"guestprof", "sizeaudit", "exec", "fastprof"}
+		"guestprof", "sizeaudit", "exec"}
 	for _, id := range want {
 		if _, ok := Find(id); !ok {
 			t.Errorf("experiment %s missing", id)

@@ -24,7 +24,7 @@ type GuestRun struct {
 // ProfilePair is a benchmark's paired native and compressed guest
 // profiles. Because the compressed run symbolizes through the image's
 // address map, both sides attribute cycles to the same function names and
-// diff directly; the exact profiler guarantees each side's total equals
+// diff directly; the profiler guarantees each side's total equals
 // its run's step count (the sides differ only by executed far-branch-stub
 // instructions).
 type ProfilePair struct {
@@ -33,7 +33,8 @@ type ProfilePair struct {
 	Compressed GuestRun
 }
 
-// profiledRun executes a CPU to completion with an exact profiler attached.
+// profiledRun executes a CPU to completion with the guest profiler on its
+// fetch journal, which leaves the run on the fused loop.
 func profiledRun(mk func() (*machineCPU, error), sym *guestprof.SymTab, name string) (GuestRun, error) {
 	cpu, err := mk()
 	if err != nil {

@@ -293,8 +293,9 @@ func (b *Benchmark) Dist(metric string) (Dist, bool) {
 //   - compressed_vs_native_ratio: BenchmarkCompressedExecution's ns/op
 //     over BenchmarkNativeExecution's — the cost of executing compressed.
 //   - sampled_profiling_overhead_ratio: BenchmarkSampledExecution's ns/op
-//     over BenchmarkCompressedExecution's — the cost of always-on
-//     sampled profiling over the bare fast path (CI ceiling 1.10).
+//     over BenchmarkCompressedExecution's — the cost of always-on guest
+//     profiling (the fetch-journal call-tree profiler) over the bare fast
+//     path (CI ceiling 1.10).
 //   - fastpath_coverage: BenchmarkSampledExecution's faststeps/op over its
 //     steps/op — the share of execution the fused loop supplied.
 //

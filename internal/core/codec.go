@@ -93,7 +93,7 @@ func WriteImagePayload(dst io.Writer, img *Image) error {
 // its payload: a scheme byte naming no scheme (or not the frame's method),
 // more stream units than the stream holds, or an empty dictionary entry.
 type HeaderError struct {
-	Field string // "scheme", "units" or "entry length"
+	Field string // "scheme", "units", "entry length" or "mark" (a unit or word offset)
 	Value int64
 	Min   int64 // the smallest value the payload admits
 	Limit int64 // the largest value the payload admits
@@ -105,7 +105,8 @@ func (e *HeaderError) Error() string {
 
 // ReadImagePayload deserializes a dictionary image body written by
 // WriteImagePayload. It fails with a *HeaderError when the header's scheme
-// or unit count contradicts the payload, or a dictionary entry is empty.
+// or unit count contradicts the payload, a dictionary entry is empty, or
+// a mark's offset does not fit an int32.
 func ReadImagePayload(src io.Reader) (*Image, error) {
 	r := wire.NewReader(src)
 	img := &Image{}
@@ -152,8 +153,8 @@ func ReadImagePayload(src io.Reader) (*Image, error) {
 	nmarks := r.Count(int(r.U32()), "mark")
 	for i := 0; i < nmarks && r.Err() == nil; i++ {
 		unit, orig, kind := r.U32(), r.U32(), MarkKind(r.U8())
-		if unit > math.MaxInt32 || orig > math.MaxInt32 {
-			r.Fail(fmt.Errorf("core: mark %d at unit %d, word %d: out of range", i, unit, orig))
+		if v := max(unit, orig); v > math.MaxInt32 {
+			r.Fail(&HeaderError{Field: "mark", Value: int64(v), Limit: math.MaxInt32})
 			break
 		}
 		img.Marks = append(img.Marks, Mark{Unit: int32(unit), Orig: int32(orig), Kind: kind})

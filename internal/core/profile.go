@@ -31,10 +31,10 @@ type RunProfile struct {
 }
 
 // CollectRunProfile assembles a RunProfile after a run completed. heat is
-// the per-rank expansion count of img's dictionary entries, as a guest
-// profiler's Heat method returns it (exact or sampled). img may be nil
-// (no dictionary: no heat map), as may curve (no cache sampler) — the
-// profile simply omits those sections.
+// the per-rank expansion count of img's dictionary entries, as the guest
+// profiler's Heat method returns it. img may be nil (no dictionary: no
+// heat map), as may curve (no cache sampler) — the profile simply omits
+// those sections.
 func CollectRunProfile(img *Image, heat []int64, curve []cache.SamplePoint) RunProfile {
 	p := RunProfile{MissCurve: curve}
 	if img != nil {

@@ -12,8 +12,8 @@ import (
 )
 
 // TestCollectRunProfile compresses and runs a synthetic benchmark with
-// full instrumentation attached (the exact guest profiler supplying the
-// heat map) and checks the profile carries a non-empty heat map, whose
+// full instrumentation attached (the guest profiler supplying the heat
+// map) and checks the profile carries a non-empty heat map, whose
 // Len and Count give the expansion-length distribution, and the cache
 // sampler's miss curve.
 func TestCollectRunProfile(t *testing.T) {

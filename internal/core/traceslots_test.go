@@ -3,12 +3,12 @@ package core
 import (
 	"cmp"
 	"errors"
-	"maps"
 	"slices"
 	"testing"
 
 	"repro/internal/codeword"
 	"repro/internal/guestprof"
+	"repro/internal/guestprof/guestproftest"
 	"repro/internal/machine"
 	"repro/internal/ppc"
 	"repro/internal/program"
@@ -18,12 +18,12 @@ import (
 // TestTraceSlotsCutSites covers every place the fused loop ends an
 // expansion early or hands it to Step — an exit sc, a fault and a taken
 // branch inside a dictionary entry, a budget that lands mid-expansion —
-// plus a run with
-// TraceFetch and TraceSlots both attached, on a native and a nibble
-// machine. The sampled profiler on TraceSlots must account for exactly
-// Fast.Steps, and at full coverage its flat counts and heat must equal the
-// exact Step-path profiler's; with both hooks attached, TraceFetch must
-// still see the Step path's sequence.
+// plus a run that bails to Step for good (self-modified text) and runs
+// with TraceFetch feeding an observed I-cache beside TraceSlots, on a
+// native and a nibble machine. The journal-fed profiler must match the
+// Step-fed one exactly: folded stacks, flat and cumulative counts (cache
+// misses included) and heat; the slots must account for every step; and
+// TraceFetch must still see the Step path's sequence.
 func TestTraceSlotsCutSites(t *testing.T) {
 	p, err := synth.Generate(bench)
 	if err != nil {
@@ -69,61 +69,82 @@ func TestTraceSlotsCutSites(t *testing.T) {
 		build  func(t *testing.T) (*machine.CPU, *guestprof.SymTab)
 		budget int64  // 0: the first step that continues an expansion past the first journal drain
 		end    string // how the run ends: exit, fault or budget ("" for any)
-		fetch  bool   // attach TraceFetch beside TraceSlots
+		fetch  bool   // attach TraceFetch, feeding an observed I-cache, beside TraceSlots
 		cut    bool   // an expansion must end early
+		step   bool   // Step must execute part of the run
 	}{
-		{"native/exit", native(p), whole, "exit", false, false},
-		{"native/fault", native(hostileProgram(t, faultPair...)), whole, "fault", false, false},
-		{"native/budget", native(p), machine.JournalLen + 5, "budget", false, false},
-		{"native/both hooks", native(p), whole, "exit", true, false},
-		{"nibble/exit in entry", nibble(exitPair...), whole, "exit", false, true},
-		{"nibble/fault in entry", nibble(faultPair...), whole, "fault", false, true},
+		{"native/exit", native(p), whole, "exit", false, false, false},
+		{"native/fault", native(hostileProgram(t, faultPair...)), whole, "fault", false, false, false},
+		{"native/budget", native(p), machine.JournalLen + 5, "budget", false, false, false},
+		{"native/both hooks", native(p), whole, "exit", true, false, false},
+		{"native/self-modified text", native(selfModifyingCaller(t)), whole, "exit", true, false, true},
+		{"nibble/exit in entry", nibble(exitPair...), whole, "exit", false, true, false},
+		{"nibble/fault in entry", nibble(faultPair...), whole, "fault", false, true, false},
 		// Returning from the entry's head runs the program off its rails,
 		// so only the budget bounds it.
-		{"nibble/branch in entry", nibble(ppc.Blr()), 200_000, "", false, true},
-		{"nibble/budget mid-expansion", nibble(), 0, "budget", false, true},
-		{"nibble/both hooks", nibble(), whole, "exit", true, false},
+		{"nibble/branch in entry", nibble(ppc.Blr()), 200_000, "", false, true, false},
+		// The fused loop hands the expansion the budget lands in to Step.
+		{"nibble/budget mid-expansion", nibble(), 0, "budget", false, false, true},
+		{"nibble/both hooks", nibble(), whole, "exit", true, false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			ref, sym := tc.build(t)
 			budget, steps := tc.budget, int64(0)
-			gp := guestprof.New(sym)
-			if budget == 0 {
-				ref.TraceStep = func(si machine.StepInfo) {
-					if si.MemBytes == 0 && budget <= machine.JournalLen {
-						budget = steps
+			reference := func(t *testing.T) (*guestprof.Profiler, machine.Stats, fetchLog, error) {
+				ref, sym := tc.build(t)
+				gp := guestprof.New(sym)
+				ref.TraceStep = gp.Step
+				if budget == 0 {
+					ref.TraceStep = func(si machine.StepInfo) {
+						if si.MemBytes == 0 && budget <= machine.JournalLen {
+							budget = steps
+						}
+						steps++
+						gp.Step(si)
 					}
-					steps++
 				}
+				var fetches fetchLog
+				ref.TraceFetch = fetches.hook
+				if tc.fetch {
+					ic := guestproftest.NewCache(t)
+					ref.TraceFetch = func(addr uint32, nbytes int) {
+						fetches.hook(addr, nbytes)
+						ic.Access(addr, nbytes)
+					}
+					gp.ObserveCache(ic)
+				}
+				_, err := ref.Run(cmp.Or(budget, whole))
+				return gp, ref.Stats, fetches, err
 			}
-			gp.Attach(ref)
-			var refFetches, fetches fetchLog
-			ref.TraceFetch = refFetches.hook
-			_, refErr := ref.Run(cmp.Or(budget, whole))
+			ref, refStats, refFetches, refErr := reference(t)
 			if tc.budget == 0 {
 				if budget <= machine.JournalLen {
 					t.Fatal("no expansion continues past the first journal drain")
 				}
 				// Rerun the reference to the budget found.
-				ref, _ = tc.build(t)
-				gp = guestprof.New(sym)
-				gp.Attach(ref)
-				refFetches = nil
-				ref.TraceFetch = refFetches.hook
-				_, refErr = ref.Run(budget)
+				ref, refStats, refFetches, refErr = reference(t)
 			}
 
-			cpu, _ := tc.build(t)
-			sp := guestprof.NewSampled(sym)
-			cuts := 0
+			cpu, sym := tc.build(t)
+			gp := guestprof.New(sym)
+			var fetches fetchLog
+			if tc.fetch {
+				ic := guestproftest.NewCache(t)
+				cpu.TraceFetch = func(addr uint32, nbytes int) {
+					fetches.hook(addr, nbytes)
+					ic.Access(addr, nbytes)
+				}
+				gp.ObserveCache(ic)
+			}
+			gp.Attach(cpu)
+			cuts, stepped, observe := 0, 0, cpu.TraceSlots
 			cpu.TraceSlots = func(pd *machine.Predecode, slots []uint32, cut int) {
 				if cut > 0 {
 					cuts++
 				}
-				sp.ObserveSlots(pd, slots, cut)
-			}
-			if tc.fetch {
-				cpu.TraceFetch = fetches.hook
+				if len(pd.Slots) == 1 {
+					stepped++ // Step's one-slot table
+				}
+				observe(pd, slots, cut)
 			}
 			_, err := cpu.Run(budget)
 			if (err == nil) != (refErr == nil) || (err != nil && err.Error() != refErr.Error()) {
@@ -138,31 +159,62 @@ func TestTraceSlotsCutSites(t *testing.T) {
 			if tc.end != "" && end != tc.end {
 				t.Fatalf("run ended in %s (%v), want %s", end, err, tc.end)
 			}
-			if cpu.Stats != ref.Stats {
-				t.Fatalf("stats %+v, Step path %+v", cpu.Stats, ref.Stats)
+			if cpu.Stats != refStats {
+				t.Fatalf("stats %+v, Step path %+v", cpu.Stats, refStats)
 			}
 			if tc.cut && cuts == 0 {
 				t.Fatal("no expansion ended early")
 			}
-			prof := sp.Profile(bench)
-			if prof.Total.Cycles != cpu.Fast.Steps {
-				t.Fatalf("observed slots account for %d steps, fast path ran %d (%s)",
-					prof.Total.Cycles, cpu.Fast.Steps, cpu.Fast.BailSummary())
+			if tc.step != (stepped > 0) {
+				t.Fatalf("Step delivered %d instructions", stepped)
 			}
-			if cpu.Fast.Steps != cpu.Stats.Steps {
-				t.Fatalf("partial coverage %d of %d steps (%s)", cpu.Fast.Steps, cpu.Stats.Steps, cpu.Fast.BailSummary())
+			prof := gp.Profile(bench)
+			if prof.Total.Cycles != cpu.Stats.Steps {
+				t.Fatalf("observed slots account for %d steps, the run executed %d (%s)",
+					prof.Total.Cycles, cpu.Stats.Steps, cpu.Fast.BailSummary())
 			}
-			if got, want := flatByName(prof), flatByName(gp.Profile(bench)); !maps.Equal(got, want) {
-				t.Fatalf("sampled flat profile %v, exact %v", got, want)
+			bailed := cpu.Fast.Bails[machine.BailSelfModifiedText] > 0
+			if bailed == (cpu.Fast.Steps == cpu.Stats.Steps) {
+				t.Fatalf("coverage %d of %d steps (%s)", cpu.Fast.Steps, cpu.Stats.Steps, cpu.Fast.BailSummary())
 			}
-			if got, want := trimZeros(sp.Heat()), trimZeros(gp.Heat()); !slices.Equal(got, want) {
-				t.Fatalf("sampled heat %v, exact %v", got, want)
+			guestproftest.Same(t, bench, ref, gp)
+			if tc.fetch && prof.Total.CacheMisses == 0 {
+				t.Fatal("no cache misses attributed")
 			}
 			if tc.fetch && !slices.Equal(fetches, refFetches) {
 				t.Fatalf("TraceFetch saw %d accesses beside TraceSlots, Step path %d", len(fetches), len(refFetches))
 			}
 		})
 	}
+}
+
+// selfModifyingCaller stores to its own text before calling a function
+// twice, so the fused loop bails at the store and Step runs the calls.
+func selfModifyingCaller(t *testing.T) *program.Program {
+	t.Helper()
+	b := program.NewBuilder("selfmod")
+	f := b.Func("main")
+	const patchIdx = 5
+	patchAddr := uint32(program.DefaultTextBase + 4*patchIdx)
+	newWord := ppc.Li(3, 42)
+	f.Emit(ppc.Lis(9, int32(int16(patchAddr>>16))))
+	f.Emit(ppc.Ori(9, 9, int32(patchAddr&0xFFFF)))
+	f.Emit(ppc.Lis(10, int32(int16(newWord>>16))))
+	f.Emit(ppc.Ori(10, 10, int32(newWord&0xFFFF)))
+	f.Emit(ppc.Stw(10, 0, 9))
+	f.Emit(ppc.Li(3, 1)) // patched to li r3,42 before it executes
+	f.Call("leaf")
+	f.Call("leaf")
+	f.Emit(ppc.Li(0, machine.SysExit))
+	f.Emit(ppc.Sc())
+	leaf := b.Func("leaf")
+	leaf.Emit(ppc.Addi(3, 3, 1))
+	leaf.Emit(ppc.Blr())
+	p, err := b.Link()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return p
 }
 
 // bench is the program TestTraceSlotsCutSites runs: long enough that a
@@ -216,21 +268,39 @@ func hostileProgram(t *testing.T, emit ...uint32) *program.Program {
 	return p
 }
 
-// flatByName indexes a profile's non-zero flat counts by function name.
-func flatByName(p *guestprof.Profile) map[string]guestprof.Counts {
-	m := map[string]guestprof.Counts{}
-	for _, f := range p.Funcs {
-		if f.Flat != (guestprof.Counts{}) {
-			m[f.Name] = f.Flat
+// TestStepSlotsFallThrough pins what Step's one-slot batches tell a
+// TraceSlots consumer about sequential flow: when an instruction takes no
+// branch, the next delivered slot is at its slot's Next — for an
+// instruction inside an expansion, the codeword's own address, where the
+// expansion continues.
+func TestStepSlotsFallThrough(t *testing.T) {
+	img, _ := compress(t, bench, codeword.Nibble)
+	cpu, err := NewMachine(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	type step struct {
+		addr, next uint32
+		branch     machine.BranchKind
+	}
+	var steps []step
+	cpu.TraceSlots = func(pd *machine.Predecode, slots []uint32, cut int) {
+		if len(slots) != 1 || len(pd.Slots) != 1 || cut != 0 {
+			t.Fatalf("Step delivered %d slots of a %d-slot table, cut %d", len(slots), len(pd.Slots), cut)
+		}
+		steps = append(steps, step{addr: pd.Base, next: pd.Slots[0].Next})
+	}
+	cpu.TraceStep = func(si machine.StepInfo) { steps[len(steps)-1].branch = si.Branch }
+	if _, err := cpu.Run(50_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if int64(len(steps)) != cpu.Stats.Steps || cpu.Stats.Expanded == 0 {
+		t.Fatalf("%d deliveries for %d steps (%d expanded)", len(steps), cpu.Stats.Steps, cpu.Stats.Expanded)
+	}
+	for k := 1; k < len(steps); k++ {
+		if prev := steps[k-1]; prev.branch == machine.BranchNone && steps[k].addr != prev.next {
+			t.Fatalf("step %d at %#x took no branch, but step %d is at %#x, not its slot's Next %#x",
+				k-1, prev.addr, k, steps[k].addr, prev.next)
 		}
 	}
-	return m
-}
-
-// trimZeros drops a heat map's trailing zero ranks.
-func trimZeros(h []int64) []int64 {
-	for len(h) > 0 && h[len(h)-1] == 0 {
-		h = h[:len(h)-1]
-	}
-	return h
 }

@@ -1,12 +1,14 @@
 package guestprof_test
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
 	"repro/internal/codeword"
 	"repro/internal/core"
 	"repro/internal/guestprof"
+	"repro/internal/guestprof/guestproftest"
 	"repro/internal/machine"
 	"repro/internal/ppc"
 	"repro/internal/program"
@@ -284,5 +286,115 @@ func TestConservationAllBenchmarks(t *testing.T) {
 				t.Errorf("compressed run left %d cycles unsymbolized", unknown)
 			}
 		})
+	}
+}
+
+// TestCallToOwnFallThrough pins the one transfer the address of the next
+// delivered slot cannot reveal: a conditional call whose target is its own
+// fall-through. Taken, it opens a frame; not taken, it does not; the
+// journal carries the difference as machine.SlotTaken. The journal-fed
+// profile must equal the Step-fed one, natively and compressed, on the
+// fused loop and on the Step path.
+func TestCallToOwnFallThrough(t *testing.T) {
+	b := program.NewBuilder("selfcall")
+	bcl := func(bo uint8) uint32 { return ppc.Encode(ppc.Inst{Op: ppc.OpBc, BO: bo, BI: ppc.CrEQ, LK: true}) }
+	main := b.Func("main")
+	main.Emit(ppc.Li(3, 0))
+	main.Emit(ppc.Cmpwi(0, 3, 0))
+	main.Branch(bcl(ppc.BoFalse), "untaken") // bnel to its fall-through: not taken
+	main.Label("untaken")
+	main.Branch(bcl(ppc.BoTrue), "taken") // beql to its fall-through: taken
+	main.Label("taken")
+	main.Call("leaf")
+	main.Emit(ppc.Li(0, machine.SysExit))
+	main.Emit(ppc.Sc())
+	leaf := b.Func("leaf")
+	leaf.Emit(ppc.Addi(3, 3, 1))
+	leaf.Emit(ppc.Blr())
+	p, err := b.Link()
+	if err != nil {
+		t.Fatal(err)
+	}
+	img, err := core.Compress(p.Clone(), core.Options{Scheme: codeword.Nibble, MaxEntryLen: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	isym, err := img.GuestSymTab()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name string
+		mk   func() (*machine.CPU, error)
+		sym  *guestprof.SymTab
+	}{
+		{"native", func() (*machine.CPU, error) { return machine.NewForProgram(p) }, guestprof.NewProgramSymTab(p)},
+		{"nibble", func() (*machine.CPU, error) { return core.NewMachine(img) }, isym},
+	} {
+		ref, err := tc.mk()
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracle := guestprof.New(tc.sym)
+		ref.TraceStep = oracle.Step
+		if _, err := ref.Run(1000); err != nil {
+			t.Fatal(err)
+		}
+		var want strings.Builder
+		if err := oracle.WriteFolded(&want); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(want.String(), "main;main;leaf ") {
+			t.Fatalf("%s: the taken call opened no frame:\n%s", tc.name, want.String())
+		}
+		for _, stepped := range []bool{false, true} {
+			cpu, err := tc.mk()
+			if err != nil {
+				t.Fatal(err)
+			}
+			prof := guestprof.New(tc.sym)
+			prof.Attach(cpu)
+			if stepped {
+				cpu.TraceStep = func(machine.StepInfo) {}
+			}
+			if _, err := cpu.Run(1000); err != nil {
+				t.Fatal(err)
+			}
+			guestproftest.Same(t, fmt.Sprintf("%s, stepped=%v", tc.name, stepped), oracle, prof)
+		}
+	}
+}
+
+// TestObserveCacheMisuse: a cache observed in the wrong order, or one no
+// TraceFetch feeds, panics rather than attributing no misses.
+func TestObserveCacheMisuse(t *testing.T) {
+	p := buildCallers(t)
+	sym := guestprof.NewProgramSymTab(p)
+	for _, tc := range []struct {
+		name  string
+		setup func(prof *guestprof.Profiler, cpu *machine.CPU)
+	}{
+		{"observed after Attach", func(prof *guestprof.Profiler, cpu *machine.CPU) {
+			cpu.TraceFetch = func(uint32, int) {}
+			prof.Attach(cpu)
+			prof.ObserveCache(guestproftest.NewCache(t))
+		}},
+		{"no TraceFetch", func(prof *guestprof.Profiler, cpu *machine.CPU) {
+			prof.ObserveCache(guestproftest.NewCache(t))
+			prof.Attach(cpu)
+		}},
+	} {
+		cpu, err := machine.NewForProgram(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: no panic", tc.name)
+				}
+			}()
+			tc.setup(guestprof.New(sym), cpu)
+		}()
 	}
 }

@@ -3,6 +3,7 @@ package guestprof
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -44,26 +45,20 @@ func (p *Profiler) walk(visit func(path []int, c Counts)) {
 	var path []int
 	var dfs func(n *node)
 	dfs = func(n *node) {
-		path = append(path, n.fn)
-		visit(path, n.c)
-		ids := make([]int, 0, len(n.kids))
-		for fn := range n.kids {
-			ids = append(ids, fn)
+		if n != p.root {
+			path = append(path, n.fn)
+			visit(path, n.c)
 		}
-		sort.Ints(ids)
-		for _, fn := range ids {
-			dfs(n.kids[fn])
+		kids := slices.Clone(n.kids)
+		slices.SortFunc(kids, func(a, b *node) int { return a.fn - b.fn })
+		for _, k := range kids {
+			dfs(k)
 		}
-		path = path[:len(path)-1]
+		if n != p.root {
+			path = path[:len(path)-1]
+		}
 	}
-	ids := make([]int, 0, len(p.root.kids))
-	for fn := range p.root.kids {
-		ids = append(ids, fn)
-	}
-	sort.Ints(ids)
-	for _, fn := range ids {
-		dfs(p.root.kids[fn])
-	}
+	dfs(p.root)
 }
 
 // Profile aggregates the call tree into per-function flat and cumulative

@@ -1,7 +1,8 @@
 // Package guestprof is an exact (non-sampling) profiler for the simulated
 // guest machine: it observes every executed instruction through the CPU's
-// TraceStep hook, tracks the guest call stack from link-setting branches
-// and blr returns, and attributes cycles, fetched program-memory bytes,
+// fetch journal (the TraceSlots hook, which leaves Run on the fused loop),
+// tracks the guest call stack from link-setting branches and blr returns,
+// and attributes cycles, fetched program-memory bytes,
 // dictionary-expansion work and I-cache misses to symbolized guest
 // functions — flat and cumulative. Because attribution is exact, the
 // per-function cycle totals sum to the machine's step count, in both

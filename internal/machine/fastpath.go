@@ -1,8 +1,8 @@
 // Fast-path telemetry: bail-reason accounting and the fetch journal for
 // the fused fetch+execute loop. The loop itself (predecode.go) touches none
 // of the observability machinery directly — it appends slot indices to the
-// journal and calls the beginJournal/drainFetches/cutFetches/handedOff/
-// endFast helpers here, which run only at boundaries and exits, so
+// journal and calls the beginJournal/drainFetches/takenFetch/endFast
+// helpers here, which run only at boundaries, exits and rare branches, so
 // per-step cost stays at one integer comparison the loop already paid for
 // the budget check (plus one nil test and a slot-index append while a
 // journal is kept). `make lint-fastpath` enforces that split.
@@ -117,6 +117,13 @@ func (c *CPU) beginJournal() *[]uint32 {
 	return &c.journal
 }
 
+// SlotTaken flags a slot index TraceSlots receives: the fetch's last
+// executed instruction was a taken branch to its own fall-through address
+// (say, a conditional call of its successor), the one transfer the next
+// delivered slot's address cannot reveal. Consumers mask it off before
+// indexing pd.Slots.
+const SlotTaken = 1 << 31
+
 // drainFetches delivers the journaled table fetches and empties the
 // journal. TraceFetch gets them in fetch order, one (byte address,
 // MemBytes) call per entry — exactly the accesses Step reports for the
@@ -130,6 +137,7 @@ func (c *CPU) drainFetches(pd *Predecode, jl *[]uint32, cut int) {
 	}
 	if c.TraceFetch != nil {
 		for _, idx := range *jl {
+			idx &^= SlotTaken
 			c.TraceFetch(UnitByteAddr(pd.Base, idx<<pd.Shift, pd.UnitBits), int(pd.Slots[idx].MemBytes))
 		}
 	}
@@ -139,24 +147,45 @@ func (c *CPU) drainFetches(pd *Predecode, jl *[]uint32, cut int) {
 	*jl = (*jl)[:0]
 }
 
-// cutFetches closes the journal's batch at an expansion a taken branch
-// left with rem instructions unexecuted. Journal drains happen only at
-// fetch boundaries, so the expansion is the batch's last entry. Only
-// TraceSlots needs to know: without it, the fetches stay journaled.
-func (c *CPU) cutFetches(pd *Predecode, jl *[]uint32, rem int) {
-	if c.TraceSlots != nil {
-		c.drainFetches(pd, jl, rem)
+// takenFetch tells TraceSlots about a taken branch the next fetch's
+// address would not show: one that left rem instructions of its
+// expansion unexecuted closes the journal's batch at once, so the cut
+// reaches the slot hook while the expansion is still the batch's last
+// entry (journal drains happen only at fetch boundaries); one that
+// targets its own fall-through flags its fetch with SlotTaken. Without
+// the slot hook, the fetches stay journaled as they are.
+func (c *CPU) takenFetch(pd *Predecode, jl *[]uint32, rem int) {
+	if c.TraceSlots == nil {
+		return
 	}
+	if rem == 0 {
+		(*jl)[len(*jl)-1] |= SlotTaken
+		return
+	}
+	c.drainFetches(pd, jl, rem)
 }
 
-// handedOff tells TraceSlots about the codeword at slot idx, whose
-// expansion would have crossed the budget and so ran on Step: ran of its
-// instructions executed (Step delivered its fetch to TraceFetch). The
-// journal is empty here, so its backing store carries the one-slot batch.
-func (c *CPU) handedOff(pd *Predecode, jl *[]uint32, idx uint32, ran int) {
-	if c.TraceSlots != nil {
-		c.TraceSlots(pd, append(*jl, idx), int(pd.Slots[idx].EntryLen)-ran)
+// stepped delivers the instruction Step just executed, fetched as fi, to
+// TraceSlots as a one-slot batch of Step's own table: the slot carries the
+// fetch's program-memory bytes (0 exactly when it continues an on-chip
+// expansion), the dictionary rank of an expansion it begins (else -1),
+// and as Next the address the next sequential instruction is fetched
+// from — the codeword's own while its expansion continues. With the
+// fused loop's batches, the journal thus covers every step.
+func (c *CPU) stepped(fi *FetchInfo) {
+	s := &c.stepSlot[0]
+	s.MemBytes, s.Rank = uint8(fi.MemBytes+fi.MemBytes2), -1
+	if fi.EntryLen > 0 {
+		s.Rank = int32(fi.EntryRank)
 	}
+	if !fi.NextOK {
+		s.Next = fi.CIA
+	}
+	c.stepIdx[0] = 0
+	if c.branch.Kind != BranchNone && c.branch.Target == s.Next {
+		c.stepIdx[0] = SlotTaken
+	}
+	c.TraceSlots(&c.step, c.stepIdx[:], 0)
 }
 
 // endFast closes one fast-loop segment: delivers the fetches still in the

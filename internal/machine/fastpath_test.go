@@ -12,7 +12,8 @@ import (
 
 // slotRecorder totals what TraceSlots delivers, so tests can check it
 // against the CPU's own counters: each fetch supplies its slot's EntryLen
-// instructions, less the batch's cut on its last one.
+// instructions, less the batch's cut on its last one. Indices are masked
+// of their SlotTaken flag.
 type slotRecorder struct {
 	batches        int
 	steps, fetches int64
@@ -26,9 +27,9 @@ func (r *slotRecorder) observe(pd *Predecode, slots []uint32, cut int) {
 		return
 	}
 	for _, i := range slots {
-		r.steps += int64(pd.Slots[i].EntryLen)
+		r.steps += int64(pd.Slots[i&^SlotTaken].EntryLen)
 	}
-	if cut < 0 || cut >= int(pd.Slots[slots[len(slots)-1]].EntryLen) {
+	if cut < 0 || cut >= int(pd.Slots[slots[len(slots)-1]&^SlotTaken].EntryLen) {
 		r.bad = "cut outside the batch's last expansion"
 	}
 	r.steps -= int64(cut)

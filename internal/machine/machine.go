@@ -62,21 +62,26 @@ type CPU struct {
 	// state (registers, Stats, memory): it sees only its arguments.
 	TraceFetch func(addr uint32, nbytes int)
 
-	// TraceSlots, when non-nil, receives the fused loop's table fetches
-	// from the same journal, as indices into pd.Slots in fetch order. Each
-	// fetch supplied its slot's EntryLen instructions, except the batch's
-	// last, which supplied cut fewer when a taken branch, an exit, a fault
-	// or the budget ended its expansion early; over a Run the batches
-	// account for exactly the Fast.Steps it added. Like TraceFetch it
-	// leaves Run fused and has received everything when Run returns;
-	// slots is reused after the call.
+	// TraceSlots, when non-nil, receives every executed instruction as a
+	// slot of a predecode table, in execution order: the fused loop's
+	// table fetches in batches from the same journal as TraceFetch, and
+	// each instruction Step executes as a one-slot batch of Step's own
+	// table. Each index (masked by SlotTaken, which flags a taken branch to
+	// its own fall-through) supplied its slot's EntryLen instructions,
+	// except the batch's last, which supplied cut fewer when a taken
+	// branch, an exit or a fault ended its expansion early; over a Run the
+	// batches account for exactly the Stats.Steps it added. It is the
+	// guest profiler's hook. Like TraceFetch it leaves Run fused and has
+	// received everything when Run returns; pd and slots are reused after
+	// the call.
 	TraceSlots func(pd *Predecode, slots []uint32, cut int)
 
 	// TraceStep, when non-nil, receives every executed instruction after
 	// its architectural effects: the FetchInfo plus the control transfer
-	// the instruction performed (the guest profiler's hook). It fires once
-	// per Step, even for the instruction that exits the program, so the
-	// number of deliveries equals Stats.Steps.
+	// the instruction performed. It fires once per Step, even for the
+	// instruction that exits the program, so the number of deliveries
+	// equals Stats.Steps. It forces the instrumented Step path; ccrun
+	// -trace and the reference tests use it.
 	TraceStep func(StepInfo)
 
 	// Record, when non-nil, is the CPU's counter sink, not a hook: every
@@ -98,6 +103,7 @@ type CPU struct {
 
 	step     Predecode         // Step's one-slot table over stepSlot
 	stepSlot [1]PredecodedSlot // the instruction Step fetched, resolved
+	stepIdx  [1]uint32         // Step's batch for TraceSlots (stepped)
 	memo     *Memo             // Step's resolutions, allocated on the first Step
 	segs     [2]segment        // runFast's cold state: fused, Step
 	branch   takenBranch       // control transfer of the instruction being executed
@@ -247,8 +253,9 @@ func (c *CPU) Exited() (bool, int32) { return c.exited, c.status }
 // transparently selects the instrumented Step path, so the per-step hook
 // sees every instruction. TraceFetch and TraceSlots ride the fast loop
 // through its fetch journal: TraceFetch receives the same (addr, nbytes)
-// sequence as on the Step path, batched, and both have received all of it
-// when Run returns. Record is a sink, not a hook: one deferred export adds
+// sequence as on the Step path, batched, TraceSlots every instruction
+// either path executed, and both have received all of it when Run
+// returns. Record is a sink, not a hook: one deferred export adds
 // the Run's counter deltas to it on either path. Every Run classifies how
 // the fast path ended — or why it never started — in Fast.Bails.
 func (c *CPU) Run(maxSteps int64) (status int32, err error) {
@@ -345,6 +352,9 @@ func (c *CPU) Step() error {
 	}
 	s.Word, s.Next, c.step.Base = fi.Word, fi.Next, fi.CIA
 	_, _, err = c.runFast(nil, &c.step, 0)
+	if c.TraceSlots != nil {
+		c.stepped(&fi)
+	}
 	if c.TraceStep != nil {
 		c.TraceStep(StepInfo{FetchInfo: fi, Branch: c.branch.Kind, Target: c.branch.Target})
 	}

@@ -156,9 +156,9 @@ func (pd *Predecode) word(s *PredecodedSlot, k int) uint32 {
 // table fetch appends its slot index to the journal jl — the loop's only
 // per-fetch telemetry work — and stepLimit also stops at the journal's
 // free room (one step journals at most one fetch), where drainFetches
-// hands it out in order. A taken branch that ends an expansion early
-// drains at once (cutFetches), so the slot hook learns what the
-// expansion skipped while it is still the journal's last entry. Every exit goes
+// hands it out in order. A taken branch that ends an expansion early, or
+// that targets its own fall-through, tells the slot hook at once
+// (takenFetch), while its fetch is still the journal's last entry. Every exit goes
 // through endFast, which delivers the journal's remainder and classifies
 // the bail. The loop body itself never touches a sink — lint-fastpath
 // keeps it that way.
@@ -607,8 +607,8 @@ func (c *CPU) runFast(fe PredecodedFrontend, pd *Predecode, maxSteps int64) (int
 		// frontend, which redirects fetch or reports the fault.
 		c.Stats.TakenBranches++
 		c.branch = takenBranch{Kind: bk, Target: target}
-		if rem > 0 && sg.jl != nil {
-			c.cutFetches(pd, sg.jl, rem)
+		if sg.jl != nil && (rem > 0 || target == s.Next) {
+			c.takenFetch(pd, sg.jl, rem)
 		}
 		if t := target - sg.base; t >= sg.limit || t>>sg.shift<<sg.shift != t {
 			if err = c.fe.SetPC(target); err != nil {
@@ -622,18 +622,14 @@ func (c *CPU) runFast(fe PredecodedFrontend, pd *Predecode, maxSteps int64) (int
 		// The codeword's expansion would cross the budget. Step runs it
 		// from the codeword, so the frontend's queue, not this loop, holds
 		// what the budget leaves of it for the next Run. Its steps stay in
-		// this segment; Step delivers its fetch to the fetch hook, and
-		// handedOff tells the slot hook how much of the expansion ran.
+		// this segment; Step delivers each of them to the journal's hooks.
 		if sg.jl != nil {
 			c.drainFetches(pd, sg.jl, 0)
 		}
 		sg.fe.SetRawPC(sg.base + idx<<sg.shift)
 		c.branch = takenBranch{}
-		for rem = 0; c.Stats.Steps < sg.maxSteps && err == nil && !c.exited && c.branch.Kind == BranchNone; rem++ {
+		for c.Stats.Steps < sg.maxSteps && err == nil && !c.exited && c.branch.Kind == BranchNone {
 			err = c.Step()
-		}
-		if sg.jl != nil {
-			c.handedOff(pd, sg.jl, idx, rem)
 		}
 		if err != nil {
 			c.endFast(pd, sg, BailExecFault, 0)

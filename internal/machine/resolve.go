@@ -164,6 +164,24 @@ func Resolve(i ppc.Inst, target uint32, linkOK bool) Resolved {
 		Rc: i.Rc, LK: i.LK, Imm: imm}
 }
 
+// Transfer is the control transfer r performs when it branches: a call
+// for a branch that sets LR, a return for bclr without it, a jump for any
+// other branch, and BranchNone for an instruction that cannot branch (the
+// faulting branch kinds included) — what TraceStep reports as the Branch
+// of a taken r.
+func (r *Resolved) Transfer() BranchKind {
+	switch r.Kind {
+	case kB, kBc, kBcctr:
+		return linkKind(r.LK)
+	case kBclr:
+		if r.LK {
+			return BranchCall
+		}
+		return BranchReturn
+	}
+	return BranchNone
+}
+
 // opDesc is how one decoded operation resolves: its kind, the kind of
 // its rA = 0 form (kIllegal when rA is a plain register), the shift of
 // its immediate, and what else it needs.

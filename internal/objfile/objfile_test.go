@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"math"
 	"reflect"
 	"runtime"
 	"testing"
@@ -275,7 +276,9 @@ func TestImageFrameValidation(t *testing.T) {
 // unknown scheme or more units than its stream holds fails to open with a
 // *core.HeaderError — before a machine could size its predecoded slots
 // from the claim — in both frame versions, and opening it allocates
-// nothing near the claimed size.
+// nothing near the claimed size. So does an image whose size-audit mark
+// lies beyond any int32 offset, and one whose method byte contradicts its
+// scheme.
 func TestImageHeaderRejected(t *testing.T) {
 	p, err := synth.Generate("compress")
 	if err != nil {
@@ -324,6 +327,21 @@ func TestImageHeaderRejected(t *testing.T) {
 		}
 	}
 
+	// A mark at a unit offset no int32 holds.
+	marks := img.Marks
+	img.Marks = append([]core.Mark{{Unit: -1}}, marks...)
+	var mv bytes.Buffer
+	err = WriteImage(&mv, img)
+	img.Marks = marks
+	if err != nil {
+		t.Fatal(err)
+	}
+	opened, err := OpenImage(bytes.NewReader(mv.Bytes()))
+	var he *core.HeaderError
+	if !errors.As(err, &he) || he.Field != "mark" || he.Value != math.MaxUint32 || he.Limit != math.MaxInt32 {
+		t.Fatalf("mark out of range: OpenImage = %T, %v; want a *core.HeaderError on mark", opened, err)
+	}
+
 	// A v2 frame whose method byte names another dictionary codec than
 	// the body's scheme byte: the codec the method selects refuses it.
 	bad := append([]byte(nil), v2.Bytes()...)
@@ -331,8 +349,7 @@ func TestImageHeaderRejected(t *testing.T) {
 		t.Fatalf("v2 frame byte 6 = %d, want the nibble method byte", bad[6])
 	}
 	bad[6] = byte(codec.OneByte)
-	opened, err := OpenImage(bytes.NewReader(bad))
-	var he *core.HeaderError
+	opened, err = OpenImage(bytes.NewReader(bad))
 	if !errors.As(err, &he) || he.Field != "scheme" || he.Value != int64(codeword.Nibble) ||
 		he.Min != int64(codeword.OneByte) || he.Limit != int64(codeword.OneByte) {
 		t.Fatalf("method/scheme mismatch: OpenImage = %T, %v; want a *core.HeaderError on scheme admitting only onebyte", opened, err)
