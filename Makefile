@@ -39,13 +39,15 @@ diff:
 
 # Short coverage-guided fuzz of the two differential oracles — the fused
 # fast path (with its Reset rerun) against the Step path, and the indexed
-# dictionary builder against the reference builder — and of OpenImage on
+# dictionary builder against the reference builder — of OpenImage on
 # hostile frames, whose images must open or fail and then run on both
-# paths without a panic. 20 s each.
+# paths without a panic, and of ReadProgram/ReadDictionary, whose accepted
+# files must round-trip byte for byte. 20 s each.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzFastPathDifferential$$' -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildDifferential$$' -fuzztime 20s ./internal/dictionary
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenImage$$' -fuzztime 20s ./internal/objfile
+	$(GO) test -run '^$$' -fuzz '^FuzzReadProgram$$' -fuzztime 20s ./internal/objfile
 
 # The benchmark's own tests: cmd/ccbench is a nested module (it replaces
 # repro with the checkout), so `go test ./...` at the root never reaches
@@ -122,7 +124,7 @@ bench:
 # fuel for 95% confidence intervals and the -significant gate.
 BENCH_SAMPLES ?= 5
 bench-json:
-	$(GO) test -run '^$$' -bench '^BenchmarkDictionaryBuild$$|^BenchmarkSharedDictionary$$|^BenchmarkCompressSweep$$|^BenchmarkNativeExecution$$|^BenchmarkCompressedExecution$$|^BenchmarkSampledExecution$$|^BenchmarkHookedExecution$$|^BenchmarkICacheExecution$$|^BenchmarkReset$$' -count=$(BENCH_SAMPLES) -benchmem . \
+	$(GO) test -run '^$$' -bench '^BenchmarkDictionaryBuild$$|^BenchmarkSharedDictionary$$|^BenchmarkCompressSweep$$|^BenchmarkNativeExecution$$|^BenchmarkCompressedExecution$$|^BenchmarkSampledExecution$$|^BenchmarkHookedExecution$$|^BenchmarkICacheExecution$$|^BenchmarkReset$$|^BenchmarkOpenImage$$' -count=$(BENCH_SAMPLES) -benchmem . \
 		| $(GO) run ./cmd/benchjson > BENCH_dictionary.json
 	@echo wrote BENCH_dictionary.json
 

@@ -7,6 +7,7 @@ package codedensity
 // reflect real work.
 
 import (
+	"bytes"
 	"sync"
 	"testing"
 	"time"
@@ -256,6 +257,30 @@ func BenchmarkVerify(b *testing.B) {
 		if err := core.Verify(p, img); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// BenchmarkOpenImage is the objfile read layer: opening gcc's nibble
+// frame from memory, the open half of a cold start.
+func BenchmarkOpenImage(b *testing.B) {
+	p := benchProgram(b, "gcc")
+	img, err := core.Compress(p.Clone(), Options{Scheme: Nibble})
+	if err != nil {
+		b.Fatal(err)
+	}
+	var frame bytes.Buffer
+	if err := WriteImage(&frame, img); err != nil {
+		b.Fatal(err)
+	}
+	b.SetBytes(int64(frame.Len()))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		got, err := ReadImage(bytes.NewReader(frame.Bytes()))
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = got
 	}
 }
 

@@ -28,9 +28,8 @@ import (
 
 // Method is the stable one-byte codec id recorded in serialized image
 // frames. Values are wire format: never renumber them. The dictionary
-// schemes must keep their codeword.Scheme numeric values so version-1
-// image files (whose header stored the raw scheme byte) keep their
-// meaning.
+// schemes keep their codeword.Scheme numeric values, the scheme byte
+// their payloads store.
 type Method uint8
 
 // Registered method bytes.
@@ -129,9 +128,10 @@ type Codec interface {
 	Compress(p *program.Program, opt Options) (Image, error)
 
 	// Open deserializes an image payload previously written by WriteImage.
-	// The stream excludes the container magic and frame header — the
-	// objfile layer dispatches here after reading the method byte.
-	Open(r io.Reader) (Image, error)
+	// The payload excludes the container magic and frame header — the
+	// objfile layer dispatches here after reading the method byte — and
+	// must hold exactly one image. The image may keep subslices of it.
+	Open(payload []byte) (Image, error)
 
 	// WriteImage serializes an image payload. The image must have been
 	// produced by this codec.

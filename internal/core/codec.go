@@ -15,9 +15,9 @@ import (
 )
 
 // The four dictionary schemes register themselves as codecs; their method
-// bytes equal the raw codeword.Scheme values, which is what version-1
-// image files stored, so old files keep their meaning under the new
-// self-describing framing.
+// bytes equal the raw codeword.Scheme values, the byte the payload itself
+// stores, so a frame's method and its payload's scheme can be checked
+// against each other.
 func init() {
 	codec.Register(schemeCodec{codeword.Baseline}, "2byte")
 	codec.Register(schemeCodec{codeword.OneByte}, "1byte")
@@ -35,8 +35,7 @@ func (img *Image) NewMachine() (*machine.CPU, error) { return NewMachine(img) }
 
 // WriteImagePayload serializes a dictionary image body: everything the
 // PPCZ container stores after its frame header, including the
-// verification marks (sideband metadata). The layout is the version-1
-// PPCZ body, unchanged, so both container versions share one coder.
+// verification marks (sideband metadata).
 func WriteImagePayload(dst io.Writer, img *Image) error {
 	w := wire.NewWriter(dst)
 	w.Str(img.Name)
@@ -91,9 +90,10 @@ func WriteImagePayload(dst io.Writer, img *Image) error {
 
 // HeaderError reports a dictionary image header field out of range for
 // its payload: a scheme byte naming no scheme (or not the frame's method),
-// more stream units than the stream holds, or an empty dictionary entry.
+// more stream units than the stream holds, an entry point outside the
+// stream's units, or an empty dictionary entry.
 type HeaderError struct {
-	Field string // "scheme", "units", "entry length" or "mark" (a unit or word offset)
+	Field string // "scheme", "units", "entry unit", "entry length" or "mark" (a unit or word offset)
 	Value int64
 	Min   int64 // the smallest value the payload admits
 	Limit int64 // the largest value the payload admits
@@ -104,11 +104,12 @@ func (e *HeaderError) Error() string {
 }
 
 // ReadImagePayload deserializes a dictionary image body written by
-// WriteImagePayload. It fails with a *HeaderError when the header's scheme
-// or unit count contradicts the payload, a dictionary entry is empty, or
-// a mark's offset does not fit an int32.
-func ReadImagePayload(src io.Reader) (*Image, error) {
-	r := wire.NewReader(src)
+// WriteImagePayload. It fails with a *HeaderError when the header's scheme,
+// unit count or entry unit contradicts the payload, a dictionary entry is
+// empty, or a mark's offset does not fit an int32. Stream and Data are
+// subslices of b.
+func ReadImagePayload(b []byte) (*Image, error) {
+	r := wire.NewReader(b)
 	img := &Image{}
 	img.Name = r.Str()
 	img.Scheme = codeword.Scheme(r.U8())
@@ -125,6 +126,9 @@ func ReadImagePayload(src io.Reader) (*Image, error) {
 	}
 	img.Base = r.U32()
 	img.EntryUnit = r.U32()
+	if u, base := int64(img.EntryUnit), int64(img.Base); r.Err() == nil && (u < base || u >= base+int64(img.Units)) {
+		r.Fail(&HeaderError{Field: "entry unit", Value: u, Min: base, Limit: base + int64(img.Units) - 1})
+	}
 	nent := r.Count(int(r.U32()), "entry")
 	for i := 0; i < nent && r.Err() == nil; i++ {
 		k := int(r.U8())
@@ -175,7 +179,7 @@ func ReadImagePayload(src io.Reader) (*Image, error) {
 		name := r.Str()
 		img.OrigSymbols = append(img.OrigSymbols, program.Symbol{Name: name, Word: int(r.U32())})
 	}
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, err
 	}
 	return img, nil
@@ -216,10 +220,10 @@ func (c schemeCodec) Compress(p *program.Program, opt codec.Options) (codec.Imag
 }
 
 // Open deserializes an image payload and checks it belongs to this codec:
-// a body whose scheme byte disagrees with the v2 frame's method byte fails
+// a body whose scheme byte disagrees with the frame's method byte fails
 // with a *HeaderError on "scheme" that admits only this codec's scheme.
-func (c schemeCodec) Open(r io.Reader) (codec.Image, error) {
-	img, err := ReadImagePayload(r)
+func (c schemeCodec) Open(payload []byte) (codec.Image, error) {
+	img, err := ReadImagePayload(payload)
 	if err != nil {
 		return nil, err
 	}

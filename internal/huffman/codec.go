@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/machine"
@@ -30,15 +31,22 @@ func (img *CCRPImage) NewMachine() (*machine.CPU, error) {
 	if err != nil {
 		return nil, err
 	}
-	off := img.Entry - img.TextBase
-	if off%4 != 0 || off >= uint32(4*len(text)) {
+	if !entryInText(img.Entry, img.TextBase, len(text)) {
 		return nil, fmt.Errorf("huffman: entry %#x misaligned or outside text [%#x,%#x)",
 			img.Entry, img.TextBase, img.TextBase+uint32(4*len(text)))
 	}
 	return machine.NewForProgram(&program.Program{
 		Name: img.Name, Text: text, TextBase: img.TextBase,
-		Data: img.Data, DataBase: img.DataBase, Entry: int(off / 4),
+		Data: img.Data, DataBase: img.DataBase, Entry: int((img.Entry - img.TextBase) / 4),
 	})
+}
+
+// entryInText reports whether entry addresses one of the words words of
+// text at textBase. It is the one entry rule: ReadCCRPImagePayload applies
+// it to what it opens, NewMachine to images built in-process.
+func entryInText(entry, textBase uint32, words int) bool {
+	off := int64(entry) - int64(textBase)
+	return off >= 0 && off%4 == 0 && off < 4*int64(words)
 }
 
 // WriteCCRPImagePayload serializes a CCRP image body (the bytes after the
@@ -68,37 +76,58 @@ func WriteCCRPImagePayload(dst io.Writer, img *CCRPImage) error {
 }
 
 // LineError reports a CCRP line that does not hold the text it covers: a
-// raw line shorter than its extent, or a compressed line that does not
-// decode to it (Err is the decoder's cause).
+// raw line shorter than its extent, a compressed line too short to hold it
+// at the one bit per byte every code takes at least, or a compressed line
+// that does not decode to it (Err is the decoder's cause).
 type LineError struct {
 	Line   int
 	Len    int   // stored bytes
 	Extent int   // text bytes the line covers
-	Err    error // decode failure; nil for a short raw line
+	Err    error // decode failure; nil for a line too short for its extent
 }
 
 func (e *LineError) Error() string {
 	if e.Err != nil {
 		return fmt.Sprintf("huffman: line %d (%d bytes) does not decode to %d: %v", e.Line, e.Len, e.Extent, e.Err)
 	}
-	return fmt.Sprintf("huffman: raw line %d holds %d bytes, covers %d", e.Line, e.Len, e.Extent)
+	return fmt.Sprintf("huffman: line %d holds %d bytes, too few for the %d it covers", e.Line, e.Len, e.Extent)
 }
 
 func (e *LineError) Unwrap() error { return e.Err }
 
 // ReadCCRPImagePayload deserializes a CCRP image body. It fails with a
-// *LineError when a raw line is shorter than the text it covers.
-func ReadCCRPImagePayload(src io.Reader) (*CCRPImage, error) {
-	r := wire.NewReader(src)
+// *wire.FormatError on a line size that is not a positive multiple of 4, a
+// code-length table NewCodeFromLens refuses, an entry point that is
+// misaligned or outside the text, or a line count that does not cover the
+// text, and with a *LineError when a line is too short for the text it
+// covers. Lines and Data are subslices of b.
+func ReadCCRPImagePayload(b []byte) (*CCRPImage, error) {
+	r := wire.NewReader(b)
 	img := &CCRPImage{}
 	img.Name = r.Str()
 	img.LineSize = int(r.U32())
+	if r.Err() == nil && (img.LineSize <= 0 || img.LineSize%4 != 0) {
+		r.Reject("line size", int64(img.LineSize))
+	}
 	img.TextBase = r.U32()
 	img.NumWords = int(r.U32())
 	img.Entry = r.U32()
+	if r.Err() == nil && !entryInText(img.Entry, img.TextBase, img.NumWords) {
+		r.Reject("entry", int64(img.Entry))
+	}
 	var lens [256]uint8
 	copy(lens[:], r.Bytes(256))
+	if r.Err() == nil {
+		code, err := NewCodeFromLens(lens)
+		if err != nil {
+			r.Reject("code length", int64(slices.Max(lens[:])))
+		}
+		img.Code = code
+	}
 	nlines := r.Count(int(r.U32()), "line")
+	if want := (img.NumWords*4 + img.LineSize - 1) / max(img.LineSize, 1); r.Err() == nil && nlines != want {
+		r.Reject("line count", int64(nlines))
+	}
 	for i := 0; i < nlines && r.Err() == nil; i++ {
 		img.Raw = append(img.Raw, r.U8() != 0)
 		img.Lines = append(img.Lines, r.Blob())
@@ -107,25 +136,14 @@ func ReadCCRPImagePayload(src io.Reader) (*CCRPImage, error) {
 	img.DataBase = r.U32()
 	img.OriginalBytes = int(r.U32())
 	img.LATBytesPer = math.Float64frombits(r.U64())
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, err
 	}
-	if img.LineSize <= 0 || img.LineSize%4 != 0 {
-		return nil, fmt.Errorf("huffman: bad line size %d in image", img.LineSize)
-	}
-	if want := (img.NumWords*4 + img.LineSize - 1) / img.LineSize; len(img.Lines) != want {
-		return nil, fmt.Errorf("huffman: image holds %d lines for %d words, want %d", len(img.Lines), img.NumWords, want)
-	}
 	for ln, l := range img.Lines {
-		if ext := img.extent(ln); img.Raw[ln] && len(l) < ext {
+		if ext := img.extent(ln); img.Raw[ln] && len(l) < ext || 8*len(l) < ext {
 			return nil, &LineError{Line: ln, Len: len(l), Extent: ext}
 		}
 	}
-	code, err := NewCodeFromLens(lens)
-	if err != nil {
-		return nil, err
-	}
-	img.Code = code
 	return img, nil
 }
 
@@ -149,7 +167,7 @@ func (ccrpCodec) Compress(p *program.Program, opt codec.Options) (codec.Image, e
 }
 
 // Open deserializes a CCRP image payload.
-func (ccrpCodec) Open(r io.Reader) (codec.Image, error) { return ReadCCRPImagePayload(r) }
+func (ccrpCodec) Open(payload []byte) (codec.Image, error) { return ReadCCRPImagePayload(payload) }
 
 // WriteImage serializes a CCRP image payload.
 func (ccrpCodec) WriteImage(w io.Writer, img codec.Image) error {

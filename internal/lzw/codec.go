@@ -47,14 +47,20 @@ func WriteImagePayload(dst io.Writer, img *Image) error {
 	return w.Err()
 }
 
-// ReadImagePayload deserializes an LZW image body.
-func ReadImagePayload(src io.Reader) (*Image, error) {
-	r := wire.NewReader(src)
+// ReadImagePayload deserializes an LZW image body. A blob longer than
+// MaxCompressedBytes of the original size fails with a *wire.FormatError.
+// Blob is a subslice of b.
+func ReadImagePayload(b []byte) (*Image, error) {
+	r := wire.NewReader(b)
 	img := &Image{}
 	img.Name = r.Str()
 	img.OriginalBytes = int(r.U32())
-	img.Blob = r.Blob()
-	if err := r.Err(); err != nil {
+	n := int(r.U32())
+	if r.Err() == nil && n > (lzwCodec{}).MaxCompressedBytes(img.OriginalBytes) {
+		r.Reject("blob length", int64(n))
+	}
+	img.Blob = r.Bytes(n)
+	if err := r.End(); err != nil {
 		return nil, err
 	}
 	return img, nil
@@ -77,7 +83,7 @@ func (lzwCodec) Compress(p *program.Program, opt codec.Options) (codec.Image, er
 }
 
 // Open deserializes an LZW image payload.
-func (lzwCodec) Open(r io.Reader) (codec.Image, error) { return ReadImagePayload(r) }
+func (lzwCodec) Open(payload []byte) (codec.Image, error) { return ReadImagePayload(payload) }
 
 // WriteImage serializes an LZW image payload.
 func (lzwCodec) WriteImage(w io.Writer, img codec.Image) error {

@@ -11,7 +11,7 @@ type FaultKind uint8
 // Fault kinds.
 const (
 	FaultIllegalInstruction       FaultKind = iota // the word decodes to no instruction of the subset
-	FaultBadAddress                                // a fetch, load, store or string read outside mapped memory or the text stream
+	FaultBadAddress                                // a fetch, load, store or string read outside mapped memory or the text stream, or a region mapped over another
 	FaultJumpOutsideText                           // a branch target outside the frontend's text
 	FaultAbsoluteBranch                            // b or bc with AA set
 	FaultUnaddressableLink                         // a link branch whose successor has no address (inside a dictionary entry)
@@ -49,8 +49,9 @@ var faultCounterNames = func() (a [numFaultKinds]string) {
 	return
 }()
 
-// Fault is the error of every abnormal stop: callers match it with
-// errors.As instead of parsing text.
+// Fault is the error of every abnormal stop, and of a machine whose
+// memory regions cannot be mapped: callers match it with errors.As
+// instead of parsing text.
 type Fault struct {
 	Kind FaultKind
 

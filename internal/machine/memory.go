@@ -45,16 +45,17 @@ type region struct {
 // NewMemory returns an empty memory.
 func NewMemory() *Memory { return &Memory{} }
 
-// Map adds a region. Regions must not overlap.
+// Map adds a region. Regions must not overlap: a region that overlaps
+// another or wraps the address space is a FaultBadAddress at its base.
 func (m *Memory) Map(name string, base uint32, data []byte) error {
 	end := uint64(base) + uint64(len(data))
 	if end > 1<<32 {
-		return fmt.Errorf("machine: region %s wraps the address space", name)
+		return Faultf(FaultBadAddress, 0, base, "machine: region %s wraps the address space", name)
 	}
 	for _, r := range m.regions {
 		rEnd := uint64(r.base) + uint64(len(r.data))
 		if uint64(base) < rEnd && end > uint64(r.base) {
-			return fmt.Errorf("machine: region %s overlaps %s", name, r.name)
+			return Faultf(FaultBadAddress, 0, base, "machine: region %s overlaps %s", name, r.name)
 		}
 	}
 	pages := (len(data) + 1<<pageShift - 1) >> pageShift

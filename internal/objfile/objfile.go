@@ -1,22 +1,24 @@
-// Package objfile serializes linked programs (PPX1) and compressed images
-// (PPCZ) to byte streams, giving the command-line tools a stable on-disk
-// interchange format. Everything is big-endian via the wire primitives.
+// Package objfile serializes linked programs (PPX1), standalone
+// dictionaries (PPDX) and compressed images (PPCZ) to byte streams, giving
+// the command-line tools a stable on-disk interchange format. Everything is
+// big-endian via the wire primitives. A reader takes a whole file, at most
+// wire.MaxCount bytes, into memory and decodes it from that one slice; a
+// file with bytes after its last field is rejected.
 //
-// The PPCZ container is versioned and self-describing. Version 2 frames
-// are
+// The PPCZ container is versioned and self-describing. Its frames are
 //
 //	"PPCZ" 0xFF version=2 method payload...
 //
 // where method is the codec registry's stable frame byte and the payload
 // is that codec's image serialization, so any tool can open any image
-// without being told its encoding. Version 1 files (dictionary images
-// only) carried the body directly after the magic with the scheme byte
-// inside the body; they are detected by their first post-magic byte — a
-// name-length high byte, always below the 0xFF sentinel — and still load.
+// without being told its encoding.
 package objfile
 
 import (
 	"bufio"
+	"bytes"
+	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -41,15 +43,65 @@ const (
 	// ImageVersion is the current container version.
 	ImageVersion = 2
 
-	// frameSentinel introduces a versioned frame header. Version-1 files
-	// cannot produce it there: the byte after the magic is the high byte of
-	// a uint16 name length bounded by wire.MaxStr (1<<12).
+	// frameSentinel introduces the frame header.
 	frameSentinel = 0xFF
+
+	// headerLen is the frame's length before the codec payload: magic,
+	// sentinel, version and method.
+	headerLen = 7
 )
 
-// WriteProgram serializes a linked program.
+// readFile reads a whole file into memory and checks its magic. A file
+// longer than wire.MaxCount, or not starting with magic, fails with a
+// *wire.FormatError.
+func readFile(src io.Reader, magic [4]byte) (*wire.Reader, error) {
+	// Sized up front when src can tell its length, as a bytes.Reader can:
+	// growing to fit allocates several times the file on the way, and an
+	// oversized file is refused unread.
+	var buf bytes.Buffer
+	if s, ok := src.(interface{ Len() int }); ok {
+		n := s.Len()
+		if n > wire.MaxCount {
+			return nil, &wire.FormatError{Field: "file length", Value: int64(n)}
+		}
+		buf.Grow(n + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(io.LimitReader(src, wire.MaxCount+1)); err != nil {
+		return nil, err
+	}
+	r := wire.NewReader(buf.Bytes())
+	if buf.Len() > wire.MaxCount {
+		r.Reject("file length", int64(buf.Len()))
+	}
+	if m := r.U32(); r.Err() == nil && m != binary.BigEndian.Uint32(magic[:]) {
+		r.Reject("magic", int64(m))
+	}
+	return r, r.Err()
+}
+
+// fileWriter buffers a file's writes to dst and refuses, with a
+// *wire.FormatError, to write more than wire.MaxCount bytes, the most
+// readFile accepts.
+func fileWriter(dst io.Writer) *bufio.Writer { return bufio.NewWriter(&capWriter{w: dst}) }
+
+type capWriter struct {
+	w io.Writer
+	n int // bytes written so far
+}
+
+func (c *capWriter) Write(b []byte) (int, error) {
+	if c.n+len(b) > wire.MaxCount {
+		return 0, &wire.FormatError{Field: "file length", Offset: c.n, Value: int64(c.n + len(b))}
+	}
+	n, err := c.w.Write(b)
+	c.n += n
+	return n, err
+}
+
+// WriteProgram serializes a linked program. A program whose file would be
+// longer than wire.MaxCount is refused.
 func WriteProgram(dst io.Writer, p *program.Program) error {
-	bw := bufio.NewWriter(dst)
+	bw := fileWriter(dst)
 	w := wire.NewWriter(bw)
 	w.Bytes(magicProgram[:])
 	w.Str(p.Name)
@@ -83,15 +135,12 @@ func writeRanges(w *wire.Writer, rs []program.Range) {
 	}
 }
 
-// ReadProgram deserializes and validates a program.
+// ReadProgram deserializes and validates a program. Data is a subslice of
+// the file's bytes.
 func ReadProgram(src io.Reader) (*program.Program, error) {
-	r := wire.NewReader(bufio.NewReader(src))
-	magic := r.Bytes(4)
-	if err := r.Err(); err != nil {
+	r, err := readFile(src, magicProgram)
+	if err != nil {
 		return nil, err
-	}
-	if string(magic) != string(magicProgram[:]) {
-		return nil, fmt.Errorf("objfile: bad program magic %q", magic)
 	}
 	p := &program.Program{}
 	p.Name = r.Str()
@@ -111,7 +160,7 @@ func ReadProgram(src io.Reader) (*program.Program, error) {
 	}
 	p.Prologue = readRanges(r)
 	p.Epilogue = readRanges(r)
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, err
 	}
 	if err := p.Validate(); err != nil {
@@ -129,9 +178,10 @@ func readRanges(r *wire.Reader) []program.Range {
 	return out
 }
 
-// WriteDictionary serializes a standalone (shared/ROM) dictionary.
+// WriteDictionary serializes a standalone (shared/ROM) dictionary. A
+// dictionary whose file would be longer than wire.MaxCount is refused.
 func WriteDictionary(dst io.Writer, entries []dictionary.Entry) error {
-	bw := bufio.NewWriter(dst)
+	bw := fileWriter(dst)
 	w := wire.NewWriter(bw)
 	w.Bytes(magicDict[:])
 	w.U32(uint32(len(entries)))
@@ -153,19 +203,12 @@ func WriteDictionary(dst io.Writer, entries []dictionary.Entry) error {
 
 // ReadDictionary deserializes a standalone dictionary.
 func ReadDictionary(src io.Reader) ([]dictionary.Entry, error) {
-	r := wire.NewReader(bufio.NewReader(src))
-	magic := r.Bytes(4)
-	if err := r.Err(); err != nil {
+	r, err := readFile(src, magicDict)
+	if err != nil {
 		return nil, err
-	}
-	if string(magic) != string(magicDict[:]) {
-		return nil, fmt.Errorf("objfile: bad dictionary magic %q", magic)
 	}
 	n := r.Count(int(r.U32()), "entry")
-	if err := r.Err(); err != nil {
-		return nil, err
-	}
-	out := make([]dictionary.Entry, 0, n)
+	var out []dictionary.Entry
 	for i := 0; i < n && r.Err() == nil; i++ {
 		k := int(r.U8())
 		if k == 0 {
@@ -181,7 +224,7 @@ func ReadDictionary(src io.Reader) ([]dictionary.Entry, error) {
 		uses := int(r.U32())
 		out = append(out, dictionary.Entry{Words: words, Uses: uses})
 	}
-	if err := r.Err(); err != nil {
+	if err := r.End(); err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -189,13 +232,14 @@ func ReadDictionary(src io.Reader) ([]dictionary.Entry, error) {
 
 // WriteImage serializes a compressed image of any registered codec as a
 // current-version self-describing frame: the method byte in the header is
-// all a reader needs to reconstruct the image.
+// all a reader needs to reconstruct the image. An image whose frame would
+// be longer than wire.MaxCount is refused.
 func WriteImage(dst io.Writer, img codec.Image) error {
 	c, err := codec.ByMethod(img.Method())
 	if err != nil {
 		return fmt.Errorf("objfile: %w", err)
 	}
-	bw := bufio.NewWriter(dst)
+	bw := fileWriter(dst)
 	w := wire.NewWriter(bw)
 	w.Bytes(magicImage[:])
 	w.U8(frameSentinel)
@@ -210,77 +254,43 @@ func WriteImage(dst io.Writer, img codec.Image) error {
 	return bw.Flush()
 }
 
-// WriteImageV1 serializes a dictionary image as a version-1 frame (no
-// header; the scheme byte lives in the body). Kept for interoperability
-// with pre-versioning readers and as the writer side of the backward-
-// compatibility tests; new files should use WriteImage.
-func WriteImageV1(dst io.Writer, img *core.Image) error {
-	bw := bufio.NewWriter(dst)
-	if _, err := bw.Write(magicImage[:]); err != nil {
-		return err
-	}
-	if err := core.WriteImagePayload(bw, img); err != nil {
-		return err
-	}
-	return bw.Flush()
-}
-
-// OpenImage deserializes a compressed image of any version: the codec is
-// inferred from the frame's method byte (version 2), or defaulted to the
-// dictionary codec recorded in the old in-body scheme byte (version 1).
-// Callers dispatch on the concrete type or on the codec.Executable /
+// OpenImage deserializes a compressed image of any registered codec,
+// inferred from the frame's method byte. A wrong magic, sentinel, version
+// or method byte fails with a *wire.FormatError, as do the payload's own
+// structural rejections, whose offsets are then from the start of the
+// file. Callers dispatch on the concrete type or on the codec.Executable /
 // codec.Auditable facets.
 func OpenImage(src io.Reader) (codec.Image, error) {
-	br := bufio.NewReader(src)
-	r := wire.NewReader(br)
-	magic := r.Bytes(4)
+	r, err := readFile(src, magicImage)
+	if err != nil {
+		return nil, err
+	}
+	if s := r.U8(); r.Err() == nil && s != frameSentinel {
+		r.Reject("version", int64(s))
+	}
+	if v := r.U8(); r.Err() == nil && v != ImageVersion {
+		r.Reject("version", int64(v))
+	}
+	m := r.U8()
+	c, err := codec.ByMethod(codec.Method(m))
+	if r.Err() == nil && err != nil {
+		r.Reject("method", int64(m))
+	}
+	payload := r.Rest()
 	if err := r.Err(); err != nil {
 		return nil, err
 	}
-	if string(magic) != string(magicImage[:]) {
-		return nil, fmt.Errorf("objfile: bad image magic %q", magic)
+	img, err := c.Open(payload)
+	var fe *wire.FormatError
+	if errors.As(err, &fe) {
+		fe.Offset += headerLen
 	}
-	next, err := br.Peek(1)
-	if err != nil {
-		return nil, truncatedFrame(err)
-	}
-	if next[0] != frameSentinel {
-		// Version 1: the body follows the magic directly; its scheme byte
-		// selects the dictionary codec.
-		return core.ReadImagePayload(br)
-	}
-	br.Discard(1)
-	version, err := br.ReadByte()
-	if err != nil {
-		return nil, truncatedFrame(err)
-	}
-	if version != ImageVersion {
-		return nil, fmt.Errorf("objfile: unsupported image version %d (have %d)", version, ImageVersion)
-	}
-	method, err := br.ReadByte()
-	if err != nil {
-		return nil, truncatedFrame(err)
-	}
-	c, err := codec.ByMethod(codec.Method(method))
-	if err != nil {
-		return nil, fmt.Errorf("objfile: %w", err)
-	}
-	return c.Open(br)
+	return img, err
 }
 
-// truncatedFrame reports a failed frame-header read. The header is inside
-// the frame, so running out of input there is io.ErrUnexpectedEOF, as in
-// wire.
-func truncatedFrame(err error) error {
-	if err == io.EOF {
-		err = io.ErrUnexpectedEOF
-	}
-	return fmt.Errorf("objfile: truncated image frame: %w", err)
-}
-
-// ReadImage deserializes a dictionary-scheme compressed image of either
-// container version. It is the typed convenience over OpenImage for
-// callers that specifically need the paper's dictionary method.
+// ReadImage deserializes a dictionary-scheme compressed image. It is the
+// typed convenience over OpenImage for callers that specifically need the
+// paper's dictionary method.
 func ReadImage(src io.Reader) (*core.Image, error) {
 	img, err := OpenImage(src)
 	if err != nil {

@@ -2,6 +2,7 @@ package objfile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"io"
 	"math"
@@ -15,6 +16,7 @@ import (
 	"repro/internal/huffman"
 	"repro/internal/program"
 	"repro/internal/synth"
+	"repro/internal/wire"
 )
 
 func TestProgramRoundTrip(t *testing.T) {
@@ -148,64 +150,6 @@ func TestDictionaryRoundTrip(t *testing.T) {
 	}
 }
 
-// TestImageV1BackwardCompat: version-1 frames (no header, scheme byte in
-// the body) must keep loading through both OpenImage and ReadImage, and
-// must decode to exactly the image a current-version frame carries.
-func TestImageV1BackwardCompat(t *testing.T) {
-	p, err := synth.Generate("compress")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, scheme := range []codeword.Scheme{codeword.Baseline, codeword.OneByte, codeword.Nibble, codeword.Liao} {
-		img, err := core.Compress(p.Clone(), core.Options{Scheme: scheme})
-		if err != nil {
-			t.Fatal(err)
-		}
-		var v1, v2 bytes.Buffer
-		if err := WriteImageV1(&v1, img); err != nil {
-			t.Fatal(err)
-		}
-		if err := WriteImage(&v2, img); err != nil {
-			t.Fatal(err)
-		}
-		// The v2 frame is the v1 file with the 3-byte header spliced in
-		// after the magic; the payload bytes are identical.
-		if got, want := v2.Len(), v1.Len()+3; got != want {
-			t.Fatalf("%v: v2 frame is %d bytes, want v1+header %d", scheme, got, want)
-		}
-		if !bytes.Equal(v2.Bytes()[7:], v1.Bytes()[4:]) {
-			t.Fatalf("%v: v2 payload differs from v1 body", scheme)
-		}
-		from1, err := OpenImage(bytes.NewReader(v1.Bytes()))
-		if err != nil {
-			t.Fatalf("%v: open v1: %v", scheme, err)
-		}
-		from2, err := OpenImage(bytes.NewReader(v2.Bytes()))
-		if err != nil {
-			t.Fatalf("%v: open v2: %v", scheme, err)
-		}
-		if !reflect.DeepEqual(from1, from2) {
-			t.Fatalf("%v: v1 and v2 decode to different images", scheme)
-		}
-		d1, ok := from1.(*core.Image)
-		if !ok {
-			t.Fatalf("%v: v1 frame decoded to %T", scheme, from1)
-		}
-		if d1.Scheme != scheme {
-			t.Fatalf("%v: v1 frame decoded scheme %v", scheme, d1.Scheme)
-		}
-		if err := core.Verify(p, d1); err != nil {
-			t.Fatalf("%v: verify v1-loaded image: %v", scheme, err)
-		}
-		// The typed reader accepts both container versions.
-		for i, buf := range [][]byte{v1.Bytes(), v2.Bytes()} {
-			if _, err := ReadImage(bytes.NewReader(buf)); err != nil {
-				t.Fatalf("%v: ReadImage v%d: %v", scheme, i+1, err)
-			}
-		}
-	}
-}
-
 // TestNonDictionaryImageRoundTrip: codecs without a codeword scheme
 // (CCRP, LZW) round-trip through the versioned frame, reopening to an
 // image of the same method with an identical re-serialization.
@@ -252,32 +196,50 @@ func TestNonDictionaryImageRoundTrip(t *testing.T) {
 }
 
 // TestImageFrameValidation: corrupt or unsupported frame headers are
-// rejected rather than misparsed as payload.
+// rejected rather than misparsed as payload: a wrong sentinel, version or
+// method byte and bytes after the payload with a *wire.FormatError, a
+// frame cut inside its header with io.ErrUnexpectedEOF.
 func TestImageFrameValidation(t *testing.T) {
 	frame := func(b ...byte) []byte { return append([]byte("PPCZ"), b...) }
+	// An empty LZW payload: no name, no original bytes, an empty blob.
+	lzw := frame(0xFF, ImageVersion, byte(codec.LZW), 0, 0, 0, 0, 0, 0, 0, 0, 0, 0)
+	if _, err := OpenImage(bytes.NewReader(lzw)); err != nil {
+		t.Fatalf("empty LZW frame: %v", err)
+	}
 	cases := []struct {
-		name string
-		data []byte
+		name  string
+		data  []byte
+		field string // the *wire.FormatError's field; "" for io.ErrUnexpectedEOF
 	}{
-		{"unsupported version", frame(0xFF, ImageVersion+1, 0x00)},
-		{"version zero", frame(0xFF, 0x00, 0x00)},
-		{"unknown method", frame(0xFF, ImageVersion, 0xEE)},
-		{"truncated after sentinel", frame(0xFF)},
-		{"truncated after version", frame(0xFF, ImageVersion)},
+		{"no sentinel", frame(0x00, 0x04, 'm', 'a', 'i', 'n'), "version"},
+		{"unsupported version", frame(0xFF, ImageVersion+1, 0x00), "version"},
+		{"version zero", frame(0xFF, 0x00, 0x00), "version"},
+		{"unknown method", frame(0xFF, ImageVersion, 0xEE), "method"},
+		{"trailing bytes", append(lzw, 0), "trailing bytes"},
+		{"truncated after magic", frame(), ""},
+		{"truncated after sentinel", frame(0xFF), ""},
+		{"truncated after version", frame(0xFF, ImageVersion), ""},
 	}
 	for _, tc := range cases {
-		if _, err := OpenImage(bytes.NewReader(tc.data)); err == nil {
-			t.Errorf("%s accepted", tc.name)
+		_, err := OpenImage(bytes.NewReader(tc.data))
+		var fe *wire.FormatError
+		switch {
+		case tc.field == "" && err != io.ErrUnexpectedEOF:
+			t.Errorf("%s: err = %v, want io.ErrUnexpectedEOF", tc.name, err)
+		case tc.field != "" && (!errors.As(err, &fe) || fe.Field != tc.field):
+			t.Errorf("%s: err = %v, want a *wire.FormatError on %s", tc.name, err, tc.field)
 		}
 	}
 }
 
-// TestImageHeaderRejected: a dictionary image whose header claims an
-// unknown scheme or more units than its stream holds fails to open with a
-// *core.HeaderError — before a machine could size its predecoded slots
-// from the claim — in both frame versions, and opening it allocates
-// nothing near the claimed size. So does an image whose size-audit mark
-// lies beyond any int32 offset, and one whose method byte contradicts its
+// TestImageHeaderRejected: a frame whose header contradicts its payload
+// fails to open before anything is sized from the claim, and opening it
+// allocates nothing near the claimed size. A dictionary image claiming an
+// unknown scheme, more units than its stream holds or an entry point past
+// its last unit fails with a *core.HeaderError; an LZW image whose blob is
+// longer than MaxCompressedBytes of its original size fails with a
+// *wire.FormatError. So does a dictionary image whose size-audit mark lies
+// beyond any int32 offset, and one whose method byte contradicts its
 // scheme.
 func TestImageHeaderRejected(t *testing.T) {
 	p, err := synth.Generate("compress")
@@ -288,42 +250,64 @@ func TestImageHeaderRejected(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var v1, v2 bytes.Buffer
-	if err := WriteImageV1(&v1, img); err != nil {
-		t.Fatal(err)
-	}
+	var v2 bytes.Buffer
 	if err := WriteImage(&v2, img); err != nil {
 		t.Fatal(err)
 	}
+	lz, err := codec.ByName("lzw")
+	if err != nil {
+		t.Fatal(err)
+	}
+	limg, err := lz.Compress(p, codec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lf bytes.Buffer
+	if err := WriteImage(&lf, limg); err != nil {
+		t.Fatal(err)
+	}
+	patch := func(frame []byte, at int, b ...byte) []byte {
+		bad := append([]byte(nil), frame...)
+		copy(bad[at:], b)
+		return bad
+	}
+	// After the 7-byte frame header, the dictionary payload opens with the
+	// name (uint16 length + bytes), the scheme byte, the uint32 unit count,
+	// the stream blob, the base and the entry unit; the LZW payload with
+	// the name and the uint32 original size.
+	scheme := 7 + 2 + len(img.Name)
+	entryUnit := scheme + 1 + 4 + 4 + len(img.Stream) + 4
+	pastEnd := img.Base + uint32(img.Units)
 	for _, tc := range []struct {
-		field string
-		patch []byte // written over the body from its scheme byte on
+		field  string
+		bad    []byte
+		header bool // a *core.HeaderError, else a *wire.FormatError
 	}{
-		{"units", []byte{byte(codeword.Nibble), 0x7F, 0xFF, 0xFF, 0xFF}},
-		{"scheme", []byte{byte(codeword.Liao) + 1}},
+		{"units", patch(v2.Bytes(), scheme, byte(codeword.Nibble), 0x7F, 0xFF, 0xFF, 0xFF), true},
+		{"scheme", patch(v2.Bytes(), scheme, byte(codeword.Liao)+1), true},
+		{"entry unit", patch(v2.Bytes(), entryUnit, binary.BigEndian.AppendUint32(nil, pastEnd)...), true},
+		{"blob length", patch(lf.Bytes(), 7+2+len(p.Name), 0, 0, 0, 0), false},
 	} {
-		// The body follows the magic (v1) or the magic, sentinel, version
-		// and method bytes (v2). It opens with the name (uint16 length +
-		// bytes), then the scheme byte and the uint32 unit count.
-		for _, f := range []struct {
-			version int
-			frame   []byte
-			body    int
-		}{{1, v1.Bytes(), 4}, {2, v2.Bytes(), 7}} {
-			version := f.version
-			bad := append([]byte(nil), f.frame...)
-			copy(bad[f.body+2+len(img.Name):], tc.patch)
-			var before, after runtime.MemStats
-			runtime.ReadMemStats(&before)
-			opened, err := OpenImage(bytes.NewReader(bad))
-			runtime.ReadMemStats(&after)
-			var he *core.HeaderError
-			if !errors.As(err, &he) || he.Field != tc.field {
-				t.Fatalf("%s v%d: OpenImage = %T, %v; want a *core.HeaderError on %s", tc.field, version, opened, err, tc.field)
-			}
-			if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(16*len(bad)) {
-				t.Errorf("%s v%d: opening a %d-byte frame allocated %d bytes", tc.field, version, len(bad), grew)
-			}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		opened, err := OpenImage(bytes.NewReader(tc.bad))
+		runtime.ReadMemStats(&after)
+		var he *core.HeaderError
+		var fe *wire.FormatError
+		if tc.header && (!errors.As(err, &he) || he.Field != tc.field) ||
+			!tc.header && (!errors.As(err, &fe) || fe.Field != tc.field) {
+			t.Fatalf("%s: OpenImage = %T, %v; want a typed error on %s", tc.field, opened, err, tc.field)
+		}
+		if tc.field == "entry unit" && (he.Value != int64(pastEnd) || he.Min != int64(img.Base) || he.Limit != int64(pastEnd)-1) {
+			t.Errorf("entry unit: %v, want value %d outside [%d, %d]", he, pastEnd, img.Base, pastEnd-1)
+		}
+		// The blob length is rejected at the cursor just past it, counted
+		// from the start of the file.
+		if at := 7 + 2 + len(p.Name) + 4 + 4; tc.field == "blob length" && fe.Offset != at {
+			t.Errorf("blob length: rejected at offset %d, want %d", fe.Offset, at)
+		}
+		if grew := after.TotalAlloc - before.TotalAlloc; grew > uint64(16*len(tc.bad)) {
+			t.Errorf("%s: opening a %d-byte frame allocated %d bytes", tc.field, len(tc.bad), grew)
 		}
 	}
 
@@ -342,11 +326,11 @@ func TestImageHeaderRejected(t *testing.T) {
 		t.Fatalf("mark out of range: OpenImage = %T, %v; want a *core.HeaderError on mark", opened, err)
 	}
 
-	// A v2 frame whose method byte names another dictionary codec than
-	// the body's scheme byte: the codec the method selects refuses it.
+	// A frame whose method byte names another dictionary codec than the
+	// body's scheme byte: the codec the method selects refuses it.
 	bad := append([]byte(nil), v2.Bytes()...)
 	if bad[6] != byte(codec.Nibble) {
-		t.Fatalf("v2 frame byte 6 = %d, want the nibble method byte", bad[6])
+		t.Fatalf("frame byte 6 = %d, want the nibble method byte", bad[6])
 	}
 	bad[6] = byte(codec.OneByte)
 	opened, err = OpenImage(bytes.NewReader(bad))
@@ -531,11 +515,70 @@ func TestTruncatedFrameNeverEOF(t *testing.T) {
 }
 
 func TestBadMagicRejected(t *testing.T) {
-	if _, err := ReadProgram(bytes.NewReader([]byte("JUNKJUNKJUNK"))); err == nil {
-		t.Fatal("bad program magic accepted")
+	var fe *wire.FormatError
+	if _, err := ReadProgram(bytes.NewReader([]byte("JUNKJUNKJUNK"))); !errors.As(err, &fe) || fe.Field != "magic" {
+		t.Fatalf("bad program magic: %v, want a *wire.FormatError on magic", err)
 	}
-	if _, err := ReadImage(bytes.NewReader([]byte("JUNKJUNKJUNK"))); err == nil {
-		t.Fatal("bad image magic accepted")
+	if _, err := ReadImage(bytes.NewReader([]byte("JUNKJUNKJUNK"))); !errors.As(err, &fe) || fe.Field != "magic" {
+		t.Fatalf("bad image magic: %v, want a *wire.FormatError on magic", err)
+	}
+}
+
+// TestHostileLengthsAllocateLittle: a length that runs past the end of a
+// tiny file fails before anything is sized from it. A 17-byte LZW frame
+// claiming a MaxCount-byte blob, a 22-byte program claiming MaxCount text
+// words and an 8-byte dictionary claiming 1<<24 entries each fail with
+// io.ErrUnexpectedEOF or a *wire.FormatError, and allocate less than 16
+// times their size plus 4 KiB.
+func TestHostileLengthsAllocateLittle(t *testing.T) {
+	huge := binary.BigEndian.AppendUint32(nil, wire.MaxCount)
+	// Header, an empty name, then the original size and the blob length.
+	lzw := append(append([]byte{'P', 'P', 'C', 'Z', 0xFF, ImageVersion, byte(codec.LZW), 0, 0}, huge...), huge...)
+	// Magic, an empty name, text base, data base and entry, then the text
+	// word count.
+	prog := append(append([]byte("PPX1"), make([]byte, 2+12)...), huge...)
+	dict := binary.BigEndian.AppendUint32([]byte("PPDX"), 1<<24)
+	for _, tc := range []struct {
+		name string
+		data []byte
+		size int
+		read func(io.Reader) error
+	}{
+		{"lzw", lzw, 17, func(r io.Reader) error { _, err := OpenImage(r); return err }},
+		{"program", prog, 22, func(r io.Reader) error { _, err := ReadProgram(r); return err }},
+		{"dictionary", dict, 8, func(r io.Reader) error { _, err := ReadDictionary(r); return err }},
+	} {
+		if len(tc.data) != tc.size {
+			t.Fatalf("%s: %d bytes, want %d", tc.name, len(tc.data), tc.size)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		err := tc.read(bytes.NewReader(tc.data))
+		runtime.ReadMemStats(&after)
+		var fe *wire.FormatError
+		if err != io.ErrUnexpectedEOF && !errors.As(err, &fe) {
+			t.Errorf("%s: err = %v, want io.ErrUnexpectedEOF or a *wire.FormatError", tc.name, err)
+		}
+		if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(16*len(tc.data)+4096); grew >= limit {
+			t.Errorf("%s: reading %d bytes allocated %d, limit %d", tc.name, len(tc.data), grew, limit)
+		}
+	}
+}
+
+// TestOversizedFileRefused checks both sides of the wire.MaxCount file
+// limit: a reader refuses a longer file, and a writer refuses to write one.
+// Neither touches the 64 MiB buffer, so it costs address space, not memory.
+func TestOversizedFileRefused(t *testing.T) {
+	big := make([]byte, wire.MaxCount+1)
+	var fe *wire.FormatError
+	if _, err := OpenImage(bytes.NewReader(big)); !errors.As(err, &fe) || fe.Field != "file length" {
+		t.Errorf("reading %d bytes: err = %v, want a *wire.FormatError on file length", len(big), err)
+	}
+	// The data blob alone fills the limit, so its length prefix and the
+	// fields before it take the file past it.
+	p := &program.Program{Name: "big", Data: big[:wire.MaxCount]}
+	if err := WriteProgram(io.Discard, p); !errors.As(err, &fe) || fe.Field != "file length" {
+		t.Errorf("writing a %d-byte data blob: err = %v, want a *wire.FormatError on file length", len(p.Data), err)
 	}
 }
 

@@ -79,7 +79,7 @@ func TestRoundTrip(t *testing.T) {
 	if !bytes.Equal(data, want) {
 		t.Fatalf("encoding\n got % x\nwant % x", data, want)
 	}
-	r := NewReader(bytes.NewReader(data))
+	r := NewReader(data)
 	got := readRecord(r)
 	if err := r.Err(); err != nil {
 		t.Fatal(err)
@@ -87,8 +87,20 @@ func TestRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(got, sample) {
 		t.Fatalf("round trip = %+v, want %+v", got, sample)
 	}
-	if n, _ := r.r.Read(make([]byte, 1)); n != 0 {
-		t.Error("reader left bytes unread")
+	if err := r.End(); err != nil {
+		t.Errorf("reader left bytes unread: %v", err)
+	}
+}
+
+// TestTrailingBytes: a frame with bytes after its last field fails End
+// with a *FormatError at the cursor.
+func TestTrailingBytes(t *testing.T) {
+	data := append(encode(t, sample), 0, 0)
+	r := NewReader(data)
+	readRecord(r)
+	var fe *FormatError
+	if err := r.End(); !errors.As(err, &fe) || fe.Field != "trailing bytes" || fe.Value != 2 || fe.Offset != len(data)-2 {
+		t.Fatalf("End = %v, want a *FormatError on 2 trailing bytes at %d", err, len(data)-2)
 	}
 }
 
@@ -96,7 +108,7 @@ func TestRoundTrip(t *testing.T) {
 func TestEmptyWords(t *testing.T) {
 	var buf bytes.Buffer
 	NewWriter(&buf).Words(nil)
-	r := NewReader(&buf)
+	r := NewReader(buf.Bytes())
 	if ws := r.Words(); ws == nil || len(ws) != 0 || r.Err() != nil {
 		t.Fatalf("Words = %v, %v", ws, r.Err())
 	}
@@ -109,7 +121,7 @@ func TestEmptyWords(t *testing.T) {
 func TestTruncation(t *testing.T) {
 	data := encode(t, sample)
 	for n := 0; n < len(data); n++ {
-		r := NewReader(bytes.NewReader(data[:n]))
+		r := NewReader(data[:n])
 		got := readRecord(r)
 		if err := r.Err(); err != io.ErrUnexpectedEOF {
 			t.Fatalf("cut at %d: err = %v, want io.ErrUnexpectedEOF", n, err)
@@ -139,7 +151,7 @@ func TestStickyErrors(t *testing.T) {
 	}
 
 	first := errors.New("bad header")
-	r := NewReader(bytes.NewReader(encode(t, sample)))
+	r := NewReader(encode(t, sample))
 	r.Fail(first)
 	r.Fail(errors.New("second"))
 	if got := readRecord(r); !reflect.DeepEqual(got, record{}) {
@@ -151,8 +163,8 @@ func TestStickyErrors(t *testing.T) {
 }
 
 // TestImplausibleLengths: counts and lengths above MaxCount (or
-// negative) fail before anything is allocated or read, and an oversized
-// string fails on write.
+// negative), and strings above MaxStr, fail with a *FormatError before
+// anything is allocated or read, and an oversized string fails on write.
 func TestImplausibleLengths(t *testing.T) {
 	var big bytes.Buffer
 	NewWriter(&big).U32(MaxCount + 1)
@@ -162,10 +174,16 @@ func TestImplausibleLengths(t *testing.T) {
 		"Blob":     func(r *Reader) bool { return r.Blob() == nil },
 		"Words":    func(r *Reader) bool { return r.Words() == nil },
 		"Count":    func(r *Reader) bool { return r.Count(MaxCount+1, "entry") == 0 },
+		"Str":      func(r *Reader) bool { return r.Str() == "" },
 	} {
-		r := NewReader(bytes.NewReader(big.Bytes()))
-		if !read(r) || r.Err() == nil || !strings.Contains(r.Err().Error(), "implausible") {
-			t.Errorf("%s: err = %v, want an implausible-length error", name, r.Err())
+		data := big.Bytes()
+		if name == "Str" {
+			data = []byte{(MaxStr + 1) >> 8, (MaxStr + 1) & 0xFF}
+		}
+		r := NewReader(data)
+		var fe *FormatError
+		if !read(r) || !errors.As(r.Err(), &fe) || !strings.Contains(r.Err().Error(), "implausible") {
+			t.Errorf("%s: err = %v, want an implausible-length *FormatError", name, r.Err())
 		}
 	}
 
