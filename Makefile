@@ -116,7 +116,8 @@ bench:
 
 # Perf trajectory: dictionary.Build and core.Compress at small/medium/full
 # corpus sizes, the shared dictionary over all eight programs, plus the
-# execution benchmarks (the Step path and I-cache simulation included),
+# execution benchmarks (the Step path and I-cache simulation included,
+# with the cache model alone on a recorded fetch stream),
 # recorded as BENCH_dictionary.json (ns/op, B/op, allocs/op,
 # and histogram quantiles such as selbits-p50/p90/p99 and
 # explen-p50/p90/p99). BENCH_SAMPLES runs
@@ -124,17 +125,18 @@ bench:
 # fuel for 95% confidence intervals and the -significant gate.
 BENCH_SAMPLES ?= 5
 bench-json:
-	$(GO) test -run '^$$' -bench '^BenchmarkDictionaryBuild$$|^BenchmarkSharedDictionary$$|^BenchmarkCompressSweep$$|^BenchmarkNativeExecution$$|^BenchmarkCompressedExecution$$|^BenchmarkSampledExecution$$|^BenchmarkHookedExecution$$|^BenchmarkICacheExecution$$|^BenchmarkReset$$|^BenchmarkOpenImage$$' -count=$(BENCH_SAMPLES) -benchmem . \
+	$(GO) test -run '^$$' -bench '^BenchmarkDictionaryBuild$$|^BenchmarkSharedDictionary$$|^BenchmarkCompressSweep$$|^BenchmarkNativeExecution$$|^BenchmarkCompressedExecution$$|^BenchmarkSampledExecution$$|^BenchmarkHookedExecution$$|^BenchmarkICacheExecution$$|^BenchmarkICacheAccess$$|^BenchmarkReset$$|^BenchmarkOpenImage$$' -count=$(BENCH_SAMPLES) -benchmem . \
 		| $(GO) run ./cmd/benchjson > BENCH_dictionary.json
 	@echo wrote BENCH_dictionary.json
 
 # Just the execution-speed pair (native vs compressed through the
 # predecoded engine) plus the sampled run, the hooked Step-path run, the
-# I-cache run and the Reset layer, recorded as BENCH_exec.json with the derived
+# I-cache run, the I-cache model replaying a recorded fetch stream and the
+# Reset layer, recorded as BENCH_exec.json with the derived
 # compressed_vs_native_ratio metric — the quick loop while working on the
 # execution engine, without the multi-minute dictionary sweeps.
 bench-exec:
-	$(GO) test -run '^$$' -bench '^BenchmarkNativeExecution$$|^BenchmarkCompressedExecution$$|^BenchmarkSampledExecution$$|^BenchmarkHookedExecution$$|^BenchmarkICacheExecution$$|^BenchmarkReset$$' -count=$(BENCH_SAMPLES) -benchmem . \
+	$(GO) test -run '^$$' -bench '^BenchmarkNativeExecution$$|^BenchmarkCompressedExecution$$|^BenchmarkSampledExecution$$|^BenchmarkHookedExecution$$|^BenchmarkICacheExecution$$|^BenchmarkICacheAccess$$|^BenchmarkReset$$' -count=$(BENCH_SAMPLES) -benchmem . \
 		| $(GO) run ./cmd/benchjson > BENCH_exec.json
 	@echo wrote BENCH_exec.json
 

@@ -452,6 +452,48 @@ func BenchmarkICacheExecution(b *testing.B) {
 	b.ReportMetric(float64(misses), "misses/op")
 }
 
+// BenchmarkICacheAccess is the cache model alone: perl's nibble fetch
+// stream, recorded once from TraceFetch outside the timer, replayed into a
+// fresh 8 KiB direct-mapped cache of 32-byte lines per iteration. ns/access
+// is the cost of one Access call.
+func BenchmarkICacheAccess(b *testing.B) {
+	p := benchProgram(b, "perl")
+	img, err := core.Compress(p.Clone(), Options{Scheme: Nibble})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cpu, err := core.NewMachine(img)
+	if err != nil {
+		b.Fatal(err)
+	}
+	type fetch struct {
+		addr   uint32
+		nbytes int
+	}
+	var stream []fetch
+	cpu.TraceFetch = func(addr uint32, nbytes int) { stream = append(stream, fetch{addr, nbytes}) }
+	if _, err := cpu.Run(200_000_000); err != nil {
+		b.Fatal(err)
+	}
+	cfg := cache.Config{SizeBytes: 8 << 10, LineBytes: 32, Assoc: 1}
+	var misses int64
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		ic, err := cache.New(cfg)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, f := range stream {
+			ic.Access(f.addr, f.nbytes)
+		}
+		misses = ic.Stats.Misses
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(stream)), "ns/access")
+	b.ReportMetric(float64(misses), "misses/op")
+}
+
 // BenchmarkReset is the Reset layer of the serving shape: each iteration
 // runs perl once, untimed, then times the CPU.Reset that follows, so ns/op
 // is the cost of restoring what one request dirtied. B/op and allocs/op

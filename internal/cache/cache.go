@@ -1,5 +1,7 @@
 // Package cache implements a parameterized set-associative instruction
-// cache with LRU replacement, fed by the machine's fetch trace. It backs
+// cache with LRU replacement, fed by the machine's fetch trace. A
+// direct-mapped access is one shift and one key compare per line; only
+// an associative cache keeps LRU clocks and walks its set. It backs
 // the extension experiment from the paper's introduction and future work
 // (§1, §5; [Chen97a]): denser code means fewer instruction-cache misses.
 package cache
@@ -35,21 +37,19 @@ func (s Stats) MissRate() float64 {
 	return float64(s.Misses) / float64(s.Accesses)
 }
 
-type line struct {
-	tag   uint32
-	valid bool
-	used  int64 // LRU clock
-}
-
-// Cache is the simulator. Set i occupies lines[i*assoc : (i+1)*assoc].
+// Cache is the simulator. Line number ln (address >> lineShift) lives in
+// set ln&setMask, whose ways are keys[set*assoc : (set+1)*assoc]. A way's
+// key is its line number plus one, 0 meaning empty: the whole line number
+// is the tag. Keys are 64 bits wide so that the last line of the address
+// space still has a key distinct from 0.
 type Cache struct {
-	cfg     Config
-	lines   []line
-	assoc   int
-	setMask uint32 // nsets-1: nsets is a power of two
-	setBits int    // log2(nsets)
-	clock   int64
-	Stats   Stats
+	keys      []uint64
+	used      []int64 // LRU clock per way; nil when direct-mapped
+	assoc     int
+	lineShift uint
+	setMask   uint64 // nsets-1: nsets is a power of two
+	clock     int64
+	Stats     Stats
 }
 
 // New validates the configuration and builds the cache.
@@ -72,62 +72,69 @@ func New(cfg Config) (*Cache, error) {
 	if nsets&(nsets-1) != 0 {
 		return nil, fmt.Errorf("cache: %d sets not a power of two", nsets)
 	}
-	return &Cache{
-		cfg:     cfg,
-		lines:   make([]line, lines),
-		assoc:   assoc,
-		setMask: uint32(nsets - 1),
-		setBits: bits.TrailingZeros(uint(nsets)),
-	}, nil
+	c := &Cache{
+		keys:      make([]uint64, lines),
+		assoc:     assoc,
+		lineShift: uint(bits.TrailingZeros(uint(cfg.LineBytes))),
+		setMask:   uint64(nsets - 1),
+	}
+	if assoc > 1 {
+		c.used = make([]int64, lines)
+	}
+	return c, nil
 }
 
 // Access touches [addr, addr+nbytes), accessing every line the range
-// covers.
+// covers. The range is taken as is, without wrapping at 4 GiB.
 func (c *Cache) Access(addr uint32, nbytes int) {
 	if nbytes <= 0 {
 		return
 	}
-	lb := uint32(c.cfg.LineBytes)
-	first := addr / lb
-	last := (addr + uint32(nbytes) - 1) / lb
-	for ln := first; ; ln++ {
-		c.touchLine(ln)
-		if ln == last {
-			break
+	first := uint64(addr) >> c.lineShift
+	last := (uint64(addr) + uint64(nbytes) - 1) >> c.lineShift
+	c.Stats.Accesses += int64(last - first + 1)
+	if c.used == nil { // direct-mapped: one key compare per line
+		for ln := first; ln <= last; ln++ {
+			if k := &c.keys[ln&c.setMask]; *k != ln+1 {
+				*k = ln + 1
+				c.Stats.Misses++
+			}
 		}
+		return
+	}
+	for ln := first; ln <= last; ln++ {
+		c.touchSet(ln)
 	}
 }
 
-func (c *Cache) touchLine(lineAddr uint32) {
+// touchSet looks ln up in its set, refreshing its LRU clock on a hit and
+// filling a way on a miss. An empty way's clock is 0 and a filled way's
+// at least 1, so the victim — the first way with the smallest clock — is
+// the first empty way, else the least recently used.
+func (c *Cache) touchSet(ln uint64) {
 	c.clock++
-	c.Stats.Accesses++
-	first := int(lineAddr&c.setMask) * c.assoc
-	set := c.lines[first : first+c.assoc]
-	tag := lineAddr >> c.setBits
+	base := int(ln&c.setMask) * c.assoc
+	keys := c.keys[base : base+c.assoc]
+	used := c.used[base : base+c.assoc]
 	victim := 0
-	for i := range set {
-		if set[i].valid && set[i].tag == tag {
-			set[i].used = c.clock
+	for i, k := range keys {
+		if k == ln+1 {
+			used[i] = c.clock
 			return
 		}
-		if set[i].used < set[victim].used || !set[i].valid && set[victim].valid {
+		if used[i] < used[victim] {
 			victim = i
-		}
-	}
-	// Miss: fill the LRU (or an invalid) way.
-	for i := range set {
-		if !set[i].valid {
-			victim = i
-			break
 		}
 	}
 	c.Stats.Misses++
-	set[victim] = line{tag: tag, valid: true, used: c.clock}
+	keys[victim] = ln + 1
+	used[victim] = c.clock
 }
 
 // Reset clears contents and statistics.
 func (c *Cache) Reset() {
-	clear(c.lines)
+	clear(c.keys)
+	clear(c.used)
 	c.clock = 0
 	c.Stats = Stats{}
 }

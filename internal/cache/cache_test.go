@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"fmt"
 	"testing"
 
 	"repro/internal/stats"
@@ -134,43 +135,92 @@ func TestMissRate(t *testing.T) {
 
 // TestLRUAgainstReference drives the cache and an obviously-correct
 // reference model (per-set slice with explicit recency ordering) with the
-// same random access stream and requires identical hit/miss sequences.
+// same random access stream and requires identical per-access hit/miss
+// counts and identical final Stats. The table covers direct-mapped, 2-way,
+// 4-way and fully associative caches at line sizes 1, 4 and 32; accesses
+// straddle up to three lines, and half of them fall in the last 64 lines
+// below 4 GiB, some running past 0xFFFFFFFF.
 func TestLRUAgainstReference(t *testing.T) {
-	const (
-		size  = 512
-		line  = 32
-		assoc = 4
-	)
-	c := mk(t, size, line, assoc)
-	nsets := size / line / assoc
+	for _, line := range []int{1, 4, 32} {
+		for _, assoc := range []int{1, 2, 4, 0} {
+			size := 16 * line
+			t.Run(fmt.Sprintf("line%d/assoc%d", line, assoc), func(t *testing.T) {
+				c := mk(t, size, line, assoc)
+				ways := assoc
+				if ways == 0 {
+					ways = size / line
+				}
+				nsets := uint64(size / line / ways)
 
-	type refSet []uint32 // most recent last
-	ref := make([]refSet, nsets)
-	refAccess := func(lineAddr uint32) bool { // returns hit
-		set := &ref[int(lineAddr)%nsets]
-		for i, tag := range *set {
-			if tag == lineAddr {
-				*set = append(append((*set)[:i:i], (*set)[i+1:]...), lineAddr)
-				return true
-			}
-		}
-		*set = append(*set, lineAddr)
-		if len(*set) > assoc {
-			*set = (*set)[1:]
-		}
-		return false
-	}
+				type refSet []uint64 // line numbers, most recent last
+				ref := make([]refSet, nsets)
+				refTouch := func(ln uint64) bool { // returns hit
+					set := &ref[ln%nsets]
+					for i, have := range *set {
+						if have == ln {
+							*set = append(append((*set)[:i:i], (*set)[i+1:]...), ln)
+							return true
+						}
+					}
+					*set = append(*set, ln)
+					if len(*set) > ways {
+						*set = (*set)[1:]
+					}
+					return false
+				}
+				var want Stats
+				refAccess := func(addr uint32, nbytes int) (accesses, misses int64) {
+					first := uint64(addr) / uint64(line)
+					last := (uint64(addr) + uint64(nbytes) - 1) / uint64(line)
+					for ln := first; ln <= last; ln++ {
+						accesses++
+						if !refTouch(ln) {
+							misses++
+						}
+					}
+					want.Accesses += accesses
+					want.Misses += misses
+					return accesses, misses
+				}
 
-	rng := uint32(12345)
-	for i := 0; i < 20000; i++ {
-		rng = rng*1664525 + 1013904223
-		lineAddr := rng % 64 // 64 distinct lines over 16 cache slots
-		missesBefore := c.Stats.Misses
-		c.Access(lineAddr*line, 4)
-		gotHit := c.Stats.Misses == missesBefore
-		wantHit := refAccess(lineAddr)
-		if gotHit != wantHit {
-			t.Fatalf("access %d (line %d): cache hit=%v, reference hit=%v", i, lineAddr, gotHit, wantHit)
+				// The first access is the last byte of the address space
+				// into the empty cache: a miss, not a match of an empty way.
+				if a, m := refAccess(0xFFFFFFFF, 1); a != 1 || m != 1 {
+					t.Fatalf("reference: top byte accesses=%d misses=%d", a, m)
+				}
+				c.Access(0xFFFFFFFF, 1)
+				if c.Stats != want {
+					t.Fatalf("top byte into empty cache: %+v, want %+v", c.Stats, want)
+				}
+
+				top := uint32(0xFFFFFFFF - 64*line + 1) // the last 64 lines
+				rng := uint32(12345)
+				next := func(n uint32) uint32 {
+					rng = rng*1664525 + 1013904223
+					return (rng >> 8) % n
+				}
+				for i := 0; i < 20000; i++ {
+					base := uint32(0)
+					if next(2) == 1 {
+						base = top
+					}
+					// 64 distinct lines over 16 cache slots; an offset
+					// within the line and up to 2*line+1 bytes cover at
+					// most three lines.
+					addr := base + next(64)*uint32(line) + next(uint32(line))
+					nbytes := 1 + int(next(uint32(2*line+1)))
+					before := c.Stats
+					c.Access(addr, nbytes)
+					wa, wm := refAccess(addr, nbytes)
+					if ga, gm := c.Stats.Accesses-before.Accesses, c.Stats.Misses-before.Misses; ga != wa || gm != wm {
+						t.Fatalf("access %d (%#x+%d): cache accesses=%d misses=%d, reference accesses=%d misses=%d",
+							i, addr, nbytes, ga, gm, wa, wm)
+					}
+				}
+				if c.Stats != want {
+					t.Fatalf("final stats %+v, reference %+v", c.Stats, want)
+				}
+			})
 		}
 	}
 }

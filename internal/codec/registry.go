@@ -2,6 +2,7 @@ package codec
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -19,7 +20,9 @@ var (
 
 // Register adds a codec under its method byte and canonical name, plus any
 // extra accepted aliases. It panics on conflicts: double registration is a
-// programming error best caught at init time.
+// programming error best caught at init time. Every conflict is checked
+// before anything is added, so a registration that panics leaves the
+// registry as it was.
 func Register(c Codec, aliases ...string) {
 	regMu.Lock()
 	defer regMu.Unlock()
@@ -30,18 +33,24 @@ func Register(c Codec, aliases ...string) {
 	if prev, ok := byMethod[c.Method()]; ok {
 		panic(fmt.Sprintf("codec: method %d registered twice (%s, %s)", c.Method(), prev.Name(), name))
 	}
-	if _, ok := byName[name]; ok {
-		panic(fmt.Sprintf("codec: name %q registered twice", name))
+	names := []string{name}
+	for _, a := range aliases {
+		names = append(names, strings.ToLower(a))
+	}
+	for i, n := range names {
+		if _, ok := byName[n]; ok || slices.Contains(names[:i], n) {
+			if i == 0 {
+				panic(fmt.Sprintf("codec: name %q registered twice", n))
+			}
+			panic(fmt.Sprintf("codec: alias %q already registered", n))
+		}
 	}
 	byMethod[c.Method()] = c
-	byName[name] = c
-	for _, a := range aliases {
-		a = strings.ToLower(a)
-		if _, ok := byName[a]; ok {
-			panic(fmt.Sprintf("codec: alias %q already registered", a))
+	for i, n := range names {
+		byName[n] = c
+		if i > 0 {
+			aliasOf[n] = name
 		}
-		byName[a] = c
-		aliasOf[a] = name
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"slices"
 
 	"repro/internal/codec"
 	"repro/internal/codeword"
@@ -130,6 +131,7 @@ func ReadImagePayload(b []byte) (*Image, error) {
 		r.Fail(&HeaderError{Field: "entry unit", Value: u, Min: base, Limit: base + int64(img.Units) - 1})
 	}
 	nent := r.Count(int(r.U32()), "entry")
+	img.Entries = slices.Grow(img.Entries, r.Cap(nent, 1+4+4)) // length, one word, uses
 	for i := 0; i < nent && r.Err() == nil; i++ {
 		k := int(r.U8())
 		if k == 0 {
@@ -146,15 +148,18 @@ func ReadImagePayload(b []byte) (*Image, error) {
 	img.DataBase = r.U32()
 	img.Data = r.Blob()
 	njt := r.Count(int(r.U32()), "jump-table slot")
+	img.JumpTableSlots = slices.Grow(img.JumpTableSlots, r.Cap(njt, 4))
 	for i := 0; i < njt && r.Err() == nil; i++ {
 		img.JumpTableSlots = append(img.JumpTableSlots, int(r.U32()))
 	}
 	nsym := r.Count(int(r.U32()), "symbol")
+	img.Symbols = slices.Grow(img.Symbols, r.Cap(nsym, 2+4)) // empty name, word
 	for i := 0; i < nsym && r.Err() == nil; i++ {
 		name := r.Str()
 		img.Symbols = append(img.Symbols, program.Symbol{Name: name, Word: int(r.U32())})
 	}
 	nmarks := r.Count(int(r.U32()), "mark")
+	img.Marks = slices.Grow(img.Marks, r.Cap(nmarks, 4+4+1))
 	for i := 0; i < nmarks && r.Err() == nil; i++ {
 		unit, orig, kind := r.U32(), r.U32(), MarkKind(r.U8())
 		if v := max(unit, orig); v > math.MaxInt32 {
@@ -175,6 +180,7 @@ func ReadImagePayload(b []byte) (*Image, error) {
 	}
 	img.TextBase = r.U32()
 	nosym := r.Count(int(r.U32()), "original symbol")
+	img.OrigSymbols = slices.Grow(img.OrigSymbols, r.Cap(nosym, 2+4))
 	for i := 0; i < nosym && r.Err() == nil; i++ {
 		name := r.Str()
 		img.OrigSymbols = append(img.OrigSymbols, program.Symbol{Name: name, Word: int(r.U32())})

@@ -135,7 +135,13 @@ func ReadCCRPImagePayload(b []byte) (*CCRPImage, error) {
 	img.Data = r.Blob()
 	img.DataBase = r.U32()
 	img.OriginalBytes = int(r.U32())
-	img.LATBytesPer = math.Float64frombits(r.U64())
+	lat := r.U64()
+	img.LATBytesPer = math.Float64frombits(lat)
+	// A LAT entry costs at most a line; NaN fails both comparisons. The
+	// rejected value is the field's bits.
+	if r.Err() == nil && !(img.LATBytesPer >= 0 && img.LATBytesPer <= float64(img.LineSize)) {
+		r.Reject("LAT bytes per line", int64(lat))
+	}
 	if err := r.End(); err != nil {
 		return nil, err
 	}

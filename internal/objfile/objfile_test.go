@@ -266,10 +266,26 @@ func TestImageHeaderRejected(t *testing.T) {
 	if err := WriteImage(&lf, limg); err != nil {
 		t.Fatal(err)
 	}
+	cc, err := codec.ByName("ccrp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cimg, err := cc.Compress(p, codec.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var cf bytes.Buffer
+	if err := WriteImage(&cf, cimg); err != nil {
+		t.Fatal(err)
+	}
 	patch := func(frame []byte, at int, b ...byte) []byte {
 		bad := append([]byte(nil), frame...)
 		copy(bad[at:], b)
 		return bad
+	}
+	// The CCRP payload ends with the float64 LAT bytes per line.
+	lat := func(f float64) []byte {
+		return patch(cf.Bytes(), cf.Len()-8, binary.BigEndian.AppendUint64(nil, math.Float64bits(f))...)
 	}
 	// After the 7-byte frame header, the dictionary payload opens with the
 	// name (uint16 length + bytes), the scheme byte, the uint32 unit count,
@@ -287,6 +303,10 @@ func TestImageHeaderRejected(t *testing.T) {
 		{"scheme", patch(v2.Bytes(), scheme, byte(codeword.Liao)+1), true},
 		{"entry unit", patch(v2.Bytes(), entryUnit, binary.BigEndian.AppendUint32(nil, pastEnd)...), true},
 		{"blob length", patch(lf.Bytes(), 7+2+len(p.Name), 0, 0, 0, 0), false},
+		{"LAT bytes per line", lat(math.NaN()), false},
+		{"LAT bytes per line", lat(math.Inf(1)), false},
+		{"LAT bytes per line", lat(-1), false},
+		{"LAT bytes per line", lat(33), false}, // above the 32-byte line
 	} {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)

@@ -208,7 +208,8 @@ func (r *Reader) Words() []uint32 {
 
 // Count validates an element count read by the caller against MaxCount.
 // Its elements are then read one by one, so a count the frame cannot hold
-// fails at the first missing element; never size a buffer from a count.
+// fails at the first missing element; never size a buffer from a count
+// alone: Cap bounds it by the bytes that remain.
 func (r *Reader) Count(n int, what string) int {
 	if r.err == nil && (n < 0 || n > MaxCount) {
 		r.Reject(what+" count", int64(n))
@@ -218,6 +219,11 @@ func (r *Reader) Count(n int, what string) int {
 	}
 	return n
 }
+
+// Cap is the capacity to reserve for n elements, each encoded in at least
+// size bytes: n, or fewer when the bytes that remain cannot hold n such
+// elements.
+func (r *Reader) Cap(n, size int) int { return min(n, (len(r.b)-r.off)/size) }
 
 // Rest consumes and returns every byte not yet read.
 func (r *Reader) Rest() []byte { return r.take(len(r.b) - r.off) }

@@ -194,3 +194,26 @@ func TestImplausibleLengths(t *testing.T) {
 		t.Errorf("Str: err = %v after %d bytes, want a rejected write", w.Err(), buf.Len())
 	}
 }
+
+// TestCapBoundsByRemainingBytes: a count is reserved in full only when the
+// unread bytes can hold that many elements.
+func TestCapBoundsByRemainingBytes(t *testing.T) {
+	r := NewReader(make([]byte, 4+36))
+	r.U32()
+	for _, tc := range []struct{ n, size, want int }{
+		{3, 9, 3},
+		{4, 9, 4},
+		{5, 9, 4},
+		{MaxCount, 9, 4},
+		{MaxCount, 6, 6},
+		{0, 9, 0},
+	} {
+		if got := r.Cap(tc.n, tc.size); got != tc.want {
+			t.Errorf("Cap(%d, %d) with 36 bytes left = %d, want %d", tc.n, tc.size, got, tc.want)
+		}
+	}
+	r.Rest()
+	if got := r.Cap(1, 1); got != 0 {
+		t.Errorf("Cap(1, 1) at the end = %d, want 0", got)
+	}
+}
