@@ -29,12 +29,14 @@ smoke:
 # family cache rests on), and after every greedy selection the occurrence
 # index must still encode coverage exactly. The fused loop's fetch
 # journal must deliver exactly the Step path's TraceFetch sequence on all
-# eight benchmarks, native and through every dictionary codec, and a
-# Record-only run must stay fused and export the Step path's machine
-# counters.
+# eight benchmarks, native and through every dictionary codec; the
+# memory-resident dictionary's replay of that journal must equal its
+# replay of Step's slots, chunked and rerun, and account for every
+# instruction the dictionary supplied; and a Record-only run must
+# stay fused and export the Step path's machine counters.
 diff:
 	$(GO) test -run 'MatchesReference|PrefixMatches|StrategyParity|CoverKeepsIndexConsistent|FuzzBuildDifferential' ./internal/dictionary
-	$(GO) test -run '^TestFetchJournalMatchesStep$$' ./internal/core
+	$(GO) test -run '^(TestFetchJournalMatchesStep|TestFrontendDictInMemoryAccounting)$$' ./internal/core
 	$(GO) test -run '^TestRecordStaysFused$$' ./internal/machine
 
 # Short coverage-guided fuzz of the two differential oracles — the fused

@@ -9,7 +9,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/dictionary"
 	"repro/internal/lzw"
-	"repro/internal/machine"
 	"repro/internal/profile"
 	"repro/internal/program"
 	"repro/internal/thumb"
@@ -519,33 +518,24 @@ func ExtICache(c *Corpus) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		mrO, err := missRate(c, s, func(cc *cache.Cache) error {
-			cpu, err := machine.NewForProgram(p)
-			if err != nil {
-				return err
-			}
-			cpu.Record = c.Recorder()
-			cpu.TraceFetch = cc.Access
-			_, err = cpu.Run(200_000_000)
-			return err
-		})
+		icache := cache.Config{SizeBytes: s, LineBytes: 32, Assoc: 1}
+		ncpu, err := newNative(p)
 		if err != nil {
 			return err
 		}
-		mrC, err := missRate(c, s, func(cc *cache.Cache) error {
-			cpu, err := core.NewMachine(img)
-			if err != nil {
-				return err
-			}
-			cpu.Record = c.Recorder()
-			cpu.TraceFetch = cc.Access
-			_, err = cpu.Run(200_000_000)
-			return err
-		})
+		nr, err := measure(c, ncpu, icache)
 		if err != nil {
 			return err
 		}
-		cells[k] = cell{pct(mrO), pct(mrC)}
+		ccpu, err := core.NewMachine(img)
+		if err != nil {
+			return err
+		}
+		cr, err := measure(c, ccpu, icache)
+		if err != nil {
+			return err
+		}
+		cells[k] = cell{pct(nr.MissRate()), pct(cr.MissRate())}
 		return nil
 	})
 	if err != nil {
@@ -559,18 +549,6 @@ func ExtICache(c *Corpus) (*Table, error) {
 		t.AddRow(row...)
 	}
 	return t, nil
-}
-
-func missRate(c *Corpus, size int, run func(*cache.Cache) error) (float64, error) {
-	cc, err := cache.New(cache.Config{SizeBytes: size, LineBytes: 32, Assoc: 1})
-	if err != nil {
-		return 0, err
-	}
-	if err := run(cc); err != nil {
-		return 0, err
-	}
-	cc.Report(c.Recorder())
-	return cc.Stats.MissRate(), nil
 }
 
 // ExtPenalty measures the execution-side cost of compression.
@@ -593,7 +571,9 @@ func ExtPenalty(c *Corpus) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
+		sp := runSpan(c)
 		orig, comp, err := core.RunBoth(p, img, 200_000_000)
+		sp.End()
 		if err != nil {
 			return nil, err
 		}

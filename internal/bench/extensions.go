@@ -12,12 +12,34 @@ import (
 	"repro/internal/pipeline"
 	"repro/internal/program"
 	"repro/internal/synth"
+	"repro/internal/trace"
 )
 
 // machineCPU abbreviates the simulator type in the runners below.
 type machineCPU = machine.CPU
 
 func newNative(p *program.Program) (*machineCPU, error) { return machine.NewForProgram(p) }
+
+// runSpan opens the span of one guest execution, so a trace attributes
+// its time to the machine layer rather than to the experiment around it.
+func runSpan(c *Corpus) *trace.Span { return c.Span().Child("machine.run") }
+
+// runGuest runs a machine to completion in a machine.run span.
+func runGuest(c *Corpus, cpu *machineCPU) error {
+	sp := runSpan(c)
+	defer sp.End()
+	_, err := cpu.Run(200_000_000)
+	return err
+}
+
+// measure runs a fresh machine to completion under pipeline.Measure with
+// an I-cache of the given shape, counting into the view's recorder.
+func measure(c *Corpus, cpu *machineCPU, icache cache.Config) (pipeline.Report, error) {
+	cpu.Record = c.Recorder()
+	sp := runSpan(c)
+	defer sp.End()
+	return pipeline.Measure(cpu, icache, 200_000_000)
+}
 
 // The future-work extensions from the paper's §5 and §3.3, registered
 // alongside the evaluation experiments.
@@ -133,8 +155,7 @@ func ExtCrossover(c *Corpus) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		ncpu.Record = c.Recorder()
-		nr, err := pipeline.Measure(ncpu, icache, 200_000_000)
+		nr, err := measure(c, ncpu, icache)
 		if err != nil {
 			return err
 		}
@@ -142,8 +163,7 @@ func ExtCrossover(c *Corpus) (*Table, error) {
 		if err != nil {
 			return err
 		}
-		ccpu.Record = c.Recorder()
-		cr, err := pipeline.Measure(ccpu, icache, 200_000_000)
+		cr, err := measure(c, ccpu, icache)
 		if err != nil {
 			return err
 		}
@@ -277,7 +297,7 @@ func ExtRefill(c *Corpus) (*Table, error) {
 			ic.Access(addr, nbytes)
 			traffic += (ic.Stats.Misses - misses) * refill(addr)
 		}
-		if _, err := cpu.Run(200_000_000); err != nil {
+		if err := runGuest(c, cpu); err != nil {
 			return 0, err
 		}
 		ic.Report(c.Recorder())
@@ -391,7 +411,7 @@ func collectProfile(c *Corpus, p *program.Program) ([]int64, error) {
 			counts[idx]++
 		}
 	}
-	if _, err := cpu.Run(200_000_000); err != nil {
+	if err := runGuest(c, cpu); err != nil {
 		return nil, err
 	}
 	return counts, nil
@@ -439,7 +459,7 @@ func ExtProfiled(c *Corpus) (*Table, error) {
 				return 0, err
 			}
 			cpu.Record = c.Recorder()
-			if _, err := cpu.Run(200_000_000); err != nil {
+			if err := runGuest(c, cpu); err != nil {
 				return 0, err
 			}
 			return cpu.Stats.FetchedBytes, nil
@@ -513,9 +533,13 @@ func ExtStandardize(c *Corpus) (*Table, error) {
 }
 
 // ExtDictPlacement compares fetch traffic and miss rates with the
-// dictionary on-chip (free expansions) vs resident in program memory.
+// dictionary on-chip (free expansions) vs resident in program memory. One
+// fused run measures both: pipeline.Measure's cache sees the on-chip
+// traffic, and core.DictInMemoryFetches replays the same run as the
+// in-memory traffic into a second cache of the same shape.
 func ExtDictPlacement(c *Corpus) (*Table, error) {
 	const dictBase = 0x0080_0000
+	icache := cache.Config{SizeBytes: 1024, LineBytes: 32, Assoc: 1}
 	t := &Table{
 		ID:      "dictplace",
 		Title:   "Dictionary placement (nibble scheme): on-chip vs memory-resident",
@@ -531,42 +555,26 @@ func ExtDictPlacement(c *Corpus) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		run := func(inMem bool) (int64, float64, error) {
-			ic, err := cache.New(cache.Config{SizeBytes: 1024, LineBytes: 32, Assoc: 1})
-			if err != nil {
-				return 0, 0, err
-			}
-			var cpu *machineCPU
-			if inMem {
-				m, err := core.NewMachineDictInMemory(img, dictBase)
-				if err != nil {
-					return 0, 0, err
-				}
-				cpu = m
-			} else {
-				m, err := core.NewMachine(img)
-				if err != nil {
-					return 0, 0, err
-				}
-				cpu = m
-			}
-			cpu.Record = c.Recorder()
-			cpu.TraceFetch = ic.Access
-			if _, err := cpu.Run(200_000_000); err != nil {
-				return 0, 0, err
-			}
-			ic.Report(c.Recorder())
-			return cpu.Stats.FetchedBytes, ic.Stats.MissRate(), nil
-		}
-		bOn, mOn, err := run(false)
+		ic, err := cache.New(icache)
 		if err != nil {
 			return nil, err
 		}
-		bIn, mIn, err := run(true)
+		cpu, err := core.NewMachine(img)
 		if err != nil {
 			return nil, err
 		}
-		return []string{name, fmt.Sprint(bOn), fmt.Sprint(bIn), pct(mOn), pct(mIn)}, nil
+		var inMem int64
+		cpu.TraceSlots = core.DictInMemoryFetches(img, dictBase, func(addr uint32, nbytes int) {
+			inMem += int64(nbytes)
+			ic.Access(addr, nbytes)
+		})
+		r, err := measure(c, cpu, icache)
+		if err != nil {
+			return nil, err
+		}
+		ic.Report(c.Recorder())
+		return []string{name, fmt.Sprint(cpu.Stats.FetchedBytes), fmt.Sprint(inMem),
+			pct(r.MissRate()), pct(ic.Stats.MissRate())}, nil
 	})
 	if err != nil {
 		return nil, err
@@ -605,8 +613,7 @@ func ExtCycles(c *Corpus) (*Table, error) {
 			if err != nil {
 				return 0, err
 			}
-			cpu.Record = c.Recorder()
-			r, err := pipeline.Measure(cpu, cfg.ICache, 200_000_000)
+			r, err := measure(c, cpu, cfg.ICache)
 			return r.Cycles(cfg), err
 		}
 		co, err := cyclesOf(func() (*machineCPU, error) { return newNative(p) })

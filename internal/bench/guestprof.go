@@ -35,14 +35,14 @@ type ProfilePair struct {
 
 // profiledRun executes a CPU to completion with the guest profiler on its
 // fetch journal, which leaves the run on the fused loop.
-func profiledRun(mk func() (*machineCPU, error), sym *guestprof.SymTab, name string) (GuestRun, error) {
+func profiledRun(c *Corpus, mk func() (*machineCPU, error), sym *guestprof.SymTab, name string) (GuestRun, error) {
 	cpu, err := mk()
 	if err != nil {
 		return GuestRun{}, err
 	}
 	gp := guestprof.New(sym)
 	gp.Attach(cpu)
-	if _, err := cpu.Run(200_000_000); err != nil {
+	if err := runGuest(c, cpu); err != nil {
 		return GuestRun{}, err
 	}
 	return GuestRun{Profile: gp.Profile(name), Heat: gp.Heat()}, nil
@@ -64,11 +64,11 @@ func GuestProfilePair(c *Corpus, name string, opt core.Options) (*ProfilePair, e
 		return nil, err
 	}
 	pair := &ProfilePair{Bench: name}
-	if pair.Native, err = profiledRun(func() (*machineCPU, error) { return newNative(p) },
+	if pair.Native, err = profiledRun(c, func() (*machineCPU, error) { return newNative(p) },
 		guestprof.NewProgramSymTab(p), name); err != nil {
 		return nil, fmt.Errorf("bench: native profile of %s: %w", name, err)
 	}
-	if pair.Compressed, err = profiledRun(func() (*machineCPU, error) { return core.NewMachine(img) },
+	if pair.Compressed, err = profiledRun(c, func() (*machineCPU, error) { return core.NewMachine(img) },
 		sym, name); err != nil {
 		return nil, fmt.Errorf("bench: compressed profile of %s: %w", name, err)
 	}

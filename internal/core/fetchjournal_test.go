@@ -1,6 +1,7 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 
@@ -75,8 +76,7 @@ func sameRun(fast, slow journalRun) string {
 // on and around the journal's capacity or in the middle of a dictionary
 // expansion — on every benchmark, native and through the dictionary
 // codecs. A self-modifying program drains the journal before the slow
-// path takes over; a memory-resident dictionary stays on Step and keeps
-// its dictionary accesses.
+// path takes over.
 func TestFetchJournalMatchesStep(t *testing.T) {
 	const maxSteps = 200_000_000
 	schemes := []codeword.Scheme{codeword.Baseline, codeword.OneByte, codeword.Nibble, codeword.Liao}
@@ -207,29 +207,142 @@ func TestFetchJournalMatchesStep(t *testing.T) {
 	})
 
 	t.Run("dictionary in memory", func(t *testing.T) {
-		img, _ := compress(t, "compress", codeword.Nibble)
-		const dictBase = 0x0080_0000
-		cpu, err := NewMachineDictInMemory(img, dictBase)
+		// DictInMemoryFetches must replay a run as the same traffic however
+		// its slots are delivered: the fused loop's journal, a Reset+Run
+		// rerun, or Runs chunked so that budgets park the frontend
+		// mid-expansion must each equal the replay of Step's slots.
+		const chunk = 7
+		forEachDictImage(t, func(label string, img *Image, ref dictReplayRun) {
+			var fused journalRun
+			fast := dictReplay(t, img, &fused)
+			runReplay(t, label, fast, &fused, maxSteps)
+			if fast.Fast.Steps != fast.Stats.Steps {
+				t.Fatalf("%s: the replay knocked the run off the fast path (%s)", label, fast.Fast.BailSummary())
+			}
+			if d := sameRun(fused, ref.journalRun); d != "" {
+				t.Fatalf("%s: fused run: %s", label, d)
+			}
+			if err := fast.Reset(); err != nil {
+				t.Fatal(err)
+			}
+			fused.fetches = fused.fetches[:0]
+			runReplay(t, label, fast, &fused, maxSteps)
+			if d := sameRun(fused, ref.journalRun); d != "" {
+				t.Fatalf("%s: Reset+Run rerun: %s", label, d)
+			}
+
+			var chunked journalRun
+			cpu := dictReplay(t, img, &chunked)
+			fe := cpu.Frontend().(machine.PredecodedFrontend)
+			parked := false
+			for ok := false; !ok; ok, _ = cpu.Exited() {
+				_, err := cpu.Run(cpu.Stats.Steps + chunk)
+				var f *machine.Fault
+				if errors.As(err, &f) || cpu.Stats.Steps > ref.stats.Steps {
+					t.Fatalf("%s: chunked run at step %d: %v", label, cpu.Stats.Steps, err)
+				}
+				parked = parked || fe.Predecode() == nil
+			}
+			if !parked {
+				t.Fatalf("%s: no budget of the chunked run split an expansion", label)
+			}
+			chunked.stats = cpu.Stats
+			if d := sameRun(chunked, ref.journalRun); d != "" {
+				t.Fatalf("%s: chunked run: %s", label, d)
+			}
+		})
+	})
+}
+
+// dictBase is where the memory-resident dictionary tests place the
+// dictionary.
+const dictBase = 0x0080_0000
+
+// dictReplayRun is one run of img with its dictionary replayed in memory
+// at dictBase: the accesses DictInMemoryFetches reported, and the
+// expansions begun when the run took the Step path.
+type dictReplayRun struct {
+	journalRun
+	begun int64
+}
+
+// forEachDictImage calls f on every benchmark compressed under every
+// dictionary codec, with the run of each taken on the Step path (TraceStep
+// attached) as the reference.
+func forEachDictImage(t *testing.T, f func(label string, img *Image, ref dictReplayRun)) {
+	t.Helper()
+	const maxSteps = 200_000_000
+	schemes := []codeword.Scheme{codeword.Baseline, codeword.OneByte, codeword.Nibble, codeword.Liao}
+	for _, name := range synth.BenchmarkNames() {
+		p, err := synth.Generate(name)
 		if err != nil {
 			t.Fatal(err)
 		}
-		r := runLogged(t, cpu, maxSteps, false)
-		if r.err != "" {
-			t.Fatal(r.err)
+		for _, scheme := range schemes {
+			label := name + "/" + scheme.String()
+			img, err := Compress(p.Clone(), Options{Scheme: scheme})
+			if err != nil {
+				t.Fatalf("%s: %v", label, err)
+			}
+			var ref dictReplayRun
+			slow := dictReplay(t, img, &ref.journalRun)
+			slow.TraceStep = func(si machine.StepInfo) {
+				if si.EntryLen > 0 {
+					ref.begun++
+				}
+			}
+			runReplay(t, label, slow, &ref.journalRun, maxSteps)
+			f(label, img, ref)
 		}
-		refused := cpu.Fast.Bails[machine.BailFrontendRefused] + cpu.Fast.Bails[machine.BailHookAttached]
-		if cpu.Fast.Steps != 0 || refused != 1 {
-			t.Fatalf("memory-resident dictionary left the Step path: %+v", cpu.Fast)
+	}
+}
+
+// dictReplay builds a machine for img whose TraceSlots replays its run into
+// r as memory-resident dictionary traffic.
+func dictReplay(t *testing.T, img *Image, r *journalRun) *machine.CPU {
+	t.Helper()
+	cpu, err := NewMachine(img)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu.TraceSlots = DictInMemoryFetches(img, dictBase, r.fetches.hook)
+	return cpu
+}
+
+// runReplay runs cpu to budget and records its counters in r.
+func runReplay(t *testing.T, label string, cpu *machine.CPU, r *journalRun, budget int64) {
+	t.Helper()
+	if _, err := cpu.Run(budget); err != nil {
+		t.Fatalf("%s: %v", label, err)
+	}
+	r.stats = cpu.Stats
+}
+
+// TestFrontendDictInMemoryAccounting: DictInMemoryFetches must account for
+// a run with its dictionary in memory, on every benchmark under every
+// dictionary codec: one 4-byte read inside the dictionary per instruction
+// the dictionary supplied (Stats.Expanded plus the expansions begun), so
+// the in-memory bytes are FetchedBytes plus 4 per read.
+func TestFrontendDictInMemoryAccounting(t *testing.T) {
+	forEachDictImage(t, func(label string, img *Image, ref dictReplayRun) {
+		dictEnd := uint32(dictBase)
+		for _, e := range img.Entries {
+			dictEnd += uint32(4 * len(e.Words))
 		}
-		var dict int64
-		for _, f := range r.fetches {
-			if uint32(f>>32) >= dictBase {
-				dict++
+		var reads, traffic int64
+		for _, f := range ref.fetches {
+			addr, n := uint32(f>>32), int64(uint32(f))
+			traffic += n
+			if addr >= dictBase {
+				if n != 4 || addr >= dictEnd {
+					t.Fatalf("%s: dictionary access (%#x, %d) outside [%#x,%#x)", label, addr, n, dictBase, dictEnd)
+				}
+				reads++
 			}
 		}
-		if dict == 0 || int64(len(r.fetches)) != cpu.Stats.MemFetches {
-			t.Fatalf("%d dictionary accesses, %d deliveries for %d memory fetches",
-				dict, len(r.fetches), cpu.Stats.MemFetches)
+		if st := ref.stats; ref.begun == 0 || reads != st.Expanded+ref.begun || traffic != st.FetchedBytes+4*reads {
+			t.Fatalf("%s: %d dictionary reads, %d bytes for %d expansions of %d expanded instructions, %d fetched bytes",
+				label, reads, traffic, ref.begun, st.Expanded, st.FetchedBytes)
 		}
 	})
 }

@@ -20,15 +20,6 @@ type CompressedFrontend struct {
 	queue []uint32 // remaining instructions of the current dictionary entry
 	qNext uint32   // unit address following the current item
 	qAddr uint32   // unit address of the current item
-
-	// dictBase, when nonzero, models the dictionary living in program
-	// memory rather than on-chip (§3.3 discusses both placements): each
-	// expanded instruction then costs a 4-byte fetch from the dictionary
-	// region. entryOff maps entry rank to its byte offset there.
-	dictBase uint32
-	entryOff []uint32
-	qRank    int
-	qIdx     int
 }
 
 // NewCompressedFrontend wraps an image for execution.
@@ -41,19 +32,6 @@ func NewCompressedFrontend(img *Image) *CompressedFrontend {
 }
 
 var _ machine.Frontend = (*CompressedFrontend)(nil)
-
-// SetDictInMemory switches the traffic model to a memory-resident
-// dictionary at the given byte base address: dictionary expansions fetch
-// their instructions from memory instead of being free. Use before Run.
-func (f *CompressedFrontend) SetDictInMemory(base uint32) {
-	f.dictBase = base
-	f.entryOff = make([]uint32, len(f.img.Entries))
-	off := uint32(0)
-	for i, e := range f.img.Entries {
-		f.entryOff[i] = off
-		off += uint32(4 * len(e.Words))
-	}
-}
 
 // Reset positions fetch at an entry address.
 func (f *CompressedFrontend) Reset(entry uint32) error { return f.SetPC(entry) }
@@ -93,13 +71,11 @@ func (f *CompressedFrontend) SetRawPC(pc uint32) {
 	f.queue = nil
 }
 
-// Predecode returns the image's predecoded table, or nil when this
-// frontend cannot use one: a memory-resident dictionary makes every
-// expanded instruction a distinct memory access the table does not model,
-// and an expansion already in progress holds queue state a table restart
-// would drop.
+// Predecode returns the image's predecoded table, or nil while an
+// expansion is in progress: its queue holds state a table restart would
+// drop.
 func (f *CompressedFrontend) Predecode() *machine.Predecode {
-	if f.dictBase != 0 || len(f.queue) > 0 {
+	if len(f.queue) > 0 {
 		return nil
 	}
 	return f.img.Predecode()
@@ -110,25 +86,12 @@ var _ machine.PredecodedFrontend = (*CompressedFrontend)(nil)
 // Fetch returns the next instruction, expanding codewords as needed.
 func (f *CompressedFrontend) Fetch() (machine.FetchInfo, error) {
 	if len(f.queue) > 0 {
+		// Expansion from the on-chip dictionary touches no program memory.
+		// Mid-entry successors are unaddressable; only the final
+		// instruction of an entry has a meaningful Next.
 		w := f.queue[0]
 		f.queue = f.queue[1:]
-		f.qIdx++
-		fi := machine.FetchInfo{
-			Word: w,
-			CIA:  f.qAddr,
-			// Mid-entry successors are unaddressable; only the final
-			// instruction of an entry has a meaningful Next.
-			Next:   f.qNext,
-			NextOK: len(f.queue) == 0,
-			// Dictionary expansion: no program-memory traffic with an
-			// on-chip dictionary; a 4-byte dictionary fetch otherwise.
-			MemBytes: 0,
-		}
-		if f.dictBase != 0 {
-			fi.MemAddr = f.dictBase + f.entryOff[f.qRank] + uint32(4*f.qIdx)
-			fi.MemBytes = 4
-		}
-		return fi, nil
+		return machine.FetchInfo{Word: w, CIA: f.qAddr, Next: f.qNext, NextOK: len(f.queue) == 0}, nil
 	}
 	it, err := f.rdr.At(int(f.pc - f.img.Base))
 	if err != nil {
@@ -154,20 +117,11 @@ func (f *CompressedFrontend) Fetch() (machine.FetchInfo, error) {
 	f.queue = words[1:]
 	f.qAddr = cia
 	f.qNext = next
-	f.qRank = it.Rank
-	f.qIdx = 0
-	fi := machine.FetchInfo{
+	return machine.FetchInfo{
 		Word: words[0], CIA: cia, Next: next, NextOK: len(words) == 1,
 		MemAddr: memAddr, MemBytes: memBytes,
 		EntryRank: it.Rank, EntryLen: len(words),
-	}
-	if f.dictBase != 0 {
-		// With a memory-resident dictionary, the first expanded word costs
-		// a dictionary access on top of the codeword fetch.
-		fi.MemAddr2 = f.dictBase + f.entryOff[it.Rank]
-		fi.MemBytes2 = 4
-	}
-	return fi, nil
+	}, nil
 }
 
 // byteAddr maps a unit address to the byte address of the underlying
@@ -176,16 +130,46 @@ func (f *CompressedFrontend) byteAddr(unitAddr uint32) uint32 {
 	return machine.UnitByteAddr(f.img.Base, unitAddr-f.img.Base, uint(f.img.Scheme.UnitBits()))
 }
 
-// NewMachineDictInMemory builds a CPU whose traffic model places the
-// dictionary in program memory at the given base address instead of
-// on-chip (see Image.Frontend semantics and §3.3).
-func NewMachineDictInMemory(img *Image, dictBase uint32) (*machine.CPU, error) {
-	cpu, err := NewMachine(img)
-	if err != nil {
-		return nil, err
+// DictInMemoryFetches returns a TraceSlots hook that replays a run of img
+// as the program-memory traffic it would make with its dictionary held in
+// memory at base rather than on-chip (§3.3 discusses both placements;
+// entries lie there in rank order, 4 bytes per instruction). fetch gets
+// every access in fetch order: each delivered slot's stream bytes, then
+// one 4-byte dictionary read per instruction the dictionary supplied for
+// it — EntryLen for a slot beginning an expansion, less cut on a batch's
+// last slot, and one for a Step slot continuing an expansion. The hook
+// carries the expansion in progress across batches and Runs, so it serves
+// one CPU from construction on.
+func DictInMemoryFetches(img *Image, base uint32, fetch func(addr uint32, nbytes int)) func(*machine.Predecode, []uint32, int) {
+	entryAddr := make([]uint32, len(img.Entries))
+	for i, e := range img.Entries {
+		entryAddr[i] = base
+		base += uint32(4 * len(e.Words))
 	}
-	cpu.Frontend().(*CompressedFrontend).SetDictInMemory(dictBase)
-	return cpu, nil
+	unitBits := uint(img.Scheme.UnitBits())
+	next := uint32(0) // address of the expansion's next dictionary read
+	return func(pd *machine.Predecode, slots []uint32, cut int) {
+		for j, i := range slots {
+			idx := i &^ machine.SlotTaken
+			s := &pd.Slots[idx]
+			n := 1 // a continuation Step delivered
+			if s.MemBytes > 0 {
+				pc := pd.Base + idx<<pd.Shift
+				fetch(machine.UnitByteAddr(img.Base, pc-img.Base, unitBits), int(s.MemBytes))
+				if s.Rank < 0 {
+					continue
+				}
+				n, next = int(s.EntryLen), entryAddr[s.Rank]
+			}
+			if j == len(slots)-1 {
+				n -= cut
+			}
+			for ; n > 0; n-- {
+				fetch(next, 4)
+				next += 4
+			}
+		}
+	}
 }
 
 // NewMachine builds a CPU executing the compressed image, with data and

@@ -171,37 +171,6 @@ func TestFrontendTrafficAccounting(t *testing.T) {
 	}
 }
 
-func TestFrontendDictInMemoryAccounting(t *testing.T) {
-	img, _ := compress(t, "compress", codeword.Nibble)
-	fe := NewCompressedFrontend(img)
-	fe.SetDictInMemory(0x0080_0000)
-	if err := fe.Reset(img.Base); err != nil {
-		t.Fatal(err)
-	}
-	want, _ := img.Decompress()
-	dictAccesses := 0
-	for n := 0; n < len(want); n++ {
-		fi, err := fe.Fetch()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fi.MemBytes2 > 0 {
-			if fi.MemAddr2 < 0x0080_0000 {
-				t.Fatalf("dictionary access below base: %#x", fi.MemAddr2)
-			}
-			dictAccesses++
-		}
-		if !fi.NextOK && fi.MemBytes == 0 && fi.MemBytes2 == 0 {
-			t.Fatal("mid-entry fetch free despite memory-resident dictionary")
-		}
-	}
-	// Every expanded instruction beyond... at minimum, the codeword count
-	// of first-words must have charged dictionary accesses.
-	if dictAccesses < img.Stats.CodewordItems {
-		t.Fatalf("only %d dictionary accesses for %d codewords", dictAccesses, img.Stats.CodewordItems)
-	}
-}
-
 // TestVerifyCatchesUnitCorruption: flipping the contents of any single
 // stream unit must be detected by Verify (or fail decode outright).
 func TestVerifyCatchesUnitCorruption(t *testing.T) {

@@ -183,27 +183,7 @@ func TestPredecodeUnavailable(t *testing.T) {
 	img, _ := compress(t, "compress", codeword.Nibble)
 	fe := NewCompressedFrontend(img)
 	if fe.Predecode() == nil {
-		t.Fatal("plain frontend refused to predecode")
-	}
-	fe.SetDictInMemory(0x0080_0000)
-	if fe.Predecode() != nil {
-		t.Fatal("memory-resident dictionary must force the instrumented path")
-	}
-
-	// The refusal is not silent: a whole Run on such a machine lands in
-	// the frontend_refused bail counter with zero fast-path coverage.
-	cpu, err := NewMachineDictInMemory(img, 0x0080_0000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cpu.Run(200_000_000); err != nil {
-		t.Fatal(err)
-	}
-	if got := cpu.Fast.Bails[machine.BailFrontendRefused]; got != 1 {
-		t.Fatalf("frontend_refused bail %d after a refused run (bails: %s)", got, cpu.Fast.BailSummary())
-	}
-	if cpu.Fast.Steps != 0 || cpu.Fast.Coverage(cpu.Stats.Steps) != 0 {
-		t.Fatalf("refused run reports fast-path work: %+v", cpu.Fast)
+		t.Fatal("fresh frontend refused to predecode")
 	}
 
 	// Mid-expansion, the queue holds state a table restart would drop.

@@ -180,7 +180,7 @@ func (p *Profiler) Attach(cpu *machine.CPU) {
 func (p *Profiler) Step(si machine.StepInfo) {
 	n := p.enter(p.sym.FuncOf(si.CIA))
 	n.c.Cycles++
-	n.c.FetchBytes += int64(si.MemBytes) + int64(si.MemBytes2)
+	n.c.FetchBytes += int64(si.MemBytes)
 	if si.EntryLen > 0 {
 		n.c.Expansions++
 		p.heat = countHeat(p.heat, si.EntryRank, 1)
@@ -206,9 +206,9 @@ func (p *Profiler) Step(si machine.StepInfo) {
 // executing function without calling or returning by run, every other
 // slot, including the batch's cut one, by slot. A call or return is
 // settled by the slot after it as soon as that slot is in hand, so the
-// run resumes there. A fused batch's slots took one fetch each and Step's
-// one slot all of its (none, one, or two with a memory-resident
-// dictionary), so the last slot takes the misses left.
+// run resumes there. Every slot took at most one fetch, in slot order (a
+// Step slot that continues an expansion took none), so slot k's misses
+// are the k-th fetch's.
 func (p *Profiler) observe(pd *machine.Predecode, slots []uint32, cut int) {
 	t := p.tables[pd]
 	if t == nil {
@@ -229,8 +229,8 @@ func (p *Profiler) observe(pd *machine.Predecode, slots []uint32, cut int) {
 			}
 		}
 		var misses int64
-		for j := k; j < len(p.misses) && (j == k || k == last); j++ {
-			misses += p.misses[j]
+		if k < len(p.misses) {
+			misses = p.misses[k]
 		}
 		c := 0
 		if k == last {

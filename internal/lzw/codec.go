@@ -94,17 +94,19 @@ func (lzwCodec) WriteImage(w io.Writer, img codec.Image) error {
 	return WriteImagePayload(w, li)
 }
 
-// Verify decompresses the stream and compares it to the program text.
+// Verify decompresses the stream, bounded by the program text's length,
+// and compares it to that text.
 func (lzwCodec) Verify(p *program.Program, img codec.Image) error {
 	li, ok := img.(*Image)
 	if !ok {
 		return fmt.Errorf("lzw: %T is not an LZW image", img)
 	}
-	got, err := Decompress(li.Blob)
+	text := p.TextBytes()
+	got, err := Decompress(li.Blob, len(text))
 	if err != nil {
 		return err
 	}
-	if !bytes.Equal(got, p.TextBytes()) {
+	if !bytes.Equal(got, text) {
 		return fmt.Errorf("lzw: decompressed text differs from program %s", p.Name)
 	}
 	return nil

@@ -10,10 +10,10 @@ package lzw
 
 import (
 	"errors"
-	"fmt"
 
 	"repro/internal/sizeaudit"
 	"repro/internal/stats"
+	"repro/internal/wire"
 )
 
 const (
@@ -165,16 +165,29 @@ func compress(data []byte, rec *stats.Recorder, em *sizeaudit.Emitter) []byte {
 	return out
 }
 
-// Decompress inverts Compress.
-func Decompress(data []byte) ([]byte, error) {
+// literals backs the one-byte strings every table starts with, so a
+// dictionary reset allocates nothing.
+var literals = func() (b [256]byte) {
+	for i := range b {
+		b[i] = byte(i)
+	}
+	return
+}()
+
+// Decompress inverts Compress for a stream expected to decode to at most
+// maxLen bytes. A code the table does not hold, or output that would pass
+// maxLen, fails with a *wire.FormatError before it is decoded, so a
+// hostile stream costs memory in proportion to maxLen, not to the square
+// of its own length.
+func Decompress(data []byte, maxLen int) ([]byte, error) {
 	r := &bitReader{in: data}
 	var out []byte
 
 	var table [][]byte
 	reset := func() {
 		table = table[:0]
-		for i := 0; i < 256; i++ {
-			table = append(table, []byte{byte(i)})
+		for i := range literals {
+			table = append(table, literals[i:i+1])
 		}
 		table = append(table, nil) // clear code placeholder
 	}
@@ -200,19 +213,25 @@ func Decompress(data []byte) ([]byte, error) {
 			prev = nil
 			continue
 		}
-		var cur []byte
+		n := len(prev) + 1 // the KwKwK case's string: prev plus its first byte
 		switch {
-		case int(code) < len(table) && code != clearCode:
+		case int(code) < len(table):
+			n = len(table[code])
+		case int(code) > len(table) || prev == nil:
+			return nil, &wire.FormatError{Field: "lzw code", Offset: r.pos, Value: int64(code)}
+		}
+		if len(out)+n > maxLen {
+			return nil, &wire.FormatError{Field: "lzw output length", Offset: r.pos, Value: int64(len(out) + n)}
+		}
+		var cur []byte
+		if int(code) < len(table) {
 			cur = table[code]
-		case int(code) == len(table) && prev != nil:
-			// The KwKwK case.
-			cur = append(append([]byte{}, prev...), prev[0])
-		default:
-			return nil, fmt.Errorf("lzw: bad code %d (table %d)", code, len(table))
+		} else {
+			cur = append(append(make([]byte, 0, n), prev...), prev[0])
 		}
 		out = append(out, cur...)
 		if prev != nil && len(table) < 1<<maxBits {
-			entry := append(append([]byte{}, prev...), cur[0])
+			entry := append(append(make([]byte, 0, len(prev)+1), prev...), cur[0])
 			table = append(table, entry)
 		}
 		prev = cur

@@ -2,20 +2,23 @@ package lzw
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/sizeaudit"
 	"repro/internal/stats"
 	"repro/internal/synth"
+	"repro/internal/wire"
 )
 
 func roundTrip(t *testing.T, data []byte) {
 	t.Helper()
 	c := Compress(data)
-	d, err := Decompress(c)
+	d, err := Decompress(c, len(data))
 	if err != nil {
 		t.Fatalf("decompress: %v", err)
 	}
@@ -92,11 +95,61 @@ func TestCompressesRedundantData(t *testing.T) {
 }
 
 func TestDecompressRejectsGarbage(t *testing.T) {
-	// A stream whose first code is beyond the virgin table must error.
+	// A stream whose first code is beyond the virgin table must fail typed.
 	w := &bitWriter{}
 	w.write(300, 9) // code 300 > 257 with empty table
-	if _, err := Decompress(w.flush()); err == nil {
-		t.Fatal("garbage stream accepted")
+	var fe *wire.FormatError
+	if _, err := Decompress(w.flush(), 1<<20); !errors.As(err, &fe) || fe.Field != "lzw code" {
+		t.Fatalf("garbage stream: err = %v, want a *wire.FormatError on the code", err)
+	}
+}
+
+// TestHostileStreamAllocatesLittle: a stream of KwKwK codes, each the
+// decoder's next free code, decodes to the square of its length (4,000
+// codes to 8 MB). Bounded by the length it should decode to, Decompress
+// fails with a *wire.FormatError on the output length once it would pass
+// that, having allocated less than 8 times the bound plus 64 KiB; a
+// stream of clear codes allocates under 64 KiB; and a stream that ends
+// within the bound still decodes.
+func TestHostileStreamAllocatesLittle(t *testing.T) {
+	w := &bitWriter{}
+	w.write('a', minBits)
+	bits := uint32(minBits)
+	for next := firstCode; next < firstCode+4000; next++ {
+		for next >= 1<<bits && bits < maxBits {
+			bits++
+		}
+		w.write(uint32(next), bits)
+	}
+	blob := w.flush()
+	const maxLen = 64 << 10
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := Decompress(blob, maxLen)
+	runtime.ReadMemStats(&after)
+	var fe *wire.FormatError
+	if !errors.As(err, &fe) || fe.Field != "lzw output length" || fe.Value <= maxLen {
+		t.Fatalf("%d-byte KwKwK stream: err = %v, want a *wire.FormatError on the output length", len(blob), err)
+	}
+	if grew, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*maxLen+64<<10); grew >= limit {
+		t.Errorf("decoding %d bytes allocated %d, limit %d", len(blob), grew, limit)
+	}
+	// A dictionary reset reuses the table: 2,000 clear codes allocate
+	// next to nothing.
+	w = &bitWriter{}
+	for range 2000 {
+		w.write(clearCode, minBits)
+	}
+	runtime.ReadMemStats(&before)
+	out, err := Decompress(w.flush(), maxLen)
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; err != nil || len(out) != 0 || grew >= 64<<10 {
+		t.Errorf("2,000 clear codes: %d bytes, err %v, allocated %d", len(out), err, grew)
+	}
+	// The first 8 codes (9 bytes) decode to 1 + 2 + ... + 8 bytes.
+	const n = 8 * 9 / 2
+	if out, err := Decompress(blob[:9], n); err != nil || !bytes.Equal(out, bytes.Repeat([]byte{'a'}, n)) {
+		t.Fatalf("8-code prefix: %d bytes, err %v; want %d", len(out), err, n)
 	}
 }
 
@@ -125,7 +178,7 @@ func TestRoundTripQuick(t *testing.T) {
 			data[i] = byte(rng.Intn(a))
 		}
 		c := Compress(data)
-		d, err := Decompress(c)
+		d, err := Decompress(c, len(data))
 		if err != nil {
 			return false
 		}

@@ -25,7 +25,7 @@ const (
 	BailSelfModifiedText                   // a store invalidated the table mid-run
 	BailExecFault                          // an instruction faulted architecturally
 	BailHookAttached                       // TraceStep forced the instrumented Step path for the whole Run
-	BailFrontendRefused                    // frontend had no usable predecode table
+	BailFrontendRefused                    // frontend had no predecode table: a compressed one parked mid-expansion
 
 	numBailReasons
 )
@@ -174,7 +174,7 @@ func (c *CPU) takenFetch(pd *Predecode, jl *[]uint32, rem int) {
 // fused loop's batches, the journal thus covers every step.
 func (c *CPU) stepped(fi *FetchInfo) {
 	s := &c.stepSlot[0]
-	s.MemBytes, s.Rank = uint8(fi.MemBytes+fi.MemBytes2), -1
+	s.MemBytes, s.Rank = uint8(fi.MemBytes), -1
 	if fi.EntryLen > 0 {
 		s.Rank = int32(fi.EntryRank)
 	}

@@ -14,18 +14,12 @@ type FetchInfo struct {
 	// never happens for well-formed images; the machine faults if it does.
 	NextOK bool
 
-	// MemAddr/MemBytes describe the program-memory traffic of this fetch
+	// MemAddr/MemBytes describe the program-memory access of this fetch
 	// for cache simulation. Instructions expanded from the on-chip
 	// dictionary after the first report zero bytes (the codeword itself was
 	// the only memory access).
 	MemAddr  uint32
 	MemBytes int
-
-	// MemAddr2/MemBytes2 describe a secondary access (used when a
-	// memory-resident dictionary is modeled: the codeword fetch and the
-	// dictionary-entry fetch are distinct accesses).
-	MemAddr2  uint32
-	MemBytes2 int
 
 	// EntryRank/EntryLen attribute the fetch to a dictionary entry when
 	// it begins a codeword expansion: EntryLen is the entry's instruction

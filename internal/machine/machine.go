@@ -305,27 +305,13 @@ func errBudget(maxSteps int64) error {
 	return fmt.Errorf("machine: step budget of %d exhausted", maxSteps)
 }
 
-// traceAccess accounts one program-memory access of a fetch and forwards
-// it to the TraceFetch hook. This is the single place FetchInfo's access
-// contract is enforced: MemAddr/MemBytes is the primary access (the
-// instruction or codeword fetch itself; MemBytes == 0 exactly when the
-// instruction was expanded from an on-chip dictionary and touched no
-// program memory), MemAddr2/MemBytes2 is the optional secondary access (a
-// memory-resident dictionary-entry fetch). Each access flows through here
-// exactly once, in fetch order, so Stats.MemFetches/FetchedBytes and the
-// cache simulation agree on what the memory interface saw. (The fused
-// loop's fetch journal, drainFetches, replays the same sequence.)
-func (c *CPU) traceAccess(addr uint32, nbytes int) {
-	c.Stats.MemFetches++
-	c.Stats.FetchedBytes += int64(nbytes)
-	if c.TraceFetch != nil {
-		c.TraceFetch(addr, nbytes)
-	}
-}
-
 // Step fetches and executes one instruction. It resolves the fetched word
 // into the CPU's one-slot table and executes it through runFast, the same
 // dispatch the fused loop uses, so the two paths share every semantic.
+// A fetch makes at most one program-memory access (none exactly when it
+// continues an on-chip dictionary expansion); Step accounts it in Stats
+// and hands it to TraceFetch before executing. (The fused loop's fetch
+// journal, drainFetches, replays the same sequence.)
 func (c *CPU) Step() error {
 	fi, err := c.fe.Fetch()
 	if err != nil {
@@ -333,12 +319,13 @@ func (c *CPU) Step() error {
 	}
 	c.Stats.Steps++
 	if fi.MemBytes > 0 {
-		c.traceAccess(fi.MemAddr, fi.MemBytes)
+		c.Stats.MemFetches++
+		c.Stats.FetchedBytes += int64(fi.MemBytes)
+		if c.TraceFetch != nil {
+			c.TraceFetch(fi.MemAddr, fi.MemBytes)
+		}
 	} else {
 		c.Stats.Expanded++
-	}
-	if fi.MemBytes2 > 0 {
-		c.traceAccess(fi.MemAddr2, fi.MemBytes2)
 	}
 	c.branch = takenBranch{}
 	s := &c.stepSlot[0]

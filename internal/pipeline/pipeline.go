@@ -44,6 +44,7 @@ type Report struct {
 	Steps         int64
 	TakenBranches int64
 	Expanded      int64
+	Accesses      int64 // I-cache accesses
 	Misses        int64
 }
 
@@ -63,10 +64,17 @@ func (r Report) CPI(cfg Config) float64 {
 	return float64(r.Cycles(cfg)) / float64(r.Steps)
 }
 
+// MissRate is I-cache misses per access.
+func (r Report) MissRate() float64 {
+	return cache.Stats{Accesses: r.Accesses, Misses: r.Misses}.MissRate()
+}
+
 // Measure runs the CPU to completion with an instruction cache of the
 // given shape on its fetch trace and returns the run's event counts. The
-// CPU must be freshly constructed (its fetch trace is consumed here). The
-// cache's counters go to cpu.Record, when one is attached.
+// CPU must be freshly constructed. Measure owns its TraceFetch hook and
+// leaves TraceSlots to the caller, so another model of the same run (say,
+// core.DictInMemoryFetches) can ride along on the fused loop. The cache's
+// counters go to cpu.Record, when one is attached.
 func Measure(cpu *machine.CPU, icache cache.Config, maxSteps int64) (Report, error) {
 	ic, err := cache.New(icache)
 	if err != nil {
@@ -81,6 +89,7 @@ func Measure(cpu *machine.CPU, icache cache.Config, maxSteps int64) (Report, err
 		Steps:         cpu.Stats.Steps,
 		TakenBranches: cpu.Stats.TakenBranches,
 		Expanded:      cpu.Stats.Expanded,
+		Accesses:      ic.Stats.Accesses,
 		Misses:        ic.Stats.Misses,
 	}, nil
 }
