@@ -12,8 +12,9 @@
 //
 // Two interchangeable implementations of the greedy policy live here. The
 // default (index.go) enumerates candidates with one radix sort of start
-// positions and maintains an occurrence index so selections invalidate
-// only the candidates they actually touch; the reference implementation
+// positions, keeps only the sequences that occur at least twice, and
+// maintains an occurrence index so selections invalidate only the
+// candidates they actually touch; the reference implementation
 // (below) is the direct transcription of the paper's algorithm, kept as
 // the differential oracle — both must produce byte-identical results on
 // every input (enforced by differential and fuzz tests).
@@ -69,12 +70,14 @@ type Config struct {
 	Strategy Strategy
 
 	// Stats, when non-nil, receives build observability counters:
-	// dict.candidates (sequences enumerated), dict.heap_pops,
-	// dict.reevaluations (stale candidates re-queued with refreshed
-	// savings), dict.entries (entries selected), and — from the indexed
-	// builder — dict.invalidations (occurrences killed by coverage),
-	// dict.dirty_skips (heap pops served from an exact cached use count,
-	// no occurrence rescan). It also receives the dict.selection_bits
+	// dict.candidates (distinct in-block sequences enumerated, whether or
+	// not they repeat), dict.heap_pops, dict.reevaluations (stale
+	// candidates re-queued with refreshed savings), dict.entries (entries
+	// selected), and — from the indexed builder — dict.invalidations
+	// (occurrences killed by coverage, counted only for sequences that
+	// occur at least twice: the index holds no other), dict.dirty_skips
+	// (heap pops served from an exact cached use count, no occurrence
+	// rescan). It also receives the dict.selection_bits
 	// histogram: the savings (in bits) of each selected entry at the
 	// moment of its selection — the paper's usage-vs-size distribution.
 	// Counter values are implementation observability; only the Result
@@ -233,8 +236,8 @@ func buildStatic(text []uint32, cfg Config, maxEntries int) *Result {
 	}
 	spE := cfg.Trace.Child("dict.enumerate")
 	ix := newIndex(text, cfg)
-	spE.SetInt("candidates", int64(len(ix.cands))).End()
-	cfg.Stats.Add("dict.candidates", int64(len(ix.cands)))
+	spE.SetInt("candidates", int64(ix.distinct)).End()
+	cfg.Stats.Add("dict.candidates", int64(ix.distinct))
 	ix.startSelection()
 	res := &Result{}
 

@@ -18,11 +18,12 @@ import (
 )
 
 // assertIdenticalBuilds runs both greedy implementations over one input
-// and requires deeply equal Results. It returns the indexed builder's
-// counters for callers that assert on observability.
+// and requires deeply equal Results and the same dict.candidates count. It
+// returns the indexed builder's counters for callers that assert on
+// observability.
 func assertIdenticalBuilds(t *testing.T, text []uint32, cfg dictionary.Config) stats.Snapshot {
 	t.Helper()
-	rec := stats.New()
+	rec, refRec := stats.New(), stats.New()
 	cfg.Strategy = dictionary.Greedy
 	cfg.Stats = rec
 	got, err := dictionary.Build(text, cfg)
@@ -30,7 +31,7 @@ func assertIdenticalBuilds(t *testing.T, text []uint32, cfg dictionary.Config) s
 		t.Fatalf("indexed build: %v", err)
 	}
 	cfg.Strategy = dictionary.GreedyReference
-	cfg.Stats = nil
+	cfg.Stats = refRec
 	want, err := dictionary.Build(text, cfg)
 	if err != nil {
 		t.Fatalf("reference build: %v", err)
@@ -44,7 +45,11 @@ func assertIdenticalBuilds(t *testing.T, text []uint32, cfg dictionary.Config) s
 	if got.CoveredInsns != want.CoveredInsns {
 		t.Fatalf("covered %d != %d", got.CoveredInsns, want.CoveredInsns)
 	}
-	return rec.Snapshot()
+	s := rec.Snapshot()
+	if c, ref := s.Counter("dict.candidates"), refRec.Snapshot().Counter("dict.candidates"); c != ref {
+		t.Fatalf("dict.candidates: indexed %d, reference %d", c, ref)
+	}
+	return s
 }
 
 func benchmarkInput(t testing.TB, name string) ([]uint32, dictionary.Config) {
@@ -92,28 +97,20 @@ func TestIndexedMatchesReferenceSynth(t *testing.T) {
 }
 
 // TestIndexedMatchesReferenceEnumeration pins the sort-based enumeration
-// to the reference's key-sorted map: the same candidates in the same
-// serial order with the same occurrence positions, and an inverted index
+// to the reference's key-sorted map (see CheckEnumeration): the repeated
+// candidates in the same serial order with the same occurrence positions,
+// every left-out candidate a single occurrence, and an inverted index
 // consistent with them. It runs every benchmark at each entry length the
 // paper sweeps, plus the degenerate texts where a radix sort or a
 // longest-common-prefix walk would go wrong first.
 func TestIndexedMatchesReferenceEnumeration(t *testing.T) {
-	check := func(t *testing.T, text []uint32, cfg dictionary.Config) {
+	check := func(t *testing.T, text []uint32, cfg dictionary.Config) int {
 		t.Helper()
-		got, err := dictionary.IndexedEnumeration(text, cfg)
+		n, err := dictionary.CheckEnumeration(text, cfg)
 		if err != nil {
 			t.Fatalf("MaxEntryLen %d: %v", cfg.MaxEntryLen, err)
 		}
-		want := dictionary.ReferenceEnumeration(text, cfg)
-		if len(got) != len(want) {
-			t.Fatalf("MaxEntryLen %d: %d candidates, reference %d", cfg.MaxEntryLen, len(got), len(want))
-		}
-		for s := range want {
-			if !reflect.DeepEqual(got[s], want[s]) {
-				t.Fatalf("MaxEntryLen %d: serial %d is %x at %d starts, reference %x at %d starts",
-					cfg.MaxEntryLen, s, got[s].Words, len(got[s].Pos), want[s].Words, len(want[s].Pos))
-			}
-		}
+		return n
 	}
 	maxLens := []int{1, 2, 4, 8}
 	for _, name := range synth.BenchmarkNames() {
@@ -123,27 +120,32 @@ func TestIndexedMatchesReferenceEnumeration(t *testing.T) {
 			text, cfg := benchmarkInput(t, name)
 			for _, maxLen := range maxLens {
 				cfg.MaxEntryLen = maxLen
-				check(t, text, cfg)
+				if check(t, text, cfg) == 0 {
+					t.Fatalf("MaxEntryLen %d: no candidates", maxLen)
+				}
 			}
 		})
 	}
 
+	// repeats says whether the text has a repeated sequence, so a
+	// candidate, at any MaxEntryLen.
 	edges := []struct {
 		name       string
 		n          int
 		word       func(i int) uint32
 		comp, lead func(i int) bool
+		repeats    bool
 	}{
 		{"one-distinct-word", 40, func(int) uint32 { return 0x60000000 },
-			func(int) bool { return true }, func(i int) bool { return i%13 == 0 }},
+			func(int) bool { return true }, func(i int) bool { return i%13 == 0 }, true},
 		{"all-distinct-words", 40, func(i int) uint32 { return 0x38600000 | uint32(i*7919%40) },
-			func(int) bool { return true }, func(i int) bool { return i == 0 }},
+			func(int) bool { return true }, func(i int) bool { return i == 0 }, false},
 		{"all-incompressible", 20, func(i int) uint32 { return 0x38600000 | uint32(i%3) },
-			func(int) bool { return false }, func(i int) bool { return i == 0 }},
+			func(int) bool { return false }, func(i int) bool { return i == 0 }, false},
 		{"one-word", 1, func(int) uint32 { return 0x7c632214 },
-			func(int) bool { return true }, func(int) bool { return true }},
+			func(int) bool { return true }, func(int) bool { return true }, false},
 		{"leader-every-word", 30, func(i int) uint32 { return 0x38600000 | uint32(i%3) },
-			func(int) bool { return true }, func(int) bool { return true }},
+			func(int) bool { return true }, func(int) bool { return true }, true},
 	}
 	for _, e := range edges {
 		e := e
@@ -163,7 +165,9 @@ func TestIndexedMatchesReferenceEnumeration(t *testing.T) {
 			}
 			for _, maxLen := range maxLens {
 				cfg.MaxEntryLen = maxLen
-				check(t, text, cfg)
+				if n := check(t, text, cfg); (n > 0) != e.repeats {
+					t.Fatalf("MaxEntryLen %d: %d candidates", maxLen, n)
+				}
 				assertIdenticalBuilds(t, text, cfg)
 			}
 		})
@@ -209,23 +213,43 @@ func TestIndexedMatchesReferenceSweep(t *testing.T) {
 			nibble.CodewordBits = codeword.Nibble.CodewordBits
 			nibble.MaxEntries = codeword.Nibble.MaxEntries()
 			assertIdenticalBuilds(t, text, nibble)
+			for _, maxLen := range []int{1, 4, 8} {
+				free := base
+				free.CodewordBits, free.EntryOverheadBits = freeCodewords, 0
+				free.MaxEntryLen, free.MaxEntries = maxLen, 0
+				assertIdenticalBuilds(t, text, free)
+			}
 		})
 	}
 }
 
+// freeCodewords is the zero-saving boundary of the cost model: with
+// codewords of 0 bits and no entry overhead, a sequence that occurs once
+// saves exactly 0 bits, so no builder may select it.
+func freeCodewords(int) int { return 0 }
+
 // TestStaticMatchesReference pins StaticOrder, which runs on the indexed
 // builder's occurrence index, to the string-keyed StaticReference across
 // the entry lengths, cost schedules and dictionary caps the ablation and
-// the figures use.
+// the figures use, and at the zero-saving boundary.
 func TestStaticMatchesReference(t *testing.T) {
+	schedules := []struct {
+		name     string
+		bits     func(int) int
+		overhead int
+	}{
+		{"baseline", codeword.Baseline.CodewordBits, codeword.EntryOverheadBits},
+		{"nibble", codeword.Nibble.CodewordBits, codeword.EntryOverheadBits},
+		{"free", freeCodewords, 0},
+	}
 	for _, name := range synth.BenchmarkNames() {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			text, cfg := benchmarkInput(t, name)
 			cfg.Strategy = dictionary.StaticOrder
-			for _, scheme := range []codeword.Scheme{codeword.Baseline, codeword.Nibble} {
-				cfg.CodewordBits = scheme.CodewordBits
+			for _, scheme := range schedules {
+				cfg.CodewordBits, cfg.EntryOverheadBits = scheme.bits, scheme.overhead
 				for _, maxLen := range []int{1, 4, 8} {
 					cfg.MaxEntryLen = maxLen
 					for _, n := range []int{1, 16, 256, 0} {
@@ -236,11 +260,11 @@ func TestStaticMatchesReference(t *testing.T) {
 						}
 						want := dictionary.StaticReference(text, cfg)
 						if !reflect.DeepEqual(got, want) {
-							t.Fatalf("%v, MaxEntryLen %d, cap %d: static build (%d entries, %d items) != reference (%d entries, %d items)",
-								scheme, maxLen, n, len(got.Entries), len(got.Items), len(want.Entries), len(want.Items))
+							t.Fatalf("%s, MaxEntryLen %d, cap %d: static build (%d entries, %d items) != reference (%d entries, %d items)",
+								scheme.name, maxLen, n, len(got.Entries), len(got.Items), len(want.Entries), len(want.Items))
 						}
 						if len(want.Entries) == 0 {
-							t.Fatalf("%v, MaxEntryLen %d, cap %d: no entries selected — differential is vacuous", scheme, maxLen, n)
+							t.Fatalf("%s, MaxEntryLen %d, cap %d: no entries selected — differential is vacuous", scheme.name, maxLen, n)
 						}
 					}
 				}

@@ -3,7 +3,10 @@ package dictionary
 // Hooks for the external test package, which can load the synth corpus
 // (core imports this package, so its internal tests cannot).
 
-import "fmt"
+import (
+	"fmt"
+	"reflect"
+)
 
 // EnumCand is one enumerated candidate: its words and ascending
 // occurrence starts.
@@ -27,10 +30,11 @@ func ReferenceEnumeration(text []uint32, cfg Config) []EnumCand {
 }
 
 // IndexedEnumeration returns the index's candidates in serial order,
-// after checking that its inverted occurrence index agrees with them: the
-// candidates' occurrence lists are consecutive runs of one array, every
-// slot occOff[p]+k-1 names the length-k candidate and an entry of that
-// candidate's run holding p, and every occurrence has exactly one slot.
+// after checking that each occurs at least twice and that its inverted
+// occurrence index agrees with them: the candidates' occurrence lists are
+// consecutive runs of one array, every slot occOff[p]+k-1 names the
+// length-k candidate and an entry of that candidate's run holding p, and
+// every occurrence has exactly one slot.
 func IndexedEnumeration(text []uint32, cfg Config) ([]EnumCand, error) {
 	ix := newIndex(text, cfg)
 	var out []EnumCand
@@ -40,8 +44,8 @@ func IndexedEnumeration(text []uint32, cfg Config) ([]EnumCand, error) {
 		if c.from != start || c.end < c.from || c.live != c.end-c.from {
 			return nil, fmt.Errorf("candidate %d: occurrences [%d, %d) after %d, live %d", s, c.from, c.end, start, c.live)
 		}
-		if c.end == c.from {
-			return nil, fmt.Errorf("candidate %d has no occurrence", s)
+		if c.end-c.from < 2 {
+			return nil, fmt.Errorf("candidate %d has %d occurrences", s, c.end-c.from)
 		}
 		at := ix.pos[c.from]
 		out = append(out, EnumCand{Words: text[at : at+c.k], Pos: ix.pos[c.from:c.end]})
@@ -66,6 +70,32 @@ func IndexedEnumeration(text []uint32, cfg Config) ([]EnumCand, error) {
 		}
 	}
 	return out, nil
+}
+
+// CheckEnumeration checks the index's enumeration against the
+// reference's and returns the index's candidate count. The index holds
+// exactly the reference candidates that occur at least twice, in the same
+// serial order with the same occurrence positions; every reference
+// candidate it leaves out occurs exactly once.
+func CheckEnumeration(text []uint32, cfg Config) (int, error) {
+	got, err := IndexedEnumeration(text, cfg)
+	if err != nil {
+		return 0, err
+	}
+	i := 0
+	for s, w := range ReferenceEnumeration(text, cfg) {
+		if i < len(got) && reflect.DeepEqual(got[i], w) {
+			i++
+			continue
+		}
+		if len(w.Pos) != 1 {
+			return 0, fmt.Errorf("reference serial %d (%x at %d starts) is missing from the index", s, w.Words, len(w.Pos))
+		}
+	}
+	if i < len(got) {
+		return 0, fmt.Errorf("index candidate %d (%x at %d starts) is not a reference candidate in serial order", i, got[i].Words, len(got[i].Pos))
+	}
+	return len(got), nil
 }
 
 // CheckedBuild is Build with the Greedy strategy, checking after every
@@ -232,7 +262,7 @@ func (chk *indexCheck) live(s int32) error {
 }
 
 // IndexedCandidates enumerates through the index and returns the
-// candidate count.
+// candidate count: the sequences that occur at least twice.
 func IndexedCandidates(text []uint32, cfg Config) int {
 	return len(newIndex(text, cfg).cands)
 }

@@ -2,7 +2,8 @@ package dictionary
 
 // Fuzz differential: random texts, compressibility masks and leader masks
 // are fed to the indexed and reference builders — greedy and static —
-// which must agree exactly. The seed corpus runs on every plain `go test`.
+// which must agree exactly, and to both enumerations, which must agree on
+// every repeated sequence. The seed corpus runs on every plain `go test`.
 
 import (
 	"reflect"
@@ -92,6 +93,12 @@ func FuzzBuildDifferential(f *testing.F) {
 	f.Add([]byte{0x18, 0x19, 0x1a, 0x18, 0x19, 0x1a}, uint8(3))
 	f.Add([]byte{2}, uint8(7))
 	f.Add([]byte{0xe1, 0xe2, 0xe1, 0xe2, 0xe1, 0xe2, 0xe1, 0xe2}, uint8(3))
+	// The singleton boundary: no compressible sequence repeats (word 0
+	// repeats only as incompressible 0x18), so every builder returns an
+	// empty dictionary; and 1,2 occurs exactly twice, the second time
+	// cut off by the leader after it, and is selected.
+	f.Add([]byte{0, 0x18, 1, 0x18, 2, 0x18, 3, 0x18, 4, 0x18, 5}, uint8(7))
+	f.Add([]byte{1, 2, 3, 4, 5, 1, 2, 0xe6, 7}, uint8(3))
 	f.Fuzz(func(t *testing.T, data []byte, maxLenRaw uint8) {
 		text, comp, lead := fuzzInput(data)
 		if len(text) == 0 {
@@ -105,13 +112,21 @@ func FuzzBuildDifferential(f *testing.F) {
 			Compressible:      comp,
 			Leader:            lead,
 		}
+		repeated, err := CheckEnumeration(text, cfg)
+		if err != nil {
+			t.Fatalf("enumeration: %v", err)
+		}
 		cfg.Strategy = GreedyReference
 		want := mustBuild(t, text, cfg)
 		cfg.Strategy = Greedy
 		got := mustBuild(t, text, cfg)
 		assertSameResult(t, "indexed vs reference", got, want)
 		cfg.Strategy = StaticOrder
-		assertSameResult(t, "static vs reference", mustBuild(t, text, cfg), StaticReference(text, cfg))
+		static := mustBuild(t, text, cfg)
+		assertSameResult(t, "static vs reference", static, StaticReference(text, cfg))
+		if repeated == 0 && len(want.Entries)+len(static.Entries) != 0 {
+			t.Fatalf("no sequence repeats, but greedy selected %d entries and static %d", len(want.Entries), len(static.Entries))
+		}
 		cfg.Strategy = Greedy
 
 		// The prefix invariant at a fuzzed cap: the capped build is the

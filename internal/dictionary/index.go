@@ -10,13 +10,18 @@
 //     longest in-block sequence it begins, using one LSD counting-sort pass
 //     per sequence offset over 1-based word ranks (rank 0 means "sequence
 //     ended", so a prefix sorts before its extensions). Adjacent sorted
-//     starts share exactly the candidates up to their longest common
-//     prefix, so a single walk of the sorted starts meets each distinct
-//     sequence once — already in the reference's serial order, its
-//     big-endian byte-key sort. Nothing is hashed, interned or compared
-//     pairwise, and every array is allocated at its exact size. The same
-//     walk counts each candidate's occurrences into a dense cursor array;
-//     the occurrence lists are then consecutive runs of one pos array, in
+//     starts share exactly the sequences up to their longest common
+//     prefix, so a sequence repeats exactly when a start shares it
+//     with a sorted neighbour. The whole LCP array comes first; each start
+//     then keeps only the lengths up to its longer LCP with either
+//     neighbour, and a single walk of the sorted starts meets each
+//     repeated sequence once — already in the reference's serial order,
+//     its big-endian byte-key sort. A sequence that occurs once gets no
+//     candidate, slot or pos entry: it can never be selected (see
+//     indexable). Nothing is hashed, interned or compared pairwise, and
+//     every array is allocated at its exact size. The same walk counts
+//     each candidate's occurrences into a dense cursor array; the
+//     occurrence lists are then consecutive runs of one pos array, in
 //     serial order, filled in text order through the cursor, so no
 //     candidate record is touched while filling.
 //
@@ -82,6 +87,10 @@ type index struct {
 	occOff []int32  // start position → occ[occOff[p]:occOff[p+1]]
 	maxLen int
 
+	// distinct counts the distinct in-block sequences, including those
+	// that occur once and so get no candidate.
+	distinct int
+
 	// Selection state, allocated by the builder that selects.
 	covered    []bool  // words absorbed by a selected entry
 	coverEntry []int32 // rank of the entry whose codeword starts at a word; -1 elsewhere
@@ -94,8 +103,11 @@ type index struct {
 // below 32·n: a candidate's non-overlapping uses of length k cover at most
 // n words, so uses·(32k−cw) ≤ 32n when codewords cost cw ≥ 0 bits, and
 // the entry's own 32k+overhead bits only subtract when overhead ≥ 0.
-// Nothing real comes within two orders of magnitude of the size bound; the
-// reference builders serve whatever fails it.
+// The same two bounds are why the index leaves out sequences that occur
+// once: one use saves (32k−cw) − (32k+overhead) = −cw−overhead ≤ 0 bits,
+// and only positive savings are ever selected. Nothing real comes within
+// two orders of magnitude of the size bound; the reference builders serve
+// whatever fails it.
 func indexable(n int, cfg Config) bool {
 	return int64(n)*int64(max(min(cfg.MaxEntryLen, n), 32)) < math.MaxInt32 &&
 		cfg.EntryOverheadBits >= 0 && cfg.CodewordBits(0) >= 0
@@ -112,8 +124,8 @@ func buildIndexed(text []uint32, cfg Config, maxEntries int, afterCommit func(ix
 	}
 	spE := cfg.Trace.Child("dict.enumerate")
 	ix := newIndex(text, cfg)
-	spE.SetInt("candidates", int64(len(ix.cands))).End()
-	cfg.Stats.Add("dict.candidates", int64(len(ix.cands)))
+	spE.SetInt("candidates", int64(ix.distinct)).End()
+	cfg.Stats.Add("dict.candidates", int64(ix.distinct))
 	ix.startSelection()
 	res := &Result{}
 
@@ -190,13 +202,13 @@ func (ix *index) startSelection() {
 }
 
 // newIndex enumerates every compressible in-block sequence of length
-// 1..MaxEntryLen, in serial order, and records the inverted
-// start-position index used for incremental invalidation.
+// 1..MaxEntryLen that occurs at least twice, in serial order, and records
+// the inverted start-position index used for incremental invalidation.
 func newIndex(text []uint32, cfg Config) *index {
 	n := len(text)
 	maxLen := int32(min(cfg.MaxEntryLen, n))
 
-	// span[p] is the number of candidates starting at p: the run of
+	// span[p] is the number of sequences starting at p: the run of
 	// compressible words from p that crosses no leader, capped at maxLen.
 	span := make([]int32, n)
 	m, maxSpan := 0, int32(0)
@@ -212,10 +224,8 @@ func newIndex(text []uint32, cfg Config) *index {
 		maxSpan = max(maxSpan, span[p])
 		m++
 	}
-	ix := &index{text: text, maxLen: cfg.MaxEntryLen, occOff: make([]int32, n+1)}
 	starts := make([]int32, 0, m)
 	for p := 0; p < n; p++ {
-		ix.occOff[p+1] = ix.occOff[p] + span[p]
 		if span[p] > 0 {
 			starts = append(starts, int32(p))
 		}
@@ -256,11 +266,10 @@ func newIndex(text []uint32, cfg Config) *index {
 		starts, buf = buf, starts
 	}
 
-	// A start shares its predecessor's candidates up to their longest
-	// common prefix; each longer prefix is a new candidate, and meeting
-	// them in this order is the serial order.
+	// lcp[t] is the longest common prefix of starts t-1 and t (0 for the
+	// first). Each start begins span-lcp sequences no earlier start begins.
+	ix := &index{text: text, maxLen: cfg.MaxEntryLen, occOff: make([]int32, n+1)}
 	lcp := key
-	nc := 0
 	for t, b := range starts {
 		l := int32(0)
 		if t > 0 {
@@ -270,8 +279,29 @@ func newIndex(text []uint32, cfg Config) *index {
 			}
 		}
 		lcp[t] = l
-		nc += int(span[b] - l)
+		ix.distinct += int(span[b] - l)
 	}
+
+	// A sequence occurs at least twice exactly when a sorted start shares it
+	// with a neighbour, so trim each start's span to its longer common
+	// prefix with either one: the slots cut off hold sequences that occur
+	// once, which can never save anything (see indexable).
+	nc := 0
+	for t, b := range starts {
+		next := int32(0)
+		if t+1 < len(starts) {
+			next = lcp[t+1]
+		}
+		span[b] = max(lcp[t], next)
+		nc += int(span[b] - lcp[t])
+	}
+	for p := 0; p < n; p++ {
+		ix.occOff[p+1] = ix.occOff[p] + span[p]
+	}
+
+	// A start shares its predecessor's candidates up to their longest
+	// common prefix; each longer prefix it keeps is a new candidate, and
+	// meeting them in this order is the serial order.
 	ix.cands = make([]icand, nc)
 	ix.occ = make([]occRef, ix.occOff[n])
 	cursor := make([]int32, nc) // occurrences per candidate
