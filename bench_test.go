@@ -356,19 +356,11 @@ func BenchmarkCompressedExecution(b *testing.B) {
 	reportHist(b, rec, "explen", "explen")
 }
 
-// BenchmarkSampledExecution is BenchmarkCompressedExecution with the
-// call-tree guest profiler on the fetch journal — the always-on
-// observability configuration (the name predates the one profiler; the
-// ledger and baseline key on it). The run must stay on the fused fast path
-// (faststeps/op equals steps/op); benchdiff derives fastpath_coverage and
-// sampled_profiling_overhead_ratio from this pair and CI pins the latter
-// at 1.10.
-func BenchmarkSampledExecution(b *testing.B) {
-	p := benchProgram(b, "perl")
-	img, err := core.Compress(p.Clone(), Options{Scheme: Nibble})
-	if err != nil {
-		b.Fatal(err)
-	}
+// profiledMachine builds a nibble machine in the always-on observability
+// configuration: a Record counter sink and the call-tree guest profiler
+// on the fetch journal, both of which leave the run on the fused loop.
+func profiledMachine(b *testing.B, img *core.Image) *machine.CPU {
+	b.Helper()
 	sym, err := img.GuestSymTab()
 	if err != nil {
 		b.Fatal(err)
@@ -379,12 +371,89 @@ func BenchmarkSampledExecution(b *testing.B) {
 	}
 	cpu.Record = stats.New()
 	guestprof.New(sym).Attach(cpu)
+	return cpu
+}
+
+// BenchmarkSampledExecution is BenchmarkCompressedExecution with the
+// call-tree guest profiler on the fetch journal — the always-on
+// observability configuration (the name predates the one profiler; the
+// ledger and baseline key on it). The run must stay on the fused fast path
+// (faststeps/op equals steps/op). It is the layer's number on the ledger;
+// the ratio CI holds to 1.10 is timed in BenchmarkExecutionRatios.
+func BenchmarkSampledExecution(b *testing.B) {
+	p := benchProgram(b, "perl")
+	img, err := core.Compress(p.Clone(), Options{Scheme: Nibble})
+	if err != nil {
+		b.Fatal(err)
+	}
+	cpu := profiledMachine(b, img)
 	steps := benchRepeatRuns(b, cpu)
 	if cpu.Fast.Steps != cpu.Stats.Steps {
 		b.Fatalf("profiling knocked the run off the fast path: %s", cpu.Fast.BailSummary())
 	}
 	b.ReportMetric(float64(steps), "steps/op")
 	b.ReportMetric(float64(cpu.Fast.Steps), "faststeps/op")
+}
+
+// BenchmarkExecutionRatios times the two execution ceilings' ratios from
+// paired runs. Each iteration Resets and Runs perl once on each of three
+// machines — native, nibble, and nibble with the profiler of
+// BenchmarkSampledExecution — rotating which goes first, and times each
+// with its own clock pair. compressed_vs_native_ratio is the nibble time
+// over the native time and sampled_profiling_overhead_ratio the profiled
+// time over the nibble time, both summed over the sample's iterations.
+// Each run of a ratio sits microseconds from its counterpart, so host
+// drift slows both sides alike instead of landing in the quotient, as it
+// does when each side is a separate benchmark that -count runs in turn.
+// ns/op covers all three runs.
+func BenchmarkExecutionRatios(b *testing.B) {
+	p := benchProgram(b, "perl")
+	img, err := core.Compress(p.Clone(), Options{Scheme: Nibble})
+	if err != nil {
+		b.Fatal(err)
+	}
+	native, err := machine.NewForProgram(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	nibble, err := core.NewMachine(img)
+	if err != nil {
+		b.Fatal(err)
+	}
+	profiled := profiledMachine(b, img)
+	cpus := [3]*machine.CPU{native, nibble, profiled}
+	for _, cpu := range cpus {
+		if _, err := cpu.Run(200_000_000); err != nil {
+			b.Fatal(err)
+		}
+	}
+	var total [3]time.Duration
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for k := range cpus {
+			j := (i + k) % len(cpus)
+			start := time.Now()
+			if err := cpus[j].Reset(); err != nil {
+				b.Fatal(err)
+			}
+			if _, err := cpus[j].Run(200_000_000); err != nil {
+				b.Fatal(err)
+			}
+			total[j] += time.Since(start)
+		}
+	}
+	b.StopTimer()
+	for _, cpu := range cpus[1:] {
+		if cpu.Fast.Steps != cpu.Stats.Steps {
+			b.Fatalf("a nibble run left the fast path: %s", cpu.Fast.BailSummary())
+		}
+		if cpu.Stats.Steps != native.Stats.Steps {
+			b.Fatalf("steps %d != native %d", cpu.Stats.Steps, native.Stats.Steps)
+		}
+	}
+	b.ReportMetric(float64(total[1])/float64(total[0]), "compressed_vs_native_ratio")
+	b.ReportMetric(float64(total[2])/float64(total[1]), "sampled_profiling_overhead_ratio")
 }
 
 // BenchmarkHookedExecution is the instrumented Step path:

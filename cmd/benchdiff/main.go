@@ -24,7 +24,9 @@
 // under its target even if the committed baseline drifted. With
 // multi-sample reports the ceiling is checked against the metric's 95% CI
 // upper bound, not a lucky single sample. A -max naming a metric absent
-// from the new report fails, so the gate cannot silently rot.
+// from the new report fails, so the gate cannot silently rot. The gate
+// reads metrics as the benchmarks reported them; the execution ratios it
+// is used on are paired inside BenchmarkExecutionRatios, not derived here.
 //
 // Appeared/disappeared benchmarks are reported but never fail the gate:
 // renames and new coverage are routine; silently comparing nothing is the

@@ -154,7 +154,6 @@ func TestSuffixedRunMatchesBaseline(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep.AddDerived()
 	for _, b := range rep.Benchmarks {
 		if b.Procs != 2 {
 			t.Fatalf("%s: procs %d, want 2", b.Name, b.Procs)

@@ -13,6 +13,11 @@
 // gains per-side 95% confidence intervals plus a Mann-Whitney
 // significance test for its -significant gate.
 //
+// It records what the benchmarks report and derives nothing: a ratio
+// between two timings, such as compressed_vs_native_ratio, is formed by
+// the benchmark that timed both sides (BenchmarkExecutionRatios), so each
+// sample pairs runs taken moments apart.
+//
 // It fails (exit 1) when no benchmark lines are found, so an empty or
 // broken bench run can never silently overwrite a trajectory file.
 // The schema and parser live in internal/benchfmt, shared with benchdiff,
@@ -34,9 +39,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchjson: parsing stdin: %v\n", err)
 		os.Exit(1)
 	}
-	// Derived cross-benchmark metrics (compressed_vs_native_ratio) ride
-	// the trajectory like any measured value.
-	rep.AddDerived()
 	enc := json.NewEncoder(os.Stdout)
 	enc.SetIndent("", "  ")
 	if err := enc.Encode(rep); err != nil {

@@ -21,26 +21,33 @@ func init() {
 // below it.
 const execBudget = 200_000_000
 
-// measureRuns times repeated Runs of one already-constructed machine,
+// measureRounds times repeated Runs of already-constructed machines,
 // Reset between runs — the predecoded engine's steady-state shape. The
-// first (untimed) run pays the lazy predecode build; best-of-5 suppresses
-// scheduler noise. Returns the best wall time and the steps of one run.
-func measureRuns(cpu *machineCPU) (time.Duration, int64, error) {
-	if _, err := cpu.Run(execBudget); err != nil {
-		return 0, 0, err
-	}
-	steps := cpu.Stats.Steps
-	var best time.Duration
-	for r := 0; r < 5; r++ {
-		if err := cpu.Reset(); err != nil {
-			return 0, 0, err
-		}
-		start := time.Now()
+// first (untimed) run of each pays the lazy predecode build. Each of 5
+// rounds then runs every machine once, so the best-of-5 times a ratio
+// divides were taken moments apart and host drift slows both sides alike.
+// Returns each machine's best wall time and the steps of its run.
+func measureRounds(cpus []*machineCPU) ([]time.Duration, []int64, error) {
+	steps := make([]int64, len(cpus))
+	for i, cpu := range cpus {
 		if _, err := cpu.Run(execBudget); err != nil {
-			return 0, 0, err
+			return nil, nil, err
 		}
-		if d := time.Since(start); best == 0 || d < best {
-			best = d
+		steps[i] = cpu.Stats.Steps
+	}
+	best := make([]time.Duration, len(cpus))
+	for r := 0; r < 5; r++ {
+		for i, cpu := range cpus {
+			if err := cpu.Reset(); err != nil {
+				return nil, nil, err
+			}
+			start := time.Now()
+			if _, err := cpu.Run(execBudget); err != nil {
+				return nil, nil, err
+			}
+			if d := time.Since(start); best[i] == 0 || d < best[i] {
+				best[i] = d
+			}
 		}
 	}
 	return best, steps, nil
@@ -74,10 +81,7 @@ func ExtExec(c *Corpus) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ntime, nsteps, err := measureRuns(ncpu)
-		if err != nil {
-			return nil, fmt.Errorf("exec: native %s: %w", name, err)
-		}
+		cpus := []*machineCPU{ncpu}
 		for _, sch := range schemes {
 			img, err := c.Image(name, core.Options{Scheme: sch, MaxEntryLen: 4})
 			if err != nil {
@@ -87,16 +91,20 @@ func ExtExec(c *Corpus) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			ctime, csteps, err := measureRuns(ccpu)
-			if err != nil {
-				return nil, fmt.Errorf("exec: %s/%s: %w", name, sch, err)
+			cpus = append(cpus, ccpu)
+		}
+		times, steps, err := measureRounds(cpus)
+		if err != nil {
+			return nil, fmt.Errorf("exec: %s: %w", name, err)
+		}
+		for i, sch := range schemes {
+			ctime, csteps := times[i+1], steps[i+1]
+			if csteps != steps[0] {
+				return nil, fmt.Errorf("exec: %s/%s: steps %d != native %d", name, sch, csteps, steps[0])
 			}
-			if csteps != nsteps {
-				return nil, fmt.Errorf("exec: %s/%s: steps %d != native %d", name, sch, csteps, nsteps)
-			}
-			t.AddRow(name, sch.String(), fmt.Sprint(nsteps),
-				fmt.Sprint(ntime.Nanoseconds()), fmt.Sprint(ctime.Nanoseconds()),
-				fmt.Sprintf("%.2f", float64(ctime)/float64(ntime)))
+			t.AddRow(name, sch.String(), fmt.Sprint(steps[0]),
+				fmt.Sprint(times[0].Nanoseconds()), fmt.Sprint(ctime.Nanoseconds()),
+				fmt.Sprintf("%.2f", float64(ctime)/float64(times[0])))
 		}
 	}
 	return t, nil

@@ -285,45 +285,6 @@ func (b *Benchmark) Dist(metric string) (Dist, bool) {
 	return Dist{}, false
 }
 
-// AddDerived attaches metrics computed across benchmarks, stored on a
-// benchmark's Metrics so each ratio itself rides the trajectory and is
-// regression-gated, not just the raw values (which move together with
-// host speed; their quotients do not):
-//
-//   - compressed_vs_native_ratio: BenchmarkCompressedExecution's ns/op
-//     over BenchmarkNativeExecution's — the cost of executing compressed.
-//   - sampled_profiling_overhead_ratio: BenchmarkSampledExecution's ns/op
-//     over BenchmarkCompressedExecution's — the cost of always-on guest
-//     profiling (the fetch-journal call-tree profiler) over the bare fast
-//     path (CI ceiling 1.10).
-//   - fastpath_coverage: BenchmarkSampledExecution's faststeps/op over its
-//     steps/op — the share of execution the fused loop supplied.
-//
-// With multi-sample inputs each derived metric carries its own sample
-// set, giving the -max ceiling a confidence interval to gate on. How
-// samples pair up depends on where they come from. Cross-benchmark
-// ratios (the two overhead ratios) divide samples from *independent*
-// runs — `go test -count=N` runs each benchmark N consecutive times, so
-// sample i of the numerator and sample i of the denominator share
-// nothing — and are paired after sorting both sides: the i-th order
-// statistic over the i-th order statistic, a quantile-matched ratio
-// whose spread reflects the distributions' relationship rather than the
-// (arbitrary) run pairing. fastpath_coverage divides two metrics of the
-// *same* benchmark, where index i on both sides is the same run, so it
-// pairs by index exactly. Non-finite pairs (zero or NaN denominators)
-// are skipped, and each derivation is independently a no-op when a side
-// is absent or no finite pair survives.
-func (r *Report) AddDerived() {
-	r.deriveRatio("BenchmarkCompressedExecution", "compressed_vs_native_ratio",
-		"BenchmarkNativeExecution")
-	r.deriveRatio("BenchmarkSampledExecution", "sampled_profiling_overhead_ratio",
-		"BenchmarkCompressedExecution")
-	if b := r.find("BenchmarkSampledExecution"); b != nil {
-		b.storeDerived("fastpath_coverage",
-			pairwiseRatios(b.metricSamples("faststeps/op"), b.metricSamples("steps/op")))
-	}
-}
-
 // find returns a mutable pointer to the named benchmark, nil when absent.
 func (r *Report) find(name string) *Benchmark {
 	for i := range r.Benchmarks {
@@ -332,80 +293,6 @@ func (r *Report) find(name string) *Benchmark {
 		}
 	}
 	return nil
-}
-
-// deriveRatio stores name's ns/op over base's ns/op as metric on name,
-// pairing the two sides' samples as sorted order statistics (see
-// AddDerived for why cross-benchmark samples must not pair by run index).
-func (r *Report) deriveRatio(name, metric, base string) {
-	b, bb := r.find(name), r.find(base)
-	if b == nil || bb == nil {
-		return
-	}
-	b.storeDerived(metric, pairwiseRatios(
-		sortedCopy(b.metricSamples(MetricNs)), sortedCopy(bb.metricSamples(MetricNs))))
-}
-
-// sortedCopy returns the samples in ascending order without mutating the
-// report's own arrays.
-func sortedCopy(s []float64) []float64 {
-	out := append([]float64(nil), s...)
-	sort.Float64s(out)
-	return out
-}
-
-// metricSamples returns the raw samples of a metric, falling back to the
-// single point value for sample-less reports. A metric the benchmark does
-// not track yields nil.
-func (b *Benchmark) metricSamples(metric string) []float64 {
-	if s := b.Samples[metric]; len(s) > 0 {
-		return s
-	}
-	if d, ok := b.Dist(metric); ok {
-		return []float64{d.Mean}
-	}
-	return nil
-}
-
-// storeDerived records a derived metric's mean (and, with more than one
-// surviving pair, its sample set) on the benchmark. No-op when ratios is
-// empty, so a missing input side never fabricates a metric.
-func (b *Benchmark) storeDerived(metric string, ratios []float64) {
-	if len(ratios) == 0 {
-		return
-	}
-	if b.Metrics == nil {
-		b.Metrics = map[string]float64{}
-	}
-	b.Metrics[metric] = NewDist(ratios).Mean
-	if len(ratios) > 1 {
-		if b.Samples == nil {
-			b.Samples = map[string][]float64{}
-		}
-		b.Samples[metric] = ratios
-	}
-}
-
-// pairwiseRatios divides num[i] by den[i] over the shorter length,
-// skipping pairs whose quotient is not finite (zero denominators, NaN or
-// Inf inputs), so derived metrics can never leak NaN/Inf into a report.
-func pairwiseRatios(num, den []float64) []float64 {
-	n := len(num)
-	if len(den) < n {
-		n = len(den)
-	}
-	out := make([]float64, 0, n)
-	for i := 0; i < n; i++ {
-		if den[i] == 0 {
-			continue
-		}
-		v := num[i] / den[i]
-		if math.IsNaN(v) || math.IsInf(v, 0) {
-			continue
-		}
-		out = append(out, v)
-	}
-	return out
 }
 
 // Ceiling is one absolute bound on a metric: unlike the relative

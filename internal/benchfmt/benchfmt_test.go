@@ -121,49 +121,6 @@ func TestCompare(t *testing.T) {
 	}
 }
 
-func TestAddDerived(t *testing.T) {
-	rep := &Report{Benchmarks: []Benchmark{
-		{Name: "BenchmarkNativeExecution", NsPerOp: 200},
-		{Name: "BenchmarkCompressedExecution", NsPerOp: 220},
-		{Name: "BenchmarkSampledExecution", NsPerOp: 231,
-			Metrics: map[string]float64{"steps/op": 16000, "faststeps/op": 15840}},
-	}}
-	rep.AddDerived()
-	comp, _ := rep.Find("BenchmarkCompressedExecution")
-	if got := comp.Metrics["compressed_vs_native_ratio"]; got != 1.1 {
-		t.Fatalf("compressed_vs_native_ratio = %v", got)
-	}
-	samp, _ := rep.Find("BenchmarkSampledExecution")
-	if got := samp.Metrics["sampled_profiling_overhead_ratio"]; got != 1.05 {
-		t.Fatalf("sampled_profiling_overhead_ratio = %v", got)
-	}
-	if got := samp.Metrics["fastpath_coverage"]; got != 0.99 {
-		t.Fatalf("fastpath_coverage = %v", got)
-	}
-}
-
-func TestAddDerivedPartialReport(t *testing.T) {
-	// Each derivation is independent: with no native baseline, only the
-	// sampling-derived metrics appear.
-	rep := &Report{Benchmarks: []Benchmark{
-		{Name: "BenchmarkCompressedExecution", NsPerOp: 220},
-		{Name: "BenchmarkSampledExecution", NsPerOp: 242,
-			Metrics: map[string]float64{"steps/op": 100, "faststeps/op": 100}},
-	}}
-	rep.AddDerived()
-	comp, _ := rep.Find("BenchmarkCompressedExecution")
-	if _, ok := comp.Metrics["compressed_vs_native_ratio"]; ok {
-		t.Fatal("ratio derived without its baseline")
-	}
-	samp, _ := rep.Find("BenchmarkSampledExecution")
-	if got := samp.Metrics["sampled_profiling_overhead_ratio"]; got != 1.1 {
-		t.Fatalf("sampled_profiling_overhead_ratio = %v", got)
-	}
-	if got := samp.Metrics["fastpath_coverage"]; got != 1 {
-		t.Fatalf("fastpath_coverage = %v", got)
-	}
-}
-
 func TestExceeded(t *testing.T) {
 	rep := parseSample(t)
 	over, err := rep.Exceeded([]Ceiling{{Metric: "ratio", Limit: 0.4}})
@@ -352,74 +309,30 @@ func TestExceededUsesCIUpperBound(t *testing.T) {
 	if over, _ := rep.Exceeded([]Ceiling{{Metric: "r", Limit: 1.05}}); len(over) != 0 {
 		t.Errorf("tight CI flagged: %+v", over)
 	}
-}
 
-func TestAddDerivedGuardsNonFinite(t *testing.T) {
-	// Zero and NaN denominators in the sample pairing must be skipped,
-	// never leaking NaN/Inf into a derived metric.
-	rep := &Report{Benchmarks: []Benchmark{
-		{Name: "BenchmarkNativeExecution", NsPerOp: 100,
-			Samples: map[string][]float64{MetricNs: {0, math.NaN(), 100, 200}}},
-		{Name: "BenchmarkCompressedExecution", NsPerOp: 120,
-			Samples: map[string][]float64{MetricNs: {110, 120, 110, 220}}},
-	}}
-	rep.AddDerived()
-	comp, _ := rep.Find("BenchmarkCompressedExecution")
-	got, ok := comp.Metrics["compressed_vs_native_ratio"]
-	if !ok {
-		t.Fatal("ratio not derived from the finite pairs")
+	// The path CI takes: BenchmarkExecutionRatios reports the paired
+	// ratio as a custom metric on each of its -count lines, and the bound
+	// is over exactly those samples.
+	rep, err = Parse(bufio.NewScanner(strings.NewReader(`pkg: repro
+BenchmarkExecutionRatios-2   100   400000 ns/op   1.010 compressed_vs_native_ratio
+BenchmarkExecutionRatios-2   100   410000 ns/op   1.020 compressed_vs_native_ratio
+BenchmarkExecutionRatios-2   100   405000 ns/op   1.030 compressed_vs_native_ratio
+PASS
+`)))
+	if err != nil {
+		t.Fatal(err)
 	}
-	if math.IsNaN(got) || math.IsInf(got, 0) {
-		t.Fatalf("ratio = %v", got)
+	want := NewDist([]float64{1.010, 1.020, 1.030}).CIHigh
+	// The mean (1.02) is under 1.04; the upper bound (~1.045) is not.
+	over, err = rep.Exceeded([]Ceiling{{Metric: "compressed_vs_native_ratio", Limit: 1.04}})
+	if err != nil || len(over) != 1 || over[0].New != want || over[0].NewDist.N != 3 {
+		t.Fatalf("over = %+v, err %v; want the upper bound %v of the 3 samples", over, err, want)
 	}
-	// Sorted pairing: num {110,110,120,220} over den {NaN,0,100,200};
-	// only the two finite pairs (120/100, 220/200) survive.
-	if s := comp.Samples["compressed_vs_native_ratio"]; len(s) != 2 || s[0] != 1.2 || s[1] != 1.1 {
-		t.Fatalf("ratio samples = %v, want [1.2 1.1]", s)
+	if over, err := rep.Exceeded([]Ceiling{{Metric: "compressed_vs_native_ratio", Limit: 1.15}}); err != nil || len(over) != 0 {
+		t.Errorf("ceiling 1.15: over = %+v, err %v", over, err)
 	}
-}
-
-func TestAddDerivedSortsCrossBenchmarkPairs(t *testing.T) {
-	// -count runs each benchmark N consecutive times, so run order
-	// carries no pairing information; the derivation must match order
-	// statistics. Here both sides hold the same values in opposite
-	// order — sorted pairing yields exactly 1.0 ratios, while naive
-	// index pairing would produce a wide spread.
-	rep := &Report{Benchmarks: []Benchmark{
-		{Name: "BenchmarkNativeExecution", NsPerOp: 110,
-			Samples: map[string][]float64{MetricNs: {120, 110, 100}}},
-		{Name: "BenchmarkCompressedExecution", NsPerOp: 110,
-			Samples: map[string][]float64{MetricNs: {100, 110, 120}}},
-	}}
-	rep.AddDerived()
-	comp, _ := rep.Find("BenchmarkCompressedExecution")
-	for _, v := range comp.Samples["compressed_vs_native_ratio"] {
-		if v != 1 {
-			t.Fatalf("sorted pairing broken: ratios %v", comp.Samples["compressed_vs_native_ratio"])
-		}
-	}
-	// Same-benchmark derivation (coverage) stays index-paired: sample i
-	// of faststeps and steps come from the same run.
-	rep2 := &Report{Benchmarks: []Benchmark{
-		{Name: "BenchmarkSampledExecution", NsPerOp: 100, Metrics: map[string]float64{},
-			Samples: map[string][]float64{
-				MetricNs: {100, 101}, "faststeps/op": {50, 200}, "steps/op": {100, 200}}},
-	}}
-	rep2.AddDerived()
-	samp, _ := rep2.Find("BenchmarkSampledExecution")
-	if s := samp.Samples["fastpath_coverage"]; len(s) != 2 || s[0] != 0.5 || s[1] != 1 {
-		t.Fatalf("coverage samples = %v, want [0.5 1]", s)
+	if _, err := rep.Exceeded([]Ceiling{{Metric: "sampled_profiling_overhead_ratio", Limit: 1.10}}); err == nil {
+		t.Error("a ceiling on a ratio the run did not report passed")
 	}
 }
 
-func TestAddDerivedAllZeroDenominator(t *testing.T) {
-	rep := &Report{Benchmarks: []Benchmark{
-		{Name: "BenchmarkNativeExecution", NsPerOp: 0},
-		{Name: "BenchmarkCompressedExecution", NsPerOp: 120},
-	}}
-	rep.AddDerived()
-	comp, _ := rep.Find("BenchmarkCompressedExecution")
-	if _, ok := comp.Metrics["compressed_vs_native_ratio"]; ok {
-		t.Fatal("ratio fabricated from an all-zero denominator")
-	}
-}
