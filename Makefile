@@ -33,21 +33,30 @@ smoke:
 # memory-resident dictionary's replay of that journal must equal its
 # replay of Step's slots, chunked and rerun, and account for every
 # instruction the dictionary supplied; and a Record-only run must
-# stay fused and export the Step path's machine counters.
+# stay fused and export the Step path's machine counters. Fixed-dictionary
+# Apply must equal its map-based reference on all eight benchmarks against
+# the shared dictionary and on the fuzz seeds, and the table-shaped LZW
+# encoder and decoder must equal the map-keyed encoder and slice-per-code
+# decoder they replaced: the same streams, output and typed errors.
 diff:
-	$(GO) test -run 'MatchesReference|PrefixMatches|StrategyParity|CoverKeepsIndexConsistent|FuzzBuildDifferential' ./internal/dictionary
+	$(GO) test -run 'MatchesReference|PrefixMatches|StrategyParity|CoverKeepsIndexConsistent|FuzzBuildDifferential|FuzzApplyDifferential' ./internal/dictionary
+	$(GO) test -run '^(TestMatchesStringKeyedReference|FuzzLZWDifferential)$$' ./internal/lzw
 	$(GO) test -run '^(TestFetchJournalMatchesStep|TestFrontendDictInMemoryAccounting)$$' ./internal/core
 	$(GO) test -run '^TestRecordStaysFused$$' ./internal/machine
 
-# Short coverage-guided fuzz of the two differential oracles — the fused
-# fast path (with its Reset rerun) against the Step path, and the indexed
-# dictionary builder against the reference builder — of OpenImage on
-# hostile frames, whose images must open or fail and then run on both
-# paths without a panic, and of ReadProgram/ReadDictionary, whose accepted
-# files must round-trip byte for byte. 20 s each.
+# Short coverage-guided fuzz of the differential oracles — the fused
+# fast path (with its Reset rerun) against the Step path, the indexed
+# dictionary builder against the reference builder, fixed-dictionary Apply
+# against its map-based reference, and LZW against the encoder and decoder
+# it replaced — of OpenImage on hostile frames, whose images must open or
+# fail and then run on both paths without a panic, and of
+# ReadProgram/ReadDictionary, whose accepted files must round-trip byte
+# for byte. 20 s each.
 fuzz-short:
 	$(GO) test -run '^$$' -fuzz '^FuzzFastPathDifferential$$' -fuzztime 20s .
 	$(GO) test -run '^$$' -fuzz '^FuzzBuildDifferential$$' -fuzztime 20s ./internal/dictionary
+	$(GO) test -run '^$$' -fuzz '^FuzzApplyDifferential$$' -fuzztime 20s ./internal/dictionary
+	$(GO) test -run '^$$' -fuzz '^FuzzLZWDifferential$$' -fuzztime 20s ./internal/lzw
 	$(GO) test -run '^$$' -fuzz '^FuzzOpenImage$$' -fuzztime 20s ./internal/objfile
 	$(GO) test -run '^$$' -fuzz '^FuzzReadProgram$$' -fuzztime 20s ./internal/objfile
 
@@ -117,7 +126,8 @@ bench:
 	$(GO) test -bench=. -benchmem .
 
 # Perf trajectory: dictionary.Build and core.Compress at small/medium/full
-# corpus sizes, the shared dictionary over all eight programs, plus the
+# corpus sizes, the shared dictionary over all eight programs, compressing
+# against a fixed dictionary, LZW compress and decompress, plus the
 # execution benchmarks (the Step path and I-cache simulation included,
 # with the cache model alone on a recorded fetch stream, and the paired
 # execution ratios bench-diff holds to their ceilings),
@@ -128,7 +138,7 @@ bench:
 # fuel for 95% confidence intervals and the -significant gate.
 BENCH_SAMPLES ?= 5
 bench-json:
-	$(GO) test -run '^$$' -bench '^BenchmarkDictionaryBuild$$|^BenchmarkSharedDictionary$$|^BenchmarkCompressSweep$$|^BenchmarkNativeExecution$$|^BenchmarkCompressedExecution$$|^BenchmarkSampledExecution$$|^BenchmarkExecutionRatios$$|^BenchmarkHookedExecution$$|^BenchmarkICacheExecution$$|^BenchmarkICacheAccess$$|^BenchmarkReset$$|^BenchmarkOpenImage$$' -count=$(BENCH_SAMPLES) -benchmem . \
+	$(GO) test -run '^$$' -bench '^BenchmarkDictionaryBuild$$|^BenchmarkSharedDictionary$$|^BenchmarkCompressSweep$$|^BenchmarkNativeExecution$$|^BenchmarkCompressedExecution$$|^BenchmarkSampledExecution$$|^BenchmarkExecutionRatios$$|^BenchmarkHookedExecution$$|^BenchmarkICacheExecution$$|^BenchmarkICacheAccess$$|^BenchmarkReset$$|^BenchmarkOpenImage$$|^BenchmarkApplyFixedDictionary$$|^BenchmarkLZWCompress$$|^BenchmarkLZWDecompress$$' -count=$(BENCH_SAMPLES) -benchmem . \
 		| $(GO) run ./cmd/benchjson > BENCH_dictionary.json
 	@echo wrote BENCH_dictionary.json
 

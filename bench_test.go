@@ -627,6 +627,24 @@ func BenchmarkLZWCompress(b *testing.B) {
 	}
 }
 
+// BenchmarkLZWDecompress decodes the stream BenchmarkLZWCompress
+// produces, bounded by the text's length as the codec's Verify bounds it.
+func BenchmarkLZWDecompress(b *testing.B) {
+	p := benchProgram(b, "go")
+	text := p.TextBytes()
+	stream := lzw.Compress(text)
+	b.SetBytes(int64(len(text)))
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		out, err := lzw.Decompress(stream, len(text))
+		if err != nil {
+			b.Fatal(err)
+		}
+		benchSink = out
+	}
+}
+
 func BenchmarkCCRPHuffman(b *testing.B) {
 	p := benchProgram(b, "go")
 	cfg := huffman.DefaultCCRP()

@@ -174,3 +174,36 @@ func TestSuffixedRunMatchesBaseline(t *testing.T) {
 		t.Fatalf("suffixed run of the baseline's own numbers fails the gate: %v", err)
 	}
 }
+
+// TestNewBenchmarksOnlyListed: benchmarks the baseline predates (the
+// fixed-dictionary and LZW layers added to `make bench-json`) are listed
+// as only in the new report and never fail the gate.
+func TestNewBenchmarksOnlyListed(t *testing.T) {
+	const baseline = "../../baselines/BENCH_dictionary.json"
+	rep, err := benchfmt.ReadFile(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	added := []string{"BenchmarkApplyFixedDictionary", "BenchmarkLZWCompress", "BenchmarkLZWDecompress"}
+	for _, name := range added {
+		rep.Benchmarks = append(rep.Benchmarks, benchfmt.Benchmark{Name: name, NsPerOp: 1e6})
+	}
+	data, err := json.Marshal(rep)
+	if err != nil {
+		t.Fatal(err)
+	}
+	neu := filepath.Join(t.TempDir(), "new.json")
+	if err := os.WriteFile(neu, data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	base, err := benchfmt.ReadFile(baseline)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cmp := benchfmt.Compare(base, rep); len(cmp.OldOnly) != 0 || strings.Join(cmp.NewOnly, ",") != strings.Join(added, ",") {
+		t.Fatalf("only in old %v, only in new %v; want only %v in new", cmp.OldOnly, cmp.NewOnly, added)
+	}
+	if err := run(baseline, neu, 30, true, benchfmt.DefaultAlpha, nil); err != nil {
+		t.Fatalf("benchmarks absent from the baseline fail the gate: %v", err)
+	}
+}

@@ -669,9 +669,11 @@ func paddedSize(p *program.Program, img *core.Image) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	targets := map[int]bool{}
+	targets := make([]bool, len(p.Text))
 	for _, t := range an.Target {
-		targets[t] = true
+		if t >= 0 {
+			targets[t] = true
+		}
 	}
 	jts, err := p.JumpTableTargets()
 	if err != nil {

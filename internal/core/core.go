@@ -199,16 +199,6 @@ func (img *Image) Ratio() float64 {
 	return float64(img.CompressedBytes()) / float64(img.OriginalBytes)
 }
 
-// markByUnit finds the mark starting at an absolute unit address.
-func (img *Image) markByUnit(abs uint32) (Mark, bool) {
-	rel := int32(abs - img.Base)
-	i := sort.Search(len(img.Marks), func(i int) bool { return img.Marks[i].Unit >= rel })
-	if i < len(img.Marks) && img.Marks[i].Unit == rel {
-		return img.Marks[i], true
-	}
-	return Mark{}, false
-}
-
 // markers computes the compressibility and leader vectors for a program:
 // §3.2.1 — relative branches are never compressed (their offsets must be
 // rewritten); link-setting branches are excluded too because a return

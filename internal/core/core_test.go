@@ -2,6 +2,7 @@ package core
 
 import (
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/codeword"
@@ -190,6 +191,17 @@ func TestFarBranchStub(t *testing.T) {
 	}
 	if err := Verify(p, img); err != nil {
 		t.Fatalf("verify: %v", err)
+	}
+	// A stub mark on a word the analysis gives no target fails by name.
+	for _, m := range img.Marks {
+		if m.Kind == MarkStub {
+			q := p.Clone()
+			q.Text[m.Orig] = ppc.Nop()
+			if err := Verify(q, img); err == nil || !strings.Contains(err.Error(), "not a relative branch") {
+				t.Fatalf("stub mark on a nop: err %v, want one naming the missing branch", err)
+			}
+			break
+		}
 	}
 	if _, _, err := RunBoth(p, img, 1_000_000); err != nil {
 		t.Fatalf("behavioral: %v", err)

@@ -107,8 +107,8 @@ func layout(p *program.Program, an *program.Analysis, items []dictionary.Item,
 			if it.IsCodeword || lay.expanded[ii] || !ppc.IsRelativeBranch(it.Word) {
 				continue
 			}
-			target, ok := an.Target[it.OrigIdx]
-			if !ok {
+			target := int(an.Target[it.OrigIdx])
+			if target < 0 {
 				return nil, fmt.Errorf("core: branch at word %d has no analyzed target", it.OrigIdx)
 			}
 			tu, ok := lay.unitAt(target)
@@ -157,8 +157,7 @@ func emit(img *Image, an *program.Analysis, items []dictionary.Item, rankOf []in
 			opt.Audit.AtWord(sizeaudit.Codeword, it.OrigIdx, int64(scheme.CodewordBits(rank)))
 
 		case ppc.IsRelativeBranch(it.Word):
-			target := an.Target[it.OrigIdx]
-			tu := lay.unitOf[target]
+			tu := lay.unitOf[an.Target[it.OrigIdx]]
 			if lay.expanded[ii] {
 				if err := emitStub(w, it.Word, img.Base+uint32(tu), scheme); err != nil {
 					return err

@@ -55,6 +55,7 @@ func Verify(p *program.Program, img *Image) error {
 		return err
 	}
 	rdr := codeword.NewReader(img.Scheme, img.Stream, img.Units)
+	marks := newMarkTable(img)
 
 	// Pass 1: tiling and per-item equivalence.
 	nextOrig := 0
@@ -108,18 +109,20 @@ func Verify(p *program.Program, img *Image) error {
 			if !ok {
 				return fmt.Errorf("core: branch mark %d does not decode as a relative branch", mi)
 			}
-			tm, ok := img.markByUnit(img.Base + uint32(unit) + uint32(field))
+			// FieldValue and the mask check above hold word to a relative
+			// branch, so it has a target.
+			tm, ok := marks.at(img.Base + uint32(unit) + uint32(field))
 			if !ok {
 				return fmt.Errorf("core: branch at %d targets unit %d: not an item", word, unit+int(field))
 			}
-			if int(tm.Orig) != an.Target[word] {
+			if tm.Orig != an.Target[word] {
 				return fmt.Errorf("core: branch at %d retargeted: word %d instead of %d", word, tm.Orig, an.Target[word])
 			}
 			nextOrig++
 			nextUnit += it.Units
 
 		case MarkStub:
-			units, err := verifyStub(p, img, an, rdr, m)
+			units, err := verifyStub(p, an, rdr, marks, m)
 			if err != nil {
 				return err
 			}
@@ -141,7 +144,7 @@ func Verify(p *program.Program, img *Image) error {
 	}
 	for i, slot := range img.JumpTableSlots {
 		v := binary.BigEndian.Uint32(img.Data[slot:])
-		tm, ok := img.markByUnit(v)
+		tm, ok := marks.at(v)
 		if !ok {
 			return fmt.Errorf("core: jump table slot %d points at %#x: not an item", slot, v)
 		}
@@ -151,7 +154,7 @@ func Verify(p *program.Program, img *Image) error {
 	}
 
 	// Pass 3: entry point.
-	em, ok := img.markByUnit(img.EntryUnit)
+	em, ok := marks.at(img.EntryUnit)
 	if !ok || int(em.Orig) != p.Entry {
 		return fmt.Errorf("core: entry unit %#x does not map to original entry %d", img.EntryUnit, p.Entry)
 	}
@@ -169,11 +172,45 @@ func branchFieldMask(w uint32) uint32 {
 	return 0
 }
 
+// markTable maps each stream unit to the index of the mark starting
+// there, -1 where none does: Verify's branch, stub, jump-table and entry
+// checks each look a target up by index.
+type markTable struct {
+	marks  []Mark
+	base   uint32
+	markAt []int32
+}
+
+func newMarkTable(img *Image) markTable {
+	t := markTable{marks: img.Marks, base: img.Base, markAt: make([]int32, img.Units)}
+	for u := range t.markAt {
+		t.markAt[u] = -1
+	}
+	for i, m := range img.Marks {
+		if m.Unit >= 0 && int(m.Unit) < len(t.markAt) && t.markAt[m.Unit] < 0 {
+			t.markAt[m.Unit] = int32(i)
+		}
+	}
+	return t
+}
+
+// at finds the mark starting at an absolute unit address.
+func (t markTable) at(abs uint32) (Mark, bool) {
+	rel := abs - t.base
+	if uint64(rel) >= uint64(len(t.markAt)) || t.markAt[rel] < 0 {
+		return Mark{}, false
+	}
+	return t.marks[t.markAt[rel]], true
+}
+
 // verifyStub checks the far-branch expansion and returns its stream units.
-func verifyStub(p *program.Program, img *Image, an *program.Analysis, rdr *codeword.Reader, m Mark) (int, error) {
+func verifyStub(p *program.Program, an *program.Analysis, rdr *codeword.Reader, marks markTable, m Mark) (int, error) {
 	unit, word := int(m.Unit), int(m.Orig)
 	orig := p.Text[word]
 	want := an.Target[word]
+	if want < 0 {
+		return 0, fmt.Errorf("core: stub mark at unit %d: word %d is not a relative branch", unit, word)
+	}
 	n := stubLen(orig)
 	words := make([]uint32, 0, n)
 	u := unit
@@ -205,8 +242,8 @@ func verifyStub(p *program.Program, img *Image, an *program.Analysis, rdr *codew
 		return 0, fmt.Errorf("core: stub at %d malformed", word)
 	}
 	addr := uint32(lis.Imm)<<16 | uint32(ori.Imm)
-	tm, ok := img.markByUnit(addr)
-	if !ok || int(tm.Orig) != want {
+	tm, ok := marks.at(addr)
+	if !ok || tm.Orig != want {
 		return 0, fmt.Errorf("core: stub at %d targets %#x (word %d), want word %d", word, addr, tm.Orig, want)
 	}
 	if last.Op != ppc.OpBcctr || last.LK != ppc.Decode(orig).LK {

@@ -13,6 +13,7 @@ import (
 	"repro/internal/codeword"
 	"repro/internal/core"
 	"repro/internal/dictionary"
+	"repro/internal/program"
 	"repro/internal/stats"
 	"repro/internal/synth"
 )
@@ -385,4 +386,81 @@ func TestCoverKeepsIndexConsistent(t *testing.T) {
 		cfg.Compressible, cfg.Leader = comp, lead
 		check(t, fleet, cfg)
 	})
+}
+
+// fleetDictionary returns the eight benchmarks and the shared baseline
+// dictionary over all of them, the fleet deployment's fixed dictionary.
+func fleetDictionary(t testing.TB) ([]*program.Program, []dictionary.Entry) {
+	t.Helper()
+	var progs []*program.Program
+	for _, name := range synth.BenchmarkNames() {
+		p, err := synth.Generate(name)
+		if err != nil {
+			t.Fatal(err)
+		}
+		progs = append(progs, p)
+	}
+	entries, err := core.BuildSharedDictionary(progs, core.Options{Scheme: codeword.Baseline, MaxEntryLen: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return progs, entries
+}
+
+// TestApplyMatchesReferenceSynth: Apply and the map-based reference
+// rewrite every benchmark against the shared dictionary identically.
+func TestApplyMatchesReferenceSynth(t *testing.T) {
+	progs, entries := fleetDictionary(t)
+	for _, p := range progs {
+		comp, lead, err := core.Markers(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := dictionary.Config{Compressible: comp, Leader: lead}
+		got, err := dictionary.Apply(p.Text, entries, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := dictionary.ApplyReference(p.Text, entries, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: %d items covering %d words, reference %d covering %d",
+				p.Name, len(got.Items), got.CoveredInsns, len(want.Items), want.CoveredInsns)
+		}
+	}
+}
+
+// TestApplyAllocationsIndependentOfDictionary: applying a fixed
+// dictionary to gcc allocates the same few objects whatever the
+// dictionary's size, none per entry, first word or item.
+func TestApplyAllocationsIndependentOfDictionary(t *testing.T) {
+	progs, entries := fleetDictionary(t)
+	var gcc *program.Program
+	for _, p := range progs {
+		if p.Name == "gcc" {
+			gcc = p
+		}
+	}
+	comp, lead, err := core.Markers(gcc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := dictionary.Config{Compressible: comp, Leader: lead}
+	var first float64
+	for _, n := range []int{1, 64, len(entries)} {
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := dictionary.Apply(gcc.Text, entries[:n], cfg); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%d entries: %.0f allocations", n, allocs)
+		if n == 1 {
+			first = allocs
+		}
+		if allocs != first || allocs > 12 {
+			t.Errorf("%d entries: %.0f allocations, want %.0f (and at most 12) as with one entry", n, allocs, first)
+		}
+	}
 }

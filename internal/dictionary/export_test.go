@@ -276,3 +276,77 @@ func StaticReference(text []uint32, cfg Config) *Result {
 	}
 	return buildStaticReference(text, cfg, maxEntries)
 }
+
+// ApplyReference exposes applyReference to the external test package.
+var ApplyReference = applyReference
+
+// applyReference is the map-based transcription Apply replaced: entries
+// indexed by first word in a Go map, each list insertion-sorted longest
+// first. It is the differential oracle for Apply's first-word index.
+func applyReference(text []uint32, entries []Entry, cfg Config) (*Result, error) {
+	n := len(text)
+	if len(cfg.Compressible) != n || len(cfg.Leader) != n {
+		return nil, fmt.Errorf("dictionary: marker slices must match text length %d", n)
+	}
+
+	// Index entries by first word, longest first.
+	type cand struct {
+		idx int
+		len int
+	}
+	byFirst := make(map[uint32][]cand)
+	for i, e := range entries {
+		if len(e.Words) == 0 {
+			return nil, fmt.Errorf("dictionary: entry %d is empty", i)
+		}
+		byFirst[e.Words[0]] = append(byFirst[e.Words[0]], cand{idx: i, len: len(e.Words)})
+	}
+	for _, cs := range byFirst {
+		for i := 1; i < len(cs); i++ {
+			for j := i; j > 0 && cs[j].len > cs[j-1].len; j-- {
+				cs[j], cs[j-1] = cs[j-1], cs[j]
+			}
+		}
+	}
+
+	res := &Result{Entries: make([]Entry, len(entries))}
+	for i, e := range entries {
+		res.Entries[i] = Entry{Words: e.Words}
+	}
+
+	matches := func(pos int, e Entry) bool {
+		if pos+len(e.Words) > n {
+			return false
+		}
+		for j, w := range e.Words {
+			if text[pos+j] != w || !cfg.Compressible[pos+j] {
+				return false
+			}
+			if j > 0 && cfg.Leader[pos+j] {
+				return false
+			}
+		}
+		return true
+	}
+
+	for pos := 0; pos < n; {
+		replaced := false
+		if cfg.Compressible[pos] {
+			for _, c := range byFirst[text[pos]] {
+				if matches(pos, entries[c.idx]) {
+					res.Items = append(res.Items, Item{IsCodeword: true, Entry: c.idx, OrigIdx: pos})
+					res.Entries[c.idx].Uses++
+					res.CoveredInsns += c.len
+					pos += c.len
+					replaced = true
+					break
+				}
+			}
+		}
+		if !replaced {
+			res.Items = append(res.Items, Item{Word: text[pos], OrigIdx: pos})
+			pos++
+		}
+	}
+	return res, nil
+}

@@ -7,6 +7,7 @@ package dictionary
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 )
 
@@ -135,5 +136,58 @@ func FuzzBuildDifferential(f *testing.F) {
 		sel := mustBuild(t, text, cfg).Selection()
 		cfg.MaxEntries = int(maxLenRaw)>>3 + 1
 		assertSameResult(t, "prefix vs capped", sel.Prefix(text, cfg.MaxEntries), mustBuild(t, text, cfg))
+	})
+}
+
+// fuzzEntries derives a fixed dictionary from raw bytes: each entry is a
+// length byte, 0 for an empty entry and otherwise 1 to 4 words, followed
+// by that many vocabulary picks. At most 64 entries.
+func fuzzEntries(data []byte) []Entry {
+	var entries []Entry
+	for len(data) > 0 && len(entries) < 64 {
+		n := 0
+		if data[0] != 0 {
+			n = int(data[0])%4 + 1
+		}
+		data = data[1:]
+		words := make([]uint32, 0, n)
+		for ; n > 0 && len(data) > 0; n-- {
+			words = append(words, fuzzVocab[data[0]&7])
+			data = data[1:]
+		}
+		entries = append(entries, Entry{Words: words})
+	}
+	return entries
+}
+
+// FuzzApplyDifferential holds Apply's first-word index to the map-based
+// applyReference: the same items, entry uses and coverage, or the same
+// error, on random texts with markers (fuzzInput) and random fixed
+// dictionaries (fuzzEntries).
+func FuzzApplyDifferential(f *testing.F) {
+	// Duplicate first words with different lengths, an equal-length tie
+	// (entries 1 and 2 start alike), and a duplicate entry (3 repeats 0).
+	f.Add([]byte{0, 1, 2, 0, 1, 2, 0, 1, 3, 0, 1}, []byte{2, 0, 1, 2, 2, 0, 1, 2, 0, 3, 2, 0, 1, 2})
+	// Entries crossing a leader (0xe0) and an incompressible word (0x18).
+	f.Add([]byte{0, 1, 0xe2, 3, 0, 0x19, 2, 3, 0, 1, 2, 3}, []byte{3, 0, 1, 2, 3, 2, 0, 1, 1, 2, 3})
+	// An empty entry: Apply reports the first one at its index.
+	f.Add([]byte{4, 5, 4, 5}, []byte{1, 4, 5, 0, 2, 4, 5, 0})
+	f.Add([]byte{}, []byte{1, 4, 5})
+	f.Add([]byte{7, 7, 7, 7, 7, 7, 7}, []byte{})
+	f.Fuzz(func(t *testing.T, textRaw, dictRaw []byte) {
+		text, comp, lead := fuzzInput(textRaw)
+		entries := fuzzEntries(dictRaw)
+		cfg := Config{Compressible: comp, Leader: lead}
+		got, err := Apply(text, entries, cfg)
+		want, refErr := applyReference(text, entries, cfg)
+		if err != nil || refErr != nil {
+			if err == nil || refErr == nil || err.Error() != refErr.Error() {
+				t.Fatalf("error %v, reference %v", err, refErr)
+			}
+			return
+		}
+		if !reflect.DeepEqual(got.Entries, want.Entries) || !slices.Equal(got.Items, want.Items) || got.CoveredInsns != want.CoveredInsns {
+			t.Fatalf("%d items covering %d words, reference %d covering %d", len(got.Items), got.CoveredInsns, len(want.Items), want.CoveredInsns)
+		}
 	})
 }

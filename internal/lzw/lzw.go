@@ -10,6 +10,8 @@ package lzw
 
 import (
 	"errors"
+	"math"
+	"math/bits"
 
 	"repro/internal/sizeaudit"
 	"repro/internal/stats"
@@ -92,16 +94,13 @@ func CompressAudited(data []byte, rec *stats.Recorder, em *sizeaudit.Emitter) []
 func compress(data []byte, rec *stats.Recorder, em *sizeaudit.Emitter) []byte {
 	rec.Add("lzw.dict_resets", 0) // materialize: zero resets is a finding
 	w := &bitWriter{}
-	// The string table, keyed as compress(1) keys it: a string is its
-	// prefix's code and its last byte, prefix<<8 | byte. Single bytes are
-	// their own codes and need no entry.
-	table := make(map[uint32]uint32, 1<<12)
-	next := uint32(firstCode)
-	bits := uint32(minBits)
-
 	if len(data) == 0 {
 		return w.flush()
 	}
+	table := newStringTable(len(data))
+	next := uint32(firstCode)
+	bits := uint32(minBits)
+
 	// checkGap controls how often the adaptive reset is considered.
 	const checkGap = 4096
 	lastCheck := 0
@@ -127,13 +126,14 @@ func compress(data []byte, rec *stats.Recorder, em *sizeaudit.Emitter) []byte {
 	for i := 1; i < len(data); i++ {
 		c := data[i]
 		key := cur<<8 | uint32(c)
-		if code, ok := table[key]; ok {
-			cur = code
+		s := table.find(key)
+		if table.slots[s].key != 0 {
+			cur = table.slots[s].code
 			continue
 		}
 		emit(cur, bits, spanStart)
 		if next < 1<<maxBits {
-			table[key] = next
+			table.slots[s] = stringSlot{key: key + 1, code: next}
 			next++
 			if next == 1<<bits+1 && bits < maxBits {
 				bits++
@@ -147,7 +147,7 @@ func compress(data []byte, rec *stats.Recorder, em *sizeaudit.Emitter) []byte {
 				bitsWritten += int64(bits)
 				em.Global(sizeaudit.Dict, sizeaudit.ResetRow, int64(bits))
 				rec.Add("lzw.dict_resets", 1)
-				clear(table)
+				clear(table.slots)
 				next = firstCode
 				bits = minBits
 			}
@@ -165,41 +165,65 @@ func compress(data []byte, rec *stats.Recorder, em *sizeaudit.Emitter) []byte {
 	return out
 }
 
-// literals backs the one-byte strings every table starts with, so a
-// dictionary reset allocates nothing.
-var literals = func() (b [256]byte) {
-	for i := range b {
-		b[i] = byte(i)
+// stringTable is the encoder's string table in compress(1)'s shape (its
+// htab and codetab): an open-addressed hash keyed as compress keys a
+// string, by its prefix's code and its last byte, prefix<<8 | byte.
+// Single bytes are their own codes and need no slot. A table holds at
+// most one entry per input byte and never more than 1<<maxBits, so twice
+// the smaller of the two, capped at 1<<17 slots, keeps it at most half
+// full.
+type stringTable struct {
+	slots []stringSlot
+	shift uint
+}
+
+// stringSlot holds one string: its key plus one (0 marks an empty slot)
+// and its code.
+type stringSlot struct{ key, code uint32 }
+
+func newStringTable(inputLen int) *stringTable {
+	size := min(1<<bits.Len(uint(2*min(inputLen, 1<<maxBits))), 1<<(maxBits+1))
+	return &stringTable{slots: make([]stringSlot, size), shift: uint(32 - bits.Len(uint(size-1)))}
+}
+
+// find returns the slot holding key, or the empty slot where it belongs.
+func (t *stringTable) find(key uint32) int {
+	mask := uint32(len(t.slots) - 1)
+	s := key * 0x9E3779B1 >> t.shift
+	for t.slots[s].key != 0 && t.slots[s].key != key+1 {
+		s = (s + 1) & mask
 	}
-	return
-}()
+	return int(s)
+}
 
 // Decompress inverts Compress for a stream expected to decode to at most
 // maxLen bytes. A code the table does not hold, or output that would pass
 // maxLen, fails with a *wire.FormatError before it is decoded, so a
 // hostile stream costs memory in proportion to maxLen, not to the square
 // of its own length.
+//
+// Each table entry is held as a span of the output itself: an entry is
+// always the previous code's string plus the first byte of the string
+// decoded next, and those bytes sit next to each other in the output, so
+// decoding a code copies bytes and allocates nothing. The span table is
+// sized once, to the codes the stream's length can hold, and a reset
+// keeps its memory.
 func Decompress(data []byte, maxLen int) ([]byte, error) {
+	maxLen = min(maxLen, math.MaxInt32) // spans are 32-bit
 	r := &bitReader{in: data}
-	var out []byte
-
-	var table [][]byte
-	reset := func() {
-		table = table[:0]
-		for i := range literals {
-			table = append(table, literals[i:i+1])
-		}
-		table = append(table, nil) // clear code placeholder
-	}
-	reset()
+	out := make([]byte, 0, min(maxLen, 4*len(data)))
+	// Codes firstCode, firstCode+1, ...: at most one per code read, and
+	// never more than the widest code can name.
+	table := make([]span, 0, min(len(data)*8/minBits, 1<<maxBits-firstCode))
 	bits := uint(minBits)
 
-	var prev []byte
+	var prev span // the previous code's string; n == 0 after a reset
 	for {
+		size := firstCode + len(table)
 		// The encoder widens codes after inserting entry 1<<bits; the
 		// decoder's table runs one entry behind, so it must widen when its
 		// table reaches 1<<bits, before reading the next code.
-		for len(table) >= 1<<bits && bits < maxBits {
+		for size >= 1<<bits && bits < maxBits {
 			bits++
 		}
 		code, err := r.read(bits)
@@ -208,35 +232,43 @@ func Decompress(data []byte, maxLen int) ([]byte, error) {
 			return out, nil
 		}
 		if code == clearCode {
-			reset()
+			table = table[:0]
 			bits = minBits
-			prev = nil
+			prev = span{}
 			continue
 		}
-		n := len(prev) + 1 // the KwKwK case's string: prev plus its first byte
+		// The code's string is n bytes: a literal, or a copy of the n bytes
+		// at from. In the KwKwK case it is prev plus prev's first byte,
+		// which the copy writes before it reads it as its last byte.
+		from, n := int32(0), int32(1)
 		switch {
-		case int(code) < len(table):
-			n = len(table[code])
-		case int(code) > len(table) || prev == nil:
+		case code < clearCode:
+		case int(code) < size:
+			from, n = table[code-firstCode].start, table[code-firstCode].n
+		case int(code) > size || prev.n == 0:
 			return nil, &wire.FormatError{Field: "lzw code", Offset: r.pos, Value: int64(code)}
+		default:
+			from, n = prev.start, prev.n+1
 		}
-		if len(out)+n > maxLen {
-			return nil, &wire.FormatError{Field: "lzw output length", Offset: r.pos, Value: int64(len(out) + n)}
+		if len(out)+int(n) > maxLen {
+			return nil, &wire.FormatError{Field: "lzw output length", Offset: r.pos, Value: int64(len(out)) + int64(n)}
 		}
-		var cur []byte
-		if int(code) < len(table) {
-			cur = table[code]
+		cur := span{start: int32(len(out)), n: n}
+		if code < clearCode {
+			out = append(out, byte(code))
 		} else {
-			cur = append(append(make([]byte, 0, n), prev...), prev[0])
+			out = append(out, out[from:from+n-1]...)
+			out = append(out, out[from+n-1])
 		}
-		out = append(out, cur...)
-		if prev != nil && len(table) < 1<<maxBits {
-			entry := append(append(make([]byte, 0, len(prev)+1), prev...), cur[0])
-			table = append(table, entry)
+		if prev.n != 0 && size < 1<<maxBits {
+			table = append(table, span{start: prev.start, n: prev.n + 1})
 		}
 		prev = cur
 	}
 }
+
+// span is a string of the decoder's output: n bytes from start.
+type span struct{ start, n int32 }
 
 // Ratio is the compressed/original size ratio for data.
 func Ratio(data []byte) float64 { return RatioRecorded(data, nil) }

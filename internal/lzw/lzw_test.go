@@ -325,3 +325,73 @@ func TestMatchesStringKeyedReference(t *testing.T) {
 		roundTrip(t, in.data)
 	}
 }
+
+// FuzzLZWDifferential holds the table-shaped encoder and decoder to the
+// map-keyed encoder and slice-per-code decoder they replaced. The input
+// is compressed by both encoders, which must emit the same bytes, and
+// that stream must decode back to the input. The input is also read as a
+// hostile stream, bounded by a fuzzed output length: both decoders must
+// return the same bytes, or the same typed error with the same field,
+// offset and value.
+func FuzzLZWDifferential(f *testing.F) {
+	f.Add([]byte("abababababababababab"), uint16(64))
+	f.Add([]byte("to be or not to be that is the question"), uint16(8))
+	f.Add(bytes.Repeat([]byte{0x7c, 0x08, 0x02, 0xa6}, 64), uint16(0))
+	f.Add([]byte{0, 1, 0, 1, 0xff, 0xff, 0x80}, uint16(1000))
+	// Hostile streams: a code past the virgin table, 9-bit clear codes,
+	// and a KwKwK run cut by the length bound.
+	for _, codes := range [][]uint32{{300}, {clearCode, clearCode, 'a', clearCode, firstCode}, {'a', firstCode, firstCode + 1, firstCode + 2}} {
+		w := &bitWriter{}
+		for _, c := range codes {
+			w.write(c, minBits)
+		}
+		f.Add(w.flush(), uint16(5))
+	}
+	f.Fuzz(func(t *testing.T, data []byte, maxLenRaw uint16) {
+		stream := Compress(data)
+		if want := compressMapReference(data, nil, nil); !bytes.Equal(stream, want) {
+			t.Fatalf("%d-byte input: %d-byte stream, reference %d", len(data), len(stream), len(want))
+		}
+		if out, err := Decompress(stream, len(data)); err != nil || !bytes.Equal(out, data) {
+			t.Fatalf("round trip: %d bytes of %d, err %v", len(out), len(data), err)
+		}
+		maxLen := int(maxLenRaw)
+		got, err := Decompress(data, maxLen)
+		want, refErr := decompressReference(data, maxLen)
+		if (err == nil) != (refErr == nil) {
+			t.Fatalf("hostile stream: err %v, reference %v", err, refErr)
+		}
+		if err != nil {
+			var fe, ref *wire.FormatError
+			if !errors.As(err, &fe) || !errors.As(refErr, &ref) || *fe != *ref {
+				t.Fatalf("hostile stream: err %#v, reference %#v", err, refErr)
+			}
+			return
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("hostile stream: %d bytes, reference %d", len(got), len(want))
+		}
+	})
+}
+
+// TestDecompressAllocatesPerStream: decoding gcc's text allocates a
+// handful of growing buffers, not one object per code.
+func TestDecompressAllocatesPerStream(t *testing.T) {
+	p, err := synth.Generate("gcc")
+	if err != nil {
+		t.Fatal(err)
+	}
+	text := p.TextBytes()
+	rec := stats.New()
+	stream := CompressAudited(text, rec, nil)
+	codes := rec.Snapshot().Counter("lzw.codes")
+	allocs := testing.AllocsPerRun(5, func() {
+		if _, err := Decompress(stream, len(text)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("gcc: %d codes, %.0f allocations per decode", codes, allocs)
+	if allocs > 8 {
+		t.Errorf("decoding gcc's %d codes allocated %.0f objects, want at most 8", codes, allocs)
+	}
+}

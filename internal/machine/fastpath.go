@@ -230,8 +230,11 @@ func (c *CPU) exportRun(before Stats, fastBefore FastStats, err error) {
 	for r := range c.Fast.Bails {
 		rec.Add(bailCounterNames[r], c.Fast.Bails[r]-fastBefore.Bails[r])
 	}
-	var f *Fault
-	if errors.As(err, &f) {
-		rec.Add(faultCounterNames[f.Kind], 1)
+	if err != nil {
+		// Declared here, f escapes through errors.As only on a failed Run.
+		var f *Fault
+		if errors.As(err, &f) {
+			rec.Add(faultCounterNames[f.Kind], 1)
+		}
 	}
 }

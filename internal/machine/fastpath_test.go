@@ -139,6 +139,27 @@ func TestRecordStaysFused(t *testing.T) {
 	}
 }
 
+// TestRecordedRunAllocatesNothing: a Run with a Record that exits cleanly
+// exports its counters without a heap allocation (only a failed Run looks
+// for a *Fault).
+func TestRecordedRunAllocatesNothing(t *testing.T) {
+	cpu, err := NewForProgram(parityProgram(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cpu.Record = stats.New()
+	run := func() {
+		cpu.Reset()
+		if _, err := cpu.Run(10000); err != nil {
+			t.Fatal(err)
+		}
+	}
+	run() // registers the counters
+	if allocs := testing.AllocsPerRun(20, run); allocs != 0 {
+		t.Errorf("a recorded Reset+Run allocated %.1f objects, want 0", allocs)
+	}
+}
+
 // plainFrontend hides a frontend's predecode capability, standing in for
 // any frontend configuration that cannot supply a table.
 type plainFrontend struct{ Frontend }

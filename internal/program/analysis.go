@@ -2,6 +2,7 @@ package program
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/ppc"
 )
@@ -16,8 +17,9 @@ type Analysis struct {
 	// the middle of an encoded sequence, §3.1.1).
 	Leader []bool
 
-	// Target[i] holds the target word index for relative branches at i.
-	Target map[int]int
+	// Target[i] holds the target word index of the relative branch at
+	// word i, and -1 when word i is not a relative branch.
+	Target []int32
 }
 
 // Analyze recovers basic-block structure from a linked program. Leaders
@@ -26,9 +28,12 @@ type Analysis struct {
 // branch (conditional, unconditional or indirect).
 func Analyze(p *Program) (*Analysis, error) {
 	n := len(p.Text)
+	if n > math.MaxInt32 {
+		return nil, fmt.Errorf("program: %d text words overflow the 32-bit targets", n)
+	}
 	a := &Analysis{
 		Leader: make([]bool, n),
-		Target: make(map[int]int),
+		Target: make([]int32, n),
 	}
 	if n == 0 {
 		return a, nil
@@ -48,6 +53,7 @@ func Analyze(p *Program) (*Analysis, error) {
 		a.Leader[t] = true
 	}
 	for i, w := range p.Text {
+		a.Target[i] = -1
 		if ppc.IsRelativeBranch(w) {
 			disp, _ := ppc.RelDisplacement(w)
 			if disp%4 != 0 {
@@ -57,7 +63,7 @@ func Analyze(p *Program) (*Analysis, error) {
 			if t < 0 || t >= n {
 				return nil, fmt.Errorf("program: branch at word %d exits text (target %d)", i, t)
 			}
-			a.Target[i] = t
+			a.Target[i] = int32(t)
 			a.Leader[t] = true
 		}
 		if ppc.IsBranch(w) && i+1 < n {
