@@ -71,7 +71,9 @@ ccbench-test:
 # codeword scheme anywhere outside internal/codec and internal/codeword is
 # a hard-coded dispatch site reintroducing the pre-registry pattern; add a
 # Codec method or an interface facet instead (see DESIGN.md, "Codec
-# registry").
+# registry"). Likewise the comparators: non-test code outside their home
+# packages reaches LZW and CCRP through their registered codecs, never by
+# calling lzw.Compress* or huffman.BuildCCRPImage.
 lint-dispatch:
 	@found=$$(grep -rn 'switch.*[Ss]cheme' --include='*.go' \
 		--exclude-dir=codec --exclude-dir=codeword . || true); \
@@ -79,6 +81,14 @@ lint-dispatch:
 		echo "$$found"; \
 		echo 'lint-dispatch: switch-on-Scheme dispatch outside internal/codec and internal/codeword'; \
 		echo 'lint-dispatch: route codec selection through the registry (DESIGN.md, "Codec registry")'; \
+		exit 1; \
+	fi
+	@found=$$(grep -rnE '\<(lzw\.Compress|huffman\.BuildCCRPImage)' --include='*.go' --exclude='*_test.go' \
+		--exclude-dir=lzw --exclude-dir=huffman . || true); \
+	if [ -n "$$found" ]; then \
+		echo "$$found"; \
+		echo 'lint-dispatch: comparator called directly outside internal/lzw and internal/huffman'; \
+		echo 'lint-dispatch: reach LZW and CCRP through the codec registry (DESIGN.md, "Codec registry")'; \
 		exit 1; \
 	fi
 

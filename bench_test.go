@@ -22,6 +22,7 @@ import (
 	"repro/internal/huffman"
 	"repro/internal/lzw"
 	"repro/internal/machine"
+	"repro/internal/program"
 	"repro/internal/stats"
 	"repro/internal/synth"
 )
@@ -147,7 +148,7 @@ func BenchmarkDictionaryBuild(b *testing.B) {
 		for _, im := range impls {
 			b.Run(sz.size+"/"+im.name, func(b *testing.B) {
 				p := benchProgram(b, sz.bench)
-				comp, lead, err := core.Markers(p)
+				an, err := program.Analyze(p)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -157,8 +158,8 @@ func BenchmarkDictionaryBuild(b *testing.B) {
 					MaxEntryLen:       4,
 					CodewordBits:      Baseline.CodewordBits,
 					EntryOverheadBits: codeword.EntryOverheadBits,
-					Compressible:      comp,
-					Leader:            lead,
+					Compressible:      an.Compressible,
+					Leader:            an.Leader,
 					Strategy:          im.strat,
 					Stats:             rec,
 				}
@@ -647,11 +648,10 @@ func BenchmarkLZWDecompress(b *testing.B) {
 
 func BenchmarkCCRPHuffman(b *testing.B) {
 	p := benchProgram(b, "go")
-	cfg := huffman.DefaultCCRP()
 	b.SetBytes(int64(p.SizeBytes()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		img, err := huffman.BuildCCRPImage(p, cfg)
+		img, err := huffman.BuildCCRPImage(p, nil, nil)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -698,7 +698,7 @@ func BenchmarkDisassembleInstruction(b *testing.B) {
 
 func BenchmarkCCRPExecution(b *testing.B) {
 	p := benchProgram(b, "compress")
-	img, err := huffman.BuildCCRPImage(p, huffman.DefaultCCRP())
+	img, err := huffman.BuildCCRPImage(p, nil, nil)
 	if err != nil {
 		b.Fatal(err)
 	}

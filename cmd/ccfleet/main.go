@@ -141,7 +141,7 @@ func compress(args []string) {
 		if err != nil {
 			return err
 		}
-		img, err := core.CompressFixed(p.Clone(), entries, core.Options{Scheme: scheme})
+		img, err := core.CompressFixed(p, entries, core.Options{Scheme: scheme})
 		if err != nil {
 			return fmt.Errorf("%s: %w", in, err)
 		}

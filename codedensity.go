@@ -104,9 +104,9 @@ func GenerateBenchmarkScaled(name string, scale float64) (*Program, error) {
 }
 
 // Compress applies the paper's dictionary compression. The input program
-// is not modified (jump tables are patched in a copy).
+// is not modified (jump tables are patched in the image's own data).
 func Compress(p *Program, opt Options) (*Image, error) {
-	return core.Compress(p.Clone(), opt)
+	return core.Compress(p, opt)
 }
 
 // DictEntry is one shared-dictionary entry (a sequence of instruction
@@ -123,7 +123,7 @@ func BuildSharedDictionary(programs []*Program, opt Options) ([]DictEntry, error
 // dictionary, preserving entry order so codeword ranks stay meaningful
 // across every program using it.
 func CompressFixed(p *Program, entries []DictEntry, opt Options) (*Image, error) {
-	return core.CompressFixed(p.Clone(), entries, opt)
+	return core.CompressFixed(p, entries, opt)
 }
 
 // Verify structurally checks that an image is a faithful compression of

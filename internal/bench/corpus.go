@@ -34,12 +34,21 @@ type flight[T any] struct {
 
 func newFlight[T any]() *flight[T] { return &flight[T]{done: make(chan struct{})} }
 
+// family is one memoized dictionary-family build: the Selection every cap
+// of the family is a prefix of, beside the program analysis it was built
+// over, which core.CompressBuilt takes with it.
+type family struct {
+	sel *dictionary.Selection
+	an  *program.Analysis
+}
+
 // corpusState is the cache shared by every view of a corpus.
 type corpusState struct {
-	mu     sync.Mutex
-	progs  map[string]*flight[*program.Program]
-	builds map[imageKey]*flight[*dictionary.Selection] // per family: maxEntries is the scheme maximum
-	images map[imageKey]*flight[*core.Image]
+	mu       sync.Mutex
+	progs    map[string]*flight[*program.Program]
+	analyses map[string]*program.Analysis // per program: the first family build's, which every family keeps
+	builds   map[imageKey]*flight[family] // per family: maxEntries is the scheme maximum
+	images   map[imageKey]*flight[*core.Image]
 }
 
 // Corpus memoizes generated benchmarks and compression results so sweeps
@@ -89,9 +98,10 @@ func keyFor(name string, opt core.Options) imageKey {
 // NewCorpus creates an empty cache.
 func NewCorpus() *Corpus {
 	return &Corpus{state: &corpusState{
-		progs:  map[string]*flight[*program.Program]{},
-		builds: map[imageKey]*flight[*dictionary.Selection]{},
-		images: map[imageKey]*flight[*core.Image]{},
+		progs:    map[string]*flight[*program.Program]{},
+		analyses: map[string]*program.Analysis{},
+		builds:   map[imageKey]*flight[family]{},
+		images:   map[imageKey]*flight[*core.Image]{},
 	}}
 }
 
@@ -229,9 +239,9 @@ func (c *Corpus) compress(name string, opt core.Options) (*core.Image, error) {
 	sp := c.sp.Phase("corpus.compress", c.rec).Set("bench", name).Set("scheme", opt.Scheme.String())
 	opt.Trace = sp
 	var img *core.Image
-	sel, err := c.build(name, p, opt)
+	fam, err := c.build(name, p, opt)
 	if err == nil {
-		img, err = core.CompressBuilt(p.Clone(), sel.Prefix(p.Text, opt.MaxEntries), opt)
+		img, err = core.CompressBuilt(p, fam.an, fam.sel.Prefix(p.Text, opt.MaxEntries), opt)
 	}
 	sp.End()
 	c.rec.Add("corpus.compressions", 1)
@@ -241,17 +251,17 @@ func (c *Corpus) compress(name string, opt core.Options) (*core.Image, error) {
 	return img, nil
 }
 
-// build returns the Selection of p's dictionary build for opt's family —
-// the options with MaxEntries at the scheme maximum — building it on first
-// use. Every cap of the family is a prefix of that build (see
-// dictionary.Config.MaxEntries), so a sweep over dictionary sizes builds
-// each family once. The build's phases nest under opt.Trace, the span of
+// build returns the Selection and analysis of p's dictionary build for
+// opt's family — the options with MaxEntries at the scheme maximum —
+// building it on first use. Every cap of the family is a prefix of that
+// build (see dictionary.Config.MaxEntries), so a sweep over dictionary
+// sizes builds each family once. The build's phases nest under opt.Trace, the span of
 // the compression that first needed it.
 //
 // Only image flight owners call build, and owners run to completion, so
 // waiting here ignores cancellation: a cancelled view must not latch
 // ctx.Err() into the image cache.
-func (c *Corpus) build(name string, p *program.Program, opt core.Options) (*dictionary.Selection, error) {
+func (c *Corpus) build(name string, p *program.Program, opt core.Options) (family, error) {
 	opt.MaxEntries = opt.Scheme.MaxEntries()
 	key := keyFor(name, opt)
 	st := c.state
@@ -262,13 +272,22 @@ func (c *Corpus) build(name string, p *program.Program, opt core.Options) (*dict
 		<-f.done
 		return f.val, f.err
 	}
-	f = newFlight[*dictionary.Selection]()
+	f = newFlight[family]()
 	st.builds[key] = f
 	st.mu.Unlock()
 
-	res, err := core.Build(p, opt)
+	res, an, err := core.Build(p, opt)
 	if err == nil {
-		f.val = res.Selection()
+		// Every family of a program has the same analysis: keep one, not
+		// one per family, for as long as the cache lives.
+		st.mu.Lock()
+		if first, ok := st.analyses[name]; ok {
+			an = first
+		} else {
+			st.analyses[name] = an
+		}
+		st.mu.Unlock()
+		f.val = family{sel: res.Selection(), an: an}
 	}
 	f.err = err
 	c.rec.Add("corpus.builds", 1)

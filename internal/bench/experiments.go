@@ -5,10 +5,10 @@ import (
 
 	"repro/internal/cache"
 	"repro/internal/codec"
+	_ "repro/internal/codecs" // every registered codec: the comparator tables enumerate the registry
 	"repro/internal/codeword"
 	"repro/internal/core"
 	"repro/internal/dictionary"
-	"repro/internal/lzw"
 	"repro/internal/profile"
 	"repro/internal/program"
 	"repro/internal/thumb"
@@ -405,9 +405,11 @@ func Fig11(c *Corpus) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sp := comparatorSpan(c, "lzw", name)
-		lr := lzw.RatioRecorded(p.TextBytes(), c.Recorder())
-		sp.End()
+		limg, err := comparatorImage(c, "lzw", name, p)
+		if err != nil {
+			return nil, err
+		}
+		lr := limg.Ratio()
 		return []string{name, ratioStr(img.Ratio()), ratioStr(lr),
 			fmt.Sprintf("%+.1fpp", 100*(img.Ratio()-lr))}, nil
 	})
@@ -469,9 +471,7 @@ func ExtBaselines(c *Corpus) (*Table, error) {
 				// Dictionary schemes go through the memoizing corpus cache.
 				img, err = c.Image(name, core.Options{Scheme: sc.Scheme(), MaxEntryLen: 4})
 			} else {
-				sp := comparatorSpan(c, cd.Name(), name)
-				img, err = cd.Compress(p, codec.Options{Stats: c.Recorder()})
-				sp.End()
+				img, err = comparatorImage(c, cd.Name(), name, p)
 			}
 			if err != nil {
 				return nil, err

@@ -113,7 +113,7 @@ func scaledImage(c *Corpus, name string, s float64, opt core.Options) (*program.
 		return nil, nil, err
 	}
 	opt.Stats = c.Recorder()
-	img, err := core.Compress(p.Clone(), opt)
+	img, err := core.Compress(p, opt)
 	return p, img, err
 }
 
@@ -222,7 +222,7 @@ func ExtShared(c *Corpus) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		sh, err := core.CompressFixed(progs[i].Clone(), shared, opt)
+		sh, err := core.CompressFixed(progs[i], shared, opt)
 		if err != nil {
 			return nil, err
 		}
@@ -323,12 +323,11 @@ func ExtRefill(c *Corpus) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		ccfg := huffman.DefaultCCRP()
-		ccfg.Stats = c.Recorder()
-		cimg, err := huffman.BuildCCRPImage(p, ccfg)
+		cc, err := comparatorImage(c, "ccrp", name, p)
 		if err != nil {
 			return nil, err
 		}
+		cimg := cc.(*huffman.CCRPImage)
 		ccrp, err := lineTraffic(cimg.NewMachine, cimg.RefillBytes)
 		if err != nil {
 			return nil, err
@@ -371,7 +370,7 @@ func ExtRegalloc(c *Corpus) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		simg, err := core.Compress(sp.Clone(), core.Options{Scheme: codeword.Nibble, MaxEntryLen: 4, Stats: c.Recorder()})
+		simg, err := core.Compress(sp, core.Options{Scheme: codeword.Nibble, MaxEntryLen: 4, Stats: c.Recorder()})
 		if err != nil {
 			return nil, err
 		}
@@ -444,7 +443,7 @@ func ExtProfiled(c *Corpus) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		dyn, err := core.Compress(p.Clone(), core.Options{
+		dyn, err := core.Compress(p, core.Options{
 			Scheme: codeword.Nibble, MaxEntryLen: 4, DynProfile: prof, Stats: c.Recorder(),
 		})
 		if err != nil {
@@ -515,7 +514,7 @@ func ExtStandardize(c *Corpus) (*Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		simg, err := core.Compress(sp.Clone(), core.Options{Scheme: codeword.Nibble, MaxEntryLen: 4, Stats: c.Recorder()})
+		simg, err := core.Compress(sp, core.Options{Scheme: codeword.Nibble, MaxEntryLen: 4, Stats: c.Recorder()})
 		if err != nil {
 			return nil, err
 		}

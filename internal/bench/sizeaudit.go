@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/codec"
 	"repro/internal/core"
+	"repro/internal/program"
 	"repro/internal/sizeaudit"
 	"repro/internal/trace"
 )
@@ -52,6 +53,18 @@ func AuditFor(c *Corpus, name, enc string) (*sizeaudit.Audit, error) {
 // than to the experiment around it.
 func comparatorSpan(c *Corpus, enc, name string) *trace.Span {
 	return c.Span().Child("codec."+enc+".comparator").Set("bench", name)
+}
+
+// comparatorImage compresses benchmark name's program p with the
+// registered comparator codec enc (LZW, CCRP) inside its comparatorSpan.
+func comparatorImage(c *Corpus, enc, name string, p *program.Program) (codec.Image, error) {
+	cd, err := codec.ByName(enc)
+	if err != nil {
+		return nil, err
+	}
+	sp := comparatorSpan(c, enc, name)
+	defer sp.End()
+	return cd.Compress(p, codec.Options{Stats: c.Recorder()})
 }
 
 // ExtSizeAudit attributes every compressed byte of every benchmark under

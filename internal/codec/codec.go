@@ -18,7 +18,6 @@ import (
 	"io"
 
 	"repro/internal/codeword"
-	"repro/internal/dictionary"
 	"repro/internal/machine"
 	"repro/internal/program"
 	"repro/internal/sizeaudit"
@@ -53,13 +52,6 @@ type Options struct {
 	// MaxEntryLen bounds instructions per dictionary entry; 0 means the
 	// paper's baseline of 4.
 	MaxEntryLen int
-
-	// Strategy selects the dictionary-building policy (ablation hook).
-	Strategy dictionary.Strategy
-
-	// DynProfile, when non-nil, supplies per-original-word execution
-	// counts for profile-guided codeword ranking.
-	DynProfile []int64
 
 	// Stats, when non-nil, receives the codec's pipeline counters and
 	// timers. Nil-safe pass-through; never affects the produced image.
@@ -124,7 +116,8 @@ type Codec interface {
 	// rows. ByName also accepts registered aliases.
 	Name() string
 
-	// Compress encodes a program. The program is not mutated.
+	// Compress encodes a program. The program is not mutated, and the
+	// image shares no memory with it.
 	Compress(p *program.Program, opt Options) (Image, error)
 
 	// Open deserializes an image payload previously written by WriteImage.

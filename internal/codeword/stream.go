@@ -2,6 +2,7 @@ package codeword
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/ppc"
 )
@@ -21,16 +22,22 @@ var (
 	}()
 )
 
-// Writer packs codewords and raw instructions into a unit stream.
+// Writer packs codewords and raw instructions into a unit stream; the
+// nibble scheme packs two units to a byte, high nibble first.
 type Writer struct {
-	scheme  Scheme
-	nibbles []byte // one nibble per element (low 4 bits used); packed on Bytes()
-	bytes   []byte // used by byte-granular schemes
-	units   int
+	scheme Scheme
+	bytes  []byte
+	units  int
 }
 
 // NewWriter creates a stream writer for the scheme.
 func NewWriter(s Scheme) *Writer { return &Writer{scheme: s} }
+
+// Grow makes room for n more units, so a stream whose length is known
+// before it is written never reallocates.
+func (w *Writer) Grow(n int) {
+	w.bytes = slices.Grow(w.bytes, streamBytes(w.scheme, w.units+n)-len(w.bytes))
+}
 
 // Units returns the stream length so far in scheme units.
 func (w *Writer) Units() int { return w.units }
@@ -98,34 +105,23 @@ func (w *Writer) Raw(word uint32) error {
 }
 
 func (w *Writer) nib(v byte) {
-	w.nibbles = append(w.nibbles, v&0xF)
+	if w.units%2 == 0 {
+		w.bytes = append(w.bytes, v<<4)
+	} else {
+		w.bytes[len(w.bytes)-1] |= v & 0xF
+	}
 	w.units++
 }
 
-// Bytes returns the packed stream, padded to a whole byte with zero
-// nibbles for the nibble scheme.
-func (w *Writer) Bytes() []byte {
-	if w.scheme != Nibble {
-		return w.bytes
-	}
-	out := make([]byte, (len(w.nibbles)+1)/2)
-	for i, v := range w.nibbles {
-		if i%2 == 0 {
-			out[i/2] |= v << 4
-		} else {
-			out[i/2] |= v
-		}
-	}
-	return out
-}
+// Bytes returns the packed stream, padded to a whole byte with a zero
+// nibble for the nibble scheme.
+func (w *Writer) Bytes() []byte { return w.bytes }
 
 // SizeBytes is the stream size in whole bytes.
-func (w *Writer) SizeBytes() int {
-	if w.scheme == Nibble {
-		return (w.units + 1) / 2
-	}
-	return w.units * w.scheme.UnitBits() / 8
-}
+func (w *Writer) SizeBytes() int { return streamBytes(w.scheme, w.units) }
+
+// streamBytes is the size in whole bytes of a stream of units units.
+func streamBytes(s Scheme, units int) int { return (units*s.UnitBits() + 7) / 8 }
 
 // Item is one decoded stream element.
 type Item struct {

@@ -213,16 +213,14 @@ func (c schemeCodec) options(opt codec.Options) Options {
 		Scheme:      c.scheme,
 		MaxEntries:  opt.MaxEntries,
 		MaxEntryLen: opt.MaxEntryLen,
-		Strategy:    opt.Strategy,
-		DynProfile:  opt.DynProfile,
 		Stats:       opt.Stats,
 		Trace:       opt.Trace,
 	}
 }
 
-// Compress runs the full dictionary pipeline on a private clone.
+// Compress runs the full dictionary pipeline.
 func (c schemeCodec) Compress(p *program.Program, opt codec.Options) (codec.Image, error) {
-	return Compress(p.Clone(), c.options(opt))
+	return Compress(p, c.options(opt))
 }
 
 // Open deserializes an image payload and checks it belongs to this codec:
@@ -264,7 +262,7 @@ func (c schemeCodec) Verify(p *program.Program, img codec.Image) error {
 // bit-identical to a live emitter attached during compression, without
 // recompressing (the memoized-image fast path the bench tables rely on).
 func (c schemeCodec) Audit(p *program.Program, opt codec.Options) (*sizeaudit.Audit, error) {
-	img, err := Compress(p.Clone(), c.options(opt))
+	img, err := Compress(p, c.options(opt))
 	if err != nil {
 		return nil, err
 	}

@@ -19,7 +19,6 @@ import (
 	"repro/internal/codeword"
 	"repro/internal/dictionary"
 	"repro/internal/machine"
-	"repro/internal/ppc"
 	"repro/internal/program"
 	"repro/internal/sizeaudit"
 	"repro/internal/stats"
@@ -70,10 +69,13 @@ type Options struct {
 	Trace *trace.Span
 
 	// Audit, when non-nil, receives one byte-provenance record per emitted
-	// stream item plus the stream padding, dictionary storage and header —
-	// the size-attribution sideband behind ccomp -audit. Like Stats it is
-	// nil-safe and never affects the produced image; callers Finish it with
-	// the image's CompressedBytes after Compress returns.
+	// stream item plus the stream padding, dictionary storage and header,
+	// live as the stream is written. Tools audit an image through
+	// (*Image).SizeAudit, which rebuilds the same records from its marks;
+	// this live emitter is the reference the conservation test compares
+	// that reconstruction against. Like Stats it is nil-safe and never
+	// affects the produced image; callers Finish it with the image's
+	// CompressedBytes after Compress returns.
 	Audit *sizeaudit.Emitter
 }
 
@@ -199,34 +201,6 @@ func (img *Image) Ratio() float64 {
 	return float64(img.CompressedBytes()) / float64(img.OriginalBytes)
 }
 
-// markers computes the compressibility and leader vectors for a program:
-// §3.2.1 — relative branches are never compressed (their offsets must be
-// rewritten); link-setting branches are excluded too because a return
-// into the middle of a dictionary entry is unaddressable.
-func markers(p *program.Program) (compressible []bool, an *program.Analysis, err error) {
-	an, err = program.Analyze(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	compressible = make([]bool, len(p.Text))
-	for i, w := range p.Text {
-		compressible[i] = !ppc.IsRelativeBranch(w) && !(ppc.IsBranch(w) && ppc.IsCall(w))
-	}
-	return compressible, an, nil
-}
-
-// Markers computes the §3.2.1 compressibility and basic-block leader
-// vectors for a program — the inputs dictionary.Build needs beyond the
-// text itself. Exported for benchmarks and tools that drive the
-// dictionary builder directly.
-func Markers(p *program.Program) (compressible, leader []bool, err error) {
-	comp, an, err := markers(p)
-	if err != nil {
-		return nil, nil, err
-	}
-	return comp, an.Leader, nil
-}
-
 // CompressFixed compresses a program against a pre-built dictionary (a
 // ROM dictionary shared across programs, for instance). Entry order is
 // preserved — codeword ranks must mean the same thing to every program
@@ -236,12 +210,12 @@ func CompressFixed(p *program.Program, entries []dictionary.Entry, opt Options) 
 	if len(entries) > opt.Scheme.MaxEntries() {
 		return nil, fmt.Errorf("core: %d entries exceed %v's codeword space", len(entries), opt.Scheme)
 	}
-	compressible, an, err := markers(p)
+	an, err := program.Analyze(p)
 	if err != nil {
 		return nil, err
 	}
 	res, err := dictionary.Apply(p.Text, entries, dictionary.Config{
-		Compressible: compressible,
+		Compressible: an.Compressible,
 		Leader:       an.Leader,
 	})
 	if err != nil {
@@ -271,29 +245,19 @@ func BuildSharedDictionary(programs []*program.Program, opt Options) ([]dictiona
 	text := make([]uint32, 0, n)
 	compressible, leaders := make([]bool, 0, n), make([]bool, 0, n)
 	for _, p := range programs {
-		comp, an, err := markers(p)
+		an, err := program.Analyze(p)
 		if err != nil {
 			spAnalyze.End()
 			return nil, err
 		}
 		text = append(text, p.Text...)
-		compressible = append(compressible, comp...)
+		compressible = append(compressible, an.Compressible...)
 		leaders = append(leaders, an.Leader...)
 	}
 	spAnalyze.End()
 
 	spBuild := opt.Trace.Phase("core.build", opt.Stats)
-	res, err := dictionary.Build(text, dictionary.Config{
-		MaxEntries:        opt.MaxEntries,
-		MaxEntryLen:       opt.MaxEntryLen,
-		CodewordBits:      opt.Scheme.CodewordBits,
-		EntryOverheadBits: codeword.EntryOverheadBits,
-		Compressible:      compressible,
-		Leader:            leaders,
-		Strategy:          opt.Strategy,
-		Stats:             opt.Stats,
-		Trace:             spBuild,
-	})
+	res, err := dictionary.Build(text, buildConfig(opt, compressible, leaders, spBuild))
 	spBuild.End()
 	if err != nil {
 		return nil, err
@@ -302,47 +266,48 @@ func BuildSharedDictionary(programs []*program.Program, opt Options) ([]dictiona
 	return rank.entries, nil
 }
 
+// buildConfig is the greedy builder's configuration under normalized
+// options, over per-word markers, with its phases nested under sp.
+func buildConfig(opt Options, compressible, leader []bool, sp *trace.Span) dictionary.Config {
+	return dictionary.Config{
+		MaxEntries:        opt.MaxEntries,
+		MaxEntryLen:       opt.MaxEntryLen,
+		CodewordBits:      opt.Scheme.CodewordBits,
+		EntryOverheadBits: codeword.EntryOverheadBits,
+		Compressible:      compressible,
+		Leader:            leader,
+		Strategy:          opt.Strategy,
+		Stats:             opt.Stats,
+		Trace:             sp,
+	}
+}
+
 // Compress runs the full pipeline: Build, then CompressBuilt on its
-// result, sharing one program analysis between the two halves.
+// result and analysis.
 func Compress(p *program.Program, opt Options) (*Image, error) {
-	opt = opt.Normalized()
-	res, an, err := build(p, opt)
+	res, an, err := Build(p, opt)
 	if err != nil {
 		return nil, err
 	}
-	return compressBuilt(p, an, res, opt)
+	return CompressBuilt(p, an, res, opt)
 }
 
 // Build runs the front half of Compress: the §3.2.1 analysis (phase
 // core.analyze) and the greedy dictionary build under the normalized
-// options (phase core.build). Its Result, or a dictionary.Selection
-// prefix of a less capped build of the same program and options, is the
-// input of CompressBuilt.
-func Build(p *program.Program, opt Options) (*dictionary.Result, error) {
-	res, _, err := build(p, opt.Normalized())
-	return res, err
-}
-
-func build(p *program.Program, opt Options) (*dictionary.Result, *program.Analysis, error) {
+// options (phase core.build). It returns the analysis beside the build;
+// CompressBuilt takes both, or the analysis and a dictionary.Selection
+// prefix of a less capped build of the same program and options.
+func Build(p *program.Program, opt Options) (*dictionary.Result, *program.Analysis, error) {
+	opt = opt.Normalized()
 	spAnalyze := opt.Trace.Phase("core.analyze", opt.Stats)
-	compressible, an, err := markers(p)
+	an, err := program.Analyze(p)
 	spAnalyze.End()
 	if err != nil {
 		return nil, nil, err
 	}
 
 	spBuild := opt.Trace.Phase("core.build", opt.Stats)
-	res, err := dictionary.Build(p.Text, dictionary.Config{
-		MaxEntries:        opt.MaxEntries,
-		MaxEntryLen:       opt.MaxEntryLen,
-		CodewordBits:      opt.Scheme.CodewordBits,
-		EntryOverheadBits: codeword.EntryOverheadBits,
-		Compressible:      compressible,
-		Leader:            an.Leader,
-		Strategy:          opt.Strategy,
-		Stats:             opt.Stats,
-		Trace:             spBuild,
-	})
+	res, err := dictionary.Build(p.Text, buildConfig(opt, an.Compressible, an.Leader, spBuild))
 	spBuild.End()
 	if err != nil {
 		return nil, nil, err
@@ -350,18 +315,12 @@ func build(p *program.Program, opt Options) (*dictionary.Result, *program.Analys
 	return res, an, nil
 }
 
-// CompressBuilt runs the back half of Compress on a dictionary build of p
-// under opt: it re-ranks the entries and assembles the image. Compress(p,
-// opt) is exactly CompressBuilt(p, Build(p, opt), opt).
-func CompressBuilt(p *program.Program, res *dictionary.Result, opt Options) (*Image, error) {
-	an, err := program.Analyze(p)
-	if err != nil {
-		return nil, err
-	}
-	return compressBuilt(p, an, res, opt.Normalized())
-}
-
-func compressBuilt(p *program.Program, an *program.Analysis, res *dictionary.Result, opt Options) (*Image, error) {
+// CompressBuilt runs the back half of Compress on p's analysis an and a
+// dictionary build of p under opt: it re-ranks the entries and assembles
+// the image. Compress(p, opt) is exactly CompressBuilt(p, an, res, opt)
+// for res, an = Build(p, opt).
+func CompressBuilt(p *program.Program, an *program.Analysis, res *dictionary.Result, opt Options) (*Image, error) {
+	opt = opt.Normalized()
 	// Re-rank entries so the most frequent sequences receive the shortest
 	// codewords (§3.1.3) — by static use count, or by dynamic fetch count
 	// when a profile is supplied; remap item references.

@@ -137,6 +137,7 @@ func emit(img *Image, an *program.Analysis, items []dictionary.Item, rankOf []in
 	img.Marks = make([]Mark, 0, len(items)) // one mark per item
 	scheme := img.Scheme
 	w := codeword.NewWriter(scheme)
+	w.Grow(lay.units)
 	rawBitsPer := scheme.RawInsnUnits() * scheme.UnitBits()
 	var stubBits int64
 	for ii, it := range items {

@@ -59,7 +59,7 @@ func benchmarkInput(t testing.TB, name string) ([]uint32, dictionary.Config) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	comp, lead, err := core.Markers(p)
+	an, err := program.Analyze(p)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,8 +68,8 @@ func benchmarkInput(t testing.TB, name string) ([]uint32, dictionary.Config) {
 		MaxEntryLen:       4,
 		CodewordBits:      codeword.Baseline.CodewordBits,
 		EntryOverheadBits: codeword.EntryOverheadBits,
-		Compressible:      comp,
-		Leader:            lead,
+		Compressible:      an.Compressible,
+		Leader:            an.Leader,
 	}
 }
 
@@ -412,11 +412,11 @@ func fleetDictionary(t testing.TB) ([]*program.Program, []dictionary.Entry) {
 func TestApplyMatchesReferenceSynth(t *testing.T) {
 	progs, entries := fleetDictionary(t)
 	for _, p := range progs {
-		comp, lead, err := core.Markers(p)
+		an, err := program.Analyze(p)
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := dictionary.Config{Compressible: comp, Leader: lead}
+		cfg := dictionary.Config{Compressible: an.Compressible, Leader: an.Leader}
 		got, err := dictionary.Apply(p.Text, entries, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -443,11 +443,11 @@ func TestApplyAllocationsIndependentOfDictionary(t *testing.T) {
 			gcc = p
 		}
 	}
-	comp, lead, err := core.Markers(gcc)
+	an, err := program.Analyze(gcc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := dictionary.Config{Compressible: comp, Leader: lead}
+	cfg := dictionary.Config{Compressible: an.Compressible, Leader: an.Leader}
 	var first float64
 	for _, n := range []int{1, 64, len(entries)} {
 		allocs := testing.AllocsPerRun(3, func() {

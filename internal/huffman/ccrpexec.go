@@ -2,10 +2,10 @@ package huffman
 
 import (
 	"encoding/binary"
-	"fmt"
 
 	"repro/internal/program"
 	"repro/internal/sizeaudit"
+	"repro/internal/stats"
 )
 
 // CCRPImage is an executable compressed program in the CCRP style
@@ -32,11 +32,15 @@ type CCRPImage struct {
 	LATBytesPer   float64
 }
 
-// BuildCCRPImage compresses a program's text per line.
-func BuildCCRPImage(p *program.Program, cfg CCRP) (*CCRPImage, error) {
-	if cfg.LineSize <= 0 || cfg.LineSize%4 != 0 {
-		return nil, fmt.Errorf("huffman: line size %d must be a positive multiple of 4", cfg.LineSize)
-	}
+// BuildCCRPImage compresses a program's text per LineSize line. rec, when
+// non-nil, receives the overhead components every compression records
+// (ccrp.lines, ccrp.raw_lines, ccrp.lat_bytes, ccrp.code_table_bytes). em,
+// when non-nil, receives per-byte provenance as lines are encoded:
+// Huffman-coded bytes as Codeword bits (the symbol's exact code length),
+// raw-fallback lines as Raw, per-line byte round-up as Padding, and the LAT
+// and code-length table as Table globals. Both are nil-safe and never
+// affect the image.
+func BuildCCRPImage(p *program.Program, rec *stats.Recorder, em *sizeaudit.Emitter) (*CCRPImage, error) {
 	text := p.TextBytes()
 	var freq [256]int64
 	for _, b := range text {
@@ -48,7 +52,7 @@ func BuildCCRPImage(p *program.Program, cfg CCRP) (*CCRPImage, error) {
 	}
 	img := &CCRPImage{
 		Name:          p.Name,
-		LineSize:      cfg.LineSize,
+		LineSize:      LineSize,
 		TextBase:      p.TextBase,
 		NumWords:      len(p.Text),
 		Entry:         p.EntryAddr(),
@@ -56,11 +60,11 @@ func BuildCCRPImage(p *program.Program, cfg CCRP) (*CCRPImage, error) {
 		Data:          append([]byte(nil), p.Data...),
 		DataBase:      p.DataBase,
 		OriginalBytes: p.SizeBytes(),
-		LATBytesPer:   cfg.LATBytesPerLine,
+		LATBytesPer:   LATBytesPerLine,
 	}
 	rawLines := 0
-	for off := 0; off < len(text); off += cfg.LineSize {
-		end := off + cfg.LineSize
+	for off := 0; off < len(text); off += LineSize {
+		end := off + LineSize
 		if end > len(text) {
 			end = len(text)
 		}
@@ -71,18 +75,18 @@ func BuildCCRPImage(p *program.Program, cfg CCRP) (*CCRPImage, error) {
 			img.Raw = append(img.Raw, true)
 			rawLines++
 			for i := range line {
-				cfg.Audit.At(sizeaudit.Raw, uint32(off+i), 8)
+				em.At(sizeaudit.Raw, uint32(off+i), 8)
 			}
 		} else {
 			img.Lines = append(img.Lines, enc)
 			img.Raw = append(img.Raw, false)
 			for i, b := range line {
-				cfg.Audit.At(sizeaudit.Codeword, uint32(off+i), int64(code.Lens[b]))
+				em.At(sizeaudit.Codeword, uint32(off+i), int64(code.Lens[b]))
 			}
 			// The byte round-up at the end of the line belongs to whichever
 			// function owns the line start — close enough for a sub-byte
 			// remainder, and it keeps the accounting exact.
-			cfg.Audit.At(sizeaudit.Padding, uint32(off),
+			em.At(sizeaudit.Padding, uint32(off),
 				int64(len(enc))*8-int64(code.EncodedBits(line)))
 		}
 	}
@@ -90,14 +94,14 @@ func BuildCCRPImage(p *program.Program, cfg CCRP) (*CCRPImage, error) {
 	for _, l := range img.Lines {
 		latBytes -= len(l)
 	}
-	cfg.Audit.Global(sizeaudit.Table, sizeaudit.LATRow, int64(latBytes)*8)
-	cfg.Audit.Global(sizeaudit.Table, sizeaudit.CodeTableRow, 256*8)
+	em.Global(sizeaudit.Table, sizeaudit.LATRow, int64(latBytes)*8)
+	em.Global(sizeaudit.Table, sizeaudit.CodeTableRow, 256*8)
 	// Counters materialize even at zero so snapshots always carry the full
 	// component set.
-	cfg.Stats.Add("ccrp.lines", int64(len(img.Lines)))
-	cfg.Stats.Add("ccrp.raw_lines", int64(rawLines))
-	cfg.Stats.Add("ccrp.lat_bytes", int64(latBytes))
-	cfg.Stats.Add("ccrp.code_table_bytes", 256)
+	rec.Add("ccrp.lines", int64(len(img.Lines)))
+	rec.Add("ccrp.raw_lines", int64(rawLines))
+	rec.Add("ccrp.lat_bytes", int64(latBytes))
+	rec.Add("ccrp.code_table_bytes", 256)
 	return img, nil
 }
 

@@ -17,9 +17,7 @@ func TestCCRPImageSizesMatchCounters(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := stats.New()
-	cfg := DefaultCCRP()
-	cfg.Stats = rec
-	img, err := BuildCCRPImage(p, cfg)
+	img, err := BuildCCRPImage(p, rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -79,7 +77,7 @@ func TestCCRPExecutionMatchesOriginal(t *testing.T) {
 			t.Fatal(err)
 		}
 
-		img, err := BuildCCRPImage(p, DefaultCCRP())
+		img, err := BuildCCRPImage(p, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +117,7 @@ func TestCCRPTinyCacheStillCorrect(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	img, err := BuildCCRPImage(p, DefaultCCRP())
+	img, err := BuildCCRPImage(p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -150,7 +148,7 @@ func TestCCRPMachineFusedAndResettable(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		img, err := BuildCCRPImage(p, DefaultCCRP())
+		img, err := BuildCCRPImage(p, nil, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -181,10 +179,7 @@ func TestCCRPFrontendValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := BuildCCRPImage(p, CCRP{LineSize: 30}); err == nil {
-		t.Error("non-multiple-of-4 line size accepted")
-	}
-	img, err := BuildCCRPImage(p, DefaultCCRP())
+	img, err := BuildCCRPImage(p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

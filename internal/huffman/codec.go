@@ -153,23 +153,16 @@ func ReadCCRPImagePayload(b []byte) (*CCRPImage, error) {
 	return img, nil
 }
 
-// ccrpCodec adapts the CCRP model to the codec interface with the Ext. A
-// configuration (DefaultCCRP).
+// ccrpCodec adapts the CCRP model to the codec interface.
 type ccrpCodec struct{}
 
 func (ccrpCodec) Method() codec.Method { return codec.CCRP }
 func (ccrpCodec) Name() string         { return "ccrp" }
 
-func cfgFor(opt codec.Options) CCRP {
-	cfg := DefaultCCRP()
-	cfg.Stats = opt.Stats
-	return cfg
-}
-
 // Compress builds a CCRP image; the dictionary-shape options do not apply
 // and are ignored.
 func (ccrpCodec) Compress(p *program.Program, opt codec.Options) (codec.Image, error) {
-	return BuildCCRPImage(p, cfgFor(opt))
+	return BuildCCRPImage(p, opt.Stats, nil)
 }
 
 // Open deserializes a CCRP image payload.
@@ -210,9 +203,7 @@ func (ccrpCodec) Verify(p *program.Program, img codec.Image) error {
 // conservation-checked audit.
 func (ccrpCodec) Audit(p *program.Program, opt codec.Options) (*sizeaudit.Audit, error) {
 	em := sizeaudit.NewProgramEmitter(p)
-	cfg := cfgFor(opt)
-	cfg.Audit = em
-	img, err := BuildCCRPImage(p, cfg)
+	img, err := BuildCCRPImage(p, opt.Stats, em)
 	if err != nil {
 		return nil, err
 	}
@@ -226,7 +217,6 @@ func (ccrpCodec) Audit(p *program.Program, opt codec.Options) (*sizeaudit.Audit,
 // MaxCompressedBytes: lines never expand (raw fallback), so the bound is
 // the text plus the LAT and code table.
 func (ccrpCodec) MaxCompressedBytes(originalBytes int) int {
-	cfg := DefaultCCRP()
-	lines := (originalBytes + cfg.LineSize - 1) / cfg.LineSize
-	return originalBytes + int(float64(lines)*cfg.LATBytesPerLine) + 256
+	lines := (originalBytes + LineSize - 1) / LineSize
+	return originalBytes + lines*LATBytesPerLine + 256
 }

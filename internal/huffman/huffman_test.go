@@ -2,6 +2,7 @@ package huffman
 
 import (
 	"bytes"
+	"errors"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/program"
 	"repro/internal/stats"
 	"repro/internal/synth"
+	"repro/internal/wire"
 )
 
 func freqOf(data []byte) *[256]int64 {
@@ -177,9 +179,7 @@ func TestCCRPOnBenchmark(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := stats.New()
-	cfg := DefaultCCRP()
-	cfg.Stats = rec
-	img, err := BuildCCRPImage(p, cfg)
+	img, err := BuildCCRPImage(p, rec, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,7 +209,7 @@ func TestCCRPLineNeverExpands(t *testing.T) {
 	for i := range p.Text {
 		p.Text[i] = rng.Uint32()
 	}
-	img, err := BuildCCRPImage(p, DefaultCCRP())
+	img, err := BuildCCRPImage(p, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,9 +231,29 @@ func TestCCRPLineNeverExpands(t *testing.T) {
 	}
 }
 
+// TestCCRPBadConfig checks the configuration an image stores: builds
+// always use LineSize and LATBytesPerLine, but a payload read from a file
+// may carry any line size, and one that is not a positive multiple of 4
+// fails with a *wire.FormatError.
 func TestCCRPBadConfig(t *testing.T) {
-	p := &program.Program{Text: []uint32{1}}
-	if _, err := BuildCCRPImage(p, CCRP{LineSize: 0}); err == nil {
-		t.Fatal("zero line size accepted")
+	p := &program.Program{Text: []uint32{1, 2, 3, 4, 5, 6, 7, 8, 9}}
+	img, err := BuildCCRPImage(p, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if img.LineSize != LineSize || img.LATBytesPer != LATBytesPerLine {
+		t.Fatalf("built line size %d, LAT %v bytes per line", img.LineSize, img.LATBytesPer)
+	}
+	for _, size := range []int{0, 30} {
+		bad := *img
+		bad.LineSize = size
+		var buf bytes.Buffer
+		if err := WriteCCRPImagePayload(&buf, &bad); err != nil {
+			t.Fatal(err)
+		}
+		var fe *wire.FormatError
+		if _, err := ReadCCRPImagePayload(buf.Bytes()); !errors.As(err, &fe) || fe.Field != "line size" {
+			t.Errorf("line size %d: got %v, want a line size *wire.FormatError", size, err)
+		}
 	}
 }

@@ -77,7 +77,7 @@ func (r *bitReader) read(bits uint) (uint32, error) {
 // emitting a clear code whenever the table fills and the recent
 // compression ratio worsens.
 func Compress(data []byte) []byte {
-	return compress(data, nil, nil)
+	return CompressAudited(data, nil, nil)
 }
 
 // CompressAudited is Compress with observability attached: rec receives
@@ -88,10 +88,6 @@ func Compress(data []byte) []byte {
 // may be nil (each layer is nil-safe), and the output is byte-identical
 // to Compress.
 func CompressAudited(data []byte, rec *stats.Recorder, em *sizeaudit.Emitter) []byte {
-	return compress(data, rec, em)
-}
-
-func compress(data []byte, rec *stats.Recorder, em *sizeaudit.Emitter) []byte {
 	rec.Add("lzw.dict_resets", 0) // materialize: zero resets is a finding
 	w := &bitWriter{}
 	if len(data) == 0 {
@@ -269,14 +265,3 @@ func Decompress(data []byte, maxLen int) ([]byte, error) {
 
 // span is a string of the decoder's output: n bytes from start.
 type span struct{ start, n int32 }
-
-// Ratio is the compressed/original size ratio for data.
-func Ratio(data []byte) float64 { return RatioRecorded(data, nil) }
-
-// RatioRecorded is Ratio with the overhead counters published into rec.
-func RatioRecorded(data []byte, rec *stats.Recorder) float64 {
-	if len(data) == 0 {
-		return 1
-	}
-	return float64(len(compress(data, rec, nil))) / float64(len(data))
-}

@@ -79,9 +79,12 @@ func TestTableFullAndReset(t *testing.T) {
 	roundTrip(t, data)
 }
 
+// ratio is data's compressed/original size ratio.
+func ratio(data []byte) float64 { return float64(len(Compress(data))) / float64(len(data)) }
+
 func TestCompressesRedundantData(t *testing.T) {
 	data := bytes.Repeat([]byte("instruction stream "), 2000)
-	if r := Ratio(data); r > 0.2 {
+	if r := ratio(data); r > 0.2 {
 		t.Errorf("ratio %.3f on highly redundant data", r)
 	}
 	rng := rand.New(rand.NewSource(5))
@@ -89,7 +92,7 @@ func TestCompressesRedundantData(t *testing.T) {
 	for i := range noise {
 		noise[i] = byte(rng.Intn(256))
 	}
-	if r := Ratio(noise); r < 1.0 {
+	if r := ratio(noise); r < 1.0 {
 		t.Logf("ratio %.3f on noise (expected near or above 1)", r)
 	}
 }
@@ -160,7 +163,7 @@ func TestRatioOnBenchmarkText(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	r := Ratio(p.TextBytes())
+	r := ratio(p.TextBytes())
 	t.Logf("ijpeg instruction bytes: LZW ratio %.3f", r)
 	if r < 0.05 || r > 0.95 {
 		t.Errorf("LZW ratio %.3f implausible for instruction bytes", r)
@@ -305,7 +308,7 @@ func TestMatchesStringKeyedReference(t *testing.T) {
 		}
 		rec, refRec := stats.New(), stats.New()
 		em, refEm := newEm(), newEm()
-		got := compress(in.data, rec, em)
+		got := CompressAudited(in.data, rec, em)
 		want := compressReference(in.data, refRec, refEm)
 		if !bytes.Equal(got, want) {
 			t.Fatalf("%s: %d bytes, reference %d", in.name, len(got), len(want))

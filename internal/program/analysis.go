@@ -20,6 +20,13 @@ type Analysis struct {
 	// Target[i] holds the target word index of the relative branch at
 	// word i, and -1 when word i is not a relative branch.
 	Target []int32
+
+	// Compressible[i] is true when word i may be replaced by a codeword
+	// (§3.2.1): relative branches are never compressed, because their
+	// offsets must be rewritten, and neither are link-setting branches,
+	// because a return into the middle of a dictionary entry is
+	// unaddressable.
+	Compressible []bool
 }
 
 // Analyze recovers basic-block structure from a linked program. Leaders
@@ -32,8 +39,9 @@ func Analyze(p *Program) (*Analysis, error) {
 		return nil, fmt.Errorf("program: %d text words overflow the 32-bit targets", n)
 	}
 	a := &Analysis{
-		Leader: make([]bool, n),
-		Target: make([]int32, n),
+		Leader:       make([]bool, n),
+		Target:       make([]int32, n),
+		Compressible: make([]bool, n),
 	}
 	if n == 0 {
 		return a, nil
@@ -54,6 +62,7 @@ func Analyze(p *Program) (*Analysis, error) {
 	}
 	for i, w := range p.Text {
 		a.Target[i] = -1
+		a.Compressible[i] = !ppc.IsRelativeBranch(w) && !(ppc.IsBranch(w) && ppc.IsCall(w))
 		if ppc.IsRelativeBranch(w) {
 			disp, _ := ppc.RelDisplacement(w)
 			if disp%4 != 0 {

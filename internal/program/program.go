@@ -148,8 +148,9 @@ func (p *Program) Validate() error {
 	return nil
 }
 
-// Clone returns a deep copy. Compression mutates jump tables in data, so
-// callers clone before compressing when they need the original intact.
+// Clone returns a deep copy. Compression never writes to its input (each
+// image owns its data and patches its own copy of the jump tables), so a
+// program needs no clone before it is compressed.
 func (p *Program) Clone() *Program {
 	q := *p
 	q.Text = append([]uint32(nil), p.Text...)

@@ -154,6 +154,35 @@ func TestAnalyzeLeaders(t *testing.T) {
 	if a.BlockCount() != len(blocks) {
 		t.Errorf("BlockCount %d != len(Blocks) %d", a.BlockCount(), len(blocks))
 	}
+
+	// §3.2.1 compressibility: relative branches (their offsets are
+	// rewritten) and link-setting branches (a return into a dictionary
+	// entry is unaddressable) stay out of the dictionary; a return and an
+	// ALU word may be compressed.
+	cases := []struct {
+		name         string
+		word         uint32
+		compressible bool
+	}{
+		{"add", ppc.Add(3, 4, 5), true},
+		{"b", ppc.B(-4), false},
+		{"bl", ppc.Bl(-8), false},
+		{"bctrl", ppc.Bctrl(), false},
+		{"blr", ppc.Blr(), true},
+	}
+	q := &Program{}
+	for _, c := range cases {
+		q.Text = append(q.Text, c.word)
+	}
+	qa, err := Analyze(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, c := range cases {
+		if qa.Compressible[i] != c.compressible {
+			t.Errorf("%s: Compressible %v, want %v", c.name, qa.Compressible[i], c.compressible)
+		}
+	}
 }
 
 func TestPrologueEpilogueRanges(t *testing.T) {

@@ -69,9 +69,7 @@ func TestConservationCCRP(t *testing.T) {
 				t.Fatal(err)
 			}
 			em := sizeaudit.NewProgramEmitter(p)
-			cfg := huffman.DefaultCCRP()
-			cfg.Audit = em
-			img, err := huffman.BuildCCRPImage(p, cfg)
+			img, err := huffman.BuildCCRPImage(p, nil, em)
 			if err != nil {
 				t.Fatal(err)
 			}
