@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test race smoke diff fuzz-short ccbench-test lint-dispatch lint-fastpath lint-metrics check bench bench-json bench-exec bench-diff bench-append bench-trend bundle
+.PHONY: all build vet test race smoke diff fuzz-short ccbench-test lint-dispatch lint-fastpath lint-metrics lint-fmt check bench bench-json bench-exec bench-diff bench-append bench-trend bundle
 
 all: check
 
@@ -109,6 +109,15 @@ lint-fastpath:
 		exit 1; \
 	fi
 
+# Formatting gate: every tracked Go file must be gofmt-clean.
+lint-fmt:
+	@found=$$(gofmt -l $$(git ls-files '*.go')); \
+	if [ -n "$$found" ]; then \
+		echo "$$found"; \
+		echo 'lint-fmt: files above are not gofmt-clean; run gofmt -w on them'; \
+		exit 1; \
+	fi
+
 # Metric-name registry gate: every literal counter/phase/histogram name
 # passed to a stats.Recorder sink (Add/Observe/ObserveValue) or to
 # trace.Span.Phase, which takes the name first, must appear in
@@ -130,7 +139,7 @@ lint-metrics:
 		exit 1; \
 	fi
 
-check: vet build lint-dispatch lint-fastpath lint-metrics diff ccbench-test race smoke
+check: vet build lint-fmt lint-dispatch lint-fastpath lint-metrics diff ccbench-test race smoke
 
 bench:
 	$(GO) test -bench=. -benchmem .

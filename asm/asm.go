@@ -1,8 +1,11 @@
 // Package asm is the public assembler surface of the code-density
 // library: builders for the PowerPC-subset instruction words accepted by
-// codedensity.Builder, a disassembler, and the simulator's syscall
-// numbers. It re-exports the internal ppc and machine primitives that
-// downstream programs need to construct runnable modules.
+// codedensity.Builder, a one-instruction parser and a disassembler, and
+// the simulator's syscall numbers. It re-exports the internal ppc and
+// machine primitives that downstream programs need to construct runnable
+// modules. Parse and Disassemble share one syntax table, so each reads
+// what the other writes, and Parse rejects an operand too wide for its
+// field rather than masking it.
 package asm
 
 import (

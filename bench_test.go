@@ -116,7 +116,7 @@ func benchCompress(b *testing.B, name string, scheme Scheme) {
 	b.ResetTimer()
 	var last *Image
 	for i := 0; i < b.N; i++ {
-		img, err := core.Compress(p.Clone(), Options{Scheme: scheme})
+		img, err := core.Compress(p, Options{Scheme: scheme})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,7 +190,7 @@ func BenchmarkCompressSweep(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				img, err := core.Compress(p.Clone(), Options{Scheme: Baseline})
+				img, err := core.Compress(p, Options{Scheme: Baseline})
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -232,7 +232,7 @@ func BenchmarkCompressNibbleCompress(b *testing.B) {
 
 func BenchmarkDecompress(b *testing.B) {
 	p := benchProgram(b, "go")
-	img, err := core.Compress(p.Clone(), Options{Scheme: Nibble})
+	img, err := core.Compress(p, Options{Scheme: Nibble})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -249,7 +249,7 @@ func BenchmarkDecompress(b *testing.B) {
 
 func BenchmarkVerify(b *testing.B) {
 	p := benchProgram(b, "go")
-	img, err := core.Compress(p.Clone(), Options{Scheme: Nibble})
+	img, err := core.Compress(p, Options{Scheme: Nibble})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -265,7 +265,7 @@ func BenchmarkVerify(b *testing.B) {
 // frame from memory, the open half of a cold start.
 func BenchmarkOpenImage(b *testing.B) {
 	p := benchProgram(b, "gcc")
-	img, err := core.Compress(p.Clone(), Options{Scheme: Nibble})
+	img, err := core.Compress(p, Options{Scheme: Nibble})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -322,7 +322,7 @@ func BenchmarkNativeExecution(b *testing.B) {
 
 func BenchmarkCompressedExecution(b *testing.B) {
 	p := benchProgram(b, "perl")
-	img, err := core.Compress(p.Clone(), Options{Scheme: Nibble})
+	img, err := core.Compress(p, Options{Scheme: Nibble})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -383,7 +383,7 @@ func profiledMachine(b *testing.B, img *core.Image) *machine.CPU {
 // the ratio CI holds to 1.10 is timed in BenchmarkExecutionRatios.
 func BenchmarkSampledExecution(b *testing.B) {
 	p := benchProgram(b, "perl")
-	img, err := core.Compress(p.Clone(), Options{Scheme: Nibble})
+	img, err := core.Compress(p, Options{Scheme: Nibble})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -409,7 +409,7 @@ func BenchmarkSampledExecution(b *testing.B) {
 // ns/op covers all three runs.
 func BenchmarkExecutionRatios(b *testing.B) {
 	p := benchProgram(b, "perl")
-	img, err := core.Compress(p.Clone(), Options{Scheme: Nibble})
+	img, err := core.Compress(p, Options{Scheme: Nibble})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -465,7 +465,7 @@ func BenchmarkExecutionRatios(b *testing.B) {
 // and the reference tests — pays.
 func BenchmarkHookedExecution(b *testing.B) {
 	p := benchProgram(b, "perl")
-	img, err := core.Compress(p.Clone(), Options{Scheme: Nibble})
+	img, err := core.Compress(p, Options{Scheme: Nibble})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -489,7 +489,7 @@ func BenchmarkHookedExecution(b *testing.B) {
 // of the cache model itself.
 func BenchmarkICacheExecution(b *testing.B) {
 	p := benchProgram(b, "perl")
-	img, err := core.Compress(p.Clone(), Options{Scheme: Nibble})
+	img, err := core.Compress(p, Options{Scheme: Nibble})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -528,7 +528,7 @@ func BenchmarkICacheExecution(b *testing.B) {
 // is the cost of one Access call.
 func BenchmarkICacheAccess(b *testing.B) {
 	p := benchProgram(b, "perl")
-	img, err := core.Compress(p.Clone(), Options{Scheme: Nibble})
+	img, err := core.Compress(p, Options{Scheme: Nibble})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -571,7 +571,7 @@ func BenchmarkICacheAccess(b *testing.B) {
 // Reset together with its Run.
 func BenchmarkReset(b *testing.B) {
 	p := benchProgram(b, "perl")
-	img, err := core.Compress(p.Clone(), Options{Scheme: Nibble})
+	img, err := core.Compress(p, Options{Scheme: Nibble})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -670,7 +670,7 @@ func BenchmarkApplyFixedDictionary(b *testing.B) {
 	b.SetBytes(int64(p.SizeBytes()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		img, err := core.CompressFixed(p.Clone(), shared, Options{Scheme: Baseline})
+		img, err := core.CompressFixed(p, shared, Options{Scheme: Baseline})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -716,7 +716,7 @@ func BenchmarkCCRPExecution(b *testing.B) {
 
 func BenchmarkStreamDecodeNibble(b *testing.B) {
 	p := benchProgram(b, "go")
-	img, err := core.Compress(p.Clone(), Options{Scheme: codeword.Nibble})
+	img, err := core.Compress(p, Options{Scheme: codeword.Nibble})
 	if err != nil {
 		b.Fatal(err)
 	}

@@ -19,8 +19,8 @@ import (
 	"os"
 	"strings"
 
-	"repro/internal/cli"
 	"repro/internal/codec"
+	_ "repro/internal/codecs" // populate the registry
 	"repro/internal/core"
 	"repro/internal/objfile"
 	"repro/internal/sizeaudit"
@@ -50,7 +50,7 @@ func main() {
 		os.Exit(2)
 	}
 	in := flag.Arg(0)
-	cd, err := cli.ParseCodec(*schemeName)
+	cd, err := codec.ByName(*schemeName)
 	if err != nil {
 		fatal(err)
 	}

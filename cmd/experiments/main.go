@@ -88,8 +88,8 @@ func main() {
 	}
 
 	totals := stats.New()
-	// With -bundle, the collector owns the run's tracer; the spans land in
-	// the experiments/ bundle.
+	// With -bundle, the collector owns the run's tracer and, once the run
+	// is over, its totals; both land in the experiments/ bundle.
 	var col *obs.Collector
 	if *bundleDir != "" {
 		col = obs.NewCollector(obs.Identity{
@@ -99,15 +99,15 @@ func main() {
 	}
 	corpus := bench.NewCorpus()
 	engine := bench.NewEngine(corpus, bench.EngineOptions{
-		Parallel:  *parallel,
-		Recorder:  totals,
-		Tracer:    col.Tracer(),
-		Collector: col,
+		Parallel: *parallel,
+		Recorder: totals,
+		Tracer:   col.Tracer(),
 	})
 	t0 := time.Now()
 	results, runErr := engine.RunIDs(ctx, ids)
 	wall := time.Since(t0)
 	if *bundleDir != "" && runErr == nil {
+		col.Recorder().Merge(totals.Snapshot())
 		if err := col.Write(filepath.Join(*bundleDir, "experiments")); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: run bundle: %v\n", err)
 			os.Exit(1)

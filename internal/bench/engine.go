@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -28,12 +27,6 @@ type EngineOptions struct {
 	// (experiment:<id> at the root; corpus, pipeline and row spans below)
 	// for Chrome trace-event export. Nil disables tracing at zero cost.
 	Tracer *trace.Tracer
-
-	// Collector, when non-nil, is the engine run's bundle sink: every
-	// experiment's snapshot merges into its recorder (in addition to
-	// Recorder), and when no Tracer was given the collector's tracer
-	// gathers the span trees, so one bundle captures the whole run.
-	Collector *obs.Collector
 }
 
 // Result is one experiment's outcome.
@@ -69,9 +62,6 @@ type Engine struct {
 func NewEngine(c *Corpus, opt EngineOptions) *Engine {
 	if opt.Parallel <= 0 {
 		opt.Parallel = runtime.GOMAXPROCS(0)
-	}
-	if opt.Tracer == nil {
-		opt.Tracer = opt.Collector.Tracer() // nil on a nil collector
 	}
 	return &Engine{corpus: c, opt: opt}
 }
@@ -124,7 +114,6 @@ launch:
 				Stats: snap,
 			}
 			e.opt.Recorder.Merge(snap)
-			e.opt.Collector.Recorder().Merge(snap)
 		}(i, r)
 	}
 	wg.Wait()

@@ -335,4 +335,3 @@ PASS
 		t.Error("a ceiling on a ratio the run did not report passed")
 	}
 }
-

@@ -6,17 +6,12 @@ package cli
 
 import (
 	"fmt"
+	"strings"
 
 	"repro/internal/codec"
 	_ "repro/internal/codecs" // populate the registry
 	"repro/internal/codeword"
 )
-
-// ParseCodec maps a user-facing codec name (or alias) to its codec.
-func ParseCodec(s string) (codec.Codec, error) { return codec.ByName(s) }
-
-// CodecNames lists the canonical codec names, in method-byte order.
-func CodecNames() []string { return codec.Names() }
 
 // ParseScheme maps user-facing scheme names to dictionary codeword
 // schemes; it accepts exactly the registered dictionary codecs (and their
@@ -24,12 +19,12 @@ func CodecNames() []string { return codec.Names() }
 func ParseScheme(s string) (codeword.Scheme, error) {
 	c, err := codec.ByName(s)
 	if err != nil {
-		return 0, fmt.Errorf("unknown scheme %q (want one of %s)", s, joinNames(SchemeNames()))
+		return 0, fmt.Errorf("unknown scheme %q (want one of %s)", s, strings.Join(SchemeNames(), ", "))
 	}
 	sc, ok := c.(codec.Schemed)
 	if !ok {
 		return 0, fmt.Errorf("codec %q is not a dictionary codeword scheme (want one of %s)",
-			c.Name(), joinNames(SchemeNames()))
+			c.Name(), strings.Join(SchemeNames(), ", "))
 	}
 	return sc.Scheme(), nil
 }
@@ -44,15 +39,4 @@ func SchemeNames() []string {
 		}
 	}
 	return out
-}
-
-func joinNames(names []string) string {
-	s := ""
-	for i, n := range names {
-		if i > 0 {
-			s += ", "
-		}
-		s += n
-	}
-	return s
 }

@@ -48,17 +48,17 @@ func TestParseScheme(t *testing.T) {
 // alias, and every dictionary scheme's String() is its registry name.
 func TestCodecNamesRoundTrip(t *testing.T) {
 	if len(codec.Codecs()) < 6 {
-		t.Fatalf("expected at least 6 registered codecs, have %v", CodecNames())
+		t.Fatalf("expected at least 6 registered codecs, have %v", codec.Names())
 	}
 	for _, c := range codec.Codecs() {
-		got, err := ParseCodec(c.Name())
+		got, err := codec.ByName(c.Name())
 		if err != nil || got.Method() != c.Method() {
-			t.Errorf("ParseCodec(%q) = %v, %v; want method %d", c.Name(), got, err, c.Method())
+			t.Errorf("codec.ByName(%q) = %v, %v; want method %d", c.Name(), got, err, c.Method())
 		}
 		for _, a := range codec.Aliases(c.Name()) {
-			got, err := ParseCodec(a)
+			got, err := codec.ByName(a)
 			if err != nil || got.Method() != c.Method() {
-				t.Errorf("ParseCodec(alias %q) = %v, %v; want method %d", a, got, err, c.Method())
+				t.Errorf("codec.ByName(alias %q) = %v, %v; want method %d", a, got, err, c.Method())
 			}
 		}
 		sc, ok := c.(codec.Schemed)

@@ -32,32 +32,34 @@ func TestAssembleDisassembleQuick(t *testing.T) {
 	}
 }
 
-// TestAssembleBuilders round-trips every builder-constructed instruction,
-// covering forms random words hit rarely.
+// builderWords holds one builder-constructed word of every form, covering
+// forms random words hit rarely.
+var builderWords = []uint32{
+	Addi(3, 4, -12), Li(9, 200), Lis(12, 0x7fff), Addis(5, 6, -1),
+	Ori(4, 5, 0xffff), Oris(4, 5, 0x1234), AndiRc(7, 8, 0xff), Xori(1, 2, 3),
+	Nop(), Cmpwi(1, 0, 8), Cmplwi(1, 11, 7), Cmpw(0, 3, 4), Cmplw(7, 30, 31),
+	Lwz(9, 4, 28), Lbz(9, 0, 28), Lhz(3, -2, 1), Stw(18, 0, 28), Stb(18, 0, 28),
+	Sth(0, 100, 1), Stwu(1, -64, 1), Lmw(29, 52, 1), Stmw(29, 52, 1),
+	Lwzx(3, 4, 5), Stwx(3, 4, 5),
+	Add(0, 11, 1), Subf(3, 4, 5), Neg(3, 3), Mullw(3, 4, 5), Divw(3, 4, 5),
+	And(3, 4, 5), Or(3, 4, 5), Mr(31, 3), Xor(3, 4, 5), Nor(3, 4, 4),
+	Slw(3, 4, 5), Srw(3, 4, 5), Sraw(3, 4, 5), Srawi(3, 4, 2),
+	Extsb(3, 4), Extsh(3, 4),
+	Rlwinm(11, 9, 3, 5, 28), Clrlwi(11, 9, 24), Slwi(4, 4, 2), Srwi(4, 4, 2),
+	B(0x1000), B(-0x1000), Bl(0x400),
+	Ble(1, 0x40), Bgt(1, -0x40), Beq(0, 8), Bne(0, -8), Blt(2, 1024), Bge(2, -1024),
+	Bdnz(-16), Bc(BoAlways, 0, 8),
+	Blr(), Bctr(), Bctrl(),
+	Mflr(0), Mtlr(0), Mfctr(12), Mtctr(12), Sc(),
+	// Rc forms.
+	Add(1, 2, 3) | 1, Or(4, 5, 6) | 1, Srawi(7, 8, 3) | 1, Rlwinm(1, 2, 3, 4, 5) | 1,
+	// Data word.
+	0x00000000,
+}
+
+// TestAssembleBuilders round-trips every builder-constructed instruction.
 func TestAssembleBuilders(t *testing.T) {
-	words := []uint32{
-		Addi(3, 4, -12), Li(9, 200), Lis(12, 0x7fff), Addis(5, 6, -1),
-		Ori(4, 5, 0xffff), Oris(4, 5, 0x1234), AndiRc(7, 8, 0xff), Xori(1, 2, 3),
-		Nop(), Cmpwi(1, 0, 8), Cmplwi(1, 11, 7), Cmpw(0, 3, 4), Cmplw(7, 30, 31),
-		Lwz(9, 4, 28), Lbz(9, 0, 28), Lhz(3, -2, 1), Stw(18, 0, 28), Stb(18, 0, 28),
-		Sth(0, 100, 1), Stwu(1, -64, 1), Lmw(29, 52, 1), Stmw(29, 52, 1),
-		Lwzx(3, 4, 5), Stwx(3, 4, 5),
-		Add(0, 11, 1), Subf(3, 4, 5), Neg(3, 3), Mullw(3, 4, 5), Divw(3, 4, 5),
-		And(3, 4, 5), Or(3, 4, 5), Mr(31, 3), Xor(3, 4, 5), Nor(3, 4, 4),
-		Slw(3, 4, 5), Srw(3, 4, 5), Sraw(3, 4, 5), Srawi(3, 4, 2),
-		Extsb(3, 4), Extsh(3, 4),
-		Rlwinm(11, 9, 3, 5, 28), Clrlwi(11, 9, 24), Slwi(4, 4, 2), Srwi(4, 4, 2),
-		B(0x1000), B(-0x1000), Bl(0x400),
-		Ble(1, 0x40), Bgt(1, -0x40), Beq(0, 8), Bne(0, -8), Blt(2, 1024), Bge(2, -1024),
-		Bdnz(-16), Bc(BoAlways, 0, 8),
-		Blr(), Bctr(), Bctrl(),
-		Mflr(0), Mtlr(0), Mfctr(12), Mtctr(12), Sc(),
-		// Rc forms.
-		Add(1, 2, 3) | 1, Or(4, 5, 6) | 1, Srawi(7, 8, 3) | 1, Rlwinm(1, 2, 3, 4, 5) | 1,
-		// Data word.
-		0x00000000,
-	}
-	for _, w := range words {
+	for _, w := range builderWords {
 		s := Disassemble(w)
 		back, err := Assemble(s)
 		if err != nil {
@@ -85,6 +87,13 @@ func TestAssembleErrors(t *testing.T) {
 		"bdnz .+0x3",        // unaligned displacement
 		".long zzz",         //
 		"li r1,0x1ffffffff", // out of range
+		// Fields too wide for their encoding are rejected, not masked.
+		"srawi r3,r4,33",
+		"rlwinm r3,r4,40,0,31",
+		"clrlwi r3,r4,32",
+		"bc 40,1,.+0x8",
+		"bclr 36,0",
+		"mfspr r3,70000",
 	}
 	for _, s := range bad {
 		if _, err := Assemble(s); err == nil {

@@ -1,8 +1,9 @@
 // Package ppc implements the 32-bit PowerPC instruction-set subset used by
 // the code-compression study: authentic big-endian encodings for the D, I,
 // B, X, XO, XL and M instruction forms, an assembler-style builder API, a
-// decoder and disassembler, and the reserved (illegal) primary opcodes that
-// form the escape bytes of the baseline compression scheme.
+// decoder, one syntax table read by both the disassembler and the
+// assembler, and the reserved (illegal) primary opcodes that form the
+// escape bytes of the baseline compression scheme.
 //
 // The subset is executable: every opcode defined here has semantics in the
 // machine package. Field layout follows the IBM convention where bit 0 is

@@ -209,7 +209,7 @@ func assembleLine(f *FuncBuilder, line string, funcs map[string]bool, dataAddr m
 		return nil
 	}
 	// Does the final operand name a symbol rather than a displacement or
-	// number? Only relative-branch mnemonics may use symbols.
+	// number? Only mnemonics ending in a displacement may use symbols.
 	ops := []string{}
 	if rest != "" {
 		ops = strings.Split(rest, ",")
@@ -217,7 +217,7 @@ func assembleLine(f *FuncBuilder, line string, funcs map[string]bool, dataAddr m
 			ops[i] = strings.TrimSpace(ops[i])
 		}
 	}
-	if isBranchMnemonic(mnem) && len(ops) > 0 && isSymbol(ops[len(ops)-1]) {
+	if ppc.EndsInDisplacement(mnem) && len(ops) > 0 && isSymbol(ops[len(ops)-1]) {
 		target := ops[len(ops)-1]
 		ops[len(ops)-1] = ".+0x0" // placeholder displacement
 		w, err := ppc.Assemble(mnem + " " + strings.Join(ops, ","))
@@ -245,16 +245,6 @@ func assembleLine(f *FuncBuilder, line string, funcs map[string]bool, dataAddr m
 	}
 	f.Emit(w)
 	return nil
-}
-
-func isBranchMnemonic(m string) bool {
-	switch m {
-	case "b", "bl", "blt", "bgt", "beq", "bge", "ble", "bne",
-		"bltl", "bgtl", "beql", "bgel", "blel", "bnel",
-		"bdnz", "bdnzl", "bc", "bcl":
-		return true
-	}
-	return false
 }
 
 // isSymbol reports whether the operand is a name (not a displacement,
