@@ -350,7 +350,7 @@ func assemble(p *program.Program, an *program.Analysis, opt Options, res *dictio
 	spEncode := opt.Trace.Phase("core.encode", opt.Stats)
 	lay, err := layout(p, an, res.Items, rank.of, opt.Scheme)
 	if err == nil {
-		err = emit(img, an, res.Items, rank.of, lay, opt)
+		err = emit(img, p.Text, an, res.Items, rank.of, lay, opt)
 	}
 	spEncode.End()
 	if err != nil {
@@ -413,7 +413,7 @@ func rerank(res *dictionary.Result, profile []int64) reranked {
 			weight[i] = 0
 		}
 		for _, it := range res.Items {
-			if it.IsCodeword {
+			if it.IsCodeword() {
 				weight[it.Entry] += profile[it.OrigIdx]
 			}
 		}

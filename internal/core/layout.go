@@ -51,9 +51,8 @@ func canStub(w uint32) bool {
 
 // layoutResult fixes every item's stream position.
 type layoutResult struct {
-	itemUnit []int  // per item: unit offset
-	unitOf   []int  // per original word: unit offset of the item starting there, -1 if none
-	expanded []bool // per item: far branch rewritten through a stub
+	unitOf   []int32 // per original word: unit offset of the item starting there, -1 if none
+	expanded []bool  // per item: far branch rewritten through a stub
 	units    int
 }
 
@@ -63,7 +62,7 @@ func (l *layoutResult) unitAt(word int) (int, bool) {
 	if word < 0 || word >= len(l.unitOf) || l.unitOf[word] < 0 {
 		return 0, false
 	}
-	return l.unitOf[word], true
+	return int(l.unitOf[word]), true
 }
 
 // layout assigns unit offsets, iterating until every unexpanded branch
@@ -72,8 +71,7 @@ func (l *layoutResult) unitAt(word int) (int, bool) {
 func layout(p *program.Program, an *program.Analysis, items []dictionary.Item,
 	rankOf []int, scheme codeword.Scheme) (*layoutResult, error) {
 	lay := &layoutResult{
-		itemUnit: make([]int, len(items)),
-		unitOf:   make([]int, len(p.Text)),
+		unitOf:   make([]int32, len(p.Text)),
 		expanded: make([]bool, len(items)),
 	}
 	for i := range lay.unitOf {
@@ -84,15 +82,16 @@ func layout(p *program.Program, an *program.Analysis, items []dictionary.Item,
 		if pass > len(items)+2 {
 			return nil, fmt.Errorf("core: branch layout did not converge")
 		}
+		// Offsets are stored as int32; past MaxInt32 they wrap, and the
+		// check after the loop rejects the layout before any is read.
 		u := 0
 		for ii, it := range items {
-			lay.itemUnit[ii] = u
-			lay.unitOf[it.OrigIdx] = u
+			lay.unitOf[it.OrigIdx] = int32(u)
 			switch {
-			case it.IsCodeword:
+			case it.IsCodeword():
 				u += scheme.CodewordUnits(rankOf[it.Entry])
 			case lay.expanded[ii]:
-				u += stubLen(it.Word) * raw
+				u += stubLen(p.Text[it.OrigIdx]) * raw
 			default:
 				u += raw
 			}
@@ -104,9 +103,10 @@ func layout(p *program.Program, an *program.Analysis, items []dictionary.Item,
 
 		changed := false
 		for ii, it := range items {
-			if it.IsCodeword || lay.expanded[ii] || !ppc.IsRelativeBranch(it.Word) {
+			if it.IsCodeword() || lay.expanded[ii] || !ppc.IsRelativeBranch(p.Text[it.OrigIdx]) {
 				continue
 			}
+			word := p.Text[it.OrigIdx]
 			target := int(an.Target[it.OrigIdx])
 			if target < 0 {
 				return nil, fmt.Errorf("core: branch at word %d has no analyzed target", it.OrigIdx)
@@ -115,11 +115,11 @@ func layout(p *program.Program, an *program.Analysis, items []dictionary.Item,
 			if !ok {
 				return nil, fmt.Errorf("core: branch target word %d is not an item start", target)
 			}
-			field := int32(tu - lay.itemUnit[ii])
-			if ppc.FitsField(it.Word, field) {
+			field := int32(tu) - lay.unitOf[it.OrigIdx]
+			if ppc.FitsField(word, field) {
 				continue
 			}
-			if !canStub(it.Word) {
+			if !canStub(word) {
 				return nil, fmt.Errorf("core: CTR-decrementing branch at word %d needs expansion", it.OrigIdx)
 			}
 			lay.expanded[ii] = true
@@ -133,7 +133,7 @@ func layout(p *program.Program, an *program.Analysis, items []dictionary.Item,
 
 // emit writes the stream, patching branch fields and expanding stubs, and
 // fills marks, stats and the byte-provenance audit.
-func emit(img *Image, an *program.Analysis, items []dictionary.Item, rankOf []int, lay *layoutResult, opt Options) error {
+func emit(img *Image, text []uint32, an *program.Analysis, items []dictionary.Item, rankOf []int, lay *layoutResult, opt Options) error {
 	img.Marks = make([]Mark, 0, len(items)) // one mark per item
 	scheme := img.Scheme
 	w := codeword.NewWriter(scheme)
@@ -141,57 +141,59 @@ func emit(img *Image, an *program.Analysis, items []dictionary.Item, rankOf []in
 	rawBitsPer := scheme.RawInsnUnits() * scheme.UnitBits()
 	var stubBits int64
 	for ii, it := range items {
-		if w.Units() != lay.itemUnit[ii] {
-			return fmt.Errorf("core: layout drift at item %d: %d != %d", ii, w.Units(), lay.itemUnit[ii])
+		unit := lay.unitOf[it.OrigIdx]
+		if w.Units() != int(unit) {
+			return fmt.Errorf("core: layout drift at item %d: %d != %d", ii, w.Units(), unit)
 		}
 		img.Stats.Items++
+		word := text[it.OrigIdx]
 		switch {
-		case it.IsCodeword:
+		case it.IsCodeword():
 			rank := rankOf[it.Entry]
 			if err := w.Codeword(rank); err != nil {
 				return err
 			}
-			img.Marks = append(img.Marks, Mark{Unit: int32(lay.itemUnit[ii]), Orig: int32(it.OrigIdx), Kind: MarkCodeword})
+			img.Marks = append(img.Marks, Mark{Unit: unit, Orig: it.OrigIdx, Kind: MarkCodeword})
 			img.Stats.CodewordItems++
 			img.Stats.CodewordBits += scheme.CodewordBits(rank)
 			img.Stats.EscapeBits += scheme.EscapeBits()
-			opt.Audit.AtWord(sizeaudit.Codeword, it.OrigIdx, int64(scheme.CodewordBits(rank)))
+			opt.Audit.AtWord(sizeaudit.Codeword, int(it.OrigIdx), int64(scheme.CodewordBits(rank)))
 
-		case ppc.IsRelativeBranch(it.Word):
+		case ppc.IsRelativeBranch(word):
 			tu := lay.unitOf[an.Target[it.OrigIdx]]
 			if lay.expanded[ii] {
-				if err := emitStub(w, it.Word, img.Base+uint32(tu), scheme); err != nil {
+				if err := emitStub(w, word, img.Base+uint32(tu), scheme); err != nil {
 					return err
 				}
-				img.Marks = append(img.Marks, Mark{Unit: int32(lay.itemUnit[ii]), Orig: int32(it.OrigIdx), Kind: MarkStub})
+				img.Marks = append(img.Marks, Mark{Unit: unit, Orig: it.OrigIdx, Kind: MarkStub})
 				img.Stats.StubBranches++
-				img.Stats.RawItems += stubLen(it.Word)
-				img.Stats.RawBits += stubLen(it.Word) * rawBitsPer
-				opt.Audit.AtWord(sizeaudit.Stub, it.OrigIdx, int64(stubLen(it.Word)*rawBitsPer))
-				stubBits += int64(stubLen(it.Word) * rawBitsPer)
+				img.Stats.RawItems += stubLen(word)
+				img.Stats.RawBits += stubLen(word) * rawBitsPer
+				opt.Audit.AtWord(sizeaudit.Stub, int(it.OrigIdx), int64(stubLen(word)*rawBitsPer))
+				stubBits += int64(stubLen(word) * rawBitsPer)
 				break
 			}
-			field := int32(tu - lay.itemUnit[ii])
-			nw, err := ppc.SetField(it.Word, field)
+			field := tu - unit
+			nw, err := ppc.SetField(word, field)
 			if err != nil {
 				return fmt.Errorf("core: patching branch at word %d: %v", it.OrigIdx, err)
 			}
 			if err := w.Raw(nw); err != nil {
 				return err
 			}
-			img.Marks = append(img.Marks, Mark{Unit: int32(lay.itemUnit[ii]), Orig: int32(it.OrigIdx), Kind: MarkBranch})
+			img.Marks = append(img.Marks, Mark{Unit: unit, Orig: it.OrigIdx, Kind: MarkBranch})
 			img.Stats.RawItems++
 			img.Stats.RawBits += rawBitsPer
-			opt.Audit.AtWord(sizeaudit.Raw, it.OrigIdx, int64(rawBitsPer))
+			opt.Audit.AtWord(sizeaudit.Raw, int(it.OrigIdx), int64(rawBitsPer))
 
 		default:
-			if err := w.Raw(it.Word); err != nil {
+			if err := w.Raw(word); err != nil {
 				return err
 			}
-			img.Marks = append(img.Marks, Mark{Unit: int32(lay.itemUnit[ii]), Orig: int32(it.OrigIdx), Kind: MarkRaw})
+			img.Marks = append(img.Marks, Mark{Unit: unit, Orig: it.OrigIdx, Kind: MarkRaw})
 			img.Stats.RawItems++
 			img.Stats.RawBits += rawBitsPer
-			opt.Audit.AtWord(sizeaudit.Raw, it.OrigIdx, int64(rawBitsPer))
+			opt.Audit.AtWord(sizeaudit.Raw, int(it.OrigIdx), int64(rawBitsPer))
 		}
 	}
 	if w.Units() != lay.units {

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
+	"slices"
 
 	"repro/internal/codeword"
 	"repro/internal/ppc"
@@ -172,35 +174,28 @@ func branchFieldMask(w uint32) uint32 {
 	return 0
 }
 
-// markTable maps each stream unit to the index of the mark starting
-// there, -1 where none does: Verify's branch, stub, jump-table and entry
-// checks each look a target up by index.
+// markTable finds the mark starting at a stream unit for Verify's branch,
+// stub, jump-table and entry checks. It searches the marks themselves
+// rather than indexing a per-unit array, which would be larger than the
+// marks (a nibble stream has eight units per raw word): Verify only
+// accepts marks that tile the stream, so on any image it accepts their
+// units strictly ascend, and on one it rejects a search that misses only
+// changes which error is reported.
 type markTable struct {
-	marks  []Mark
-	base   uint32
-	markAt []int32
+	marks []Mark
+	base  uint32
 }
 
-func newMarkTable(img *Image) markTable {
-	t := markTable{marks: img.Marks, base: img.Base, markAt: make([]int32, img.Units)}
-	for u := range t.markAt {
-		t.markAt[u] = -1
-	}
-	for i, m := range img.Marks {
-		if m.Unit >= 0 && int(m.Unit) < len(t.markAt) && t.markAt[m.Unit] < 0 {
-			t.markAt[m.Unit] = int32(i)
-		}
-	}
-	return t
-}
+func newMarkTable(img *Image) markTable { return markTable{marks: img.Marks, base: img.Base} }
 
 // at finds the mark starting at an absolute unit address.
 func (t markTable) at(abs uint32) (Mark, bool) {
-	rel := abs - t.base
-	if uint64(rel) >= uint64(len(t.markAt)) || t.markAt[rel] < 0 {
+	rel := int64(abs - t.base)
+	i, ok := slices.BinarySearchFunc(t.marks, rel, func(m Mark, u int64) int { return cmp.Compare(int64(m.Unit), u) })
+	if !ok {
 		return Mark{}, false
 	}
-	return t.marks[t.markAt[rel]], true
+	return t.marks[i], true
 }
 
 // verifyStub checks the far-branch expansion and returns its stream units.

@@ -54,7 +54,7 @@ func Apply(text []uint32, entries []Entry, cfg Config) (*Result, error) {
 			for _, idx := range ix.run(text[pos]) {
 				words := entries[idx].Words
 				if matches(pos, words) {
-					res.Items = append(res.Items, Item{IsCodeword: true, Entry: int(idx), OrigIdx: pos})
+					res.Items = append(res.Items, Item{OrigIdx: int32(pos), Entry: idx})
 					res.Entries[idx].Uses++
 					res.CoveredInsns += len(words)
 					pos += len(words)
@@ -64,7 +64,7 @@ func Apply(text []uint32, entries []Entry, cfg Config) (*Result, error) {
 			}
 		}
 		if !replaced {
-			res.Items = append(res.Items, Item{Word: text[pos], OrigIdx: pos})
+			res.Items = append(res.Items, Item{OrigIdx: int32(pos), Entry: -1})
 			pos++
 		}
 	}

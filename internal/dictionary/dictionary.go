@@ -126,14 +126,18 @@ type Entry struct {
 // SizeBytes is the raw size of the entry's instructions.
 func (e Entry) SizeBytes() int { return 4 * len(e.Words) }
 
-// Item is one element of the rewritten program: either an uncompressed
-// instruction or a codeword referencing a dictionary entry.
+// Item is one element of the rewritten program: a codeword standing for
+// dictionary entry Entry, or, when Entry is -1, the text word at OrigIdx
+// left uncompressed. There is one per surviving word, so it holds no copy
+// of that word and is 8 bytes: texts are bounded far below 2^31 words
+// (every image format counts them in 32 bits), so indices fit int32.
 type Item struct {
-	IsCodeword bool
-	Entry      int    // valid when IsCodeword
-	Word       uint32 // valid when !IsCodeword
-	OrigIdx    int    // original text word index (sequence start for codewords)
+	OrigIdx int32 // original text word index (sequence start for codewords)
+	Entry   int32 // the codeword's dictionary entry; -1 for an uncompressed word
 }
+
+// IsCodeword reports whether the item stands for a dictionary entry.
+func (it Item) IsCodeword() bool { return it.Entry >= 0 }
 
 // Result is the outcome of a build.
 type Result struct {
@@ -363,13 +367,13 @@ func assembleItems[R int | int32](text []uint32, covered []bool, coverEntry []R,
 	res.Items = make([]Item, 0, items)
 	for i := range text {
 		if e := coverEntry[i]; e >= 0 {
-			res.Items = append(res.Items, Item{IsCodeword: true, Entry: int(e), OrigIdx: i})
+			res.Items = append(res.Items, Item{OrigIdx: int32(i), Entry: int32(e)})
 			continue
 		}
 		if covered[i] {
 			continue // interior of a replaced sequence
 		}
-		res.Items = append(res.Items, Item{Word: text[i], OrigIdx: i})
+		res.Items = append(res.Items, Item{OrigIdx: int32(i), Entry: -1})
 	}
 }
 

@@ -39,14 +39,20 @@ func verifyReconstruction(t *testing.T, text []uint32, r *Result) {
 	t.Helper()
 	var out []uint32
 	for _, it := range r.Items {
-		if it.IsCodeword {
-			if it.Entry < 0 || it.Entry >= len(r.Entries) {
+		if int(it.OrigIdx) != len(out) {
+			t.Fatalf("item at word %d follows %d reconstructed words", it.OrigIdx, len(out))
+		}
+		if it.IsCodeword() {
+			if int(it.Entry) >= len(r.Entries) {
 				t.Fatalf("item references entry %d of %d", it.Entry, len(r.Entries))
 			}
 			out = append(out, r.Entries[it.Entry].Words...)
 			continue
 		}
-		out = append(out, it.Word)
+		if it.Entry != -1 {
+			t.Fatalf("item at word %d has entry %d", it.OrigIdx, it.Entry)
+		}
+		out = append(out, text[it.OrigIdx])
 	}
 	if len(out) != len(text) {
 		t.Fatalf("reconstruction length %d != %d", len(out), len(text))
@@ -164,8 +170,8 @@ func TestLeaderBoundsSequences(t *testing.T) {
 		}
 		// Verify no replaced occurrence straddles index 3 or 4.
 		for _, it := range r.Items {
-			if it.IsCodeword && len(r.Entries[it.Entry].Words) > 1 {
-				start := it.OrigIdx
+			if it.IsCodeword() && len(r.Entries[it.Entry].Words) > 1 {
+				start := int(it.OrigIdx)
 				end := start + len(r.Entries[it.Entry].Words)
 				for _, ldr := range []int{3, 4} {
 					if start < ldr && end > ldr {
@@ -189,7 +195,7 @@ func TestIncompressibleExcluded(t *testing.T) {
 		Compressible: comp, Leader: lead,
 	})
 	for _, it := range r.Items {
-		if !it.IsCodeword && it.Word == br {
+		if !it.IsCodeword() && text[it.OrigIdx] == br {
 			continue
 		}
 	}
@@ -395,10 +401,13 @@ func TestReconstructionQuick(t *testing.T) {
 		}
 		var out []uint32
 		for _, it := range r.Items {
-			if it.IsCodeword {
+			if int(it.OrigIdx) != len(out) {
+				return false
+			}
+			if it.IsCodeword() {
 				out = append(out, r.Entries[it.Entry].Words...)
 			} else {
-				out = append(out, it.Word)
+				out = append(out, text[it.OrigIdx])
 			}
 		}
 		if len(out) != len(text) {
@@ -411,13 +420,13 @@ func TestReconstructionQuick(t *testing.T) {
 		}
 		// Incompressible words must never be inside entries.
 		for _, it := range r.Items {
-			if it.IsCodeword {
+			if it.IsCodeword() {
 				k := len(r.Entries[it.Entry].Words)
-				for j := it.OrigIdx; j < it.OrigIdx+k; j++ {
+				for j := int(it.OrigIdx); j < int(it.OrigIdx)+k; j++ {
 					if !comp[j] {
 						return false
 					}
-					if j > it.OrigIdx && lead[j] {
+					if j > int(it.OrigIdx) && lead[j] {
 						return false
 					}
 				}

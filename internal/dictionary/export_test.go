@@ -334,7 +334,7 @@ func applyReference(text []uint32, entries []Entry, cfg Config) (*Result, error)
 		if cfg.Compressible[pos] {
 			for _, c := range byFirst[text[pos]] {
 				if matches(pos, entries[c.idx]) {
-					res.Items = append(res.Items, Item{IsCodeword: true, Entry: c.idx, OrigIdx: pos})
+					res.Items = append(res.Items, Item{OrigIdx: int32(pos), Entry: int32(c.idx)})
 					res.Entries[c.idx].Uses++
 					res.CoveredInsns += c.len
 					pos += c.len
@@ -344,7 +344,7 @@ func applyReference(text []uint32, entries []Entry, cfg Config) (*Result, error)
 			}
 		}
 		if !replaced {
-			res.Items = append(res.Items, Item{Word: text[pos], OrigIdx: pos})
+			res.Items = append(res.Items, Item{OrigIdx: int32(pos), Entry: -1})
 			pos++
 		}
 	}

@@ -210,7 +210,10 @@ func newIndex(text []uint32, cfg Config) *index {
 
 	// span[p] is the number of sequences starting at p: the run of
 	// compressible words from p that crosses no leader, capped at maxLen.
-	span := make([]int32, n)
+	// It lives in occOff[1:], which a prefix sum turns into the slot
+	// offsets once spans are trimmed.
+	occOff := make([]int32, n+1)
+	span := occOff[1:]
 	m, maxSpan := 0, int32(0)
 	for p := n - 1; p >= 0; p-- {
 		if !cfg.Compressible[p] {
@@ -268,7 +271,7 @@ func newIndex(text []uint32, cfg Config) *index {
 
 	// lcp[t] is the longest common prefix of starts t-1 and t (0 for the
 	// first). Each start begins span-lcp sequences no earlier start begins.
-	ix := &index{text: text, maxLen: cfg.MaxEntryLen, occOff: make([]int32, n+1)}
+	ix := &index{text: text, maxLen: cfg.MaxEntryLen, occOff: occOff}
 	lcp := key
 	for t, b := range starts {
 		l := int32(0)
@@ -296,7 +299,7 @@ func newIndex(text []uint32, cfg Config) *index {
 		nc += int(span[b] - lcp[t])
 	}
 	for p := 0; p < n; p++ {
-		ix.occOff[p+1] = ix.occOff[p] + span[p]
+		occOff[p+1] += occOff[p] // span[p] becomes the end of p's slots
 	}
 
 	// A start shares its predecessor's candidates up to their longest
@@ -304,7 +307,12 @@ func newIndex(text []uint32, cfg Config) *index {
 	// meeting them in this order is the serial order.
 	ix.cands = make([]icand, nc)
 	ix.occ = make([]occRef, ix.occOff[n])
-	cursor := make([]int32, nc) // occurrences per candidate
+	// Occurrences per candidate, in the sort's spare buffer when it fits.
+	cursor := buf[:0]
+	if cap(cursor) < nc {
+		cursor = make([]int32, nc)
+	}
+	cursor = cursor[:nc]
 	s := int32(0)
 	for t, b := range starts {
 		o, l := ix.occOff[b], lcp[t]
@@ -316,7 +324,7 @@ func newIndex(text []uint32, cfg Config) *index {
 				cursor[c]++
 			}
 		}
-		for k := l + 1; k <= span[b]; k++ {
+		for k := l + 1; k <= occOff[b+1]-o; k++ {
 			ix.cands[s] = icand{k: k}
 			ix.occ[o+k-1].c = s
 			cursor[s] = 1

@@ -25,14 +25,14 @@ type placed struct {
 func (r *Result) Selection() *Selection {
 	n := 0
 	for _, it := range r.Items {
-		if it.IsCodeword {
+		if it.IsCodeword() {
 			n++
 		}
 	}
 	s := &Selection{entries: r.Entries, codewords: make([]placed, 0, n)}
 	for _, it := range r.Items {
-		if it.IsCodeword {
-			s.codewords = append(s.codewords, placed{int32(it.OrigIdx), int32(it.Entry)})
+		if it.IsCodeword() {
+			s.codewords = append(s.codewords, placed{it.OrigIdx, it.Entry})
 		}
 	}
 	return s
@@ -59,16 +59,16 @@ func (s *Selection) Prefix(text []uint32, n int) *Result {
 	next := 0 // first text word not yet emitted
 	for _, cw := range s.codewords {
 		for ; next < int(cw.start); next++ {
-			res.Items = append(res.Items, Item{Word: text[next], OrigIdx: next})
+			res.Items = append(res.Items, Item{OrigIdx: int32(next), Entry: -1})
 		}
 		if int(cw.rank) < n {
-			res.Items = append(res.Items, Item{IsCodeword: true, Entry: int(cw.rank), OrigIdx: next})
+			res.Items = append(res.Items, Item{OrigIdx: int32(next), Entry: cw.rank})
 			next += len(s.entries[cw.rank].Words)
 		}
 		// A dropped codeword's words are emitted raw by the next catch-up.
 	}
 	for ; next < len(text); next++ {
-		res.Items = append(res.Items, Item{Word: text[next], OrigIdx: next})
+		res.Items = append(res.Items, Item{OrigIdx: int32(next), Entry: -1})
 	}
 	return res
 }

@@ -1,7 +1,7 @@
 package lzw
 
 import (
-	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 
@@ -95,19 +95,23 @@ func (lzwCodec) WriteImage(w io.Writer, img codec.Image) error {
 }
 
 // Verify decompresses the stream, bounded by the program text's length,
-// and compares it to that text.
+// and compares it to that text word by word.
 func (lzwCodec) Verify(p *program.Program, img codec.Image) error {
 	li, ok := img.(*Image)
 	if !ok {
 		return fmt.Errorf("lzw: %T is not an LZW image", img)
 	}
-	text := p.TextBytes()
-	got, err := Decompress(li.Blob, len(text))
+	got, err := Decompress(li.Blob, 4*len(p.Text))
 	if err != nil {
 		return err
 	}
-	if !bytes.Equal(got, text) {
+	if len(got) != 4*len(p.Text) {
 		return fmt.Errorf("lzw: decompressed text differs from program %s", p.Name)
+	}
+	for i, w := range p.Text {
+		if binary.BigEndian.Uint32(got[4*i:]) != w {
+			return fmt.Errorf("lzw: decompressed text differs from program %s", p.Name)
+		}
 	}
 	return nil
 }
